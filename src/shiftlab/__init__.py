@@ -7,7 +7,7 @@ schedules drive the label ladder down until the shift can be read out bit
 by bit, with every query, solver operation and list cell accounted for.
 """
 
-from .group_arith import Modulus, inv_pow2_mod, mul_mod, two_adic_valuation
+from .group_arith import Modulus, mul_mod, two_adic_valuation
 from .instance import (
     RANDOM,
     HiddenShiftInstance,
@@ -19,6 +19,7 @@ from .instance import (
 from .combine import CombineOutcome, combine_interval, combine_pow2, project_pair
 from .cost_model import TableRow, TradeoffPoint, exponents, render_report, table_report
 from .errors import (
+    AccountingError,
     BudgetExceededError,
     ConsumedElementError,
     GuardError,
@@ -55,6 +56,7 @@ from .recover import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "AccountingError",
     "BudgetExceededError",
     "CombineOutcome",
     "ConsumedElementError",
@@ -79,7 +81,6 @@ __all__ = [
     "direct_iqft_distribution",
     "exponents",
     "from_descriptor",
-    "inv_pow2_mod",
     "iqft_success_probability",
     "measure_with_correction",
     "mul_mod",

@@ -34,6 +34,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .errors import GuardError, RetryExhaustedError, ShiftLabError, UsageError
+from .group_arith import ceil_log2
 from .instance import new_instance
 from .kinds import (
     BRUTE,
@@ -52,7 +53,6 @@ from .cost_model import render_report, table_report
 from .pipeline import (
     CostLedger,
     Schedule,
-    run_pipeline,
     schedule_affine,
     schedule_from_json,
     schedule_increasing,
@@ -69,6 +69,7 @@ from .subset_sum import (
     solve,
     solve_bruteforce,
 )
+from .subset_sum.instances import modular_ancilla
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -187,8 +188,7 @@ def _resolve_modulus(args) -> tuple[int, int, bool]:
                 raise UsageError(f"--odd conflicts with even N = {N}")
         elif not is_pow2:
             raise UsageError(f"N = {N} is neither a power of two nor flagged --odd")
-        n = (N - 1).bit_length() if args.odd else N.bit_length() - 1
-        return N, n, bool(args.odd)
+        return N, ceil_log2(N), bool(args.odd)
     if args.odd:
         raise UsageError("--odd needs an explicit --N")
     return 1 << args.n, args.n, False
@@ -369,13 +369,13 @@ def cmd_validate(args) -> int:
             r = rng.randrange(1, k)
             labels = tuple(rng.randrange(1 << k) for _ in range(k))
             dist = statevector_combine_dist(labels, r, POW2)
-            residues = tuple(l % (1 << r) for l in labels)
+            residues = tuple(modular_ancilla(l, r) for l in labels)
             problems = {v: ModularInstance(residues, r, v) for v in dist.probs}
         else:
-            log2k = (k - 1).bit_length()
-            if k - log2k < 1:
+            r_max = k - ceil_log2(k)
+            if r_max < 1:
                 continue
-            r = rng.randrange(1, k - log2k + 1)
+            r = rng.randrange(1, r_max + 1)
             B = rng.randrange(4, max(5, 1 << min(k, 8)))
             labels = tuple(rng.randrange(B) for _ in range(k))
             dist = statevector_combine_dist(labels, r, INTERVAL, B)

@@ -30,9 +30,11 @@ import random
 from dataclasses import dataclass
 
 from .errors import GuardError
+from .group_arith import ceil_div, ceil_log2
 from .instance import PhaseElement
 from .kinds import BRUTE
 from .subset_sum import IntervalInstance, ModularInstance, solve
+from .subset_sum.instances import interval_ancilla, masked_sum, modular_ancilla
 
 FAILURE_PROJECTION = "projection"
 FAILURE_REJECTION = "rejection"
@@ -87,8 +89,13 @@ def project_pair(solutions, rng: random.Random) -> tuple[int, int] | None:
     return None
 
 
-def _common_setup(elems: list[PhaseElement] | tuple[PhaseElement, ...]):
-    """Shared guards: nonempty, one instance, one scale. Returns (inst, scale)."""
+def _combine(elems, guard, problem_at, emit, solver_id, rng, budget, solver_seed, solver_params):
+    """The step both routines share: check and consume the inputs, draw the
+    witness j*, solve problem_at(labels, j*) once, union j* into the
+    preimage set and project. guard(inst, labels) adds the routine's checks;
+    emit(labels, problem, pair) maps the surviving pair to (label, pair), or
+    to None on rejection. RNG order: witness, projection coins, emit's coins.
+    """
     if len(elems) < 2:
         raise GuardError(f"combination needs k >= 2 elements, got {len(elems)}")
     inst = elems[0].instance
@@ -98,15 +105,25 @@ def _common_setup(elems: list[PhaseElement] | tuple[PhaseElement, ...]):
             raise GuardError("elements from different instances cannot be combined")
         if e.scale != scale:
             raise GuardError("elements with different scales cannot be combined")
-    return inst, scale
+    labels = tuple(e.label for e in elems)
+    guard(inst, labels)
+    for e in elems:
+        e.consume()
 
+    j_star = rng.randrange(1 << len(labels))
+    problem = problem_at(labels, j_star)
+    sol = solve(problem, solver_id, budget=budget, seed=solver_seed, **(solver_params or {}))
+    support = set(sol.solutions)
+    support.add(j_star)
 
-def _subset_sum(labels: tuple[int, ...], mask: int) -> int:
-    total = 0
-    for i, lab in enumerate(labels):
-        if (mask >> i) & 1:
-            total += lab
-    return total
+    pair = project_pair(support, rng)
+    emitted = None if pair is None else emit(labels, problem, pair)
+    v, m, ops, mem = problem.target, len(support), sol.op_count, sol.mem_peak
+    if emitted is None:
+        failure = FAILURE_PROJECTION if pair is None else FAILURE_REJECTION
+        return CombineOutcome(None, v, m, None, failure, ops, mem)
+    label, pair = emitted
+    return CombineOutcome(inst.derive_element(label, scale), v, m, pair, None, ops, mem)
 
 
 def combine_pow2(
@@ -130,39 +147,31 @@ def combine_pow2(
     difference of the pair's full subset sums mod N. All inputs are consumed
     whatever the outcome.
     """
-    inst, scale = _common_setup(elems)
-    k = len(elems)
-    if not 1 <= r < k:
-        raise GuardError(f"need 1 <= r < k, got r={r}, k={k}")
-    if a < 0:
-        raise GuardError("valuation a must be >= 0")
-    if not inst.modulus.is_pow2:
-        raise GuardError("power-of-two combination needs N = 2^n")
-    if a + r >= inst.modulus.n + 1:
-        raise GuardError(f"a + r = {a + r} exceeds the label width n = {inst.modulus.n}")
-    labels = tuple(e.label for e in elems)
-    for lab in labels:
-        if lab % (1 << a):
-            raise GuardError(f"label {lab} not divisible by 2^{a}")
-    for e in elems:
-        e.consume()
 
-    weights = tuple((lab >> a) % (1 << r) for lab in labels)
-    j_star = rng.randrange(1 << k)
-    v = _subset_sum(weights, j_star) % (1 << r)
-    problem = ModularInstance(weights, r, v)
-    sol = solve(problem, solver_id, budget=budget, seed=solver_seed, **(solver_params or {}))
-    support = set(sol.solutions)
-    support.add(j_star)
+    def guard(inst, labels):
+        k = len(labels)
+        if not 1 <= r < k:
+            raise GuardError(f"need 1 <= r < k, got r={r}, k={k}")
+        if a < 0:
+            raise GuardError("valuation a must be >= 0")
+        if not inst.modulus.is_pow2:
+            raise GuardError("power-of-two combination needs N = 2^n")
+        if a + r >= inst.modulus.n + 1:
+            raise GuardError(f"a + r = {a + r} exceeds the label width n = {inst.modulus.n}")
+        for lab in labels:
+            if lab % (1 << a):
+                raise GuardError(f"label {lab} not divisible by 2^{a}")
 
-    pair = project_pair(support, rng)
-    if pair is None:
-        return CombineOutcome(None, v, len(support), None, FAILURE_PROJECTION,
-                              sol.op_count, sol.mem_peak)
-    j1, j2 = pair
-    diff = _subset_sum(labels, j2) - _subset_sum(labels, j1)
-    out = inst.derive_element(diff % inst.modulus.N, scale)
-    return CombineOutcome(out, v, len(support), pair, None, sol.op_count, sol.mem_peak)
+    def problem_at(labels, j_star):
+        weights = tuple(modular_ancilla(lab >> a, r) for lab in labels)
+        return ModularInstance(weights, r, modular_ancilla(masked_sum(weights, j_star), r))
+
+    def emit(labels, problem, pair):
+        # derive_element reduces the difference mod N.
+        return masked_sum(labels, pair[1]) - masked_sum(labels, pair[0]), pair
+
+    return _combine(elems, guard, problem_at, emit, solver_id, rng, budget, solver_seed,
+                    solver_params)
 
 
 def combine_interval(
@@ -189,50 +198,36 @@ def combine_interval(
     above a constant (about one half for uniform inputs). Rejections are
     reported with their own failure code; inputs are consumed regardless.
     """
-    inst, scale = _common_setup(elems)
-    k = len(elems)
-    if B < 1:
-        raise GuardError("label bound B must be >= 1")
-    log2k = (k - 1).bit_length()
-    if not 1 <= r <= k - log2k:
-        raise GuardError(f"need 1 <= r <= k - ceil(log2 k) = {k - log2k}, got r={r}")
-    labels = tuple(e.label for e in elems)
-    for lab in labels:
-        if not 0 <= lab < B:
-            raise GuardError(f"label {lab} outside [0, {B})")
-    for e in elems:
-        e.consume()
 
-    j_star = rng.randrange(1 << k)
-    v = (_subset_sum(labels, j_star) << (r - 1)) // B
-    problem = IntervalInstance(labels, B, r, v)
-    sol = solve(problem, solver_id, budget=budget, seed=solver_seed, **(solver_params or {}))
-    support = set(sol.solutions)
-    support.add(j_star)
+    def guard(inst, labels):
+        if B < 1:
+            raise GuardError("label bound B must be >= 1")
+        r_max = len(labels) - ceil_log2(len(labels))
+        if not 1 <= r <= r_max:
+            raise GuardError(f"need 1 <= r <= k - ceil(log2 k) = {r_max}, got r={r}")
+        for lab in labels:
+            if not 0 <= lab < B:
+                raise GuardError(f"label {lab} outside [0, {B})")
 
-    pair = project_pair(support, rng)
-    if pair is None:
-        return CombineOutcome(None, v, len(support), None, FAILURE_PROJECTION,
-                              sol.op_count, sol.mem_peak)
-    j1, j2 = pair
-    s1, s2 = _subset_sum(labels, j1), _subset_sum(labels, j2)
-    if s1 > s2:
-        j1, j2, s1, s2 = j2, j1, s2, s1
-    d = s2 - s1
+    def problem_at(labels, j_star):
+        return IntervalInstance(labels, B, r, interval_ancilla(masked_sum(labels, j_star), B, r))
 
-    lo, hi = problem.bounds()
-    window = hi - lo
-    b_prime = -(-B // (1 << r))
-    margin = window - b_prime + 1
-    accept = False
-    if d < b_prime and margin > 0:
+    def emit(labels, problem, pair):
+        s1, s2 = masked_sum(labels, pair[0]), masked_sum(labels, pair[1])
+        if s1 > s2:
+            pair, s1, s2 = pair[::-1], s2, s1
+        d = s2 - s1
+        lo, hi = problem.bounds()
+        window = hi - lo
+        b_prime = ceil_div(B, 1 << r)
+        margin = window - b_prime + 1
+        if d >= b_prime or margin <= 0:
+            return None
         if d == 0:
             num, den = min(2 * margin, window), window
         else:
             num, den = margin, window - d
-        accept = rng.randrange(den) < num
-    if not accept:
-        return CombineOutcome(None, v, len(support), None, FAILURE_REJECTION,
-                              sol.op_count, sol.mem_peak)
-    out = inst.derive_element(d, scale)
-    return CombineOutcome(out, v, len(support), (j1, j2), None, sol.op_count, sol.mem_peak)
+        return (d, pair) if rng.randrange(den) < num else None
+
+    return _combine(elems, guard, problem_at, emit, solver_id, rng, budget, solver_seed,
+                    solver_params)

@@ -35,3 +35,7 @@ class TamperError(ShiftLabError, RuntimeError):
 
 class UsageError(ShiftLabError, ValueError):
     """Invalid flag combination or malformed CLI input."""
+
+
+class AccountingError(ShiftLabError, RuntimeError):
+    """A cost ledger broke one of its accounting identities."""

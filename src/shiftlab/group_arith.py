@@ -1,5 +1,5 @@
-"""Arithmetic over Z_N: modulus bookkeeping, products, dyadic inverses and
-2-adic valuations.
+"""Arithmetic over Z_N: modulus bookkeeping, products, 2-adic valuations,
+and the integer ceilings the schedules and solvers share.
 
 Python integers are unbounded, so products never overflow; the 2^63-1 cap on
 N is a contract bound (labels must fit the array plumbing downstream), not an
@@ -35,7 +35,7 @@ class Modulus:
     @property
     def n(self) -> int:
         # ceil(log2 N): number of bits needed to index Z_N labels.
-        return (self.N - 1).bit_length()
+        return ceil_log2(self.N)
 
     @property
     def is_pow2(self) -> bool:
@@ -44,9 +44,6 @@ class Modulus:
     @property
     def is_odd(self) -> bool:
         return self.N % 2 == 1
-
-    def as_dict(self) -> dict:
-        return {"N": self.N, "n": self.n}
 
 
 def mul_mod(a: int, b: int, mod: Modulus | int) -> int:
@@ -62,16 +59,11 @@ def two_adic_valuation(x: int) -> int | float:
     return (x & -x).bit_length() - 1
 
 
-def inv_pow2_mod(j: int, mod: Modulus | int) -> int:
-    """The t with t * 2^j == 1 (mod N); requires odd N.
+def ceil_div(a: int, b: int) -> int:
+    """ceil(a / b) for b > 0, exact on ints of any size."""
+    return -(-a // b)
 
-    Used to rescale labels so that the target label 2^j becomes 1: an element
-    whose rescaled label is t*l carries the same phase data under the secret
-    rescaled by the inverse factor.
-    """
-    N = mod.N if isinstance(mod, Modulus) else mod
-    if N % 2 == 0:
-        raise GuardError(f"2 is not invertible mod even N = {N}")
-    if j < 0:
-        raise ValueError("j must be >= 0")
-    return pow(pow(2, j, N), -1, N)
+
+def ceil_log2(x: int) -> int:
+    """ceil(log2 x) for x >= 1: the bit width of the integers in [0, x)."""
+    return (x - 1).bit_length()

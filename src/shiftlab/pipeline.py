@@ -33,19 +33,11 @@ import time
 from dataclasses import dataclass, field
 
 from .combine import combine_interval, combine_pow2
-from .errors import GuardError, RetryExhaustedError
-from .group_arith import two_adic_valuation
+from .errors import AccountingError, GuardError, RetryExhaustedError
+from .group_arith import ceil_div, ceil_log2, two_adic_valuation
 from .instance import HiddenShiftInstance, PhaseElement
-from .kinds import BRUTE, INTERVAL, POW2, POW2_TOP, ROUTINES, SMALL_ONE, SOLVERS, TARGETS
+from .kinds import BRUTE, INTERVAL, POW2, POW2_TOP, ROUTINES, SOLVERS, TARGETS
 from .seeds import derive, label_path
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
-
-
-def _ceil_log2(k: int) -> int:
-    return (k - 1).bit_length()
 
 
 @dataclass(frozen=True)
@@ -113,7 +105,7 @@ def _stage_r(k: int, routine: str) -> int:
     """Largest legal r at width k: k-1 for pow2, k - ceil(log2 k) for interval."""
     if routine == POW2:
         return k - 1
-    return k - _ceil_log2(k)
+    return k - ceil_log2(k)
 
 
 def schedule_uniform(n: int, k: int, routine: str = POW2, solver_id: str = BRUTE) -> Schedule:
@@ -125,7 +117,7 @@ def schedule_uniform(n: int, k: int, routine: str = POW2, solver_id: str = BRUTE
     r = _stage_r(k, routine)
     if r < 1:
         raise GuardError(f"k={k} leaves no room for r >= 1 under {routine}")
-    m = _ceil_div(n - 1, r)
+    m = ceil_div(n - 1, r)
     stages = tuple(StageSpec(k, r, routine) for _ in range(m))
     return Schedule(stages, solver_id, {"family": "uniform", "n": n, "k": k})
 
@@ -232,6 +224,10 @@ class StageStats:
 
 @dataclass
 class CostLedger:
+    """What producing elements cost. wall_seconds is the summed wall time of
+    the pipeline calls merged into the ledger; it excludes readout and
+    classical_verify."""
+
     q_queries: int = 0
     c_queries: int = 0
     solver_ops: int = 0
@@ -255,16 +251,23 @@ class CostLedger:
         self.per_stage.extend(other.per_stage)
 
     def check_consistent(self) -> None:
-        """Internal accounting identities; raises AssertionError on breakage."""
-        assert self.q_queries == self.elements_generated, "query/element mismatch"
-        assert self.solver_ops == sum(s.solver_ops for s in self.per_stage)
-        assert self.elements_wasted == self.raw_discarded + sum(
+        """Internal accounting identities; raises AccountingError on breakage
+        (plain checks, not asserts, so they also hold under python -O)."""
+        if self.q_queries != self.elements_generated:
+            raise AccountingError("query/element mismatch")
+        if self.solver_ops != sum(s.solver_ops for s in self.per_stage):
+            raise AccountingError("solver ops differ from the per-stage sum")
+        if self.elements_wasted != self.raw_discarded + sum(
             s.k * s.failures + s.discarded for s in self.per_stage
-        ), "waste accounting mismatch"
+        ):
+            raise AccountingError("waste accounting mismatch")
         for s in self.per_stage:
-            assert s.invocations == s.successes + s.failures
-            assert s.consumed == s.k * s.invocations
-            assert s.produced == s.successes
+            if (
+                s.invocations != s.successes + s.failures
+                or s.consumed != s.k * s.invocations
+                or s.produced != s.successes
+            ):
+                raise AccountingError(f"stage {s.stage} row is inconsistent")
 
     def as_dict(self) -> dict:
         d = {k: v for k, v in self.__dict__.items() if k != "per_stage"}
@@ -324,10 +327,9 @@ def _plan_interval(sched: Schedule, N: int) -> list[_PlanStage]:
         spec = sched.stages[min(idx, len(sched.stages) - 1)]
         if spec.routine != INTERVAL:
             raise GuardError("SMALL_ONE target needs an interval schedule")
-        r_cap = spec.k - _ceil_log2(spec.k)
-        r_eff = min(spec.r, r_cap, max(1, (B - 1).bit_length() - 1))
+        r_eff = min(spec.r, _stage_r(spec.k, INTERVAL), max(1, ceil_log2(B) - 1))
         plan.append(_PlanStage(spec.k, r_eff, INTERVAL, b_in=B))
-        B = _ceil_div(B, 1 << r_eff)
+        B = ceil_div(B, 1 << r_eff)
         idx += 1
     return plan
 
@@ -384,17 +386,14 @@ class _Engine:
             self._invocation += 1
             seed_i = derive(self.solver_seed, i, self._invocation)
             if st.routine == POW2:
-                out = combine_pow2(
-                    ins, st.r, st.a, self.sched.solver_id,
-                    rng=self.rng, budget=self.budget, solver_seed=seed_i,
-                    solver_params=self.solver_params,
-                )
+                combine, where = combine_pow2, st.a
             else:
-                out = combine_interval(
-                    ins, st.r, st.b_in, self.sched.solver_id,
-                    rng=self.rng, budget=self.budget, solver_seed=seed_i,
-                    solver_params=self.solver_params,
-                )
+                combine, where = combine_interval, st.b_in
+            out = combine(
+                ins, st.r, where, self.sched.solver_id,
+                rng=self.rng, budget=self.budget, solver_seed=seed_i,
+                solver_params=self.solver_params,
+            )
             row.invocations += 1
             row.consumed += st.k
             row.solver_ops += out.solver_ops

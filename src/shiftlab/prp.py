@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .group_arith import ceil_log2
 from .seeds import MASK64, derive, splitmix64
 
 _ROUNDS = 4
@@ -28,16 +29,12 @@ class KeyedPermutation:
     def __post_init__(self) -> None:
         if self.N < 1:
             raise ValueError("N must be >= 1")
-        bits = max(2, (self.N - 1).bit_length())
+        bits = max(2, ceil_log2(self.N))
         half = (bits + 1) // 2
         object.__setattr__(self, "_half_bits", half)
         object.__setattr__(
             self, "_keys", tuple(derive(self.seed, 0x1D, i) for i in range(_ROUNDS))
         )
-
-    @property
-    def domain(self) -> int:
-        return 1 << (2 * self._half_bits)
 
     def _feistel(self, x: int) -> int:
         h = self._half_bits
@@ -58,7 +55,3 @@ class KeyedPermutation:
         while y >= self.N:
             y = self._feistel(y)
         return y
-
-    def table(self) -> list[int]:
-        """Full permutation table; only sensible for small N."""
-        return [self.apply(x) for x in range(self.N)]

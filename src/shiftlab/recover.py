@@ -22,13 +22,13 @@ failure just means another attempt with fresh elements.
 
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import GuardError, RetryExhaustedError
+from .group_arith import ceil_log2
 from .instance import HiddenShiftInstance, PhaseElement, classical_verify
 from .kinds import POW2_TOP, SMALL_ONE
 from .phase_sim import measure_with_correction
@@ -66,7 +66,7 @@ def iqft_success_probability(s: int, N: int, n_q: int) -> float:
     """Exact probability that one IQFT sample rounds back to s."""
     probs = direct_iqft_distribution(s, N, n_q)
     k = np.arange(1 << n_q, dtype=np.int64)
-    cand = ((k * N + (1 << (n_q - 1))) >> n_q) % N
+    cand = candidate_from_sample(k, N, n_q)
     return float(probs[cand == s].sum())
 
 
@@ -102,6 +102,32 @@ def semiclassical_iqft(elems: list[PhaseElement], inst: HiddenShiftInstance) -> 
     return sample
 
 
+def _recover(inst, sched, target, attempt, rng, max_attempts, ledger, pipeline_kwargs) -> int:
+    """The attempt loop both readouts share: attempt(element) builds a
+    candidate from pipeline elements (element(**where) runs the pipeline and
+    merges its ledger), classical_verify checks it, and the verifier's
+    queries are charged to the ledger. Returns the first verified candidate.
+    """
+    if rng is None:
+        rng = random.Random(derive(inst.seed, label_path("recover")))
+    if ledger is None:
+        ledger = CostLedger()
+
+    def element(**where) -> PhaseElement:
+        elem, led = run_pipeline(inst, sched, target, rng, **where, **pipeline_kwargs)
+        ledger.merge(led)
+        return elem
+
+    for _ in range(max_attempts):
+        cand = attempt(element)
+        before = inst.c_queries
+        verified = classical_verify(inst, cand, VERIFY_TRIALS)
+        ledger.c_queries += inst.c_queries - before
+        if verified:
+            return cand
+    raise RetryExhaustedError(f"no verified shift after {max_attempts} attempts")
+
+
 def recover_pow2(
     inst: HiddenShiftInstance,
     sched: Schedule,
@@ -124,27 +150,18 @@ def recover_pow2(
     if not mod.is_pow2:
         raise GuardError("recover_pow2 needs N = 2^n")
     n = mod.n
-    if rng is None:
-        rng = random.Random(derive(inst.seed, label_path("recover")))
-    for _ in range(max_attempts):
+
+    def attempt(element) -> int:
         s_known = 0
         for j in range(n - 1, -1, -1):
-            elem, led = run_pipeline(
-                inst, sched, POW2_TOP, rng, level=j, **pipeline_kwargs
-            )
-            if ledger is not None:
-                ledger.merge(led)
+            elem = element(level=j)
             odd_part = elem.label >> j
             corr = -Fraction(odd_part * s_known, 1 << (n - j))
             bit, _ = inst.measure_element(elem, corr)
             s_known |= bit << (n - 1 - j)
-        before = inst.c_queries
-        verified = classical_verify(inst, s_known, VERIFY_TRIALS)
-        if ledger is not None:
-            ledger.c_queries += inst.c_queries - before
-        if verified:
-            return s_known
-    raise RetryExhaustedError(f"no verified shift after {max_attempts} attempts")
+        return s_known
+
+    return _recover(inst, sched, POW2_TOP, attempt, rng, max_attempts, ledger, pipeline_kwargs)
 
 
 def recover_odd(
@@ -172,24 +189,10 @@ def recover_odd(
     if guard_bits < 0:
         raise GuardError("guard_bits must be >= 0")
     N = mod.N
-    n_q = (N - 1).bit_length() + guard_bits
-    if rng is None:
-        rng = random.Random(derive(inst.seed, label_path("recover")))
-    for _ in range(max_attempts):
-        elems = []
-        for j in range(n_q):
-            elem, led = run_pipeline(
-                inst, sched, SMALL_ONE, rng, scale=pow(2, j, N), **pipeline_kwargs
-            )
-            if ledger is not None:
-                ledger.merge(led)
-            elems.append(elem)
-        sample = semiclassical_iqft(elems, inst)
-        cand = candidate_from_sample(sample, N, n_q)
-        before = inst.c_queries
-        verified = classical_verify(inst, cand, VERIFY_TRIALS)
-        if ledger is not None:
-            ledger.c_queries += inst.c_queries - before
-        if verified:
-            return cand
-    raise RetryExhaustedError(f"no verified shift after {max_attempts} attempts")
+    n_q = ceil_log2(N) + guard_bits
+
+    def attempt(element) -> int:
+        elems = [element(scale=pow(2, j, N)) for j in range(n_q)]
+        return candidate_from_sample(semiclassical_iqft(elems, inst), N, n_q)
+
+    return _recover(inst, sched, SMALL_ONE, attempt, rng, max_attempts, ledger, pipeline_kwargs)

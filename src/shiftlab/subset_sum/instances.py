@@ -1,9 +1,10 @@
 """Subset-sum instance flavors and solution sets.
 
 Solutions are bitmask ints: bit i set means weights[i] participates. The
-ancilla functions here are the single source of truth for what "solution"
-means; combination code and solvers all call check()/ancilla() rather than
-reimplementing the floor arithmetic.
+module-level masked_sum, modular_ancilla and interval_ancilla are the single
+source of truth for subset sums and ancilla values; the instance classes,
+the combination routines and the solvers all call them (or check()) rather
+than reimplementing the arithmetic.
 """
 
 from __future__ import annotations
@@ -12,13 +13,43 @@ import json
 import random
 from dataclasses import dataclass, field
 
+from ..group_arith import ceil_div
 
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
+
+def masked_sum(weights: tuple[int, ...], mask: int) -> int:
+    """Sum of the weights whose bit is set in mask."""
+    total = 0
+    for i, w in enumerate(weights):
+        if (mask >> i) & 1:
+            total += w
+    return total
+
+
+def modular_ancilla(total: int, r: int) -> int:
+    """The modular ancilla value of a sum: its r low bits."""
+    return total % (1 << r)
+
+
+def interval_ancilla(total: int, B: int, r: int) -> int:
+    """The interval ancilla value of a sum: floor(total * 2^(r-1) / B)."""
+    return (total << (r - 1)) // B
+
+
+class _WeightedInstance:
+    """What both flavors share: k weights and their subset sums."""
+
+    weights: tuple[int, ...]
+
+    @property
+    def k(self) -> int:
+        return len(self.weights)
+
+    def subset_sum(self, mask: int) -> int:
+        return masked_sum(self.weights, mask)
 
 
 @dataclass(frozen=True)
-class ModularInstance:
+class ModularInstance(_WeightedInstance):
     """Find all x in {0,1}^k with x.weights == target (mod 2^r)."""
 
     weights: tuple[int, ...]
@@ -35,22 +66,11 @@ class ModularInstance:
         object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
 
     @property
-    def k(self) -> int:
-        return len(self.weights)
-
-    @property
     def flavor(self) -> str:
         return "modular"
 
-    def subset_sum(self, mask: int) -> int:
-        total = 0
-        for i, w in enumerate(self.weights):
-            if (mask >> i) & 1:
-                total += w
-        return total
-
     def ancilla(self, mask: int) -> int:
-        return self.subset_sum(mask) % (1 << self.r)
+        return modular_ancilla(self.subset_sum(mask), self.r)
 
     def check(self, mask: int) -> bool:
         return self.ancilla(mask) == self.target
@@ -62,7 +82,7 @@ class ModularInstance:
 
 
 @dataclass(frozen=True)
-class IntervalInstance:
+class IntervalInstance(_WeightedInstance):
     """Find all x with floor(x.weights * 2^(r-1) / B) == target.
 
     Equivalently x.weights in [lo, hi) with the exact integer bounds below;
@@ -86,29 +106,18 @@ class IntervalInstance:
         object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
 
     @property
-    def k(self) -> int:
-        return len(self.weights)
-
-    @property
     def flavor(self) -> str:
         return "interval"
 
     def bounds(self) -> tuple[int, int]:
         """The half-open integer interval of sums mapping to target."""
         scale = 1 << (self.r - 1)
-        lo = _ceil_div(self.target * self.B, scale)
-        hi = _ceil_div((self.target + 1) * self.B, scale)
+        lo = ceil_div(self.target * self.B, scale)
+        hi = ceil_div((self.target + 1) * self.B, scale)
         return lo, hi
 
-    def subset_sum(self, mask: int) -> int:
-        total = 0
-        for i, w in enumerate(self.weights):
-            if (mask >> i) & 1:
-                total += w
-        return total
-
     def ancilla(self, mask: int) -> int:
-        return (self.subset_sum(mask) << (self.r - 1)) // self.B
+        return interval_ancilla(self.subset_sum(mask), self.B, self.r)
 
     def check(self, mask: int) -> bool:
         lo, hi = self.bounds()
@@ -150,9 +159,8 @@ def random_instance(
     uniformly drawn witness, which is how targets arise in the simulation."""
     if flavor == "modular":
         weights = tuple(rng.randrange(1 << r) for _ in range(k))
-        inst = ModularInstance(weights, r, 0)
         if plant:
-            target = inst.ancilla(rng.randrange(1 << k))
+            target = modular_ancilla(masked_sum(weights, rng.randrange(1 << k)), r)
         else:
             target = rng.randrange(1 << r)
         return ModularInstance(weights, r, target)
@@ -160,8 +168,7 @@ def random_instance(
         if B is None:
             B = 1 << k
         weights = tuple(rng.randrange(B) for _ in range(k))
-        inst = IntervalInstance(weights, B, r, 0)
-        target = inst.ancilla(rng.randrange(1 << k))
+        target = interval_ancilla(masked_sum(weights, rng.randrange(1 << k)), B, r)
         return IntervalInstance(weights, B, r, target)
     raise ValueError(f"unknown flavor {flavor!r}")
 
@@ -181,9 +188,3 @@ class SolutionSet:
 
     def __contains__(self, mask: int) -> bool:
         return mask in self.solutions
-
-    def masks(self) -> tuple[int, ...]:
-        return tuple(sorted(self.solutions))
-
-    def vectors(self, k: int) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple((m >> i) & 1 for i in range(k)) for m in self.masks())

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..group_arith import ceil_log2
+
 
 @dataclass
 class OpCounter:
@@ -105,9 +107,6 @@ class PartialSumList:
     def __len__(self) -> int:
         return len(self.values)
 
-    def entries(self) -> list[tuple[int, int, int]]:
-        return list(zip(self.values.tolist(), self.plus.tolist(), self.minus.tolist()))
-
 
 def subset_sums(weights: list[int] | tuple[int, ...]) -> np.ndarray:
     """All 2^m subset sums of a weight segment; index bits select weights."""
@@ -115,15 +114,6 @@ def subset_sums(weights: list[int] | tuple[int, ...]) -> np.ndarray:
     for w in weights:
         sums = np.concatenate([sums, sums + np.int64(w)])
     return sums
-
-
-def half_lists(weights: tuple[int, ...], split: int) -> tuple[PartialSumList, PartialSumList]:
-    """Plain two-way split into position ranges [0, split) and [split, k)."""
-    left = subset_sums(weights[:split])
-    right = subset_sums(weights[split:])
-    a = PartialSumList(left, np.arange(len(left), dtype=np.int64))
-    b = PartialSumList(right, np.arange(len(right), dtype=np.int64) << split)
-    return a, b
 
 
 def _expand_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -139,9 +129,6 @@ def _expand_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarr
     cols = np.repeat(lo, counts) + offsets
     return rows, cols
 
-
-def _log2_ceil(n: int) -> int:
-    return max(1, int(n - 1).bit_length()) if n > 1 else 1
 
 # Digit-compatibility modes for the packed ternary vectors.
 CONSISTENCY_DISJOINT = None       # supports guaranteed disjoint (plain splits)
@@ -165,7 +152,7 @@ def merge_join(
     if la == 0 or lb == 0:
         out = PartialSumList(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
         if counter is not None:
-            counter.add((la + lb) * _log2_ceil(max(la, 2)))
+            counter.add((la + lb) * ceil_log2(max(la, 2)))
         return out
 
     if isinstance(constraint, WindowConstraint):
@@ -233,7 +220,7 @@ def merge_join(
     values = a.values[a_idx] + b.values[b_idx]
     out = PartialSumList(values[valid], plus[valid], minus[valid])
     if counter is not None:
-        logn = _log2_ceil(la)
+        logn = max(1, ceil_log2(la))
         counter.add(la * logn + lb * logn + len(out))
         counter.bump_mem(la + lb + len(out))
     return out

@@ -25,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import GuardError
+from ..group_arith import ceil_log2
 from ..seeds import derive
 from .instances import Instance, ModularInstance, SolutionSet
 from .lists import OpCounter
@@ -85,7 +86,7 @@ class _WalkSpace:
             lo, hi = inst.bounds()
             self.lo = lo
             width = hi - lo
-            self.rho = 1 if width <= 1 else (width - 1).bit_length() + 1
+            self.rho = 1 if width <= 1 else ceil_log2(width) + 1
             self.half_block = 1 << (self.rho - 1)
             top = k * max(inst.weights, default=0)
             self.shift = ((top >> self.rho) + 1) << self.rho

@@ -16,28 +16,29 @@ position split, which is exact and matches the two-list merge.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
 
 from ..errors import GuardError, UsageError
 from ..seeds import derive
-from .instances import Instance, ModularInstance, SolutionSet
+from .instances import Instance, SolutionSet
 from .lists import (
     CONSISTENCY_BINARY,
     CONSISTENCY_TERNARY,
-    IntervalConstraint,
     OpCounter,
     PartialSumList,
     WindowConstraint,
     merge_join,
 )
 from .solvers import (
-    _index_list,
     _raise_if_over,
     check_weight_magnitude,
     expected_solutions,
     full_constraint,
+    solve_mitm,
+    window_for,
 )
 
 REP_K_MIN = 8
@@ -142,15 +143,6 @@ def _near_trivial_hits(inst: Instance, counter: OpCounter) -> set[int]:
     return {mask for mask in candidates if inst.check(mask)}
 
 
-def _window_for(inst: Instance, bits: int, taken: int) -> WindowConstraint:
-    """Constraint on the complementary summand once `taken` is fixed mod 2^bits."""
-    mod = 1 << bits
-    if isinstance(inst, ModularInstance):
-        return WindowConstraint(bits, (inst.target - taken) % mod)
-    lo, hi = inst.bounds()
-    return WindowConstraint(bits, (lo - taken) % mod, min(hi - lo, mod))
-
-
 def solve_representation(
     inst: Instance,
     depth: int = 2,
@@ -167,24 +159,12 @@ def solve_representation(
     if not 0 <= minus_fraction <= 0.5:
         raise UsageError("minus_fraction must lie in [0, 1/2]")
     check_weight_magnitude(inst)
+    if minus_fraction == 0 or expected_solutions(inst) > DENSE_SOLUTION_CAP:
+        sol = solve_mitm(inst, budget=budget)
+        return replace(sol, stats={"solver": "rep", "mode": "degenerate", "rounds": 0})
+
     counter = OpCounter(budget=budget)
     k = inst.k
-
-    if minus_fraction == 0 or expected_solutions(inst) > DENSE_SOLUTION_CAP:
-        split = k // 2
-        a = _index_list(inst.weights[:split], 0)
-        b = _index_list(inst.weights[split:], split)
-        counter.bump_mem(len(a) + len(b))
-        out = merge_join(a, b, full_constraint(inst), None, counter)
-        _raise_if_over(counter)
-        return SolutionSet(
-            frozenset(int(x) for x in out.plus.tolist()),
-            op_count=counter.ops,
-            mem_peak=counter.mem_peak,
-            exhausted=True,
-            stats={"solver": "rep", "mode": "degenerate", "rounds": 0},
-        )
-
     h = k // 2
     left = _HalfEnumerator(inst.weights[:h], 0)
     right = _HalfEnumerator(inst.weights[h:], h)
@@ -203,8 +183,8 @@ def solve_representation(
             bc = WindowConstraint(t, (c_top - c_low) % (1 << t))
             lc = WindowConstraint(2 * t, c_top)
         else:
-            bc = _window_for(inst, t, c_top + c_low)
-            lc = _window_for(inst, 2 * t, c_top)
+            bc = window_for(inst, t, c_top + c_low)
+            lc = window_for(inst, 2 * t, c_top)
         lb = _build_profile_list(left, right, pb, mb, bc, counter)
         return merge_join(la, lb, lc, CONSISTENCY_TERNARY, counter)
 
@@ -218,7 +198,7 @@ def solve_representation(
                 t1 = max(1, inst.r // 2)
                 c1 = rnd.randrange(1 << t1)
                 l1 = _build_profile_list(left, right, p1, m1, WindowConstraint(t1, c1), counter)
-                l2 = _build_profile_list(left, right, p2, m2, _window_for(inst, t1, c1), counter)
+                l2 = _build_profile_list(left, right, p2, m2, window_for(inst, t1, c1), counter)
             else:
                 t = max(1, inst.r // 3)
                 c_top = rnd.randrange(1 << (2 * t))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import BudgetExceededError, GuardError
-from .instances import Instance, ModularInstance, SolutionSet
+from .instances import Instance, ModularInstance, SolutionSet, masked_sum
 from .lists import (
     IntervalConstraint,
     OpCounter,
@@ -33,6 +33,15 @@ def full_constraint(inst: Instance) -> WindowConstraint | IntervalConstraint:
         return WindowConstraint(inst.r, inst.target)
     lo, hi = inst.bounds()
     return IntervalConstraint(lo, hi)
+
+
+def window_for(inst: Instance, bits: int, taken: int) -> WindowConstraint:
+    """Constraint on the complementary summand once `taken` is fixed mod 2^bits."""
+    mod = 1 << bits
+    if isinstance(inst, ModularInstance):
+        return WindowConstraint(bits, (inst.target - taken) % mod)
+    lo, hi = inst.bounds()
+    return WindowConstraint(bits, (lo - taken) % mod, min(hi - lo, mod))
 
 
 def expected_solutions(inst: Instance) -> int:
@@ -75,8 +84,7 @@ def solve_bruteforce(inst: Instance, *, budget: int | None = None) -> SolutionSe
 
     found: list[int] = []
     for high in range(1 << (inst.k - low_bits)):
-        base = sum(w for i, w in enumerate(high_weights) if (high >> i) & 1)
-        sums = low + np.int64(base)
+        sums = low + np.int64(masked_sum(high_weights, high))
         if isinstance(inst, ModularInstance):
             hits = (sums % mod) == target
         else:
@@ -156,24 +164,10 @@ def solve_schroeppel_shamir(inst: Instance, *, budget: int | None = None) -> Sol
     t = guess_bits(inst)
     mod = 1 << t
     final = full_constraint(inst)
-    if isinstance(inst, ModularInstance):
-        right_residue = lambda g: (inst.target - g) % mod
-        right_count = 1
-    else:
-        lo_bound, hi_bound = inst.bounds()
-        right_residue = lambda g: (lo_bound - g) % mod
-        right_count = min(hi_bound - lo_bound, mod)
-
     found: set[int] = set()
     for g in range(mod):
         left = merge_join(quarters[0], quarters[1], WindowConstraint(t, g), None, counter)
-        right = merge_join(
-            quarters[2],
-            quarters[3],
-            WindowConstraint(t, right_residue(g), right_count),
-            None,
-            counter,
-        )
+        right = merge_join(quarters[2], quarters[3], window_for(inst, t, g), None, counter)
         counter.bump_mem(base_mem + len(left) + len(right))
         out = merge_join(left, right, final, None, counter)
         found.update(int(m) for m in out.plus.tolist())

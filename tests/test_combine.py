@@ -174,6 +174,48 @@ def test_pow2_scale_passthrough():
     raise AssertionError("no success in 40 tries")
 
 
+# -- the shared core ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("routine", [POW2, INTERVAL])
+def test_each_combination_solves_one_witness_instance(routine, monkeypatch):
+    """One validated subset-sum instance per call, solved once; its target
+    is the measured ancilla value and every reported pair solves it."""
+    import shiftlab.combine as combine_mod
+
+    built, solved = [], []
+    real_solve = combine_mod.solve
+
+    def recording(cls):
+        def make(*args):
+            built.append(cls(*args))
+            return built[-1]
+        return make
+
+    def solve(problem, *args, **kwargs):
+        solved.append(problem)
+        return real_solve(problem, *args, **kwargs)
+
+    monkeypatch.setattr(combine_mod, "solve", solve)
+    monkeypatch.setattr(combine_mod, "ModularInstance", recording(combine_mod.ModularInstance))
+    monkeypatch.setattr(combine_mod, "IntervalInstance", recording(combine_mod.IntervalInstance))
+    N = 256 if routine == POW2 else 251
+    inst = new_instance(N, 7, seed=21)
+    rng = stream("core", routine)
+    for call in range(40):
+        elems = [inst.sample_element() for _ in range(6)]
+        if routine == POW2:
+            out = combine_pow2(elems, 3, rng=rng)
+        else:
+            out = combine_interval(elems, 2, N, rng=rng)
+        assert len(built) == len(solved) == call + 1
+        problem = built[-1]
+        assert solved[-1] is problem
+        assert problem.target == out.v_measured
+        if out.pair is not None:
+            assert all(problem.check(j) for j in out.pair)
+
+
 # -- combine_interval ----------------------------------------------------------
 
 

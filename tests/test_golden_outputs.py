@@ -1,0 +1,55 @@
+"""Pinned CLI outputs: refactors must keep `shiftlab` byte-identical.
+
+Each case runs `python -m shiftlab.cli` against this checkout's src/ and
+compares the sha256 of its stdout with a digest recorded before the
+combination core, the subset-sum formulas and the recovery loop were
+folded together (CPython 3.11.7, numpy 2.4.6). A digest may change only in
+a change whose stated purpose is to change that output; such a change
+re-records it here and in docs/recorded_constants.md.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+GOLDEN = [
+    ("solve --N 65536 --k 8 --runs 20 --seed 1",
+     "f5753e6163bb8f7bd1f7da4393b2769153afe803fcb8fbb679edbe1e4088cfce"),
+    ("solve --n 14 --strategy minquery --runs 10 --seed 1",
+     "fd062339bd2e668ee4cd21e107cf367d2deeac64fb255c46eab07dd35cc16070"),
+    ("solve --N 1009 --odd --k 6 --runs 4 --seed 1",
+     "c0101b99f6bce61a7ffda5e4ca50f2ad0f55c1a2da6bced0af24f4ad261a7d76"),
+    ("solve --N 1009 --odd --k 8 --solver ss --runs 3 --seed 2",
+     "d68ae8a9a86aae167ccafc6eca053837dad18fe27e8ca895eefa6d76aead4b84"),
+    ("solve --N 4096 --strategy minclass --solver ss --runs 4 --seed 1",
+     "c97ce34d38e2280edf028852b46bf3fd68f89b00bbdd44a3b83d4fa52734edbe"),
+    ("solve --N 4096 --strategy quadgap --solver mitm --runs 4 --seed 1",
+     "2577596f950634cbb83ae31d87775112f51c325219ff339ece9464bd96a2c19c"),
+    ("solve --N 1024 --k 10 --solver memless --runs 2 --seed 1",
+     "dc75db440f50b3247022cfebf002ba91326b6ecbafb628bd45e0a134ce68fd2f"),
+    ("schedule --n 16 --strategy uniform --k 5 --json",
+     "506abb37dda1c41cfb15947088cf1aa18b54046f3f190ff201fdf7355321a954"),
+    ("exponents --format jsonl",
+     "5385d935c725e113b0157f79919391cc9a1e6d08467ae76c204bac68cc1a5bd7"),
+]
+
+
+@pytest.mark.parametrize("args,digest", GOLDEN, ids=[a for a, _ in GOLDEN])
+def test_cli_stdout_digest(args, digest):
+    env = dict(os.environ)
+    src = os.path.join(ROOT, "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    proc = subprocess.run(
+        [sys.executable, "-m", "shiftlab.cli", *args.split()],
+        capture_output=True,
+        timeout=240,
+        cwd=ROOT,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest

@@ -10,7 +10,8 @@ from shiftlab.group_arith import (
     N_CAP,
     VAL_INF,
     Modulus,
-    inv_pow2_mod,
+    ceil_div,
+    ceil_log2,
     mul_mod,
     two_adic_valuation,
 )
@@ -65,30 +66,18 @@ def test_mul_mod_random_against_bignum():
         assert mul_mod(a, b, Modulus(N)) == a * b % N
 
 
-def test_inv_pow2_small():
-    assert inv_pow2_mod(1, Modulus(15)) == 8
-    for N in (3, 15, 101, 4001):
-        assert inv_pow2_mod(0, Modulus(N)) == 1
+def test_ceil_div_matches_float_ceiling():
+    for a in range(-20, 21):
+        for b in range(1, 9):
+            assert ceil_div(a, b) == math.ceil(a / b)
+    assert ceil_div(2**70 + 1, 2**10) == 2**60 + 1
 
 
-def test_inv_pow2_million():
-    t = inv_pow2_mod(5, Modulus(10**6 + 3))
-    assert t == 656252
-    assert t * 32 % (10**6 + 3) == 1
-
-
-def test_inv_pow2_property():
-    rng = random.Random(5)
-    for _ in range(500):
-        N = rng.randrange(3, 2**40) | 1
-        j = rng.randrange(0, 64)
-        t = inv_pow2_mod(j, Modulus(N))
-        assert (t << j) % N == 1
-
-
-def test_inv_pow2_rejects_even():
-    with pytest.raises(GuardError):
-        inv_pow2_mod(3, Modulus(16))
+def test_ceil_log2_is_bit_width_of_range():
+    assert [ceil_log2(x) for x in (1, 2, 3, 4, 5, 8, 9)] == [0, 1, 2, 2, 3, 3, 4]
+    for x in range(1, 2000):
+        assert ceil_log2(x) == math.ceil(math.log2(x))
+    assert ceil_log2(2**63 - 1) == 63
 
 
 def test_two_adic_valuation():

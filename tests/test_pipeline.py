@@ -1,12 +1,17 @@
 """Schedule builders and the element-production pipeline."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
 from shiftlab import (
+    AccountingError,
     BudgetExceededError,
+    CostLedger,
     GuardError,
     Schedule,
     StageSpec,
@@ -354,3 +359,33 @@ def test_solver_budget_propagates():
     inst = new_instance(N=256, seed=0)
     with pytest.raises(BudgetExceededError):
         run_pipeline(inst, schedule_uniform(8, 6), POW2_TOP, budget=1)
+
+
+# ---------------------------------------------------------------------------
+# accounting identities
+
+
+def test_corrupted_ledger_raises_accounting_error():
+    with pytest.raises(AccountingError, match="query/element"):
+        CostLedger(q_queries=5, elements_generated=3).check_consistent()
+    _, ledger = run_pipeline(new_instance(N=256, seed=1), schedule_uniform(8, 4), POW2_TOP)
+    ledger.per_stage[0].produced += 1
+    with pytest.raises(AccountingError, match="stage 0"):
+        ledger.check_consistent()
+
+
+def test_accounting_identities_hold_under_python_O():
+    code = (
+        "from shiftlab import AccountingError, CostLedger\n"
+        "try:\n"
+        "    CostLedger(q_queries=5, elements_generated=3).check_consistent()\n"
+        "except AccountingError:\n"
+        "    print('raised')\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, timeout=60, env=env
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().strip() == "raised"

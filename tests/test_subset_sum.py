@@ -6,7 +6,7 @@ import random
 import pytest
 
 from shiftlab.errors import BudgetExceededError, GuardError
-from shiftlab.kinds import BRUTE, MEMLESS, MITM, REP, SS
+from shiftlab.kinds import BRUTE, INTERVAL, MEMLESS, MITM, POW2, REP, SS
 from shiftlab.subset_sum import (
     IntervalInstance,
     ModularInstance,
@@ -22,6 +22,9 @@ from shiftlab.subset_sum import (
     solve_representation,
     solve_schroeppel_shamir,
 )
+from shiftlab.phase_sim import ancilla_value
+from shiftlab.subset_sum.instances import interval_ancilla, masked_sum, modular_ancilla
+from shiftlab.subset_sum.solvers import expected_solutions
 
 from conftest import stream
 
@@ -32,6 +35,18 @@ def _enum(inst):
 
 
 # -- instances ---------------------------------------------------------------
+
+
+def test_ancilla_formulas_match_phase_sim_reference():
+    rng = stream("ancref")
+    for _ in range(300):
+        k, r, B = rng.randrange(1, 10), rng.randrange(1, 8), rng.randrange(1, 500)
+        labels = tuple(rng.randrange(B) for _ in range(k))
+        j = rng.randrange(1 << k)
+        total = masked_sum(labels, j)
+        assert total == sum(lab for i, lab in enumerate(labels) if (j >> i) & 1)
+        assert modular_ancilla(total, r) == ancilla_value(j, labels, r, POW2)
+        assert interval_ancilla(total, B, r) == ancilla_value(j, labels, r, INTERVAL, B)
 
 
 def test_modular_instance_basics():
@@ -184,10 +199,19 @@ def test_ss_memory_scaling():
 
 def test_rep_zero_minus_fraction_degenerates_to_mitm():
     rng = stream("repmf0")
-    for _ in range(25):
-        inst = random_instance("modular", 12, rng.randrange(3, 12), rng)
-        got = solve_representation(inst, depth=2, minus_fraction=0.0)
-        assert got.solutions == solve_mitm(inst).solutions
+    cases = [
+        (random_instance("modular", 12, rng.randrange(3, 12), rng), 0.0) for _ in range(25)
+    ]
+    # A dense instance takes the same branch at the default minus_fraction.
+    dense = random_instance("modular", 14, 5, rng)
+    assert expected_solutions(dense) > 64
+    cases.append((dense, 1.0 / 16.0))
+    for inst, minus_fraction in cases:
+        got = solve_representation(inst, depth=2, minus_fraction=minus_fraction)
+        ref = solve_mitm(inst)
+        assert got.solutions == ref.solutions
+        assert (got.op_count, got.mem_peak) == (ref.op_count, ref.mem_peak)
+        assert got.stats == {"solver": "rep", "mode": "degenerate", "rounds": 0}
 
 
 def test_rep_exact_rate():
