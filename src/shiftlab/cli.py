@@ -53,6 +53,7 @@ from .cost_model import render_report, table_report
 from .pipeline import (
     CostLedger,
     Schedule,
+    plan_interval,
     schedule_affine,
     schedule_from_json,
     schedule_increasing,
@@ -252,6 +253,8 @@ def _solve_one(payload: dict) -> dict:
 def cmd_solve(args) -> int:
     N, n, odd = _resolve_modulus(args)
     sched = build_schedule(args.strategy, n, odd, args)
+    if odd:
+        plan_interval(sched, N)  # refuses, before any run, sums past int64
     payloads = [
         {
             "N": N,

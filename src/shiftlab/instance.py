@@ -12,6 +12,12 @@ up. An element may carry a scale u, meaning its pool works in rescaled label
 coordinates: the stored label is l_view and the underlying label is
 l_view * u mod N. Phases are computed from the underlying label, so rescaled
 pipelines (odd-N recovery) need no special cases downstream.
+
+Labels come from the instance's own "labels" stream and nothing else reads
+that stream, so it is served from a buffer: each refill replays a fixed
+number of randrange(N) attempts from one getrandbits call, bit for bit (see
+_refill_labels). The label sequence is the one per-query randrange(N) calls
+would give.
 """
 
 from __future__ import annotations
@@ -20,6 +26,8 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import ConsumedElementError, GuardError, TamperError
 from .group_arith import Modulus, mul_mod
@@ -34,8 +42,13 @@ class _RandomSecret:
 
 RANDOM = _RandomSecret()
 
+# randrange(N) attempts replayed per label-buffer refill. N <= 2^63 - 1 takes
+# at most two 32-bit words per attempt, so one refill draws at most 16 KiB of
+# stream and buffers at most 2048 labels.
+LABEL_BATCH = 2048
 
-@dataclass(eq=False)
+
+@dataclass(eq=False, slots=True)
 class PhaseElement:
     """One unmeasured phase element, identified by its (view) label."""
 
@@ -68,6 +81,7 @@ class HiddenShiftInstance:
 
     def __post_init__(self) -> None:
         self._label_rng = stream(self.seed, "labels")
+        self._labels: list[int] = []  # filled by _refill_labels, popped from the end
         self._meas_rng = stream(self.seed, "measure")
         self._verify_rng = stream(self.seed, "verify")
         self._prp = KeyedPermutation(self.modulus.N, derive(self.seed, label_path("oracle")))
@@ -90,10 +104,38 @@ class HiddenShiftInstance:
         (a unit mod N), the view label is drawn uniformly and the underlying
         label is view*u mod N; multiplication by a unit is a bijection, so the
         underlying label is uniform too.
+
+        The label is the next randrange(N) of the instance's "labels" stream,
+        served from a buffer of replayed draws (_refill_labels).
         """
-        label = self._label_rng.randrange(self.modulus.N)
+        labels = self._labels
+        while not labels:
+            self._refill_labels()
         self.q_queries += 1
-        return PhaseElement(label, scale, self, next(self._uid_counter))
+        return PhaseElement(labels.pop(), scale, self, next(self._uid_counter))
+
+    def _refill_labels(self) -> None:
+        """Replay LABEL_BATCH randrange(N) attempts of the labels stream.
+
+        CPython draws randrange(N) as getrandbits(b) with b = N.bit_length(),
+        retried while the value is >= N. getrandbits(b) takes w = ceil(b/32)
+        words from the Mersenne Twister, lowest word first, and shifts the
+        last word right by 32*w - b. One getrandbits(32*w*LABEL_BATCH) call
+        yields the same words in the same order, so rebuilding each attempt
+        from its w words and dropping the rejected ones gives the per-call
+        sequence exactly, and leaves the stream where those calls would.
+        """
+        N = self.modulus.N
+        bits = N.bit_length()
+        w = (bits + 31) // 32
+        raw = self._label_rng.getrandbits(32 * w * LABEL_BATCH)
+        words = np.frombuffer(raw.to_bytes(4 * w * LABEL_BATCH, "little"), dtype="<u4")
+        words = words.astype(np.uint64).reshape(LABEL_BATCH, w)
+        values = words[:, w - 1] >> np.uint64(32 * w - bits)
+        for i in range(w - 2, -1, -1):
+            values = (values << np.uint64(32)) | words[:, i]
+        # reversed, so pop() from the end serves the draws in stream order
+        self._labels.extend(values[values < N][::-1].tolist())
 
     def derive_element(self, label: int, scale: int = 1) -> PhaseElement:
         """Element produced by a combination step; not a query."""

@@ -38,6 +38,7 @@ from .group_arith import ceil_div, ceil_log2, two_adic_valuation
 from .instance import HiddenShiftInstance, PhaseElement
 from .kinds import BRUTE, INTERVAL, POW2, POW2_TOP, ROUTINES, SOLVERS, TARGETS
 from .seeds import derive, label_path
+from .subset_sum.solvers import sums_fit
 
 
 @dataclass(frozen=True)
@@ -313,12 +314,14 @@ def _plan_pow2(sched: Schedule, level: int) -> list[_PlanStage]:
     return plan
 
 
-def _plan_interval(sched: Schedule, N: int) -> list[_PlanStage]:
+def plan_interval(sched: Schedule, N: int) -> list[_PlanStage]:
     """Interval ladder: B shrinks by ceil(B/2^r_eff) per stage until B <= 2.
 
     r_eff keeps two constraints: the combination's r <= k - ceil(log2 k)
     precondition, and B' >= 2 (a bound of 1 would collapse every label to 0).
     Stages beyond the schedule's nominal length reuse its last stage.
+    Raises GuardError, before any element is drawn, when a stage's k labels
+    below B could sum past the solvers' int64 bound.
     """
     plan: list[_PlanStage] = []
     B = N
@@ -327,6 +330,11 @@ def _plan_interval(sched: Schedule, N: int) -> list[_PlanStage]:
         spec = sched.stages[min(idx, len(sched.stages) - 1)]
         if spec.routine != INTERVAL:
             raise GuardError("SMALL_ONE target needs an interval schedule")
+        if not sums_fit(spec.k, B - 1):
+            raise GuardError(
+                f"N = {N}: stage {idx} sums k = {spec.k} labels below {B}, "
+                "too large for 64-bit partial sums"
+            )
         r_eff = min(spec.r, _stage_r(spec.k, INTERVAL), max(1, ceil_log2(B) - 1))
         plan.append(_PlanStage(spec.k, r_eff, INTERVAL, b_in=B))
         B = ceil_div(B, 1 << r_eff)
@@ -382,7 +390,13 @@ class _Engine:
         st = self.plan[i]
         row = self.stats[i]
         for _ in range(self.caps[i]):
-            ins = [self._take(i - 1) for _ in range(st.k)]
+            if i:
+                ins = [self._take(i - 1) for _ in range(st.k)]
+            else:  # stage 0 eats raw elements: one loop, one ledger update
+                sample, scale = self.inst.sample_element, self.scale
+                ins = [sample(scale) for _ in range(st.k)]
+                self.ledger.q_queries += st.k
+                self.ledger.elements_generated += st.k
             self._invocation += 1
             seed_i = derive(self.solver_seed, i, self._invocation)
             if st.routine == POW2:
@@ -470,7 +484,7 @@ def run_pipeline(
             raise GuardError("SMALL_ONE target needs odd N")
         if level is not None:
             raise GuardError("level applies to POW2_TOP only")
-        plan = _plan_interval(sched, mod.N)
+        plan = plan_interval(sched, mod.N)
 
     eng = _Engine(
         inst, sched, plan, rng, scale, budget, solver_seed, retry_factor, p_prior, solver_params

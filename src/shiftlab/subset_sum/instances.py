@@ -17,11 +17,14 @@ from ..group_arith import ceil_div
 
 
 def masked_sum(weights: tuple[int, ...], mask: int) -> int:
-    """Sum of the weights whose bit is set in mask."""
+    """Sum of the weights whose bit is set in mask; bits at or beyond
+    len(weights) select nothing. Walks the set bits only."""
+    mask &= (1 << len(weights)) - 1
     total = 0
-    for i, w in enumerate(weights):
-        if (mask >> i) & 1:
-            total += w
+    while mask:
+        low = mask & -mask
+        total += weights[low.bit_length() - 1]
+        mask ^= low
     return total
 
 
@@ -61,9 +64,9 @@ class ModularInstance(_WeightedInstance):
             raise ValueError("r must be >= 1")
         if not 0 <= self.target < (1 << self.r):
             raise ValueError("target must lie in [0, 2^r)")
-        if any(w < 0 for w in self.weights):
+        if min(self.weights, default=0) < 0:
             raise ValueError("weights must be nonnegative")
-        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
+        object.__setattr__(self, "weights", tuple(map(int, self.weights)))
 
     @property
     def flavor(self) -> str:
@@ -99,11 +102,11 @@ class IntervalInstance(_WeightedInstance):
             raise ValueError("r must be >= 1")
         if self.B < 1:
             raise ValueError("B must be >= 1")
-        if any(not 0 <= w < self.B for w in self.weights):
+        if self.weights and not (0 <= min(self.weights) and max(self.weights) < self.B):
             raise ValueError("weights must lie in [0, B)")
         if self.target < 0:
             raise ValueError("target must be >= 0")
-        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
+        object.__setattr__(self, "weights", tuple(map(int, self.weights)))
 
     @property
     def flavor(self) -> str:
@@ -156,7 +159,10 @@ def random_instance(
     plant: bool = True,
 ) -> Instance:
     """A random instance; with plant=True the target is the ancilla value of a
-    uniformly drawn witness, which is how targets arise in the simulation."""
+    uniformly drawn witness, which is how targets arise in the simulation.
+    With plant=False the target is uniform over the ancilla values a subset
+    could reach: [0, 2^r) for modular, [0, ancilla(all weights)] for
+    interval, so the instance may have no solution."""
     if flavor == "modular":
         weights = tuple(rng.randrange(1 << r) for _ in range(k))
         if plant:
@@ -168,7 +174,10 @@ def random_instance(
         if B is None:
             B = 1 << k
         weights = tuple(rng.randrange(B) for _ in range(k))
-        target = interval_ancilla(masked_sum(weights, rng.randrange(1 << k)), B, r)
+        if plant:
+            target = interval_ancilla(masked_sum(weights, rng.randrange(1 << k)), B, r)
+        else:
+            target = rng.randrange(interval_ancilla(sum(weights), B, r) + 1)
         return IntervalInstance(weights, B, r, target)
     raise ValueError(f"unknown flavor {flavor!r}")
 

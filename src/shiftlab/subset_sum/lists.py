@@ -109,10 +109,17 @@ class PartialSumList:
 
 
 def subset_sums(weights: list[int] | tuple[int, ...]) -> np.ndarray:
-    """All 2^m subset sums of a weight segment; index bits select weights."""
-    sums = np.zeros(1, dtype=np.int64)
+    """All 2^m subset sums of a weight segment; index bits select weights.
+
+    Filled in place by doubling: after weight i, the first 2^(i+1) entries
+    hold the sums over weights[:i+1].
+    """
+    sums = np.empty(1 << len(weights), dtype=np.int64)
+    sums[0] = 0
+    size = 1
     for w in weights:
-        sums = np.concatenate([sums, sums + np.int64(w)])
+        np.add(sums[:size], w, sums[size:2 * size])
+        size *= 2
     return sums
 
 

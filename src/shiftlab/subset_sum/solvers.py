@@ -21,9 +21,13 @@ _CHUNK_BITS = 18
 _SUM_SAFE_BITS = 62
 
 
+def sums_fit(k: int, top: int) -> bool:
+    """Whether every subset sum of k weights in [0, top] fits the int64 bound."""
+    return k * top < (1 << _SUM_SAFE_BITS)
+
+
 def check_weight_magnitude(inst: Instance) -> None:
-    top = max(inst.weights, default=0)
-    if top and inst.k * top >= (1 << _SUM_SAFE_BITS):
+    if not sums_fit(inst.k, max(inst.weights, default=0)):
         raise GuardError("weights too large for 64-bit partial sums")
 
 
@@ -64,8 +68,15 @@ def solve_bruteforce(inst: Instance, *, budget: int | None = None) -> SolutionSe
     """Exact solution set by scanning all 2^k subset vectors.
 
     The operation count is 2^k by definition of the method. Enumeration is
-    chunked: low-order positions are expanded once into a doubling table and
-    reused under every assignment of the high-order positions.
+    chunked: the low min(k, _CHUNK_BITS) positions are expanded once into a table of
+    subset sums (lists.subset_sums), and each assignment of the high-order
+    positions adds its sum to that table. Chunk 0 tests the table as it is.
+    A modular residue is tested with a bit mask, which is exact because the
+    weights and so every sum are nonnegative; an interval test compares
+    against the exact integer bounds, even when they lie outside int64. Hits
+    come out as whole index arrays OR'd with the chunk's high bits. The
+    budget is checked after each chunk, so BudgetExceededError carries the
+    op count of the first chunk that went over.
     """
     if inst.k > BRUTE_K_CAP:
         raise GuardError(f"k={inst.k} exceeds brute-force cap {BRUTE_K_CAP}")
@@ -73,27 +84,28 @@ def solve_bruteforce(inst: Instance, *, budget: int | None = None) -> SolutionSe
     counter = OpCounter(budget=budget)
     low_bits = min(inst.k, _CHUNK_BITS)
     low = subset_sums(inst.weights[:low_bits])
-    counter.bump_mem(len(low))
+    size = len(low)
+    counter.bump_mem(size)
     high_weights = inst.weights[low_bits:]
 
-    if isinstance(inst, ModularInstance):
-        mod = np.int64(1 << inst.r)
+    modular = isinstance(inst, ModularInstance)
+    if modular:
+        low_mask = np.int64((1 << inst.r) - 1)
         target = np.int64(inst.target)
     else:
         lo_bound, hi_bound = inst.bounds()
 
     found: list[int] = []
     for high in range(1 << (inst.k - low_bits)):
-        sums = low + np.int64(masked_sum(high_weights, high))
-        if isinstance(inst, ModularInstance):
-            hits = (sums % mod) == target
+        sums = low + np.int64(masked_sum(high_weights, high)) if high else low
+        if modular:
+            hits = (sums & low_mask) == target
         else:
             hits = (sums >= lo_bound) & (sums < hi_bound)
-        prefix = high << low_bits
-        found.extend(prefix | int(m) for m in np.nonzero(hits)[0])
-        counter.add(len(low))
+        found.extend((np.flatnonzero(hits) | (high << low_bits)).tolist())
+        counter.add(size)
         _raise_if_over(counter)
-    counter.bump_mem(len(low) + len(found))
+    counter.bump_mem(size + len(found))
     return SolutionSet(
         frozenset(found),
         op_count=counter.ops,

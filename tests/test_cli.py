@@ -145,6 +145,14 @@ def test_guard_errors_exit_3(args):
     assert cli(*args).returncode == 3
 
 
+def test_solve_refuses_odd_n_past_int64_sums_before_any_run():
+    # k = 12 labels below 2^61 - 1 can sum past the solvers' int64 bound
+    proc = cli("solve", "--N", str(2**61 - 1), "--odd", "--k", "12", "--runs", "2")
+    assert proc.returncode == 3
+    assert proc.stdout == b""
+    assert b"64-bit partial sums" in proc.stderr
+
+
 def test_oracle_mismatch_exits_1():
     # the memoryless solver is exact only with high probability; this seeded
     # configuration is a recorded case where one instance's solution set

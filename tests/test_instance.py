@@ -5,8 +5,15 @@ from fractions import Fraction
 import pytest
 
 from shiftlab.errors import ConsumedElementError, GuardError, TamperError
-from shiftlab.instance import RANDOM, classical_verify, from_descriptor, new_instance
+from shiftlab.instance import (
+    LABEL_BATCH,
+    RANDOM,
+    classical_verify,
+    from_descriptor,
+    new_instance,
+)
 from shiftlab.prp import KeyedPermutation
+from shiftlab.seeds import stream
 
 from conftest import chi_square_p
 
@@ -60,6 +67,22 @@ def test_label_stream_deterministic():
     assert [a.sample_element().label for _ in range(200)] == [
         b.sample_element().label for _ in range(200)
     ]
+
+
+@pytest.mark.parametrize(
+    "N", [2, 3, 2**16, 1000003, 2**32, 2**32 + 1, 2**61 - 1, 2**63 - 1]
+)
+def test_buffered_labels_replay_randrange(N):
+    # more draws than one refill's LABEL_BATCH attempts can yield, at mixed
+    # scales; the reference is the per-call randrange of the same stream
+    inst = new_instance(N, RANDOM, seed=N)
+    reference = stream(N, "labels")
+    draws = 2 * LABEL_BATCH + 17
+    for i in range(draws):
+        elem = inst.sample_element(scale=(1, 3, 5)[i % 3])
+        assert elem.label == reference.randrange(N), i
+        assert elem.scale == (1, 3, 5)[i % 3]
+    assert inst.q_queries == draws
 
 
 def test_query_counter_advances():

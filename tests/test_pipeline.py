@@ -342,6 +342,13 @@ def test_target_and_modulus_guards():
         run_pipeline(odd_inst, pow2_sched, SMALL_ONE)
 
 
+def test_interval_plan_refuses_int64_overflow_before_sampling():
+    inst = new_instance(N=2**61 - 1, seed=0)
+    with pytest.raises(GuardError, match="64-bit partial sums"):
+        run_pipeline(inst, schedule_uniform(61, 12, routine=INTERVAL), SMALL_ONE)
+    assert inst.q_queries == 0
+
+
 def test_level_guards():
     inst = new_instance(N=256, seed=0)
     sched = schedule_uniform(8, 4)

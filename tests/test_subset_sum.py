@@ -100,6 +100,37 @@ def test_random_instance_planted_is_solvable():
             assert len(_enum(inst)) >= 1
 
 
+@pytest.mark.parametrize("flavor", ["modular", "interval"])
+def test_random_instance_unplanted_can_be_empty(flavor):
+    rng = stream("unplanted", flavor)
+    empty = 0
+    for _ in range(300):
+        inst = random_instance(flavor, 8, 5, rng, plant=False)
+        if flavor == "interval":
+            assert inst.target <= interval_ancilla(sum(inst.weights), inst.B, inst.r)
+        empty += not solve_bruteforce(inst).solutions
+    assert empty >= 1
+
+
+def _enumerate_loop(weights, mask):
+    """The per-position loop masked_sum replaced; kept as its reference."""
+    total = 0
+    for i, w in enumerate(weights):
+        if (mask >> i) & 1:
+            total += w
+    return total
+
+
+def test_masked_sum_ignores_bits_beyond_the_weights():
+    rng = stream("masked_sum")
+    for k in (0, 1, 5, 12):
+        weights = tuple(rng.randrange(1 << 20) for _ in range(k))
+        masks = [0, (1 << k) - 1, 1 << k, (1 << (k + 9)) - 1, 1 << 100, (1 << 100) | 5]
+        masks += [rng.randrange(1 << (k + 8)) for _ in range(200)]
+        for mask in masks:
+            assert masked_sum(weights, mask) == _enumerate_loop(weights, mask), (k, mask)
+
+
 # -- merge_join --------------------------------------------------------------
 
 
@@ -161,6 +192,52 @@ def test_bruteforce_guard_and_budget():
         solve_bruteforce(ModularInstance((0,) * 31, 1, 0))
     with pytest.raises(BudgetExceededError):
         solve_bruteforce(ModularInstance(tuple(range(20)), 4, 0), budget=10)
+
+
+def _python_scan(inst):
+    """Pure-Python brute force: every subset sum by list doubling, then the
+    instance equation on each sum; no numpy, no int64."""
+    sums = [0]
+    for w in inst.weights:
+        sums += [t + w for t in sums]
+    if isinstance(inst, ModularInstance):
+        mod = 1 << inst.r
+        return frozenset(m for m, t in enumerate(sums) if t % mod == inst.target)
+    lo, hi = inst.bounds()
+    return frozenset(m for m, t in enumerate(sums) if lo <= t < hi)
+
+
+def _brute_cases(k):
+    rng = stream("brute_scan", k)
+    yield random_instance("modular", k, max(1, k - 1), rng)
+    yield random_instance("modular", k, 3, rng, plant=False)
+    yield random_instance("interval", k, max(1, k - 2), rng)
+    yield random_instance("interval", k, 2, rng, B=1 << 40)
+    weights = tuple(rng.randrange(1 << 20) for _ in range(k))
+    # r = 63: residues of int64 sums still test exactly
+    yield ModularInstance(weights, 63, masked_sum(weights, 5))
+    # interval bounds outside int64: hi only (every subset solves), then
+    # both bounds above every sum, just and far
+    yield IntervalInstance(weights, 1 << 70, 1, 0)
+    yield IntervalInstance(weights, 1 << 70, 1, 1)
+    yield IntervalInstance(weights, 1 << 21, 2, 1 << 80)
+
+
+@pytest.mark.parametrize("k", [1, 2, 8, 12, 19, 20])
+def test_bruteforce_matches_python_scan(k):
+    chunk = 1 << min(k, 18)
+    for inst in _brute_cases(k):
+        got = solve_bruteforce(inst)
+        want = _python_scan(inst)
+        assert got.solutions == want, inst.to_json()
+        assert got.op_count == 1 << k
+        assert got.mem_peak == chunk + len(want)
+        # the budget check after each chunk raises at that chunk's running count
+        for budget in (0, chunk - 1, (1 << k) - 1):
+            raised_at = chunk * (budget // chunk + 1)
+            with pytest.raises(BudgetExceededError, match=f"exceeded at {raised_at}$"):
+                solve_bruteforce(inst, budget=budget)
+        assert solve_bruteforce(inst, budget=1 << k).solutions == want
 
 
 def test_ss_example():
