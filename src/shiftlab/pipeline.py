@@ -373,14 +373,17 @@ class _Engine:
         self.caps = [retry_factor * math.ceil(st.k / p_prior) for st in plan]
         self._invocation = 0
 
-    def _raw(self) -> PhaseElement:
-        self.ledger.q_queries += 1
-        self.ledger.elements_generated += 1
-        return self.inst.sample_element(self.scale)
+    def _raw(self, n: int) -> list[PhaseElement]:
+        """Draw n raw elements, one query each, and charge them in one step."""
+        sample, scale = self.inst.sample_element, self.scale
+        elems = [sample(scale) for _ in range(n)]
+        self.ledger.q_queries += n
+        self.ledger.elements_generated += n
+        return elems
 
     def _take(self, depth: int) -> PhaseElement:
         if depth < 0:
-            return self._raw()
+            return self._raw(1)[0]
         pool = self.pools[depth]
         if not pool:
             pool.append(self._produce(depth))
@@ -390,13 +393,7 @@ class _Engine:
         st = self.plan[i]
         row = self.stats[i]
         for _ in range(self.caps[i]):
-            if i:
-                ins = [self._take(i - 1) for _ in range(st.k)]
-            else:  # stage 0 eats raw elements: one loop, one ledger update
-                sample, scale = self.inst.sample_element, self.scale
-                ins = [sample(scale) for _ in range(st.k)]
-                self.ledger.q_queries += st.k
-                self.ledger.elements_generated += st.k
+            ins = [self._take(i - 1) for _ in range(st.k)] if i else self._raw(st.k)
             self._invocation += 1
             seed_i = derive(self.solver_seed, i, self._invocation)
             if st.routine == POW2:
