@@ -192,6 +192,8 @@ def _resolve_modulus(args) -> tuple[int, int, bool]:
         return N, ceil_log2(N), bool(args.odd)
     if args.odd:
         raise UsageError("--odd needs an explicit --N")
+    if args.n < 1:
+        raise UsageError(f"need n >= 1, got {args.n}")
     return 1 << args.n, args.n, False
 
 
@@ -251,6 +253,8 @@ def _solve_one(payload: dict) -> dict:
 
 
 def cmd_solve(args) -> int:
+    if args.runs < 1:
+        raise UsageError(f"need --runs >= 1, got {args.runs}")
     N, n, odd = _resolve_modulus(args)
     sched = build_schedule(args.strategy, n, odd, args)
     if odd:
@@ -295,6 +299,14 @@ def _fit_slope(xs: list[float], ys: list[float]) -> float:
 
 def cmd_subset_sum(args) -> int:
     ks = _parse_int_list(args.k)
+    if not ks or min(ks) < 2:
+        raise UsageError(f"--k needs widths >= 2, got {args.k!r}")
+    if len(set(ks)) != len(ks):
+        raise UsageError(f"--k repeats a width: {args.k!r}")
+    if args.r is not None and args.r < 1:
+        raise UsageError(f"need --r >= 1, got {args.r}")
+    if args.instances < 1:
+        raise UsageError(f"need --instances >= 1, got {args.instances}")
     flavor = "modular" if args.flavor == "mod" else "interval"
     rng = random.Random(args.seed)
     mismatches = 0

@@ -6,6 +6,12 @@ minus empty. merge_join emits every cross pair whose value sum satisfies the
 constraint and whose digit vectors are compatible; it is the single building
 block behind the meet-in-the-middle, guess-and-meet and representation
 solvers, and is oracle-tested against a quadratic scan.
+
+subset_sums builds the table of all 2^m subset sums of a weight segment
+from whole-array products: a segment of at most _BASE_BITS weights is one
+product of a cached 0/1 selection matrix with the weight vector, and a
+longer segment is split into two halves whose tables are joined by an outer
+sum. Index bit i of an entry still selects weights[i].
 """
 
 from __future__ import annotations
@@ -108,19 +114,29 @@ class PartialSumList:
         return len(self.values)
 
 
+# _BITS[m] is the 2^m x m 0/1 matrix whose row j holds the bits of j, so
+# _BITS[m] @ w lists every subset sum of m weights (about 28 KB for all nine).
+_BASE_BITS = 8
+_BITS = [
+    ((np.arange(1 << m)[:, None] >> np.arange(m)) & 1).astype(np.int64)
+    for m in range(_BASE_BITS + 1)
+]
+
+
 def subset_sums(weights: list[int] | tuple[int, ...]) -> np.ndarray:
     """All 2^m subset sums of a weight segment; index bits select weights.
 
-    Filled in place by doubling: after weight i, the first 2^(i+1) entries
-    hold the sums over weights[:i+1].
+    Up to _BASE_BITS weights: one selection-matrix product. Longer segments
+    split at h = m // 2, and the outer sum of the two halves' tables puts
+    high[i] + low[j] at index i*2^h + j.
+    The int64 arithmetic is exact (numpy does not route integer products
+    through BLAS) as long as every sum fits, which sums_fit guarantees.
     """
-    sums = np.empty(1 << len(weights), dtype=np.int64)
-    sums[0] = 0
-    size = 1
-    for w in weights:
-        np.add(sums[:size], w, sums[size:2 * size])
-        size *= 2
-    return sums
+    m = len(weights)
+    if m <= _BASE_BITS:
+        return _BITS[m] @ np.asarray(weights, dtype=np.int64)
+    h = m // 2
+    return np.add.outer(subset_sums(weights[h:]), subset_sums(weights[:h])).ravel()
 
 
 def _expand_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

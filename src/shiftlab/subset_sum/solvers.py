@@ -68,15 +68,17 @@ def solve_bruteforce(inst: Instance, *, budget: int | None = None) -> SolutionSe
     """Exact solution set by scanning all 2^k subset vectors.
 
     The operation count is 2^k by definition of the method. Enumeration is
-    chunked: the low min(k, _CHUNK_BITS) positions are expanded once into a table of
-    subset sums (lists.subset_sums), and each assignment of the high-order
-    positions adds its sum to that table. Chunk 0 tests the table as it is.
-    A modular residue is tested with a bit mask, which is exact because the
-    weights and so every sum are nonnegative; an interval test compares
-    against the exact integer bounds, even when they lie outside int64. Hits
-    come out as whole index arrays OR'd with the chunk's high bits. The
-    budget is checked after each chunk, so BudgetExceededError carries the
-    op count of the first chunk that went over.
+    chunked: the low min(k, _CHUNK_BITS) positions are expanded once into a
+    table of subset sums (lists.subset_sums: selection-matrix products on
+    segments of at most 8 weights, outer sums joining halves above that),
+    and each assignment of the high-order positions adds its sum to that
+    table. Chunk 0 tests the table as it is. A modular residue is tested
+    with a bit mask, which is exact because the weights and so every sum
+    are nonnegative; an interval test compares against the exact integer
+    bounds, even when they lie outside int64. Hits come out as one index
+    array per chunk, with the chunk's high bits OR'd in place when they are
+    nonzero. The budget is checked after each chunk, so BudgetExceededError
+    carries the op count of the first chunk that went over.
     """
     if inst.k > BRUTE_K_CAP:
         raise GuardError(f"k={inst.k} exceeds brute-force cap {BRUTE_K_CAP}")
@@ -102,7 +104,10 @@ def solve_bruteforce(inst: Instance, *, budget: int | None = None) -> SolutionSe
             hits = (sums & low_mask) == target
         else:
             hits = (sums >= lo_bound) & (sums < hi_bound)
-        found.extend((np.flatnonzero(hits) | (high << low_bits)).tolist())
+        idx = hits.nonzero()[0]
+        if high:
+            idx |= high << low_bits
+        found.extend(idx.tolist())
         counter.add(size)
         _raise_if_over(counter)
     counter.bump_mem(size + len(found))

@@ -126,6 +126,14 @@ def test_solve_strategies_build_their_schedules():
         ("solve", "--odd"),                            # --odd without --N
         ("solve", "--n", "8", "--strategy", "uniform"),  # uniform needs --k
         ("schedule",),                                 # needs --n or --load
+        ("solve", "--n", "-1"),
+        ("solve", "--N", "16", "--k", "4", "--runs", "0"),
+        ("solve", "--N", "16", "--k", "4", "--runs", "-1"),
+        ("subset-sum", "--k", "0"),
+        ("subset-sum", "--k", "1"),
+        ("subset-sum", "--k", "8", "--r", "0"),
+        ("subset-sum", "--k", "8", "--instances", "0"),
+        ("subset-sum", "--k", "8,8", "--instances", "2"),  # no slope over one width
     ],
 )
 def test_usage_errors_exit_2(args):

@@ -26,6 +26,10 @@ GOLDEN = [
      "c0101b99f6bce61a7ffda5e4ca50f2ad0f55c1a2da6bced0af24f4ad261a7d76"),
     ("solve --N 1009 --odd --k 8 --solver ss --runs 3 --seed 2",
      "d68ae8a9a86aae167ccafc6eca053837dad18fe27e8ca895eefa6d76aead4b84"),
+    # k = 12 runs subset_sums' split-and-join path inside the interval
+    # pipeline; recorded before subset_sums moved to selection-matrix products
+    ("solve --N 100003 --odd --k 12 --runs 2 --seed 1",
+     "35d179078d537b8557abf48df860b3b10f91d8f32ba496f7adbcda4408689ba3"),
     ("solve --N 4096 --strategy minclass --solver ss --runs 4 --seed 1",
      "c97ce34d38e2280edf028852b46bf3fd68f89b00bbdd44a3b83d4fa52734edbe"),
     ("solve --N 4096 --strategy quadgap --solver mitm --runs 4 --seed 1",

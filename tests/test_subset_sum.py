@@ -3,6 +3,7 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
 from shiftlab.errors import BudgetExceededError, GuardError
@@ -24,7 +25,8 @@ from shiftlab.subset_sum import (
 )
 from shiftlab.phase_sim import ancilla_value
 from shiftlab.subset_sum.instances import interval_ancilla, masked_sum, modular_ancilla
-from shiftlab.subset_sum.solvers import expected_solutions
+from shiftlab.subset_sum.lists import subset_sums
+from shiftlab.subset_sum.solvers import expected_solutions, sums_fit
 
 from conftest import stream
 
@@ -194,12 +196,38 @@ def test_bruteforce_guard_and_budget():
         solve_bruteforce(ModularInstance(tuple(range(20)), 4, 0), budget=10)
 
 
+def _doubled_sums(weights):
+    """Every subset sum by list doubling: entry m sums the weights m selects."""
+    sums = [0]
+    for w in weights:
+        sums += [t + w for t in sums]
+    return sums
+
+
+# m = 8 is the largest single selection-matrix product, 9 the first split,
+# 16-18 reach brute force's 18-bit chunk table
+@pytest.mark.parametrize("m", range(21))
+def test_subset_sums_match_list_doubling(m):
+    rng = stream("subset_sums", m)
+    top = ((1 << 62) - 1) // max(m, 1)  # sums_fit edge: m * top < 2^62
+    assert sums_fit(m, top)
+    cases = [
+        tuple(rng.randrange(1 << 20) for _ in range(m)),
+        [rng.randrange(top // 2, top + 1) for _ in range(m)],
+        [top] * m,
+        tuple(rng.choice((0, 1, top)) for _ in range(m)),
+    ]
+    for weights in cases:
+        got = subset_sums(weights)
+        assert got.dtype == np.int64
+        assert got.shape == (1 << m,)
+        assert got.tolist() == _doubled_sums(weights), weights
+
+
 def _python_scan(inst):
     """Pure-Python brute force: every subset sum by list doubling, then the
     instance equation on each sum; no numpy, no int64."""
-    sums = [0]
-    for w in inst.weights:
-        sums += [t + w for t in sums]
+    sums = _doubled_sums(inst.weights)
     if isinstance(inst, ModularInstance):
         mod = 1 << inst.r
         return frozenset(m for m, t in enumerate(sums) if t % mod == inst.target)
