@@ -2,15 +2,18 @@
 
 A PartialSumList holds (value, digit-vector) entries, digit vectors packed as
 two bitmasks: plus (digit +1) and minus (digit -1). Plain {0,1} splits leave
-minus empty. merge_join emits every cross pair whose value sum satisfies the
-constraint and whose digit vectors are compatible; it is the single building
-block behind the meet-in-the-middle, guess-and-meet and representation
-solvers, and is oracle-tested against a quadratic scan.
+minus empty. Lists are immutable once built, so each stores the key sorts
+that joins ask of it (by_key) and sorts by the same key at most once, however
+many guesses, weight classes or rounds reuse it. merge_join emits every cross
+pair whose value sum satisfies the constraint and whose digit vectors are
+compatible; it is the single building block behind the meet-in-the-middle,
+guess-and-meet and representation solvers, and is oracle-tested against a
+quadratic scan.
 
 subset_sums builds the table of all 2^m subset sums of a weight segment
 from whole-array products: a segment of at most _BASE_BITS weights is one
 product of a cached 0/1 selection matrix with the weight vector, and a
-longer segment is split into two halves whose tables are joined by an outer
+longer segment is split into two parts whose tables are joined by an outer
 sum. Index bit i of an entry still selects weights[i].
 """
 
@@ -90,11 +93,16 @@ def _as_i64(a) -> np.ndarray:
 
 @dataclass
 class PartialSumList:
-    """Entries sorted by value; digit vectors packed into plus/minus masks."""
+    """Entries sorted by value; digit vectors packed into plus/minus masks.
+
+    A list is never mutated after construction: by_key stores the sorts it
+    computes on the list and hands them to every later join.
+    """
 
     values: np.ndarray
     plus: np.ndarray
     minus: np.ndarray = field(default=None)  # type: ignore[assignment]
+    _by_key: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.values = _as_i64(self.values)
@@ -105,6 +113,8 @@ class PartialSumList:
             self.minus = _as_i64(self.minus)
         if not (len(self.values) == len(self.plus) == len(self.minus)):
             raise ValueError("column lengths differ")
+        # Sorting by value here is kept even though joins sort by key: a key
+        # sort and the searchsorted probes run faster on value-ordered input.
         order = np.argsort(self.values, kind="stable")
         self.values = self.values[order]
         self.plus = self.plus[order]
@@ -112,6 +122,23 @@ class PartialSumList:
 
     def __len__(self) -> int:
         return len(self.values)
+
+    def by_key(self, t: int | None) -> tuple[np.ndarray, np.ndarray]:
+        """(order, sorted_keys) for keys values & (2^t - 1), or the values
+        themselves when t is None; stable, computed once per list and t.
+
+        The t = None entry is the construction sort: the identity order.
+        """
+        hit = self._by_key.get(t)
+        if hit is None:
+            if t is None:
+                hit = (np.arange(len(self.values), dtype=np.int64), self.values)
+            else:
+                keys = self.values & np.int64((1 << t) - 1)
+                order = np.argsort(keys, kind="stable")
+                hit = (order, keys[order])
+            self._by_key[t] = hit
+        return hit
 
 
 # _BITS[m] is the 2^m x m 0/1 matrix whose row j holds the bits of j, so
@@ -127,15 +154,17 @@ def subset_sums(weights: list[int] | tuple[int, ...]) -> np.ndarray:
     """All 2^m subset sums of a weight segment; index bits select weights.
 
     Up to _BASE_BITS weights: one selection-matrix product. Longer segments
-    split at h = m // 2, and the outer sum of the two halves' tables puts
-    high[i] + low[j] at index i*2^h + j.
+    split at h, and the outer sum of the two parts' tables puts
+    high[i] + low[j] at index i*2^h + j. Up to 16 weights h = m // 2; above
+    that the high part holds 4 weights (h = m - 4), because numpy's broadcast
+    add runs about twice as fast over 16 long rows as over 2^(m/2) short ones.
     The int64 arithmetic is exact (numpy does not route integer products
     through BLAS) as long as every sum fits, which sums_fit guarantees.
     """
     m = len(weights)
     if m <= _BASE_BITS:
         return _BITS[m] @ np.asarray(weights, dtype=np.int64)
-    h = m // 2
+    h = m // 2 if m <= 16 else m - 4
     return np.add.outer(subset_sums(weights[h:]), subset_sums(weights[:h])).ravel()
 
 
@@ -147,9 +176,8 @@ def _expand_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarr
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
     rows = np.repeat(np.arange(len(lo), dtype=np.int64), counts)
-    starts = np.repeat(np.cumsum(counts) - counts, counts)
-    offsets = np.arange(total, dtype=np.int64) - starts
-    cols = np.repeat(lo, counts) + offsets
+    # pair p of row i sits at column lo[i] + (p - first pair of row i)
+    cols = np.arange(total, dtype=np.int64) - (np.cumsum(counts) - counts - lo)[rows]
     return rows, cols
 
 
@@ -168,8 +196,15 @@ def merge_join(
 ) -> PartialSumList:
     """All compatible cross pairs of a x b whose value sums satisfy the constraint.
 
+    a's entries are taken in key order from a.by_key (the low t bits of the
+    value for a window, the value for an interval), so a list joined again
+    under the same key is not sorted again. Each entry of b binary-searches
+    the range of keys it needs; a cyclic window that wraps past 2^t splits
+    into two linear ranges.
+
     Charged op count: |a| log |a| + |b| log |a| + output size (sort the first
-    list, binary-search per entry of the second, write the output).
+    list, binary-search per entry of the second, write the output), whether
+    or not a's sort was already stored.
     """
     la, lb = len(a), len(b)
     if la == 0 or lb == 0:
@@ -180,68 +215,55 @@ def merge_join(
 
     if isinstance(constraint, WindowConstraint):
         mod = np.int64(1) << np.int64(constraint.t)
-        key_a = a.values % mod
-        order = np.argsort(key_a, kind="stable")
-        sorted_keys = key_a[order]
-        # need the window [residue - vb, residue - vb + count) mod 2^t per b row;
-        # split cyclic windows into at most two linear ranges over sorted keys.
-        start = (np.int64(constraint.residue) - b.values) % mod
-        count = np.int64(constraint.count)
-        end = start + count
-        wrap = end > mod
-        end_lin = np.where(wrap, mod, end)
-        rows1, cols1 = _expand_ranges(
+        order, sorted_keys = a.by_key(constraint.t)
+        # need the window [residue - vb, residue - vb + count) mod 2^t per b row
+        start = (np.int64(constraint.residue) - b.values) & (mod - 1)
+        end = start + np.int64(constraint.count)
+        # every key is below 2^t, so an end past 2^t already stops at |a|
+        rows, cols = _expand_ranges(
             np.searchsorted(sorted_keys, start, side="left"),
-            np.searchsorted(sorted_keys, end_lin, side="left"),
+            np.searchsorted(sorted_keys, end, side="left"),
         )
+        wrap = end > mod
         if bool(wrap.any()):
             end2 = np.where(wrap, end - mod, np.int64(0))
             rows2, cols2 = _expand_ranges(
                 np.zeros(lb, dtype=np.int64),
                 np.searchsorted(sorted_keys, end2, side="left"),
             )
-            rows = np.concatenate([rows1, rows2])
-            cols = np.concatenate([cols1, cols2])
-        else:
-            rows, cols = rows1, cols1
-        a_idx = order[cols]
-        b_idx = rows
+            rows = np.concatenate([rows, rows2])
+            cols = np.concatenate([cols, cols2])
     else:
-        order = np.argsort(a.values, kind="stable")
-        sorted_vals = a.values[order]
-        lo_need = np.int64(constraint.lo) - b.values
-        hi_need = np.int64(constraint.hi) - b.values
+        order, sorted_keys = a.by_key(None)
         rows, cols = _expand_ranges(
-            np.searchsorted(sorted_vals, lo_need, side="left"),
-            np.searchsorted(sorted_vals, hi_need, side="left"),
+            np.searchsorted(sorted_keys, np.int64(constraint.lo) - b.values, side="left"),
+            np.searchsorted(sorted_keys, np.int64(constraint.hi) - b.values, side="left"),
         )
-        a_idx = order[cols]
-        b_idx = rows
+    a_idx = order[cols]
+    b_idx = rows
 
+    values = a.values[a_idx] + b.values[b_idx]
     p1, m1 = a.plus[a_idx], a.minus[a_idx]
     p2, m2 = b.plus[b_idx], b.minus[b_idx]
     if consistency is CONSISTENCY_DISJOINT:
-        valid = np.ones(len(a_idx), dtype=bool)
-        plus = p1 | p2
-        minus = m1 | m2
-    elif consistency == CONSISTENCY_TERNARY:
-        valid = ((p1 & p2) == 0) & ((m1 & m2) == 0)
-        plus = (p1 | p2) & ~(m1 | m2)
-        minus = (m1 | m2) & ~(p1 | p2)
-    elif consistency == CONSISTENCY_BINARY:
-        valid = (
-            ((p1 & p2) == 0)
-            & ((m1 & m2) == 0)
-            & ((m1 & ~p2) == 0)
-            & ((m2 & ~p1) == 0)
-        )
-        plus = (p1 | p2) & ~(m1 | m2)
-        minus = np.zeros_like(plus)
+        out = PartialSumList(values, p1 | p2, m1 | m2)
     else:
-        raise ValueError(f"unknown consistency mode {consistency!r}")
-
-    values = a.values[a_idx] + b.values[b_idx]
-    out = PartialSumList(values[valid], plus[valid], minus[valid])
+        if consistency == CONSISTENCY_TERNARY:
+            valid = ((p1 & p2) == 0) & ((m1 & m2) == 0)
+            plus = (p1 | p2) & ~(m1 | m2)
+            minus = (m1 | m2) & ~(p1 | p2)
+        elif consistency == CONSISTENCY_BINARY:
+            valid = (
+                ((p1 & p2) == 0)
+                & ((m1 & m2) == 0)
+                & ((m1 & ~p2) == 0)
+                & ((m2 & ~p1) == 0)
+            )
+            plus = (p1 | p2) & ~(m1 | m2)
+            minus = np.zeros_like(plus)
+        else:
+            raise ValueError(f"unknown consistency mode {consistency!r}")
+        out = PartialSumList(values[valid], plus[valid], minus[valid])
     if counter is not None:
         logn = max(1, ceil_log2(la))
         counter.add(la * logn + lb * logn + len(out))

@@ -19,6 +19,9 @@ BRUTE_K_CAP = 30
 _CHUNK_BITS = 18
 # int64 partial sums must not overflow even when k weights stack up.
 _SUM_SAFE_BITS = 62
+# sums_fit keeps every subset sum in [0, _SUM_CAP), so a nonnegative bound
+# capped at _SUM_CAP compares with every sum exactly as the bound itself does
+_SUM_CAP = 1 << _SUM_SAFE_BITS
 
 
 def sums_fit(k: int, top: int) -> bool:
@@ -32,11 +35,20 @@ def check_weight_magnitude(inst: Instance) -> None:
 
 
 def full_constraint(inst: Instance) -> WindowConstraint | IntervalConstraint:
-    """The instance equation as a join constraint on total sums."""
+    """The instance equation as a join constraint on total sums.
+
+    Interval bounds are capped at _SUM_CAP so they fit int64. At
+    r > _SUM_SAFE_BITS a residue is the sum itself, so the residue constraint
+    becomes the point interval [target, target + 1), which keeps the window
+    arithmetic in merge_join below 2^63.
+    """
     if isinstance(inst, ModularInstance):
-        return WindowConstraint(inst.r, inst.target)
-    lo, hi = inst.bounds()
-    return IntervalConstraint(lo, hi)
+        if inst.r <= _SUM_SAFE_BITS:
+            return WindowConstraint(inst.r, inst.target)
+        lo, hi = inst.target, inst.target + 1
+    else:
+        lo, hi = inst.bounds()
+    return IntervalConstraint(min(lo, _SUM_CAP), min(hi, _SUM_CAP))
 
 
 def window_for(inst: Instance, bits: int, taken: int) -> WindowConstraint:
@@ -69,41 +81,51 @@ def solve_bruteforce(inst: Instance, *, budget: int | None = None) -> SolutionSe
 
     The operation count is 2^k by definition of the method. Enumeration is
     chunked: the low min(k, _CHUNK_BITS) positions are expanded once into a
-    table of subset sums (lists.subset_sums: selection-matrix products on
-    segments of at most 8 weights, outer sums joining halves above that),
-    and each assignment of the high-order positions adds its sum to that
-    table. Chunk 0 tests the table as it is. A modular residue is tested
-    with a bit mask, which is exact because the weights and so every sum
-    are nonnegative; an interval test compares against the exact integer
-    bounds, even when they lie outside int64. Hits come out as one index
-    array per chunk, with the chunk's high bits OR'd in place when they are
-    nonzero. The budget is checked after each chunk, so BudgetExceededError
-    carries the op count of the first chunk that went over.
+    table of subset sums (lists.subset_sums), and each assignment of the
+    high-order positions, with subset sum c, is one chunk tested in one pass
+    over that table. Every sum lies in [0, _SUM_CAP), which makes both tests
+    exact in 64 bits:
+    - modular: the table is reduced mod 2^r once, and a chunk compares it
+      with (target - c) mod 2^r, capped at _SUM_CAP because a residue at
+      r > 62 can exceed every sum;
+    - interval: the bounds are capped at _SUM_CAP and the lower one is
+      subtracted from the table once, leaving it as uint64; a chunk adds c
+      (chunk 0 skips the add) and tests lo <= sum < hi as one unsigned
+      comparison with hi - lo.
+    Hits come out as one index array per chunk, with the chunk's high bits
+    OR'd in place when they are nonzero. The budget is checked after each
+    chunk, so BudgetExceededError carries the op count of the first chunk
+    that went over.
     """
     if inst.k > BRUTE_K_CAP:
         raise GuardError(f"k={inst.k} exceeds brute-force cap {BRUTE_K_CAP}")
     check_weight_magnitude(inst)
     counter = OpCounter(budget=budget)
     low_bits = min(inst.k, _CHUNK_BITS)
-    low = subset_sums(inst.weights[:low_bits])
-    size = len(low)
+    table = subset_sums(inst.weights[:low_bits])
+    size = len(table)
     counter.bump_mem(size)
     high_weights = inst.weights[low_bits:]
 
     modular = isinstance(inst, ModularInstance)
     if modular:
-        low_mask = np.int64((1 << inst.r) - 1)
-        target = np.int64(inst.target)
+        mod, target = 1 << inst.r, inst.target
+        table &= min(mod, _SUM_CAP) - 1
     else:
-        lo_bound, hi_bound = inst.bounds()
+        lo, hi = inst.bounds()
+        lo, hi = min(lo, _SUM_CAP), min(hi, _SUM_CAP)
+        table -= lo
+        # sum - lo in uint64: a sum below lo wraps past every span
+        table = table.view(np.uint64)
+        span = hi - lo
 
     found: list[int] = []
     for high in range(1 << (inst.k - low_bits)):
-        sums = low + np.int64(masked_sum(high_weights, high)) if high else low
+        c = masked_sum(high_weights, high) if high else 0
         if modular:
-            hits = (sums & low_mask) == target
+            hits = table == min((target - c) % mod, _SUM_CAP)
         else:
-            hits = (sums >= lo_bound) & (sums < hi_bound)
+            hits = (table + c if high else table) < span
         idx = hits.nonzero()[0]
         if high:
             idx |= high << low_bits

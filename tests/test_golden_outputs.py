@@ -40,6 +40,16 @@ GOLDEN = [
      "506abb37dda1c41cfb15947088cf1aa18b54046f3f190ff201fdf7355321a954"),
     ("exponents --format jsonl",
      "5385d935c725e113b0157f79919391cc9a1e6d08467ae76c204bac68cc1a5bd7"),
+    # the solver layer alone: rep's ternary joins over cached profile lists,
+    # ss at k = 24 with interval bounds, and brute force past one 2^18 chunk
+    ("subset-sum --k 16,20 --solver rep --instances 3 --check --seed 1",
+     "9daf326466e4a1205c3df7300930911860f12ad314ebe45db028dfc7e5801a2a"),
+    ("subset-sum --k 16,20,24 --solver ss --flavor interval --instances 4 --check --seed 1",
+     "72bbb275d9fa6ea8ba148771a2313a81a55d20d950e00afa3b75640d156dc6b9"),
+    ("subset-sum --k 18,21 --solver brute --instances 3 --seed 1",
+     "39491b02eb21d0e11593378b2b2a5d917ad91494038a3915a0e2f31b3e057bc1"),
+    ("subset-sum --k 18,21 --solver brute --flavor interval --instances 3 --seed 1",
+     "a4c97587bb500afece57b19626753b7953437facccbe1d27bf412d445a23353c"),
 ]
 
 

@@ -9,6 +9,7 @@ import pytest
 from shiftlab.errors import BudgetExceededError, GuardError
 from shiftlab.kinds import BRUTE, INTERVAL, MEMLESS, MITM, POW2, REP, SS
 from shiftlab.subset_sum import (
+    IntervalConstraint,
     IntervalInstance,
     ModularInstance,
     PartialSumList,
@@ -25,7 +26,7 @@ from shiftlab.subset_sum import (
 )
 from shiftlab.phase_sim import ancilla_value
 from shiftlab.subset_sum.instances import interval_ancilla, masked_sum, modular_ancilla
-from shiftlab.subset_sum.lists import subset_sums
+from shiftlab.subset_sum.lists import CONSISTENCY_BINARY, CONSISTENCY_TERNARY, subset_sums
 from shiftlab.subset_sum.solvers import expected_solutions, sums_fit
 
 from conftest import stream
@@ -154,28 +155,97 @@ def test_merge_join_empty_input():
     assert len(merge_join(a, b, WindowConstraint(2, 0), consistency=None)) == 0
 
 
+def _digit_entries(rng, weights, positions, count, zero_weight):
+    """`count` random digit vectors over `positions`, rep-style: digits in
+    {-1, 0, 1} (0 drawn `zero_weight` times as often), value = digits . weights."""
+    draws = (-1, 1) + (0,) * zero_weight
+    out = []
+    for _ in range(count):
+        digits = {i: rng.choice(draws) for i in positions}
+        out.append((sum(d * weights[i] for i, d in digits.items()), digits))
+    return out
+
+
+def _digit_list(entries):
+    def mask(digits, sign):
+        return sum(1 << i for i, d in digits.items() if d == sign)
+
+    return PartialSumList(
+        [v for v, _ in entries],
+        [mask(d, 1) for _, d in entries],
+        [mask(d, -1) for _, d in entries],
+    )
+
+
+def _scan_join(ea, eb, cons, consistency):
+    """Quadratic reference for merge_join on digit vectors: add digit-wise,
+    keep the pairs whose digit sums the mode allows."""
+    allowed = {None: (-1, 0, 1), CONSISTENCY_TERNARY: (-1, 0, 1), CONSISTENCY_BINARY: (0, 1)}
+    out = []
+    for x, dx in ea:
+        for y, dy in eb:
+            if not cons.matches(x + y):
+                continue
+            total = {i: dx.get(i, 0) + dy.get(i, 0) for i in set(dx) | set(dy)}
+            if any(d not in allowed[consistency] for d in total.values()):
+                continue
+            plus = sum(1 << i for i, d in total.items() if d == 1)
+            minus = sum(1 << i for i, d in total.items() if d == -1)
+            out.append((x + y, plus, minus))
+    return sorted(out)
+
+
+def _random_constraint(rng, t=None):
+    if t is None and rng.random() < 0.3:
+        lo = rng.randrange(-700, 700)
+        return IntervalConstraint(lo, lo + rng.randrange(0, 300))
+    t = t or rng.randrange(1, 8)
+    residue = rng.randrange(1 << t)
+    # half the windows run past 2^t from their residue, so some rows wrap
+    count = rng.randrange(1, (1 << t) + 1) if rng.random() < 0.5 else (1 << t) - residue + 1
+    return WindowConstraint(t, residue, min(count, 1 << t))
+
+
+def _check_join(a, b, ea, eb, cons, consistency):
+    out = merge_join(a, b, cons, consistency=consistency)
+    got = sorted(zip(out.values.tolist(), out.plus.tolist(), out.minus.tolist()))
+    assert got == _scan_join(ea, eb, cons, consistency), (cons, consistency)
+    assert out.values.tolist() == sorted(out.values.tolist())
+
+
 def test_merge_join_against_quadratic_scan():
+    """Windows (plain and wrapping) and intervals under every consistency
+    mode, on rep-style lists with minus digits and negative values. Disjoint
+    joins take digit vectors on separate positions, as the solvers' splits do;
+    the ternary and binary modes draw both sides from the same positions."""
     rng = stream("join")
-    for trial in range(30):
-        # masks below are single bits packed into int64 columns: keep na+nb < 63
+    n = 12
+    weights = [rng.randrange(1, 64) for _ in range(n)]
+    for trial in range(90):
+        consistency = (None, CONSISTENCY_TERNARY, CONSISTENCY_BINARY)[trial % 3]
         na, nb = rng.randrange(1, 31), rng.randrange(1, 31)
-        va = [rng.randrange(512) for _ in range(na)]
-        vb = [rng.randrange(512) for _ in range(nb)]
-        t = rng.randrange(1, 8)
-        residue = rng.randrange(1 << t)
-        count = rng.randrange(1, (1 << t) + 1)
-        cons = WindowConstraint(t, residue, count)
-        a = PartialSumList(va, [1 << i for i in range(na)])
-        b = PartialSumList(vb, [1 << (i + na) for i in range(nb)])
-        out = merge_join(a, b, cons, consistency=None)
-        expect = sorted(
-            (x + y, (1 << i) | (1 << (j + na)))
-            for i, x in enumerate(va)
-            for j, y in enumerate(vb)
-            if cons.matches(x + y)
-        )
-        got = sorted(zip(out.values.tolist(), out.plus.tolist()))
-        assert got == expect, f"trial {trial}"
+        zero_weight = rng.randrange(1, 5)
+        if consistency is None:
+            pa, pb = range(n // 2), range(n // 2, n)
+        else:
+            pa = pb = range(n)
+        ea = _digit_entries(rng, weights, pa, na, zero_weight)
+        eb = _digit_entries(rng, weights, pb, nb, zero_weight)
+        _check_join(_digit_list(ea), _digit_list(eb), ea, eb, _random_constraint(rng), consistency)
+
+
+def test_merge_join_reuses_list_across_keys():
+    """One list joined under t1, t2, then t1 again: each join, including the
+    ones served from the list's stored sorts, matches the scan."""
+    rng = stream("join_rekey")
+    weights = [rng.randrange(1, 64) for _ in range(12)]
+    ea = _digit_entries(rng, weights, range(6), 40, 2)
+    a = _digit_list(ea)
+    for t in (3, 6, 3, None, 6):
+        eb = _digit_entries(rng, weights, range(6, 12), rng.randrange(1, 31), 2)
+        cons = _random_constraint(rng, t) if t else IntervalConstraint(-50, 80)
+        _check_join(a, _digit_list(eb), ea, eb, cons, None)
+    assert set(a._by_key) == {3, 6, None}
 
 
 # -- exact solvers -----------------------------------------------------------
@@ -205,7 +275,7 @@ def _doubled_sums(weights):
 
 
 # m = 8 is the largest single selection-matrix product, 9 the first split,
-# 16-18 reach brute force's 18-bit chunk table
+# 16-18 reach brute force's 18-bit chunk table, 17 up split off 4 high weights
 @pytest.mark.parametrize("m", range(21))
 def test_subset_sums_match_list_doubling(m):
     rng = stream("subset_sums", m)
@@ -266,6 +336,15 @@ def test_bruteforce_matches_python_scan(k):
             with pytest.raises(BudgetExceededError, match=f"exceeded at {raised_at}$"):
                 solve_bruteforce(inst, budget=budget)
         assert solve_bruteforce(inst, budget=1 << k).solutions == want
+
+
+@pytest.mark.parametrize("solver", [solve_mitm, solve_schroeppel_shamir])
+def test_exact_solvers_match_bruteforce_at_int64_edges(solver):
+    """r = 63 (a residue wider than any sum) and interval bounds outside
+    int64 once crashed both list merges; they must return brute's set."""
+    for k in (4, 12, 20):
+        for inst in _brute_cases(k):
+            assert solver(inst).solutions == solve_bruteforce(inst).solutions, inst.to_json()
 
 
 def test_ss_example():
