@@ -16,6 +16,14 @@ The witness is always unioned into J, which keeps the simulation faithful
 even under the inexact solvers (their misses shrink J, which only shows up
 as a pessimistic support size, never as an invented solution).
 
+Both routines run on one label-level core, combine_labels, which the
+pipeline calls on plain int labels; combine_pow2 and combine_interval add
+the element checks, consume their inputs and wrap the core's result. With
+brute force at k <= 18 the core builds a single table of the k weights'
+subset sums: the witness's ancilla value, the preimage scan and the interval
+routine's output gap are all read from it. Every other solver gets a
+validated instance and one solve call.
+
 Projection follows the sequential model: candidate pairs are tried in sorted
 adjacent order, each succeeding with probability 2/m over the current support
 size m, and each failure removing the tried pair from the support. An odd
@@ -32,9 +40,16 @@ from dataclasses import dataclass
 from .errors import GuardError
 from .group_arith import ceil_div, ceil_log2
 from .instance import PhaseElement
-from .kinds import BRUTE
+from .kinds import BRUTE, INTERVAL, POW2
 from .subset_sum import IntervalInstance, ModularInstance, solve
-from .subset_sum.instances import interval_ancilla, masked_sum, modular_ancilla
+from .subset_sum.instances import (
+    interval_ancilla,
+    interval_bounds,
+    masked_sum,
+    modular_ancilla,
+)
+from .subset_sum.lists import OpCounter, subset_sums
+from .subset_sum.solvers import _CHUNK_BITS, brute_scan, check_weight_magnitude
 
 FAILURE_PROJECTION = "projection"
 FAILURE_REJECTION = "rejection"
@@ -89,13 +104,99 @@ def project_pair(solutions, rng: random.Random) -> tuple[int, int] | None:
     return None
 
 
-def _combine(elems, guard, problem_at, emit, solver_id, rng, budget, solver_seed, solver_params):
-    """The step both routines share: check and consume the inputs, draw the
-    witness j*, solve problem_at(labels, j*) once, union j* into the
-    preimage set and project. guard(inst, labels) adds the routine's checks;
-    emit(labels, problem, pair) maps the surviving pair to (label, pair), or
-    to None on rejection. RNG order: witness, projection coins, emit's coins.
+def _brute_preimages(table, r, target, bounds, budget):
+    """Brute force's preimage set from the subset-sum table of all k <=
+    _CHUNK_BITS weights: every subset vector whose sum has the modular
+    ancilla value target (bounds None) or lies in bounds, ascending.
+
+    brute_scan is solve_bruteforce's scan over one chunk, so the set, the
+    2^k ops, the 2^k + |set| cells and the budget raise are
+    solve_bruteforce's. Returns (preimages, op_count, mem_peak); the table
+    is left as brute_scan leaves it.
     """
+    counter = OpCounter(budget=budget)
+    counter.bump_mem(len(table))
+    found = brute_scan(table, (), counter, r=r, target=target, bounds=bounds)
+    return found, counter.ops, counter.mem_peak
+
+
+def combine_labels(labels, routine, r, where, N, solver_id, rng, budget, solver_seed,
+                   solver_params):
+    """One combination on int labels, without checks: the step both routines
+    and the pipeline share.
+
+    where is the input valuation a (POW2) or the label bound B (INTERVAL);
+    N is the modulus that POW2 output labels are reduced by. Draws the
+    witness j*, finds the preimage set of its ancilla value, unions j* into
+    it and projects; RNG order: witness, projection coins, rejection coin.
+    Returns (label, pair, v, support_size, solver_ops, solver_mem), label
+    None on failure and pair None on projection failure.
+    """
+    k = len(labels)
+    pow2 = routine == POW2
+    if pow2:
+        weights, B = [modular_ancilla(lab >> where, r) for lab in labels], None
+    else:
+        weights, B = labels, where
+    j_star = rng.randrange(1 << k)
+    brute = solver_id == BRUTE and k <= _CHUNK_BITS and not solver_params
+    if brute:
+        check_weight_magnitude(weights)
+        table = subset_sums(weights)
+        total = int(table[j_star])
+    else:
+        total = masked_sum(weights, j_star)
+    if pow2:
+        v, bounds = modular_ancilla(total, r), None
+    else:
+        v = interval_ancilla(total, B, r)
+        bounds = interval_bounds(v, B, r)
+
+    if brute:
+        # brute force's preimages always include the witness
+        support, ops, mem = _brute_preimages(table, r, v, bounds, budget)
+    else:
+        if pow2:
+            problem = ModularInstance(tuple(weights), r, v)
+        else:
+            problem = IntervalInstance(tuple(labels), B, r, v)
+        sol = solve(problem, solver_id, budget=budget, seed=solver_seed, **(solver_params or {}))
+        support = set(sol.solutions)
+        support.add(j_star)
+        ops, mem = sol.op_count, sol.mem_peak
+
+    m = len(support)
+    pair = project_pair(support, rng)
+    if pair is None:
+        return None, None, v, m, ops, mem
+    if pow2:
+        label = (masked_sum(labels, pair[1]) - masked_sum(labels, pair[0])) % N
+        return label, pair, v, m, ops, mem
+
+    # interval: the gap between the pair's sums, flattened by rejection; the
+    # scanned table holds the sums minus the lower bound, which keeps gaps
+    if brute:
+        s1, s2 = int(table[pair[0]]), int(table[pair[1]])
+    else:
+        s1, s2 = masked_sum(labels, pair[0]), masked_sum(labels, pair[1])
+    if s1 > s2:
+        pair, s1, s2 = pair[::-1], s2, s1
+    d = s2 - s1
+    window = bounds[1] - bounds[0]
+    b_prime = ceil_div(B, 1 << r)
+    margin = window - b_prime + 1
+    if d >= b_prime or margin <= 0:
+        return None, pair, v, m, ops, mem
+    if d == 0:
+        num, den = min(2 * margin, window), window
+    else:
+        num, den = margin, window - d
+    return (d if rng.randrange(den) < num else None), pair, v, m, ops, mem
+
+
+def _inputs(elems):
+    """The checks every combination makes: k >= 2 elements, one instance,
+    one scale. Returns (instance, scale, labels)."""
     if len(elems) < 2:
         raise GuardError(f"combination needs k >= 2 elements, got {len(elems)}")
     inst = elems[0].instance
@@ -105,24 +206,21 @@ def _combine(elems, guard, problem_at, emit, solver_id, rng, budget, solver_seed
             raise GuardError("elements from different instances cannot be combined")
         if e.scale != scale:
             raise GuardError("elements with different scales cannot be combined")
-    labels = tuple(e.label for e in elems)
-    guard(inst, labels)
+    return inst, scale, [e.label for e in elems]
+
+
+def _combine(elems, inst, scale, labels, routine, r, where, solver_id, rng, budget,
+             solver_seed, solver_params) -> CombineOutcome:
+    """Consume the checked inputs, run the core and wrap its result."""
     for e in elems:
         e.consume()
-
-    j_star = rng.randrange(1 << len(labels))
-    problem = problem_at(labels, j_star)
-    sol = solve(problem, solver_id, budget=budget, seed=solver_seed, **(solver_params or {}))
-    support = set(sol.solutions)
-    support.add(j_star)
-
-    pair = project_pair(support, rng)
-    emitted = None if pair is None else emit(labels, problem, pair)
-    v, m, ops, mem = problem.target, len(support), sol.op_count, sol.mem_peak
-    if emitted is None:
+    label, pair, v, m, ops, mem = combine_labels(
+        labels, routine, r, where, inst.modulus.N, solver_id, rng, budget, solver_seed,
+        solver_params,
+    )
+    if label is None:
         failure = FAILURE_PROJECTION if pair is None else FAILURE_REJECTION
         return CombineOutcome(None, v, m, None, failure, ops, mem)
-    label, pair = emitted
     return CombineOutcome(inst.derive_element(label, scale), v, m, pair, None, ops, mem)
 
 
@@ -147,31 +245,21 @@ def combine_pow2(
     difference of the pair's full subset sums mod N. All inputs are consumed
     whatever the outcome.
     """
-
-    def guard(inst, labels):
-        k = len(labels)
-        if not 1 <= r < k:
-            raise GuardError(f"need 1 <= r < k, got r={r}, k={k}")
-        if a < 0:
-            raise GuardError("valuation a must be >= 0")
-        if not inst.modulus.is_pow2:
-            raise GuardError("power-of-two combination needs N = 2^n")
-        if a + r >= inst.modulus.n + 1:
-            raise GuardError(f"a + r = {a + r} exceeds the label width n = {inst.modulus.n}")
-        for lab in labels:
-            if lab % (1 << a):
-                raise GuardError(f"label {lab} not divisible by 2^{a}")
-
-    def problem_at(labels, j_star):
-        weights = tuple(modular_ancilla(lab >> a, r) for lab in labels)
-        return ModularInstance(weights, r, modular_ancilla(masked_sum(weights, j_star), r))
-
-    def emit(labels, problem, pair):
-        # derive_element reduces the difference mod N.
-        return masked_sum(labels, pair[1]) - masked_sum(labels, pair[0]), pair
-
-    return _combine(elems, guard, problem_at, emit, solver_id, rng, budget, solver_seed,
-                    solver_params)
+    inst, scale, labels = _inputs(elems)
+    k = len(labels)
+    if not 1 <= r < k:
+        raise GuardError(f"need 1 <= r < k, got r={r}, k={k}")
+    if a < 0:
+        raise GuardError("valuation a must be >= 0")
+    if not inst.modulus.is_pow2:
+        raise GuardError("power-of-two combination needs N = 2^n")
+    if a + r >= inst.modulus.n + 1:
+        raise GuardError(f"a + r = {a + r} exceeds the label width n = {inst.modulus.n}")
+    for lab in labels:
+        if lab % (1 << a):
+            raise GuardError(f"label {lab} not divisible by 2^{a}")
+    return _combine(elems, inst, scale, labels, POW2, r, a, solver_id, rng, budget,
+                    solver_seed, solver_params)
 
 
 def combine_interval(
@@ -198,36 +286,14 @@ def combine_interval(
     above a constant (about one half for uniform inputs). Rejections are
     reported with their own failure code; inputs are consumed regardless.
     """
-
-    def guard(inst, labels):
-        if B < 1:
-            raise GuardError("label bound B must be >= 1")
-        r_max = len(labels) - ceil_log2(len(labels))
-        if not 1 <= r <= r_max:
-            raise GuardError(f"need 1 <= r <= k - ceil(log2 k) = {r_max}, got r={r}")
-        for lab in labels:
-            if not 0 <= lab < B:
-                raise GuardError(f"label {lab} outside [0, {B})")
-
-    def problem_at(labels, j_star):
-        return IntervalInstance(labels, B, r, interval_ancilla(masked_sum(labels, j_star), B, r))
-
-    def emit(labels, problem, pair):
-        s1, s2 = masked_sum(labels, pair[0]), masked_sum(labels, pair[1])
-        if s1 > s2:
-            pair, s1, s2 = pair[::-1], s2, s1
-        d = s2 - s1
-        lo, hi = problem.bounds()
-        window = hi - lo
-        b_prime = ceil_div(B, 1 << r)
-        margin = window - b_prime + 1
-        if d >= b_prime or margin <= 0:
-            return None
-        if d == 0:
-            num, den = min(2 * margin, window), window
-        else:
-            num, den = margin, window - d
-        return (d, pair) if rng.randrange(den) < num else None
-
-    return _combine(elems, guard, problem_at, emit, solver_id, rng, budget, solver_seed,
-                    solver_params)
+    inst, scale, labels = _inputs(elems)
+    if B < 1:
+        raise GuardError("label bound B must be >= 1")
+    r_max = len(labels) - ceil_log2(len(labels))
+    if not 1 <= r <= r_max:
+        raise GuardError(f"need 1 <= r <= k - ceil(log2 k) = {r_max}, got r={r}")
+    for lab in labels:
+        if not 0 <= lab < B:
+            raise GuardError(f"label {lab} outside [0, {B})")
+    return _combine(elems, inst, scale, labels, INTERVAL, r, B, solver_id, rng, budget,
+                    solver_seed, solver_params)

@@ -17,7 +17,7 @@ Labels come from the instance's own "labels" stream and nothing else reads
 that stream, so it is served from a buffer: each refill replays a fixed
 number of randrange(N) attempts from one getrandbits call, bit for bit (see
 _refill_labels). The label sequence is the one per-query randrange(N) calls
-would give.
+would give; sample_labels serves the same sequence as plain ints.
 """
 
 from __future__ import annotations
@@ -113,6 +113,22 @@ class HiddenShiftInstance:
             self._refill_labels()
         self.q_queries += 1
         return PhaseElement(labels.pop(), scale, self, next(self._uid_counter))
+
+    def sample_labels(self, n: int) -> list[int]:
+        """The labels of the next n sample_element calls, in stream order, as
+        plain ints; costs n quantum queries and makes no element."""
+        labels = self._labels
+        out: list[int] = []
+        while len(labels) < n - len(out):
+            out += labels[::-1]
+            labels.clear()
+            self._refill_labels()
+        rest = n - len(out)
+        if rest:
+            out += labels[: -rest - 1 : -1]
+            del labels[-rest:]
+        self.q_queries += n
+        return out
 
     def _refill_labels(self) -> None:
         """Replay LABEL_BATCH randrange(N) attempts of the labels stream.

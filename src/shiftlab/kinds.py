@@ -16,6 +16,7 @@ REP = "rep"
 MEMLESS = "memless"
 
 SOLVERS = (BRUTE, MITM, SS, REP, MEMLESS)
+SEEDED_SOLVERS = (REP, MEMLESS)  # the probabilistic ones; the rest ignore a seed
 
 # Pipeline targets
 POW2_TOP = "pow2_top"    # element with 2-adic valuation exactly n-1 (N = 2^n)

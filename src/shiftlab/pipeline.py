@@ -20,9 +20,14 @@ Four schedule families cover the design space:
 
 Widths from the real-valued formulas are rounded to integers with a floor of
 2 and r clamped to [1, k-1]; params on the Schedule keeps the raw formula
-inputs so printers can show both. run_pipeline maintains one LIFO pool per
-stage, draws demand-driven, consumes inputs unconditionally (failures included),
-and fills a CostLedger whose per-stage rows sum to its totals.
+inputs so printers can show both.
+
+run_pipeline runs the stages on plain int labels. A demand loop asks the top
+stage for an output; a stage short of inputs asks the stage below, and stage
+0 draws its k raw labels from the instance in one step. Every invocation is
+one call of the label-level combination core, inputs are consumed whatever
+the outcome, and only the element handed back becomes a PhaseElement. The
+CostLedger it fills has per-stage rows that sum to its totals.
 """
 
 from __future__ import annotations
@@ -32,11 +37,12 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .combine import combine_interval, combine_pow2
+# combine_pow2/combine_interval stay importable here: perfbench's tracer wraps these names
+from .combine import combine_interval, combine_labels, combine_pow2  # noqa: F401
 from .errors import AccountingError, GuardError, RetryExhaustedError
 from .group_arith import ceil_div, ceil_log2, two_adic_valuation
 from .instance import HiddenShiftInstance, PhaseElement
-from .kinds import BRUTE, INTERVAL, POW2, POW2_TOP, ROUTINES, SOLVERS, TARGETS
+from .kinds import BRUTE, INTERVAL, POW2, POW2_TOP, ROUTINES, SEEDED_SOLVERS, SOLVERS, TARGETS
 from .seeds import derive, label_path
 from .subset_sum.solvers import sums_fit
 
@@ -215,7 +221,6 @@ class StageStats:
     consumed: int = 0
     produced: int = 0
     discarded: int = 0
-    leftover: int = 0
     solver_ops: int = 0
     mem_peak: int = 0
 
@@ -343,13 +348,14 @@ def plan_interval(sched: Schedule, N: int) -> list[_PlanStage]:
 
 
 class _Engine:
+    """The stages of one run_pipeline call, run on int labels."""
+
     def __init__(
         self,
         inst: HiddenShiftInstance,
         sched: Schedule,
         plan: list[_PlanStage],
         rng: random.Random,
-        scale: int,
         budget: int | None,
         solver_seed: int,
         retry_factor: int,
@@ -357,14 +363,13 @@ class _Engine:
         solver_params: dict | None,
     ):
         self.inst = inst
-        self.sched = sched
         self.plan = plan
         self.rng = rng
-        self.scale = scale
         self.budget = budget
+        self.solver_id = sched.solver_id
         self.solver_seed = solver_seed
+        self.seeded = sched.solver_id in SEEDED_SOLVERS
         self.solver_params = solver_params
-        self.pools: list[list[PhaseElement]] = [[] for _ in plan]
         self.ledger = CostLedger()
         self.stats = [
             StageStats(i, st.k, st.r, st.routine, b_in=st.b_in) for i, st in enumerate(plan)
@@ -373,66 +378,88 @@ class _Engine:
         self.caps = [retry_factor * math.ceil(st.k / p_prior) for st in plan]
         self._invocation = 0
 
-    def _raw(self, n: int) -> list[PhaseElement]:
-        """Draw n raw elements, one query each, and charge them in one step."""
-        sample, scale = self.inst.sample_element, self.scale
-        elems = [sample(scale) for _ in range(n)]
+    def _raw(self, n: int) -> list[int]:
+        """Draw n raw labels, one query each, and charge them in one step."""
         self.ledger.q_queries += n
         self.ledger.elements_generated += n
-        return elems
+        return self.inst.sample_labels(n)
 
-    def _take(self, depth: int) -> PhaseElement:
-        if depth < 0:
-            return self._raw(1)[0]
-        pool = self.pools[depth]
-        if not pool:
-            pool.append(self._produce(depth))
-        return pool.pop()
-
-    def _produce(self, i: int) -> PhaseElement:
+    def _invoke(self, i: int, labels: list[int]) -> int | None:
+        """One invocation of stage i on its k input labels; its output label,
+        or None on failure. Every invocation advances the counter behind the
+        solver seed, though only seeded solvers get derive()'s value."""
         st = self.plan[i]
+        self._invocation += 1
+        seed = derive(self.solver_seed, i, self._invocation) if self.seeded else 0
+        where = st.a if st.routine == POW2 else st.b_in
+        label, _, _, _, ops, mem = combine_labels(
+            labels, st.routine, st.r, where, self.inst.modulus.N, self.solver_id, self.rng,
+            self.budget, seed, self.solver_params,
+        )
         row = self.stats[i]
-        for _ in range(self.caps[i]):
-            ins = [self._take(i - 1) for _ in range(st.k)] if i else self._raw(st.k)
-            self._invocation += 1
-            seed_i = derive(self.solver_seed, i, self._invocation)
-            if st.routine == POW2:
-                combine, where = combine_pow2, st.a
-            else:
-                combine, where = combine_interval, st.b_in
-            out = combine(
-                ins, st.r, where, self.sched.solver_id,
-                rng=self.rng, budget=self.budget, solver_seed=seed_i,
-                solver_params=self.solver_params,
-            )
-            row.invocations += 1
-            row.consumed += st.k
-            row.solver_ops += out.solver_ops
-            row.mem_peak = max(row.mem_peak, out.solver_mem)
-            self.ledger.solver_ops += out.solver_ops
-            self.ledger.mem_peak_cells = max(self.ledger.mem_peak_cells, out.solver_mem)
-            if out.ok:
-                row.successes += 1
-                row.produced += 1
-                return out.result
+        row.invocations += 1
+        row.consumed += st.k
+        row.solver_ops += ops
+        row.mem_peak = max(row.mem_peak, mem)
+        self.ledger.solver_ops += ops
+        self.ledger.mem_peak_cells = max(self.ledger.mem_peak_cells, mem)
+        if label is None:
             row.failures += 1
             self.ledger.elements_wasted += st.k
-        raise RetryExhaustedError(
-            f"stage {i} (k={st.k}, r={st.r}, {st.routine}) exhausted "
-            f"{self.caps[i]} invocations without a success"
-        )
+        else:
+            row.successes += 1
+            row.produced += 1
+        return label
 
-    def _discard(self, elem: PhaseElement, depth: int) -> None:
-        elem.consume()
+    def next_label(self) -> int:
+        """One output label of the top stage; a raw label for an empty plan.
+
+        The demand loop keeps, per stage, the inputs gathered for its next
+        invocation (ins) and the invocations its current demand may still
+        spend (left). Stage i short of inputs demands one output of stage
+        i - 1, which gets a fresh allowance of caps[i - 1]; an output climbs
+        back to the stage that demanded it. A stage whose allowance runs out
+        raises RetryExhaustedError.
+        """
+        plan = self.plan
+        top = len(plan) - 1
+        if top < 0:
+            return self._raw(1)[0]
+        ins: list[list[int]] = [[] for _ in plan]
+        left = list(self.caps)
+        i = top
+        while True:
+            k = plan[i].k
+            if i == 0:
+                labels = self._raw(k)
+            elif len(ins[i]) < k:
+                i -= 1
+                left[i] = self.caps[i]
+                continue
+            else:
+                labels, ins[i] = ins[i], []
+            label = self._invoke(i, labels)
+            if label is None:
+                left[i] -= 1
+                if not left[i]:
+                    st = plan[i]
+                    raise RetryExhaustedError(
+                        f"stage {i} (k={st.k}, r={st.r}, {st.routine}) exhausted "
+                        f"{self.caps[i]} invocations without a success"
+                    )
+            elif i == top:
+                return label
+            else:
+                i += 1
+                ins[i].append(label)
+
+    def discard(self, depth: int) -> None:
+        """Count one output of stage depth (raw for -1) that the caller drops."""
         self.ledger.elements_wasted += 1
         if depth >= 0:
             self.stats[depth].discarded += 1
         else:
             self.ledger.raw_discarded += 1
-
-    def finish(self) -> None:
-        for depth, pool in enumerate(self.pools):
-            self.stats[depth].leftover = len(pool)
 
 
 def run_pipeline(
@@ -483,27 +510,24 @@ def run_pipeline(
             raise GuardError("level applies to POW2_TOP only")
         plan = plan_interval(sched, mod.N)
 
-    eng = _Engine(
-        inst, sched, plan, rng, scale, budget, solver_seed, retry_factor, p_prior, solver_params
-    )
+    eng = _Engine(inst, sched, plan, rng, budget, solver_seed, retry_factor, p_prior, solver_params)
     t0 = time.perf_counter()
     top = len(plan) - 1
     tries = retry_factor * math.ceil(4 / p_prior)
     result: PhaseElement | None = None
     for _ in range(tries):
-        elem = eng._take(top)
+        label = eng.next_label()
         if target == POW2_TOP:
-            if two_adic_valuation(elem.label) == top_level:
-                result = elem
+            if two_adic_valuation(label) == top_level:
+                result = inst.derive_element(label, scale)
                 break
         else:
-            if elem.label == 1:
-                result = elem
+            if label == 1:
+                result = inst.derive_element(label, scale)
                 break
-        eng._discard(elem, top)
+        eng.discard(top)
     if result is None:
         raise RetryExhaustedError(f"no {target} element after {tries} candidates")
-    eng.finish()
     eng.ledger.wall_seconds = time.perf_counter() - t0
     eng.ledger.check_consistent()
     return result, eng.ledger

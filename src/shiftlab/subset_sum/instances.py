@@ -1,10 +1,10 @@
 """Subset-sum instance flavors and solution sets.
 
 Solutions are bitmask ints: bit i set means weights[i] participates. The
-module-level masked_sum, modular_ancilla and interval_ancilla are the single
-source of truth for subset sums and ancilla values; the instance classes,
-the combination routines and the solvers all call them (or check()) rather
-than reimplementing the arithmetic.
+module-level masked_sum, modular_ancilla, interval_ancilla and
+interval_bounds are the single source of truth for subset sums and ancilla
+values; the instance classes, the combination routines and the solvers all
+call them (or check()) rather than reimplementing the arithmetic.
 """
 
 from __future__ import annotations
@@ -36,6 +36,13 @@ def modular_ancilla(total: int, r: int) -> int:
 def interval_ancilla(total: int, B: int, r: int) -> int:
     """The interval ancilla value of a sum: floor(total * 2^(r-1) / B)."""
     return (total << (r - 1)) // B
+
+
+def interval_bounds(target: int, B: int, r: int) -> tuple[int, int]:
+    """The half-open integer interval [lo, hi) of sums whose interval
+    ancilla value is target."""
+    scale = 1 << (r - 1)
+    return ceil_div(target * B, scale), ceil_div((target + 1) * B, scale)
 
 
 class _WeightedInstance:
@@ -114,10 +121,7 @@ class IntervalInstance(_WeightedInstance):
 
     def bounds(self) -> tuple[int, int]:
         """The half-open integer interval of sums mapping to target."""
-        scale = 1 << (self.r - 1)
-        lo = ceil_div(self.target * self.B, scale)
-        hi = ceil_div((self.target + 1) * self.B, scale)
-        return lo, hi
+        return interval_bounds(self.target, self.B, self.r)
 
     def ancilla(self, mask: int) -> int:
         return interval_ancilla(self.subset_sum(mask), self.B, self.r)

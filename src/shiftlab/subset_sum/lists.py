@@ -50,7 +50,8 @@ class WindowConstraint:
     """(sum mod 2^t) must fall in the cyclic window [residue, residue+count).
 
     count=1 is the plain modular-residue constraint; wider windows arise when
-    an interval target only pins a range of low-order residues.
+    an interval target only pins a range of low-order residues, and count=0
+    (an interval target with empty bounds) matches nothing.
     """
 
     t: int
@@ -62,8 +63,8 @@ class WindowConstraint:
             raise ValueError("t must be >= 1")
         if not 0 <= self.residue < (1 << self.t):
             raise ValueError("residue outside [0, 2^t)")
-        if not 1 <= self.count <= (1 << self.t):
-            raise ValueError("count outside [1, 2^t]")
+        if not 0 <= self.count <= (1 << self.t):
+            raise ValueError("count outside [0, 2^t]")
 
     def matches(self, total: int) -> bool:
         return ((total - self.residue) % (1 << self.t)) < self.count

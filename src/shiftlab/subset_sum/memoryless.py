@@ -147,7 +147,7 @@ def solve_memoryless(
 ) -> SolutionSet:
     if inst.k < MEMLESS_K_MIN:
         raise GuardError(f"memoryless solver needs k >= {MEMLESS_K_MIN}")
-    check_weight_magnitude(inst)
+    check_weight_magnitude(inst.weights)
     counter = OpCounter(budget=budget)
     space = _WalkSpace(inst)
     k = inst.k

@@ -158,7 +158,7 @@ def solve_representation(
         raise UsageError("depth must be 2 or 3")
     if not 0 <= minus_fraction <= 0.5:
         raise UsageError("minus_fraction must lie in [0, 1/2]")
-    check_weight_magnitude(inst)
+    check_weight_magnitude(inst.weights)
     if minus_fraction == 0 or expected_solutions(inst) > DENSE_SOLUTION_CAP:
         sol = solve_mitm(inst, budget=budget)
         return replace(sol, stats={"solver": "rep", "mode": "degenerate", "rounds": 0})

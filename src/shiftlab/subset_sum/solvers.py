@@ -29,8 +29,8 @@ def sums_fit(k: int, top: int) -> bool:
     return k * top < (1 << _SUM_SAFE_BITS)
 
 
-def check_weight_magnitude(inst: Instance) -> None:
-    if not sums_fit(inst.k, max(inst.weights, default=0)):
+def check_weight_magnitude(weights) -> None:
+    if not sums_fit(len(weights), max(weights, default=0)):
         raise GuardError("weights too large for 64-bit partial sums")
 
 
@@ -81,10 +81,47 @@ def solve_bruteforce(inst: Instance, *, budget: int | None = None) -> SolutionSe
 
     The operation count is 2^k by definition of the method. Enumeration is
     chunked: the low min(k, _CHUNK_BITS) positions are expanded once into a
-    table of subset sums (lists.subset_sums), and each assignment of the
-    high-order positions, with subset sum c, is one chunk tested in one pass
-    over that table. Every sum lies in [0, _SUM_CAP), which makes both tests
-    exact in 64 bits:
+    table of subset sums (lists.subset_sums), which brute_scan tests chunk
+    by chunk.
+    """
+    if inst.k > BRUTE_K_CAP:
+        raise GuardError(f"k={inst.k} exceeds brute-force cap {BRUTE_K_CAP}")
+    check_weight_magnitude(inst.weights)
+    counter = OpCounter(budget=budget)
+    low_bits = min(inst.k, _CHUNK_BITS)
+    table = subset_sums(inst.weights[:low_bits])
+    counter.bump_mem(len(table))
+    high_weights = inst.weights[low_bits:]
+    if isinstance(inst, ModularInstance):
+        found = brute_scan(table, high_weights, counter, r=inst.r, target=inst.target)
+    else:
+        found = brute_scan(table, high_weights, counter, bounds=inst.bounds())
+    return SolutionSet(
+        frozenset(found),
+        op_count=counter.ops,
+        mem_peak=counter.mem_peak,
+        exhausted=True,
+        stats={"solver": "brute"},
+    )
+
+
+def brute_scan(
+    table: np.ndarray,
+    high_weights,
+    counter: OpCounter,
+    *,
+    r: int | None = None,
+    target: int = 0,
+    bounds: tuple[int, int] | None = None,
+) -> list[int]:
+    """Every subset vector whose sum has residue target mod 2^r, or, given
+    bounds (lo, hi), lies in [lo, hi); in ascending order.
+
+    table holds the subset sums of the low positions (index bits select
+    weights, as lists.subset_sums builds it); each assignment of the
+    high_weights positions, with subset sum c, is one chunk tested in one
+    pass over the table. Every sum lies in [0, _SUM_CAP), which makes both
+    tests exact in 64 bits:
     - modular: the table is reduced mod 2^r once, and a chunk compares it
       with (target - c) mod 2^r, capped at _SUM_CAP because a residue at
       r > 62 can exceed every sum;
@@ -92,35 +129,29 @@ def solve_bruteforce(inst: Instance, *, budget: int | None = None) -> SolutionSe
       subtracted from the table once, leaving it as uint64; a chunk adds c
       (chunk 0 skips the add) and tests lo <= sum < hi as one unsigned
       comparison with hi - lo.
-    Hits come out as one index array per chunk, with the chunk's high bits
-    OR'd in place when they are nonzero. The budget is checked after each
-    chunk, so BudgetExceededError carries the op count of the first chunk
-    that went over.
+    Both reductions happen in place: table afterwards holds the residues, or
+    the sums minus lo (differences of interval sums are unchanged). Hits
+    come out as one index array per chunk, with the chunk's high bits OR'd
+    in place when they are nonzero. Each chunk charges len(table) ops and
+    the budget is checked after it, so BudgetExceededError carries the op
+    count of the first chunk that went over; the scan ends by charging
+    len(table) + hits cells of memory.
     """
-    if inst.k > BRUTE_K_CAP:
-        raise GuardError(f"k={inst.k} exceeds brute-force cap {BRUTE_K_CAP}")
-    check_weight_magnitude(inst)
-    counter = OpCounter(budget=budget)
-    low_bits = min(inst.k, _CHUNK_BITS)
-    table = subset_sums(inst.weights[:low_bits])
     size = len(table)
-    counter.bump_mem(size)
-    high_weights = inst.weights[low_bits:]
-
-    modular = isinstance(inst, ModularInstance)
+    low_bits = size.bit_length() - 1
+    modular = bounds is None
     if modular:
-        mod, target = 1 << inst.r, inst.target
+        mod = 1 << r
         table &= min(mod, _SUM_CAP) - 1
     else:
-        lo, hi = inst.bounds()
-        lo, hi = min(lo, _SUM_CAP), min(hi, _SUM_CAP)
+        lo, hi = min(bounds[0], _SUM_CAP), min(bounds[1], _SUM_CAP)
         table -= lo
         # sum - lo in uint64: a sum below lo wraps past every span
         table = table.view(np.uint64)
         span = hi - lo
 
     found: list[int] = []
-    for high in range(1 << (inst.k - low_bits)):
+    for high in range(1 << len(high_weights)):
         c = masked_sum(high_weights, high) if high else 0
         if modular:
             hits = table == min((target - c) % mod, _SUM_CAP)
@@ -133,13 +164,7 @@ def solve_bruteforce(inst: Instance, *, budget: int | None = None) -> SolutionSe
         counter.add(size)
         _raise_if_over(counter)
     counter.bump_mem(size + len(found))
-    return SolutionSet(
-        frozenset(found),
-        op_count=counter.ops,
-        mem_peak=counter.mem_peak,
-        exhausted=True,
-        stats={"solver": "brute"},
-    )
+    return found
 
 
 def _index_list(weights: tuple[int, ...], offset: int) -> PartialSumList:
@@ -150,7 +175,7 @@ def _index_list(weights: tuple[int, ...], offset: int) -> PartialSumList:
 
 def solve_mitm(inst: Instance, *, budget: int | None = None) -> SolutionSet:
     """Exact set via one sorted join of the two position-half lists."""
-    check_weight_magnitude(inst)
+    check_weight_magnitude(inst.weights)
     counter = OpCounter(budget=budget)
     split = inst.k // 2
     a = _index_list(inst.weights[:split], 0)
@@ -185,7 +210,7 @@ def solve_schroeppel_shamir(inst: Instance, *, budget: int | None = None) -> Sol
     """
     if inst.k < 4:
         raise GuardError("four-list merge needs k >= 4")
-    check_weight_magnitude(inst)
+    check_weight_magnitude(inst.weights)
     counter = OpCounter(budget=budget)
     k = inst.k
     half = k // 2

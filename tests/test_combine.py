@@ -9,15 +9,25 @@ import pytest
 from shiftlab.combine import (
     FAILURE_PROJECTION,
     FAILURE_REJECTION,
+    _brute_preimages,
     combine_interval,
+    combine_labels,
     combine_pow2,
     project_pair,
 )
-from shiftlab.errors import ConsumedElementError, GuardError
-from shiftlab.group_arith import two_adic_valuation
+from shiftlab.errors import BudgetExceededError, ConsumedElementError, GuardError
+from shiftlab.group_arith import ceil_log2, two_adic_valuation
 from shiftlab.instance import new_instance
-from shiftlab.kinds import INTERVAL, POW2
+from shiftlab.kinds import BRUTE, INTERVAL, MITM, POW2
 from shiftlab.phase_sim import statevector_combine_dist
+from shiftlab.subset_sum import (
+    IntervalInstance,
+    ModularInstance,
+    random_instance,
+    solve_bruteforce,
+)
+from shiftlab.subset_sum.instances import interval_ancilla, masked_sum, modular_ancilla
+from shiftlab.subset_sum.lists import subset_sums
 
 from conftest import chi_square_p, stream
 
@@ -178,9 +188,13 @@ def test_pow2_scale_passthrough():
 
 
 @pytest.mark.parametrize("routine", [POW2, INTERVAL])
-def test_each_combination_solves_one_witness_instance(routine, monkeypatch):
-    """One validated subset-sum instance per call, solved once; its target
-    is the measured ancilla value and every reported pair solves it."""
+@pytest.mark.parametrize("solver_id", [BRUTE, MITM])
+def test_each_combination_solves_one_witness_instance(solver_id, routine, monkeypatch):
+    """mitm: one validated subset-sum instance per call, solved once; its
+    target is the measured ancilla value and every reported pair solves it.
+    brute (k <= 18) reads all of this from one table of subset sums and
+    builds no instance, so the instance is rebuilt from the input labels and
+    the witness the rng is about to draw, and brute force must agree."""
     import shiftlab.combine as combine_mod
 
     built, solved = [], []
@@ -204,16 +218,83 @@ def test_each_combination_solves_one_witness_instance(routine, monkeypatch):
     rng = stream("core", routine)
     for call in range(40):
         elems = [inst.sample_element() for _ in range(6)]
+        labels = tuple(e.label for e in elems)
+        witness_rng = random.Random()
+        witness_rng.setstate(rng.getstate())
+        j_star = witness_rng.randrange(1 << len(labels))
         if routine == POW2:
-            out = combine_pow2(elems, 3, rng=rng)
+            out = combine_pow2(elems, 3, solver_id=solver_id, rng=rng)
         else:
-            out = combine_interval(elems, 2, N, rng=rng)
-        assert len(built) == len(solved) == call + 1
-        problem = built[-1]
-        assert solved[-1] is problem
+            out = combine_interval(elems, 2, N, solver_id, rng=rng)
+        if solver_id == MITM:
+            assert len(built) == len(solved) == call + 1
+            problem = built[-1]
+            assert solved[-1] is problem
+            assert problem.target == out.v_measured
+            if out.pair is not None:
+                assert all(problem.check(j) for j in out.pair)
+            continue
+        assert built == solved == []
+        if routine == POW2:
+            weights = tuple(modular_ancilla(lab, 3) for lab in labels)
+            problem = ModularInstance(weights, 3, modular_ancilla(masked_sum(weights, j_star), 3))
+        else:
+            target = interval_ancilla(masked_sum(labels, j_star), N, 2)
+            problem = IntervalInstance(labels, N, 2, target)
         assert problem.target == out.v_measured
         if out.pair is not None:
             assert all(problem.check(j) for j in out.pair)
+        assert out.support_size == len(solve_bruteforce(problem))
+
+
+@pytest.mark.parametrize("flavor", ["modular", "interval"])
+def test_core_brute_branch_matches_solve_bruteforce(flavor):
+    """The core's brute-force branch against solve_bruteforce on the same
+    instance, k = 2..18: same set, op count, memory peak and budget raise."""
+    rng = stream("core-brute", flavor)
+    for k in range(2, 19):
+        for plant in (True, False):
+            problem = random_instance(flavor, k, rng.randrange(1, k + 3), rng, plant=plant)
+            bounds = problem.bounds() if flavor == "interval" else None
+            args = (problem.r, problem.target, bounds)
+            ref = solve_bruteforce(problem)
+            found, ops, mem = _brute_preimages(subset_sums(problem.weights), *args, None)
+            assert found == sorted(ref.solutions)
+            assert (ops, mem) == (ref.op_count, ref.mem_peak)
+
+            budget = rng.randrange(1 << k)
+            with pytest.raises(BudgetExceededError) as want:
+                solve_bruteforce(problem, budget=budget)
+            with pytest.raises(BudgetExceededError) as got:
+                _brute_preimages(subset_sums(problem.weights), *args, budget)
+            assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("routine", [POW2, INTERVAL])
+def test_core_brute_table_path_matches_instance_path(routine):
+    """With equal rng states, brute force's table path and mitm's instance
+    path (both exact) give the same witness value, support, pair and label."""
+    rng = stream("core-paths", routine)
+    N = 1 << 20 if routine == POW2 else 1000003
+    for _ in range(300):
+        k = rng.randrange(4, 13)
+        if routine == POW2:
+            r = rng.randrange(1, k)
+            a = rng.randrange(0, 20 - r)
+            labels = [rng.randrange(N >> a) << a for _ in range(k)]
+            where = a
+        else:
+            r = rng.randrange(1, k - ceil_log2(k) + 1)
+            where = rng.choice((N, rng.randrange(2, 1 << 16)))
+            labels = [rng.randrange(where) for _ in range(k)]
+        state = rng.getstate()
+        outs = []
+        for solver_id in (BRUTE, MITM):
+            coins = random.Random()
+            coins.setstate(state)
+            out = combine_labels(labels, routine, r, where, N, solver_id, coins, None, 0, None)
+            outs.append((out[:4], coins.getstate()))
+        assert outs[0] == outs[1]
 
 
 # -- combine_interval ----------------------------------------------------------

@@ -6,6 +6,10 @@ combination core, the subset-sum formulas and the recovery loop were
 folded together (CPython 3.11.7, numpy 2.4.6). A digest may change only in
 a change whose stated purpose is to change that output; such a change
 re-records it here and in docs/recorded_constants.md.
+
+Run as a script (`python tests/test_golden_outputs.py`) to print
+`args digest` for every case against this checkout's src/; that is how a
+new case is recorded before the code it pins changes.
 """
 
 import hashlib
@@ -50,11 +54,17 @@ GOLDEN = [
      "39491b02eb21d0e11593378b2b2a5d917ad91494038a3915a0e2f31b3e057bc1"),
     ("subset-sum --k 18,21 --solver brute --flavor interval --instances 3 --seed 1",
      "a4c97587bb500afece57b19626753b7953437facccbe1d27bf412d445a23353c"),
+    # recorded before the pipeline moved to int labels: brute force past one
+    # 2^18 chunk inside a pipeline (k = 20), and rep's per-invocation seeds
+    ("solve --n 19 --strategy minquery --runs 1 --seed 1",
+     "4e1d5af3fc36f0735bf2e1849862acc972a67cf42d4dce1eda07efbff6679914"),
+    ("solve --N 1024 --k 8 --solver rep --runs 2 --seed 1",
+     "79c974db0c6412db20a7e101efe29cde40d3731246cdfe73e9ff360d5bdd1a5a"),
 ]
 
 
-@pytest.mark.parametrize("args,digest", GOLDEN, ids=[a for a, _ in GOLDEN])
-def test_cli_stdout_digest(args, digest):
+def cli_digest(args: str) -> str:
+    """sha256 of `shiftlab <args>`'s stdout, run against this checkout's src/."""
     env = dict(os.environ)
     src = os.path.join(ROOT, "src")
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
@@ -66,4 +76,14 @@ def test_cli_stdout_digest(args, digest):
         env=env,
     )
     assert proc.returncode == 0, proc.stderr.decode()
-    assert hashlib.sha256(proc.stdout).hexdigest() == digest
+    return hashlib.sha256(proc.stdout).hexdigest()
+
+
+@pytest.mark.parametrize("args,digest", GOLDEN, ids=[a for a, _ in GOLDEN])
+def test_cli_stdout_digest(args, digest):
+    assert cli_digest(args) == digest
+
+
+if __name__ == "__main__":
+    for args, _ in GOLDEN:
+        print(args, cli_digest(args))

@@ -85,6 +85,20 @@ def test_buffered_labels_replay_randrange(N):
     assert inst.q_queries == draws
 
 
+@pytest.mark.parametrize("N", [2, 1000003, 2**63 - 1])
+def test_sample_labels_serve_the_element_stream(N):
+    # batches of every size, across several refills, interleaved with
+    # single elements: one label stream, one query per label
+    inst = new_instance(N, RANDOM, seed=N)
+    reference = stream(N, "labels")
+    served = 0
+    for n in (1, 12, LABEL_BATCH - 5, 0, 3 * LABEL_BATCH, 7):
+        assert inst.sample_labels(n) == [reference.randrange(N) for _ in range(n)]
+        assert inst.sample_element().label == reference.randrange(N)
+        served += n + 1
+        assert inst.q_queries == served
+
+
 def test_query_counter_advances():
     inst = new_instance(64, 0, seed=1)
     for i in range(10):

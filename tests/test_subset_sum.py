@@ -459,6 +459,36 @@ def test_memless_memory_linear_in_k():
         assert got.mem_peak <= 8 * k
 
 
+# -- empty interval bounds ------------------------------------------------------
+
+
+ALL_SOLVERS = (BRUTE, MITM, SS, REP, MEMLESS)
+
+
+def test_empty_interval_bounds_give_the_empty_set():
+    inst = IntervalInstance((3, 5, 6, 7, 1, 2, 4, 9), 16, 8, 5)
+    assert inst.bounds() == (1, 1)
+    for solver_id in ALL_SOLVERS:
+        assert solve(inst, solver_id, seed=1).solutions == frozenset(), solver_id
+
+
+def test_solvers_agree_on_unplanted_narrow_intervals():
+    # r > k + 1 puts the interval width B / 2^(r-1) below 1 for B = 2^k, so
+    # unplanted targets often have empty bounds
+    rng = stream("narrow-intervals")
+    empty = 0
+    for k in (8, 10):
+        for r in (k + 2, k + 4):
+            for _ in range(4):
+                inst = random_instance("interval", k, r, rng, plant=False)
+                lo, hi = inst.bounds()
+                empty += lo == hi
+                expect = solve_bruteforce(inst).solutions
+                for solver_id in ALL_SOLVERS:
+                    assert solve(inst, solver_id, seed=2).solutions == expect, solver_id
+    assert empty > 0
+
+
 # -- dispatch ----------------------------------------------------------------
 
 
