@@ -315,6 +315,7 @@ def cmd_subset_sum(args) -> int:
         r = args.r if args.r is not None else k - 1
         ops: list[int] = []
         mem_max = 0
+        missed = 0
         for i in range(args.instances):
             inst = random_instance(flavor, k, min(r, k - 1), rng)
             seed_i = derive(args.seed, k, i)
@@ -324,7 +325,8 @@ def cmd_subset_sum(args) -> int:
             if args.check:
                 oracle = solve_bruteforce(inst)
                 if set(res.solutions) != set(oracle.solutions):
-                    mismatches += 1
+                    missed += 1
+        mismatches += missed
         ops.sort()
         lines.append(
             {
@@ -336,7 +338,7 @@ def cmd_subset_sum(args) -> int:
                 "median_ops": ops[len(ops) // 2],
                 "mean_ops": round(sum(ops) / len(ops), 1),
                 "mem_peak_max": mem_max,
-                "mismatches": mismatches if args.check else None,
+                "mismatches": missed if args.check else None,
             }
         )
     slope = None

@@ -120,8 +120,7 @@ def _brute_preimages(table, r, target, bounds, budget):
     return found, counter.ops, counter.mem_peak
 
 
-def combine_labels(labels, routine, r, where, N, solver_id, rng, budget, solver_seed,
-                   solver_params):
+def combine_labels(labels, routine, r, where, N, solver_id, rng, budget, solver_seed):
     """One combination on int labels, without checks: the step both routines
     and the pipeline share.
 
@@ -139,7 +138,7 @@ def combine_labels(labels, routine, r, where, N, solver_id, rng, budget, solver_
     else:
         weights, B = labels, where
     j_star = rng.randrange(1 << k)
-    brute = solver_id == BRUTE and k <= _CHUNK_BITS and not solver_params
+    brute = solver_id == BRUTE and k <= _CHUNK_BITS
     if brute:
         check_weight_magnitude(weights)
         table = subset_sums(weights)
@@ -160,7 +159,7 @@ def combine_labels(labels, routine, r, where, N, solver_id, rng, budget, solver_
             problem = ModularInstance(tuple(weights), r, v)
         else:
             problem = IntervalInstance(tuple(labels), B, r, v)
-        sol = solve(problem, solver_id, budget=budget, seed=solver_seed, **(solver_params or {}))
+        sol = solve(problem, solver_id, budget=budget, seed=solver_seed)
         support = set(sol.solutions)
         support.add(j_star)
         ops, mem = sol.op_count, sol.mem_peak
@@ -210,13 +209,12 @@ def _inputs(elems):
 
 
 def _combine(elems, inst, scale, labels, routine, r, where, solver_id, rng, budget,
-             solver_seed, solver_params) -> CombineOutcome:
+             solver_seed) -> CombineOutcome:
     """Consume the checked inputs, run the core and wrap its result."""
     for e in elems:
         e.consume()
     label, pair, v, m, ops, mem = combine_labels(
-        labels, routine, r, where, inst.modulus.N, solver_id, rng, budget, solver_seed,
-        solver_params,
+        labels, routine, r, where, inst.modulus.N, solver_id, rng, budget, solver_seed
     )
     if label is None:
         failure = FAILURE_PROJECTION if pair is None else FAILURE_REJECTION
@@ -233,7 +231,6 @@ def combine_pow2(
     rng: random.Random,
     budget: int | None = None,
     solver_seed: int = 0,
-    solver_params: dict | None = None,
 ) -> CombineOutcome:
     """One power-of-two combination: k elements with 2^a | label in, one
     element with 2^{a+r} | label out (on success).
@@ -259,7 +256,7 @@ def combine_pow2(
         if lab % (1 << a):
             raise GuardError(f"label {lab} not divisible by 2^{a}")
     return _combine(elems, inst, scale, labels, POW2, r, a, solver_id, rng, budget,
-                    solver_seed, solver_params)
+                    solver_seed)
 
 
 def combine_interval(
@@ -271,7 +268,6 @@ def combine_interval(
     rng: random.Random,
     budget: int | None = None,
     solver_seed: int = 0,
-    solver_params: dict | None = None,
 ) -> CombineOutcome:
     """One interval combination: k elements with labels in [0, B) in, one
     element with label uniform on [0, B') out, B' = ceil(B / 2^r).
@@ -296,4 +292,4 @@ def combine_interval(
         if not 0 <= lab < B:
             raise GuardError(f"label {lab} outside [0, {B})")
     return _combine(elems, inst, scale, labels, INTERVAL, r, B, solver_id, rng, budget,
-                    solver_seed, solver_params)
+                    solver_seed)

@@ -105,18 +105,15 @@ class HiddenShiftInstance:
         label is view*u mod N; multiplication by a unit is a bijection, so the
         underlying label is uniform too.
 
-        The label is the next randrange(N) of the instance's "labels" stream,
-        served from a buffer of replayed draws (_refill_labels).
+        The label is the next label of sample_labels, which also charges
+        the query.
         """
-        labels = self._labels
-        while not labels:
-            self._refill_labels()
-        self.q_queries += 1
-        return PhaseElement(labels.pop(), scale, self, next(self._uid_counter))
+        return PhaseElement(self.sample_labels(1)[0], scale, self, next(self._uid_counter))
 
     def sample_labels(self, n: int) -> list[int]:
-        """The labels of the next n sample_element calls, in stream order, as
-        plain ints; costs n quantum queries and makes no element."""
+        """The next n randrange(N) draws of the instance's "labels" stream, in
+        stream order, served from a buffer of replayed draws (_refill_labels);
+        costs n quantum queries and makes no element."""
         labels = self._labels
         out: list[int] = []
         while len(labels) < n - len(out):

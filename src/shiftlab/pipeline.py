@@ -46,6 +46,11 @@ from .kinds import BRUTE, INTERVAL, POW2, POW2_TOP, ROUTINES, SEEDED_SOLVERS, SO
 from .seeds import derive, label_path
 from .subset_sum.solvers import sums_fit
 
+# run_pipeline's retry budgets; P_PRIOR is the per-invocation success
+# probability that the (k/p)^m query law assumes
+RETRY_FACTOR = 10
+P_PRIOR = 0.25
+
 
 @dataclass(frozen=True)
 class StageSpec:
@@ -358,9 +363,6 @@ class _Engine:
         rng: random.Random,
         budget: int | None,
         solver_seed: int,
-        retry_factor: int,
-        p_prior: float,
-        solver_params: dict | None,
     ):
         self.inst = inst
         self.plan = plan
@@ -369,13 +371,12 @@ class _Engine:
         self.solver_id = sched.solver_id
         self.solver_seed = solver_seed
         self.seeded = sched.solver_id in SEEDED_SOLVERS
-        self.solver_params = solver_params
         self.ledger = CostLedger()
         self.stats = [
             StageStats(i, st.k, st.r, st.routine, b_in=st.b_in) for i, st in enumerate(plan)
         ]
         self.ledger.per_stage = self.stats
-        self.caps = [retry_factor * math.ceil(st.k / p_prior) for st in plan]
+        self.caps = [RETRY_FACTOR * math.ceil(st.k / P_PRIOR) for st in plan]
         self._invocation = 0
 
     def _raw(self, n: int) -> list[int]:
@@ -394,7 +395,7 @@ class _Engine:
         where = st.a if st.routine == POW2 else st.b_in
         label, _, _, _, ops, mem = combine_labels(
             labels, st.routine, st.r, where, self.inst.modulus.N, self.solver_id, self.rng,
-            self.budget, seed, self.solver_params,
+            self.budget, seed,
         )
         row = self.stats[i]
         row.invocations += 1
@@ -472,9 +473,6 @@ def run_pipeline(
     scale: int = 1,
     budget: int | None = None,
     solver_seed: int | None = None,
-    solver_params: dict | None = None,
-    retry_factor: int = 10,
-    p_prior: float = 0.25,
 ) -> tuple[PhaseElement, CostLedger]:
     """Produce one target element and the ledger of what it cost.
 
@@ -485,8 +483,11 @@ def run_pipeline(
     label-0 outputs. `scale` propagates to sampled elements so callers can
     run the pipeline in rescaled label coordinates.
 
-    Each stage gets a retry budget of retry_factor * k / p_prior invocations
-    per demanded output; exceeding it raises RetryExhaustedError.
+    Each stage gets a retry budget of RETRY_FACTOR * ceil(k / P_PRIOR)
+    invocations per demanded output, and at most RETRY_FACTOR * ceil(4 /
+    P_PRIOR) top-stage outputs are drawn; exceeding either raises
+    RetryExhaustedError. Every solve runs its solver's one configuration
+    (subset_sum.solve).
     """
     if target not in TARGETS:
         raise GuardError(f"unknown target {target!r}")
@@ -510,10 +511,10 @@ def run_pipeline(
             raise GuardError("level applies to POW2_TOP only")
         plan = plan_interval(sched, mod.N)
 
-    eng = _Engine(inst, sched, plan, rng, budget, solver_seed, retry_factor, p_prior, solver_params)
+    eng = _Engine(inst, sched, plan, rng, budget, solver_seed)
     t0 = time.perf_counter()
     top = len(plan) - 1
-    tries = retry_factor * math.ceil(4 / p_prior)
+    tries = RETRY_FACTOR * math.ceil(4 / P_PRIOR)
     result: PhaseElement | None = None
     for _ in range(tries):
         label = eng.next_label()

@@ -11,13 +11,14 @@ inverse QFT instead: elements with labels 2^0, 2^1, ..., 2^{n_q-1} (mod N)
 are measured high level to low, each with a phase correction assembled from
 the bits already seen. The resulting integer sample k concentrates near
 s*2^{n_q}/N, and rounding k*N/2^{n_q} recovers s with probability well above
-the 4/pi^2 single-point floor (two guard bits widen the peak). Labels 2^j
+the 4/pi^2 single-point floor (GUARD_BITS = 2 extra qubits widen the peak). Labels 2^j
 mod N come from running the label-1 pipeline in coordinates rescaled by
 2^{-j}: the pipeline's view labels are uniform either way, and an element
 whose view label is 1 at scale 2^j has true label 2^j.
 
 Every candidate is classically verified before being returned; sampling
-failure just means another attempt with fresh elements.
+failure just means another attempt with fresh elements, up to
+POW2_ATTEMPTS or ODD_ATTEMPTS attempts.
 """
 
 from __future__ import annotations
@@ -37,6 +38,9 @@ from .seeds import derive, label_path
 
 IQFT_DIRECT_CAP = 26          # 2^26 float64 is ~0.5 GiB; plenty for tests
 VERIFY_TRIALS = 16
+POW2_ATTEMPTS = 8
+ODD_ATTEMPTS = 25
+GUARD_BITS = 2
 
 
 def direct_iqft_distribution(s: int, N: int, n_q: int) -> np.ndarray:
@@ -102,11 +106,12 @@ def semiclassical_iqft(elems: list[PhaseElement], inst: HiddenShiftInstance) -> 
     return sample
 
 
-def _recover(inst, sched, target, attempt, rng, max_attempts, ledger, pipeline_kwargs) -> int:
+def _recover(inst, sched, target, attempt, rng, attempts, ledger) -> int:
     """The attempt loop both readouts share: attempt(element) builds a
     candidate from pipeline elements (element(**where) runs the pipeline and
     merges its ledger), classical_verify checks it, and the verifier's
-    queries are charged to the ledger. Returns the first verified candidate.
+    queries are charged to the ledger. Returns the first verified candidate;
+    `attempts` unverified ones raise RetryExhaustedError.
     """
     if rng is None:
         rng = random.Random(derive(inst.seed, label_path("recover")))
@@ -114,18 +119,18 @@ def _recover(inst, sched, target, attempt, rng, max_attempts, ledger, pipeline_k
         ledger = CostLedger()
 
     def element(**where) -> PhaseElement:
-        elem, led = run_pipeline(inst, sched, target, rng, **where, **pipeline_kwargs)
+        elem, led = run_pipeline(inst, sched, target, rng, **where)
         ledger.merge(led)
         return elem
 
-    for _ in range(max_attempts):
+    for _ in range(attempts):
         cand = attempt(element)
         before = inst.c_queries
         verified = classical_verify(inst, cand, VERIFY_TRIALS)
         ledger.c_queries += inst.c_queries - before
         if verified:
             return cand
-    raise RetryExhaustedError(f"no verified shift after {max_attempts} attempts")
+    raise RetryExhaustedError(f"no verified shift after {attempts} attempts")
 
 
 def recover_pow2(
@@ -133,9 +138,7 @@ def recover_pow2(
     sched: Schedule,
     *,
     rng: random.Random | None = None,
-    max_attempts: int = 8,
     ledger: CostLedger | None = None,
-    **pipeline_kwargs,
 ) -> int:
     """Recover s for N = 2^n, least significant bit first.
 
@@ -144,7 +147,7 @@ def recover_pow2(
     -(2a+1)*s_known/2^{n-j} turns, where 2a+1 is the element's odd label
     part and s_known the bits already recovered. Each correction makes the
     measurement exactly deterministic, so a verified answer is exact; an
-    unverified one triggers a fresh attempt.
+    unverified one triggers a fresh attempt, up to POW2_ATTEMPTS.
     """
     mod = inst.modulus
     if not mod.is_pow2:
@@ -161,7 +164,7 @@ def recover_pow2(
             s_known |= bit << (n - 1 - j)
         return s_known
 
-    return _recover(inst, sched, POW2_TOP, attempt, rng, max_attempts, ledger, pipeline_kwargs)
+    return _recover(inst, sched, POW2_TOP, attempt, rng, POW2_ATTEMPTS, ledger)
 
 
 def recover_odd(
@@ -169,30 +172,26 @@ def recover_odd(
     sched: Schedule,
     *,
     rng: random.Random | None = None,
-    guard_bits: int = 2,
-    max_attempts: int = 25,
     ledger: CostLedger | None = None,
-    **pipeline_kwargs,
 ) -> int:
     """Recover s for odd N via rescaled label-1 elements and the
     semiclassical inverse QFT.
 
-    Uses n_q = ceil(log2 N) + guard_bits qubits. Element j is produced by the
+    Uses n_q = ceil(log2 N) + GUARD_BITS qubits. Element j is produced by the
     SMALL_ONE pipeline at scale 2^j mod N, giving true label 2^j. One IQFT
     pass yields a candidate, classically verified; each attempt consumes n_q
     pipeline elements and succeeds with constant probability (0.4 at the
-    single-point floor, typically 0.8+ with the default guard bits).
+    single-point floor, typically 0.8+ with the guard bits), up to
+    ODD_ATTEMPTS attempts.
     """
     mod = inst.modulus
     if not mod.is_odd or mod.N < 3:
         raise GuardError("recover_odd needs odd N >= 3")
-    if guard_bits < 0:
-        raise GuardError("guard_bits must be >= 0")
     N = mod.N
-    n_q = ceil_log2(N) + guard_bits
+    n_q = ceil_log2(N) + GUARD_BITS
 
     def attempt(element) -> int:
         elems = [element(scale=pow(2, j, N)) for j in range(n_q)]
         return candidate_from_sample(semiclassical_iqft(elems, inst), N, n_q)
 
-    return _recover(inst, sched, SMALL_ONE, attempt, rng, max_attempts, ledger, pipeline_kwargs)
+    return _recover(inst, sched, SMALL_ONE, attempt, rng, ODD_ATTEMPTS, ledger)

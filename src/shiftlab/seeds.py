@@ -1,9 +1,19 @@
 """Deterministic seed derivation.
 
-One 64-bit master seed fans out into per-run, per-stage and per-guess streams
-through a splittable counter construction (splitmix64 over a path of
-integers). Derivation is pure, so any subtree of the computation can be
-re-run, reordered or parallelized without perturbing sibling streams.
+One 64-bit master seed fans out into per-run, per-instance and per-solve
+seeds through splitmix64 applied along a path of integers. Derivation is
+pure: equal (seed, path) always give the same child. Two limits hold today:
+
+* The seed is XORed into the first path step before any mixing, so
+  derive(s, a, ...) depends on s ^ a alone. Master seeds collide: the run
+  seeds derive(s, i) of master seed s are those of master seed s ^ 1 with
+  i ^ 1, so `solve --seed 0 --runs 2` and `--seed 1 --runs 2` print the
+  same two runs in swapped order.
+* One pipeline rng is shared by every combination of a run_pipeline call,
+  in demand order, so a combination's witness and coins depend on every
+  earlier combination. Only the solver seed is derived per invocation.
+
+ROADMAP item 1 (seed scheme v2) fixes both.
 """
 
 from __future__ import annotations
@@ -25,8 +35,10 @@ def splitmix64(x: int) -> int:
 def derive(seed: int, *path: int) -> int:
     """Derive a child seed from `seed` and an integer path.
 
-    derive(s, a, b) != derive(s, a, b') for b != b' with overwhelming
-    probability; the chain is splitmix64 applied to seed xor step.
+    The chain is x = seed, then x = splitmix64(x ^ step ^ const) per path
+    step. Children of one prefix differ in their last step with
+    overwhelming probability, but the seed is not mixed before the first
+    step, so the result depends on seed ^ path[0], not on the two apart.
     """
     x = seed & MASK64
     for p in path:

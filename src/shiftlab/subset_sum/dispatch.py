@@ -11,28 +11,23 @@ from .solvers import solve_bruteforce, solve_mitm, solve_schroeppel_shamir
 
 
 def solve(
-    inst: Instance,
-    solver_id: str = BRUTE,
-    budget: int | None = None,
-    *,
-    seed: int = 0,
-    **params,
+    inst: Instance, solver_id: str = BRUTE, budget: int | None = None, *, seed: int = 0
 ) -> SolutionSet:
     """Run the named solver. Budget exhaustion raises; an empty set returns.
 
     Deterministic solvers ignore `seed`; probabilistic ones derive all their
-    round and lane seeds from it. Extra keyword parameters are forwarded
-    (depth / minus_fraction for the representation solver, walk_budget for
-    the memoryless one).
+    round and lane seeds from it. Each solver runs its one configuration:
+    rep with DEFAULT_MINUS_FRACTION and REP_MAX_ROUNDS, memless with its
+    repetition_budget and MEMLESS_MAX_ROUNDS.
     """
     if solver_id == BRUTE:
-        return solve_bruteforce(inst, budget=budget, **params)
+        return solve_bruteforce(inst, budget=budget)
     if solver_id == MITM:
-        return solve_mitm(inst, budget=budget, **params)
+        return solve_mitm(inst, budget=budget)
     if solver_id == SS:
-        return solve_schroeppel_shamir(inst, budget=budget, **params)
+        return solve_schroeppel_shamir(inst, budget=budget)
     if solver_id == REP:
-        return solve_representation(inst, budget=budget, seed=seed, **params)
+        return solve_representation(inst, budget=budget, seed=seed)
     if solver_id == MEMLESS:
-        return solve_memoryless(inst, budget=budget, seed=seed, **params)
+        return solve_memoryless(inst, budget=budget, seed=seed)
     raise UsageError(f"unknown solver {solver_id!r}; expected one of {SOLVERS}")

@@ -7,7 +7,8 @@ equality into collisions of a random walk on a domain of 2^(d+1) points
 (top bit = side, low bits = mask), found by Brent cycle detection. Cross-side
 collisions are checked against the instance equation; same-side ones are
 discarded. Repetitions with fresh walk seeds run until the found set is
-stable for three rounds or the repetition budget runs out.
+stable for three rounds, the repetition_budget runs out or
+MEMLESS_MAX_ROUNDS rounds have run.
 
 Modular targets compare full low-r residues, so every cross-side key match
 is a solution. Interval targets compare sums truncated to 2^rho blocks with
@@ -28,7 +29,7 @@ from ..errors import GuardError
 from ..group_arith import ceil_log2
 from ..seeds import derive
 from .instances import Instance, ModularInstance, SolutionSet
-from .lists import OpCounter
+from .lists import OpCounter, subset_sums
 from .solvers import _raise_if_over, check_weight_magnitude, expected_solutions
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -36,6 +37,7 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _WALK_TAG = 0x5C
 MEMLESS_K_MIN = 2
+MEMLESS_MAX_ROUNDS = 4096
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
@@ -50,7 +52,7 @@ def _mix64(x: np.ndarray) -> np.ndarray:
 
 
 def repetition_budget(inst: Instance) -> int:
-    """Default walk budget: 8 * (expected solutions + 1) * domain^(3/2).
+    """Walk budget: 8 * (expected solutions + 1) * domain^(3/2).
 
     A specific colliding pair is harvested by a random-start cycle walk with
     probability about 1/domain^(3/2) (the pair must sit exactly at the tail
@@ -67,16 +69,12 @@ class _WalkSpace:
     def __init__(self, inst: Instance):
         k = inst.k
         self.hl = (k + 1) // 2
-        self.hr = k - self.hl
         self.d = self.hl
         self.domain = np.uint64(1 << (self.d + 1))
         self.dmask = np.uint64((1 << self.d) - 1)
-        self.hr_mask = np.int64((1 << self.hr) - 1)
-        self.wl = np.asarray(inst.weights[: self.hl], dtype=np.int64)
-        self.wr = np.asarray(inst.weights[self.hl :], dtype=np.int64)
-        self.bits_l = np.arange(self.hl, dtype=np.int64)
-        self.bits_r = np.arange(max(self.hr, 1), dtype=np.int64)
-        self.inst = inst
+        self.hr_mask = np.int64((1 << (k - self.hl)) - 1)
+        self.tl = subset_sums(inst.weights[: self.hl])
+        self.tr = subset_sums(inst.weights[self.hl :])
         if isinstance(inst, ModularInstance):
             self.modular = True
             self.mod = np.int64(1 << inst.r)
@@ -91,18 +89,10 @@ class _WalkSpace:
             top = k * max(inst.weights, default=0)
             self.shift = ((top >> self.rho) + 1) << self.rho
 
-    def _sums(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        left = ((masks[:, None] >> self.bits_l) & 1) @ self.wl
-        if self.hr == 0:
-            right = np.zeros(len(masks), dtype=np.int64)
-        else:
-            right = (((masks & self.hr_mask)[:, None] >> self.bits_r) & 1) @ self.wr
-        return left, right
-
     def step(self, z: np.ndarray, lane_mix: np.ndarray, off: np.ndarray) -> np.ndarray:
         masks = (z & self.dmask).astype(np.int64)
         side0 = (z >> np.uint64(self.d)) == 0
-        s_left, s_right = self._sums(masks)
+        s_left, s_right = self.tl[masks], self.tr[masks & self.hr_mask]
         if self.modular:
             key_l = (self.target - s_left) % self.mod
             key_r = s_right % self.mod
@@ -142,9 +132,12 @@ def solve_memoryless(
     *,
     seed: int = 0,
     budget: int | None = None,
-    walk_budget: int | None = None,
-    max_rounds: int = 4096,
 ) -> SolutionSet:
+    """Solutions found by rounds of vectorized cycle walks, seeded by
+    derive(seed, _WALK_TAG, round). Besides the fixed point, the loop stops
+    after MEMLESS_MAX_ROUNDS rounds or once repetition_budget(inst) walks
+    have run; the stats report that budget as walk_budget.
+    """
     if inst.k < MEMLESS_K_MIN:
         raise GuardError(f"memoryless solver needs k >= {MEMLESS_K_MIN}")
     check_weight_magnitude(inst.weights)
@@ -152,7 +145,7 @@ def solve_memoryless(
     space = _WalkSpace(inst)
     k = inst.k
     expected = expected_solutions(inst)
-    walks_cap = repetition_budget(inst) if walk_budget is None else walk_budget
+    walks_cap = repetition_budget(inst)
     # Interval block matching admits false positives (several blocks per
     # window), so a fixed-point round needs proportionally more repetitions
     # to carry the same evidence of completeness. The floor keeps rounds
@@ -165,7 +158,7 @@ def solve_memoryless(
     stable = 0
     rounds = 0
     walks = 0
-    while stable < 3 and rounds < max_rounds and walks < walks_cap:
+    while stable < 3 and rounds < MEMLESS_MAX_ROUNDS and walks < walks_cap:
         lane_seed = derive(seed, _WALK_TAG, rounds)
         lane_mix = _mix64(
             np.arange(lanes, dtype=np.uint64) ^ np.uint64(lane_seed & (2**64 - 1))

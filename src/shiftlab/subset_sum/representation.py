@@ -6,11 +6,13 @@ ways of choosing the split mean a random low-bit constraint on x1's partial
 sum keeps some representation of x alive with constant probability. Each
 round draws fresh constraints, builds the candidate lists per weight class,
 merges them with digit-consistency filtering, and the round loop stops once
-the found set has been stable for three consecutive rounds.
+the found set has been stable for three consecutive rounds (or after
+REP_MAX_ROUNDS). The split is one level deep: x1 and x2 each come from one
+join of two position halves, and DEFAULT_MINUS_FRACTION * k sets M.
 
 Dense instances (many expected solutions) gain nothing from representations;
-for those the solver drops to its minus_fraction = 0 degeneration, a plain
-position split, which is exact and matches the two-list merge.
+for those the solver runs the plain position split of the two-list merge,
+which is exact.
 """
 
 from __future__ import annotations
@@ -21,16 +23,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..errors import GuardError, UsageError
+from ..errors import GuardError
 from ..seeds import derive
 from .instances import Instance, SolutionSet
 from .lists import (
     CONSISTENCY_BINARY,
-    CONSISTENCY_TERNARY,
     OpCounter,
     PartialSumList,
     WindowConstraint,
     merge_join,
+    subset_sums,
 )
 from .solvers import (
     _raise_if_over,
@@ -44,6 +46,7 @@ from .solvers import (
 REP_K_MIN = 8
 DENSE_SOLUTION_CAP = 64
 DEFAULT_MINUS_FRACTION = 1.0 / 16.0
+REP_MAX_ROUNDS = 64
 _ROUND_TAG = 0x9E
 
 
@@ -69,17 +72,11 @@ class _HalfEnumerator:
     """Cached ternary enumerations of one position half, grouped by profile."""
 
     def __init__(self, weights: tuple[int, ...], offset: int):
-        self.weights = weights
+        self.sums = subset_sums(weights)
         self.offset = offset
         self.n = len(weights)
         self._cache: dict[tuple[int, int], PartialSumList] = {}
         self.cells = 0
-
-    def _mask_sums(self, masks: np.ndarray) -> np.ndarray:
-        if len(masks) == 0 or self.n == 0:
-            return np.zeros(len(masks), dtype=np.int64)
-        bits = (masks[:, None] >> np.arange(self.n, dtype=np.int64)) & 1
-        return bits @ np.asarray(self.weights, dtype=np.int64)
 
     def profile(self, p: int, m: int) -> PartialSumList:
         key = (p, m)
@@ -96,7 +93,7 @@ class _HalfEnumerator:
             mr = np.tile(minus, len(plus))
             keep = (pr & mr) == 0
             pr, mr = pr[keep], mr[keep]
-            values = self._mask_sums(pr) - self._mask_sums(mr)
+            values = self.sums[pr] - self.sums[mr]
             lst = PartialSumList(values, pr << self.offset, mr << self.offset)
         self._cache[key] = lst
         self.cells += len(lst)
@@ -144,22 +141,16 @@ def _near_trivial_hits(inst: Instance, counter: OpCounter) -> set[int]:
 
 
 def solve_representation(
-    inst: Instance,
-    depth: int = 2,
-    minus_fraction: float = DEFAULT_MINUS_FRACTION,
-    *,
-    seed: int = 0,
-    budget: int | None = None,
-    max_rounds: int = 64,
+    inst: Instance, *, seed: int = 0, budget: int | None = None
 ) -> SolutionSet:
+    """All solutions found by rounds of representation joins, seeded by
+    derive(seed, _ROUND_TAG, round); see the module docstring for the
+    configuration. The stats record it as depth 2 and DEFAULT_MINUS_FRACTION.
+    """
     if inst.k < REP_K_MIN:
         raise GuardError(f"representation solver needs k >= {REP_K_MIN}")
-    if depth not in (2, 3):
-        raise UsageError("depth must be 2 or 3")
-    if not 0 <= minus_fraction <= 0.5:
-        raise UsageError("minus_fraction must lie in [0, 1/2]")
     check_weight_magnitude(inst.weights)
-    if minus_fraction == 0 or expected_solutions(inst) > DENSE_SOLUTION_CAP:
+    if expected_solutions(inst) > DENSE_SOLUTION_CAP:
         sol = solve_mitm(inst, budget=budget)
         return replace(sol, stats={"solver": "rep", "mode": "degenerate", "rounds": 0})
 
@@ -169,24 +160,8 @@ def solve_representation(
     left = _HalfEnumerator(inst.weights[:h], 0)
     right = _HalfEnumerator(inst.weights[h:], h)
     final = full_constraint(inst)
-    m_pairs = max(1, round(minus_fraction * k))
-
-    def _level2_list(rnd, p, m, t, c_top, point):
-        """Depth-3 inner split: build xi = xi_a + xi_b under cumulative bits."""
-        zeros = k - p - m
-        m_sub = min(max(1, round(minus_fraction * k / 2)), zeros // 2) if zeros >= 2 else 0
-        pa, ma = (p + 1) // 2 + m_sub, (m + 1) // 2 + m_sub
-        pb, mb = p // 2 + m_sub, m // 2 + m_sub
-        c_low = rnd.randrange(1 << t)
-        la = _build_profile_list(left, right, pa, ma, WindowConstraint(t, c_low), counter)
-        if point:
-            bc = WindowConstraint(t, (c_top - c_low) % (1 << t))
-            lc = WindowConstraint(2 * t, c_top)
-        else:
-            bc = window_for(inst, t, c_top + c_low)
-            lc = window_for(inst, 2 * t, c_top)
-        lb = _build_profile_list(left, right, pb, mb, bc, counter)
-        return merge_join(la, lb, lc, CONSISTENCY_TERNARY, counter)
+    m_pairs = max(1, round(DEFAULT_MINUS_FRACTION * k))
+    t1 = max(1, inst.r // 2)
 
     def run_round(rnd) -> set[int]:
         hits: set[int] = set()
@@ -194,17 +169,9 @@ def solve_representation(
             m_w = min(m_pairs, (k - w) // 2)
             p1, m1 = (w + 1) // 2 + m_w, m_w
             p2, m2 = w // 2 + m_w, m_w
-            if depth == 2:
-                t1 = max(1, inst.r // 2)
-                c1 = rnd.randrange(1 << t1)
-                l1 = _build_profile_list(left, right, p1, m1, WindowConstraint(t1, c1), counter)
-                l2 = _build_profile_list(left, right, p2, m2, window_for(inst, t1, c1), counter)
-            else:
-                t = max(1, inst.r // 3)
-                c_top = rnd.randrange(1 << (2 * t))
-                l1 = _level2_list(rnd, p1, m1, t, c_top, point=True)
-                l2 = _level2_list(rnd, p2, m2, t, c_top, point=False)
-
+            c1 = rnd.randrange(1 << t1)
+            l1 = _build_profile_list(left, right, p1, m1, WindowConstraint(t1, c1), counter)
+            l2 = _build_profile_list(left, right, p2, m2, window_for(inst, t1, c1), counter)
             out = merge_join(l1, l2, final, CONSISTENCY_BINARY, counter)
             hits.update(int(x) for x in out.plus.tolist())
             counter.bump_mem(left.cells + right.cells + len(l1) + len(l2) + len(out))
@@ -213,7 +180,7 @@ def solve_representation(
     found = _near_trivial_hits(inst, counter)
     stable = 0
     rounds = 0
-    while stable < 3 and rounds < max_rounds:
+    while stable < 3 and rounds < REP_MAX_ROUNDS:
         rnd = random.Random(derive(seed, _ROUND_TAG, rounds))
         before = len(found)
         found |= run_round(rnd)
@@ -231,7 +198,7 @@ def solve_representation(
             "mode": "ternary",
             "rounds": rounds,
             "stable": stable >= 3,
-            "depth": depth,
-            "minus_fraction": minus_fraction,
+            "depth": 2,
+            "minus_fraction": DEFAULT_MINUS_FRACTION,
         },
     )

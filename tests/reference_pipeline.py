@@ -18,13 +18,19 @@ from shiftlab.combine import combine_interval, combine_pow2
 from shiftlab.errors import GuardError, RetryExhaustedError
 from shiftlab.group_arith import two_adic_valuation
 from shiftlab.kinds import POW2, POW2_TOP
-from shiftlab.pipeline import CostLedger, StageStats, _plan_pow2, plan_interval
+from shiftlab.pipeline import (
+    P_PRIOR,
+    RETRY_FACTOR,
+    CostLedger,
+    StageStats,
+    _plan_pow2,
+    plan_interval,
+)
 from shiftlab.seeds import derive, label_path
 
 
 class ReferenceEngine:
-    def __init__(self, inst, sched, plan, rng, scale, budget, solver_seed, retry_factor,
-                 p_prior, solver_params):
+    def __init__(self, inst, sched, plan, rng, scale, budget, solver_seed):
         self.inst = inst
         self.sched = sched
         self.plan = plan
@@ -32,13 +38,12 @@ class ReferenceEngine:
         self.scale = scale
         self.budget = budget
         self.solver_seed = solver_seed
-        self.solver_params = solver_params
         self.ledger = CostLedger()
         self.stats = [
             StageStats(i, st.k, st.r, st.routine, b_in=st.b_in) for i, st in enumerate(plan)
         ]
         self.ledger.per_stage = self.stats
-        self.caps = [retry_factor * math.ceil(st.k / p_prior) for st in plan]
+        self.caps = [RETRY_FACTOR * math.ceil(st.k / P_PRIOR) for st in plan]
         self.invocation = 0
 
     def raw(self):
@@ -63,7 +68,6 @@ class ReferenceEngine:
             out = combine(
                 ins, st.r, where, self.sched.solver_id,
                 rng=self.rng, budget=self.budget, solver_seed=seed_i,
-                solver_params=self.solver_params,
             )
             row.invocations += 1
             row.consumed += st.k
@@ -89,8 +93,7 @@ class ReferenceEngine:
 
 
 def reference_pipeline(inst, sched, target=POW2_TOP, rng=None, *, level=None, scale=1,
-                       budget=None, solver_seed=None, solver_params=None, retry_factor=10,
-                       p_prior=0.25):
+                       budget=None, solver_seed=None):
     """run_pipeline's contract, computed by the element-level engine."""
     if rng is None:
         rng = random.Random(derive(inst.seed, label_path("pipeline")))
@@ -104,10 +107,9 @@ def reference_pipeline(inst, sched, target=POW2_TOP, rng=None, *, level=None, sc
         if level is not None:
             raise GuardError("level applies to POW2_TOP only")
         plan = plan_interval(sched, mod.N)
-    eng = ReferenceEngine(inst, sched, plan, rng, scale, budget, solver_seed, retry_factor,
-                          p_prior, solver_params)
+    eng = ReferenceEngine(inst, sched, plan, rng, scale, budget, solver_seed)
     top = len(plan) - 1
-    for _ in range(retry_factor * math.ceil(4 / p_prior)):
+    for _ in range(RETRY_FACTOR * math.ceil(4 / P_PRIOR)):
         elem = eng.take(top)
         if target == POW2_TOP:
             if two_adic_valuation(elem.label) == top_level:

@@ -173,6 +173,16 @@ def test_oracle_mismatch_exits_1():
     assert row["mismatches"] >= 1
 
 
+def test_subset_sum_check_counts_mismatches_per_width():
+    # the k = 16 draws are test_oracle_mismatch_exits_1's; the k = 12 draws
+    # that follow come back exact, so each row carries its own count
+    proc = cli("subset-sum", "--k", "16,12", "--solver", "memless",
+               "--instances", "12", "--check", "--seed", "22")
+    assert proc.returncode == 1
+    assert [row["mismatches"] for row in lines_of(proc)] == [1, 0]
+    assert b"# oracle check: 1 mismatches (MISMATCH)" in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # config files
 

@@ -292,7 +292,7 @@ def test_core_brute_table_path_matches_instance_path(routine):
         for solver_id in (BRUTE, MITM):
             coins = random.Random()
             coins.setstate(state)
-            out = combine_labels(labels, routine, r, where, N, solver_id, coins, None, 0, None)
+            out = combine_labels(labels, routine, r, where, N, solver_id, coins, None, 0)
             outs.append((out[:4], coins.getstate()))
         assert outs[0] == outs[1]
 

@@ -60,6 +60,12 @@ GOLDEN = [
      "4e1d5af3fc36f0735bf2e1849862acc972a67cf42d4dce1eda07efbff6679914"),
     ("solve --N 1024 --k 8 --solver rep --runs 2 --seed 1",
      "79c974db0c6412db20a7e101efe29cde40d3731246cdfe73e9ff360d5bdd1a5a"),
+    # memless on the solver layer alone, both flavors; recorded before its
+    # walk space moved to subset_sums tables
+    ("subset-sum --k 13,17 --solver memless --instances 2 --seed 1",
+     "aa6045460dad461b1a1e0171b52e89a92e7d011bcb2400d3ea4e2b406fede3be"),
+    ("subset-sum --k 13,17 --solver memless --flavor interval --instances 2 --seed 1",
+     "78b18cdd903a1d3dc110645cb8fcbe059b232a5e08df25f4d83d5674c3c0a02d"),
 ]
 
 

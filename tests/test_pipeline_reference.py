@@ -10,15 +10,12 @@ the same ledger, row for row.
 import pytest
 
 from shiftlab import BudgetExceededError, Schedule, StageSpec, new_instance, run_pipeline
-from shiftlab.kinds import INTERVAL, MEMLESS, POW2, POW2_TOP, REP, SMALL_ONE, SOLVERS
+from shiftlab.kinds import INTERVAL, POW2, POW2_TOP, SMALL_ONE, SOLVERS
 from shiftlab.pipeline import schedule_uniform
 
 from reference_pipeline import reference_pipeline
 
 SEEDS = range(8)
-# one round of rep and a short walk budget for memless keep each solve near
-# 5 ms; both engines forward the same solver_params, so equality still holds
-SOLVER_PARAMS = {REP: {"max_rounds": 1}, MEMLESS: {"walk_budget": 512}}
 
 
 def outcome(engine, N, sched, target, seed, **kwargs):
@@ -42,18 +39,16 @@ def test_pow2_pipeline_matches_reference(solver_id):
     # k = 8 is the narrowest width every solver accepts (rep needs k >= 8);
     # level 8 takes two stages, (k, r) = (8, 7) then (8, 1)
     sched = schedule_uniform(9, 8, POW2, solver_id)
-    params = SOLVER_PARAMS.get(solver_id)
     for seed in SEEDS:
-        assert_same(1 << 9, sched, POW2_TOP, seed, solver_params=params)
+        assert_same(1 << 9, sched, POW2_TOP, seed)
 
 
 @pytest.mark.parametrize("solver_id", SOLVERS)
 def test_interval_pipeline_matches_reference(solver_id):
     # bound ladder 263 -> 9 -> 2: two stages
     sched = schedule_uniform(9, 8, INTERVAL, solver_id)
-    params = SOLVER_PARAMS.get(solver_id)
     for seed in SEEDS:
-        assert_same(263, sched, SMALL_ONE, seed, scale=5, solver_params=params)
+        assert_same(263, sched, SMALL_ONE, seed, scale=5)
 
 
 def test_level_zero_matches_reference():

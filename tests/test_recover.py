@@ -243,5 +243,3 @@ def test_recover_odd_guards():
     sched = schedule_uniform(4, 8, routine=INTERVAL)
     with pytest.raises(GuardError):
         recover_odd(new_instance(16, seed=0), sched)
-    with pytest.raises(GuardError):
-        recover_odd(new_instance(15, seed=0), sched, guard_bits=-1)

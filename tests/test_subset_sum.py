@@ -381,17 +381,16 @@ def test_ss_memory_scaling():
 # -- representation solver ---------------------------------------------------
 
 
-def test_rep_zero_minus_fraction_degenerates_to_mitm():
-    rng = stream("repmf0")
-    cases = [
-        (random_instance("modular", 12, rng.randrange(3, 12), rng), 0.0) for _ in range(25)
-    ]
-    # A dense instance takes the same branch at the default minus_fraction.
-    dense = random_instance("modular", 14, 5, rng)
-    assert expected_solutions(dense) > 64
-    cases.append((dense, 1.0 / 16.0))
-    for inst, minus_fraction in cases:
-        got = solve_representation(inst, depth=2, minus_fraction=minus_fraction)
+def test_rep_dense_degenerates_to_mitm():
+    # k - r >= 7 expects at least 128 solutions, past DENSE_SOLUTION_CAP
+    rng = stream("repdense")
+    cases = [random_instance("modular", 14, 5, rng)]
+    for _ in range(25):
+        k = rng.choice((8, 10, 12, 14))
+        cases.append(random_instance("modular", k, rng.randrange(1, k - 6), rng))
+    for inst in cases:
+        assert expected_solutions(inst) > 64
+        got = solve_representation(inst)
         ref = solve_mitm(inst)
         assert got.solutions == ref.solutions
         assert (got.op_count, got.mem_peak) == (ref.op_count, ref.mem_peak)
