@@ -18,10 +18,13 @@ as a pessimistic support size, never as an invented solution).
 
 Both routines run on one label-level core, combine_labels, which the
 pipeline calls on plain int labels; combine_pow2 and combine_interval add
-the element checks, consume their inputs and wrap the core's result. With
-brute force at k <= 18 the core builds a single table of the k weights'
-subset sums: the witness's ancilla value, the preimage scan and the interval
-routine's output gap are all read from it. Every other solver gets a
+the element checks, consume their inputs and wrap the core's result.
+Brute force at k <= 18 runs the row kernel, brute_row, on the table of the
+k weights' subset sums: the witness's ancilla value, the preimages (one
+chunk_hits pass, the scan solve_bruteforce runs per chunk) and the interval
+routine's output gap are all read from that one row. combine_labels hands
+it a one-row table; the pipeline's stage 0 hands it the next row of a wave
+of tables built together (pipeline.WAVE_CELLS). Every other solver gets a
 validated instance and one solve call.
 
 Projection follows the sequential model: candidate pairs are tried in sorted
@@ -37,7 +40,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import GuardError
+from .errors import BudgetExceededError, GuardError
 from .group_arith import ceil_div, ceil_log2
 from .instance import PhaseElement
 from .kinds import BRUTE, INTERVAL, POW2
@@ -48,8 +51,8 @@ from .subset_sum.instances import (
     masked_sum,
     modular_ancilla,
 )
-from .subset_sum.lists import OpCounter, subset_sums
-from .subset_sum.solvers import _CHUNK_BITS, brute_scan, check_weight_magnitude
+from .subset_sum.lists import subset_sums
+from .subset_sum.solvers import _CHUNK_BITS, check_weight_magnitude, chunk_hits, reduce_table
 
 FAILURE_PROJECTION = "projection"
 FAILURE_REJECTION = "rejection"
@@ -104,20 +107,31 @@ def project_pair(solutions, rng: random.Random) -> tuple[int, int] | None:
     return None
 
 
-def _brute_preimages(table, r, target, bounds, budget):
-    """Brute force's preimage set from the subset-sum table of all k <=
-    _CHUNK_BITS weights: every subset vector whose sum has the modular
-    ancilla value target (bounds None) or lies in bounds, ascending.
+def brute_row(row, labels, routine, r, where, N, rng, budget):
+    """One brute-force combination read from row, the subset-sum table of
+    its k <= _CHUNK_BITS weights, which the scan reduces in place.
 
-    brute_scan is solve_bruteforce's scan over one chunk, so the set, the
-    2^k ops, the 2^k + |set| cells and the budget raise are
-    solve_bruteforce's. Returns (preimages, op_count, mem_peak); the table
-    is left as brute_scan leaves it.
+    The witness's ancilla value, the preimages (one chunk_hits pass, which
+    always finds the witness) and the interval routine's output gap all
+    come from the table. The cost is solve_bruteforce's on the same
+    instance: 2^k ops, 2^k + |J| cells, and BudgetExceededError when 2^k
+    exceeds the budget. The other arguments, the RNG order and the result
+    are combine_labels'.
     """
-    counter = OpCounter(budget=budget)
-    counter.bump_mem(len(table))
-    found = brute_scan(table, (), counter, r=r, target=target, bounds=bounds)
-    return found, counter.ops, counter.mem_peak
+    j_star = rng.randrange(len(row))
+    total = int(row[j_star])
+    if routine == POW2:
+        v, bounds = modular_ancilla(total, r), None
+    else:
+        v = interval_ancilla(total, where, r)
+        bounds = interval_bounds(v, where, r)
+    size = len(row)
+    if budget is not None and size > budget:
+        raise BudgetExceededError(f"operation budget {budget} exceeded at {size}")
+    reduced = reduce_table(row, r, bounds)
+    support = chunk_hits(reduced, 0, r, v, bounds).tolist()
+    return _project(labels, support, reduced, routine, r, where, N, rng, v, bounds, size,
+                    size + len(support))
 
 
 def combine_labels(labels, routine, r, where, N, solver_id, rng, budget, solver_seed):
@@ -128,61 +142,54 @@ def combine_labels(labels, routine, r, where, N, solver_id, rng, budget, solver_
     N is the modulus that POW2 output labels are reduced by. Draws the
     witness j*, finds the preimage set of its ancilla value, unions j* into
     it and projects; RNG order: witness, projection coins, rejection coin.
-    Returns (label, pair, v, support_size, solver_ops, solver_mem), label
-    None on failure and pair None on projection failure.
+    Brute force at k <= _CHUNK_BITS runs brute_row on the one-row table of
+    the weights. Returns (label, pair, v, support_size, solver_ops,
+    solver_mem), label None on failure and pair None on projection failure.
     """
     k = len(labels)
     pow2 = routine == POW2
-    if pow2:
-        weights, B = [modular_ancilla(lab >> where, r) for lab in labels], None
-    else:
-        weights, B = labels, where
-    j_star = rng.randrange(1 << k)
-    brute = solver_id == BRUTE and k <= _CHUNK_BITS
-    if brute:
+    weights = [modular_ancilla(lab >> where, r) for lab in labels] if pow2 else labels
+    if solver_id == BRUTE and k <= _CHUNK_BITS:
         check_weight_magnitude(weights)
-        table = subset_sums(weights)
-        total = int(table[j_star])
-    else:
-        total = masked_sum(weights, j_star)
+        return brute_row(subset_sums(weights), labels, routine, r, where, N, rng, budget)
+    j_star = rng.randrange(1 << k)
+    total = masked_sum(weights, j_star)
     if pow2:
         v, bounds = modular_ancilla(total, r), None
+        problem = ModularInstance(tuple(weights), r, v)
     else:
-        v = interval_ancilla(total, B, r)
-        bounds = interval_bounds(v, B, r)
+        v = interval_ancilla(total, where, r)
+        bounds = interval_bounds(v, where, r)
+        problem = IntervalInstance(tuple(labels), where, r, v)
+    sol = solve(problem, solver_id, budget=budget, seed=solver_seed)
+    support = set(sol.solutions)
+    support.add(j_star)
+    return _project(labels, support, None, routine, r, where, N, rng, v, bounds,
+                    sol.op_count, sol.mem_peak)
 
-    if brute:
-        # brute force's preimages always include the witness
-        support, ops, mem = _brute_preimages(table, r, v, bounds, budget)
-    else:
-        if pow2:
-            problem = ModularInstance(tuple(weights), r, v)
-        else:
-            problem = IntervalInstance(tuple(labels), B, r, v)
-        sol = solve(problem, solver_id, budget=budget, seed=solver_seed)
-        support = set(sol.solutions)
-        support.add(j_star)
-        ops, mem = sol.op_count, sol.mem_peak
 
+def _project(labels, support, sums, routine, r, where, N, rng, v, bounds, ops, mem):
+    """Project the support and make the output label: combine_labels'
+    result. sums is the table brute_row read (interval sums minus lo, which
+    keeps gaps), or None to sum the labels."""
     m = len(support)
     pair = project_pair(support, rng)
     if pair is None:
         return None, None, v, m, ops, mem
-    if pow2:
+    if routine == POW2:
         label = (masked_sum(labels, pair[1]) - masked_sum(labels, pair[0])) % N
         return label, pair, v, m, ops, mem
 
-    # interval: the gap between the pair's sums, flattened by rejection; the
-    # scanned table holds the sums minus the lower bound, which keeps gaps
-    if brute:
-        s1, s2 = int(table[pair[0]]), int(table[pair[1]])
+    # interval: the gap between the pair's sums, flattened by rejection
+    if sums is not None:
+        s1, s2 = int(sums[pair[0]]), int(sums[pair[1]])
     else:
         s1, s2 = masked_sum(labels, pair[0]), masked_sum(labels, pair[1])
     if s1 > s2:
         pair, s1, s2 = pair[::-1], s2, s1
     d = s2 - s1
     window = bounds[1] - bounds[0]
-    b_prime = ceil_div(B, 1 << r)
+    b_prime = ceil_div(where, 1 << r)
     margin = window - b_prime + 1
     if d >= b_prime or margin <= 0:
         return None, pair, v, m, ops, mem

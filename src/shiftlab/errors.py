@@ -38,4 +38,5 @@ class UsageError(ShiftLabError, ValueError):
 
 
 class AccountingError(ShiftLabError, RuntimeError):
-    """A cost ledger broke one of its accounting identities."""
+    """A cost ledger broke one of its accounting identities, or the labels
+    a pipeline drew differ from the ones it built its stage-0 tables from."""

@@ -17,7 +17,8 @@ Labels come from the instance's own "labels" stream and nothing else reads
 that stream, so it is served from a buffer: each refill replays a fixed
 number of randrange(N) attempts from one getrandbits call, bit for bit (see
 _refill_labels). The label sequence is the one per-query randrange(N) calls
-would give; sample_labels serves the same sequence as plain ints.
+would give; sample_labels serves the same sequence as plain ints, and
+peek_labels shows what it will serve next without serving it.
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ RANDOM = _RandomSecret()
 
 # randrange(N) attempts replayed per label-buffer refill. N <= 2^63 - 1 takes
 # at most two 32-bit words per attempt, so one refill draws at most 16 KiB of
-# stream and buffers at most 2048 labels.
+# stream, and the buffer never holds more than 2048 labels beyond the largest
+# sample_labels or peek_labels request.
 LABEL_BATCH = 2048
 
 
@@ -81,7 +83,9 @@ class HiddenShiftInstance:
 
     def __post_init__(self) -> None:
         self._label_rng = stream(self.seed, "labels")
-        self._labels: list[int] = []  # filled by _refill_labels, popped from the end
+        # replayed draws in stream order; _next is the first one not yet served
+        self._labels: list[int] = []
+        self._next = 0
         self._meas_rng = stream(self.seed, "measure")
         self._verify_rng = stream(self.seed, "verify")
         self._prp = KeyedPermutation(self.modulus.N, derive(self.seed, label_path("oracle")))
@@ -114,21 +118,24 @@ class HiddenShiftInstance:
         """The next n randrange(N) draws of the instance's "labels" stream, in
         stream order, served from a buffer of replayed draws (_refill_labels);
         costs n quantum queries and makes no element."""
-        labels = self._labels
-        out: list[int] = []
-        while len(labels) < n - len(out):
-            out += labels[::-1]
-            labels.clear()
-            self._refill_labels()
-        rest = n - len(out)
-        if rest:
-            out += labels[: -rest - 1 : -1]
-            del labels[-rest:]
+        out = self.peek_labels(n)
+        self._next += n
         self.q_queries += n
         return out
 
-    def _refill_labels(self) -> None:
-        """Replay LABEL_BATCH randrange(N) attempts of the labels stream.
+    def peek_labels(self, n: int) -> list[int]:
+        """The n labels the next sample_labels(n) would serve, without
+        serving them: no query is charged and a later sample_labels or
+        sample_element still gets them. Refills append behind the labels
+        already buffered, so peeking leaves the label sequence unchanged."""
+        if len(self._labels) - self._next < n:
+            self._refill_labels(n)
+        return self._labels[self._next : self._next + n]
+
+    def _refill_labels(self, n: int) -> None:
+        """Drop the served labels and replay batches of LABEL_BATCH
+        randrange(N) attempts of the labels stream, appended in stream order,
+        until at least n unserved labels are buffered.
 
         CPython draws randrange(N) as getrandbits(b) with b = N.bit_length(),
         retried while the value is >= N. getrandbits(b) takes w = ceil(b/32)
@@ -141,14 +148,17 @@ class HiddenShiftInstance:
         N = self.modulus.N
         bits = N.bit_length()
         w = (bits + 31) // 32
-        raw = self._label_rng.getrandbits(32 * w * LABEL_BATCH)
-        words = np.frombuffer(raw.to_bytes(4 * w * LABEL_BATCH, "little"), dtype="<u4")
-        words = words.astype(np.uint64).reshape(LABEL_BATCH, w)
-        values = words[:, w - 1] >> np.uint64(32 * w - bits)
-        for i in range(w - 2, -1, -1):
-            values = (values << np.uint64(32)) | words[:, i]
-        # reversed, so pop() from the end serves the draws in stream order
-        self._labels.extend(values[values < N][::-1].tolist())
+        labels = self._labels[self._next :]
+        while len(labels) < n:
+            raw = self._label_rng.getrandbits(32 * w * LABEL_BATCH)
+            words = np.frombuffer(raw.to_bytes(4 * w * LABEL_BATCH, "little"), dtype="<u4")
+            words = words.astype(np.uint64).reshape(LABEL_BATCH, w)
+            values = words[:, w - 1] >> np.uint64(32 * w - bits)
+            for i in range(w - 2, -1, -1):
+                values = (values << np.uint64(32)) | words[:, i]
+            labels += values[values < N].tolist()
+        self._labels = labels
+        self._next = 0
 
     def derive_element(self, label: int, scale: int = 1) -> PhaseElement:
         """Element produced by a combination step; not a query."""

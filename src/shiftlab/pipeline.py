@@ -28,6 +28,17 @@ stage for an output; a stage short of inputs asks the stage below, and stage
 one call of the label-level combination core, inputs are consumed whatever
 the outcome, and only the element handed back becomes a PhaseElement. The
 CostLedger it fills has per-stage rows that sum to its totals.
+
+Stage 0's inputs are the next k labels of the instance's label stream, which
+no other draw in the pipeline touches. So with brute force at k <= 18 the
+engine builds stage 0's subset-sum tables ahead, in waves: one batched
+subset_sums call over labels peeked (not drawn) from the stream, one row per
+upcoming invocation. A run_pipeline call's first wave has one row and each
+next wave twice as many, up to WAVE_CELLS table cells. Each invocation still
+draws its own k labels, in demand order and with the same query charge,
+checks them against its row's (AccountingError if they differ) and runs the
+row kernel combine.brute_row on the row, with the same RNG calls as before.
+Rows left when the call returns are dropped; they cost wall time only.
 """
 
 from __future__ import annotations
@@ -37,19 +48,24 @@ import random
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 # combine_pow2/combine_interval stay importable here: perfbench's tracer wraps these names
-from .combine import combine_interval, combine_labels, combine_pow2  # noqa: F401
+from .combine import brute_row, combine_interval, combine_labels, combine_pow2  # noqa: F401
 from .errors import AccountingError, GuardError, RetryExhaustedError
 from .group_arith import ceil_div, ceil_log2, two_adic_valuation
 from .instance import HiddenShiftInstance, PhaseElement
 from .kinds import BRUTE, INTERVAL, POW2, POW2_TOP, ROUTINES, SEEDED_SOLVERS, SOLVERS, TARGETS
 from .seeds import derive, label_path
-from .subset_sum.solvers import sums_fit
+from .subset_sum.lists import subset_sums
+from .subset_sum.solvers import _CHUNK_BITS, sums_fit
 
 # run_pipeline's retry budgets; P_PRIOR is the per-invocation success
 # probability that the (k/p)^m query law assumes
 RETRY_FACTOR = 10
 P_PRIOR = 0.25
+# most table cells (int64) one stage-0 wave of brute-force tables holds
+WAVE_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -371,6 +387,7 @@ class _Engine:
         self.solver_id = sched.solver_id
         self.solver_seed = solver_seed
         self.seeded = sched.solver_id in SEEDED_SOLVERS
+        self.N = inst.modulus.N
         self.ledger = CostLedger()
         self.stats = [
             StageStats(i, st.k, st.r, st.routine, b_in=st.b_in) for i, st in enumerate(plan)
@@ -378,12 +395,34 @@ class _Engine:
         self.ledger.per_stage = self.stats
         self.caps = [RETRY_FACTOR * math.ceil(st.k / P_PRIOR) for st in plan]
         self._invocation = 0
+        self.waves = bool(plan) and sched.solver_id == BRUTE and plan[0].k <= _CHUNK_BITS
+        # the stage-0 wave: a (rows, 2^k) table of brute-force rows, the
+        # labels they were built from, and the next unused row
+        self._wave = np.empty((0, 0), dtype=np.int64)
+        self._wave_labels: list[int] = []
+        self._row = 0
 
     def _raw(self, n: int) -> list[int]:
         """Draw n raw labels, one query each, and charge them in one step."""
         self.ledger.q_queries += n
         self.ledger.elements_generated += n
         return self.inst.sample_labels(n)
+
+    def _record(self, i: int, label: int | None, ops: int, mem: int) -> None:
+        """Charge one invocation of stage i to its ledger row."""
+        row = self.stats[i]
+        row.invocations += 1
+        row.consumed += row.k
+        row.solver_ops += ops
+        row.mem_peak = max(row.mem_peak, mem)
+        self.ledger.solver_ops += ops
+        self.ledger.mem_peak_cells = max(self.ledger.mem_peak_cells, mem)
+        if label is None:
+            row.failures += 1
+            self.ledger.elements_wasted += row.k
+        else:
+            row.successes += 1
+            row.produced += 1
 
     def _invoke(self, i: int, labels: list[int]) -> int | None:
         """One invocation of stage i on its k input labels; its output label,
@@ -394,23 +433,55 @@ class _Engine:
         seed = derive(self.solver_seed, i, self._invocation) if self.seeded else 0
         where = st.a if st.routine == POW2 else st.b_in
         label, _, _, _, ops, mem = combine_labels(
-            labels, st.routine, st.r, where, self.inst.modulus.N, self.solver_id, self.rng,
-            self.budget, seed,
+            labels, st.routine, st.r, where, self.N, self.solver_id, self.rng, self.budget, seed,
         )
-        row = self.stats[i]
-        row.invocations += 1
-        row.consumed += st.k
-        row.solver_ops += ops
-        row.mem_peak = max(row.mem_peak, mem)
-        self.ledger.solver_ops += ops
-        self.ledger.mem_peak_cells = max(self.ledger.mem_peak_cells, mem)
-        if label is None:
-            row.failures += 1
-            self.ledger.elements_wasted += st.k
-        else:
-            row.successes += 1
-            row.produced += 1
+        self._record(i, label, ops, mem)
         return label
+
+    def _stage0(self) -> int | None:
+        """One stage-0 invocation on the next k raw labels.
+
+        With waves, its brute-force table is the next row of the current
+        wave, built ahead from peeked labels; the invocation still draws its
+        own k labels (same stream, same charge) and checks them against the
+        row's. Brute force is never seeded, so the solver-seed counter does
+        not need to advance.
+        """
+        st = self.plan[0]
+        k = st.k
+        if not self.waves:
+            return self._invoke(0, self._raw(k))
+        if self._row == len(self._wave):
+            self._next_wave()
+        j = self._row
+        labels = self._raw(k)
+        if labels != self._wave_labels[j * k : (j + 1) * k]:
+            raise AccountingError(f"stage-0 labels drawn out of step with wave row {j}")
+        self._row = j + 1
+        where = st.a if st.routine == POW2 else st.b_in
+        label, _, _, _, ops, mem = brute_row(
+            self._wave[j], labels, st.routine, st.r, where, self.N, self.rng, self.budget
+        )
+        self._record(0, label, ops, mem)
+        return label
+
+    def _next_wave(self) -> None:
+        """Build the next wave's tables from the labels the next stage-0
+        invocations will draw, peeked, not drawn: one row on the call's first
+        wave, doubling each wave up to WAVE_CELLS cells.
+
+        No weight check is needed: plan_interval keeps k labels below B
+        inside sums_fit, and power-of-two weights are below 2^r.
+        """
+        st = self.plan[0]
+        k = st.k
+        rows = min(max(1, 2 * len(self._wave)), max(1, WAVE_CELLS >> k))
+        self._wave_labels = self.inst.peek_labels(rows * k)
+        weights = np.array(self._wave_labels, dtype=np.int64).reshape(rows, k)
+        if st.routine == POW2:
+            weights = (weights >> st.a) & ((1 << st.r) - 1)
+        self._wave = subset_sums(weights)
+        self._row = 0
 
     def next_label(self) -> int:
         """One output label of the top stage; a raw label for an empty plan.
@@ -432,14 +503,14 @@ class _Engine:
         while True:
             k = plan[i].k
             if i == 0:
-                labels = self._raw(k)
+                label = self._stage0()
             elif len(ins[i]) < k:
                 i -= 1
                 left[i] = self.caps[i]
                 continue
             else:
                 labels, ins[i] = ins[i], []
-            label = self._invoke(i, labels)
+                label = self._invoke(i, labels)
             if label is None:
                 left[i] -= 1
                 if not left[i]:

@@ -10,11 +10,11 @@ compatible; it is the single building block behind the meet-in-the-middle,
 guess-and-meet and representation solvers, and is oracle-tested against a
 quadratic scan.
 
-subset_sums builds the table of all 2^m subset sums of a weight segment
-from whole-array products: a segment of at most _BASE_BITS weights is one
-product of a cached 0/1 selection matrix with the weight vector, and a
-longer segment is split into two parts whose tables are joined by an outer
-sum. Index bit i of an entry still selects weights[i].
+subset_sums builds the table of all 2^m subset sums of a weight segment,
+or one table per row of a (B, m) weight array, from whole-array products:
+a short segment is one product of a cached 0/1 selection matrix with the
+weights, and a longer one is split into two parts whose tables are joined
+by an outer sum. Index bit i of an entry still selects weights[i].
 """
 
 from __future__ import annotations
@@ -149,24 +149,35 @@ _BITS = [
     ((np.arange(1 << m)[:, None] >> np.arange(m)) & 1).astype(np.int64)
     for m in range(_BASE_BITS + 1)
 ]
+# widest single product when building several rows at once
+_ROWS_BASE_BITS = 6
 
 
-def subset_sums(weights: list[int] | tuple[int, ...]) -> np.ndarray:
-    """All 2^m subset sums of a weight segment; index bits select weights.
+def subset_sums(weights: list[int] | tuple[int, ...] | np.ndarray) -> np.ndarray:
+    """All 2^m subset sums of m weights, index bits selecting weights; for
+    a (B, m) int64 array, the (B, 2^m) array of each row's table.
 
-    Up to _BASE_BITS weights: one selection-matrix product. Longer segments
-    split at h, and the outer sum of the two parts' tables puts
-    high[i] + low[j] at index i*2^h + j. Up to 16 weights h = m // 2; above
-    that the high part holds 4 weights (h = m - 4), because numpy's broadcast
-    add runs about twice as fast over 16 long rows as over 2^(m/2) short ones.
-    The int64 arithmetic is exact (numpy does not route integer products
-    through BLAS) as long as every sum fits, which sums_fit guarantees.
+    A segment of at most _BASE_BITS weights (one row) or _ROWS_BASE_BITS
+    (several rows) is one selection-matrix product. A product costs m * 2^m
+    multiply-adds per row, so it beats splitting only while per-call cost
+    dominates, which is the one-row case. Longer segments split at h, and
+    the outer sum of the two parts' tables puts high[i] + low[j] at index
+    i*2^h + j. Up to 16 weights h = m // 2; above that the high part holds
+    4 weights (h = m - 4), because numpy's broadcast add runs about twice as
+    fast over 16 long rows as over 2^(m/2) short ones. The int64 arithmetic
+    is exact (numpy does not route integer products through BLAS) as long
+    as every sum fits, which sums_fit guarantees.
     """
-    m = len(weights)
-    if m <= _BASE_BITS:
-        return _BITS[m] @ np.asarray(weights, dtype=np.int64)
+    w = np.asarray(weights, dtype=np.int64)
+    one_row = w.ndim == 1
+    m = w.shape[-1]
+    if m <= (_BASE_BITS if one_row else _ROWS_BASE_BITS):
+        return _BITS[m] @ w if one_row else w @ _BITS[m].T
     h = m // 2 if m <= 16 else m - 4
-    return np.add.outer(subset_sums(weights[h:]), subset_sums(weights[:h])).ravel()
+    high, low = subset_sums(w[..., h:]), subset_sums(w[..., :h])
+    if one_row:
+        return np.add.outer(high, low).ravel()
+    return (high[:, :, None] + low[:, None, :]).reshape(len(w), -1)
 
 
 def _expand_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -119,45 +119,20 @@ def brute_scan(
 
     table holds the subset sums of the low positions (index bits select
     weights, as lists.subset_sums builds it); each assignment of the
-    high_weights positions, with subset sum c, is one chunk tested in one
-    pass over the table. Every sum lies in [0, _SUM_CAP), which makes both
-    tests exact in 64 bits:
-    - modular: the table is reduced mod 2^r once, and a chunk compares it
-      with (target - c) mod 2^r, capped at _SUM_CAP because a residue at
-      r > 62 can exceed every sum;
-    - interval: the bounds are capped at _SUM_CAP and the lower one is
-      subtracted from the table once, leaving it as uint64; a chunk adds c
-      (chunk 0 skips the add) and tests lo <= sum < hi as one unsigned
-      comparison with hi - lo.
-    Both reductions happen in place: table afterwards holds the residues, or
-    the sums minus lo (differences of interval sums are unchanged). Hits
-    come out as one index array per chunk, with the chunk's high bits OR'd
-    in place when they are nonzero. Each chunk charges len(table) ops and
-    the budget is checked after it, so BudgetExceededError carries the op
-    count of the first chunk that went over; the scan ends by charging
-    len(table) + hits cells of memory.
+    high_weights positions, with subset sum c, is one chunk: one
+    chunk_hits pass over the table as reduce_table leaves it. Hits come out
+    as one index array per chunk, with the chunk's high bits OR'd in place
+    when they are nonzero. Each chunk charges len(table) ops and the budget
+    is checked after it, so BudgetExceededError carries the op count of the
+    first chunk that went over; the scan ends by charging len(table) + hits
+    cells of memory.
     """
     size = len(table)
     low_bits = size.bit_length() - 1
-    modular = bounds is None
-    if modular:
-        mod = 1 << r
-        table &= min(mod, _SUM_CAP) - 1
-    else:
-        lo, hi = min(bounds[0], _SUM_CAP), min(bounds[1], _SUM_CAP)
-        table -= lo
-        # sum - lo in uint64: a sum below lo wraps past every span
-        table = table.view(np.uint64)
-        span = hi - lo
-
+    reduced = reduce_table(table, r, bounds)
     found: list[int] = []
     for high in range(1 << len(high_weights)):
-        c = masked_sum(high_weights, high) if high else 0
-        if modular:
-            hits = table == min((target - c) % mod, _SUM_CAP)
-        else:
-            hits = (table + c if high else table) < span
-        idx = hits.nonzero()[0]
+        idx = chunk_hits(reduced, masked_sum(high_weights, high) if high else 0, r, target, bounds)
         if high:
             idx |= high << low_bits
         found.extend(idx.tolist())
@@ -165,6 +140,43 @@ def brute_scan(
         _raise_if_over(counter)
     counter.bump_mem(size + len(found))
     return found
+
+
+def reduce_table(table: np.ndarray, r: int | None, bounds: tuple[int, int] | None) -> np.ndarray:
+    """A subset-sum table reduced in place for chunk_hits, and returned.
+
+    Every sum lies in [0, _SUM_CAP), which makes both reductions exact in
+    64 bits:
+    - modular (bounds None): residues mod 2^r, capped at _SUM_CAP because at
+      r > 62 a residue is the sum itself;
+    - interval: the lower bound, capped at _SUM_CAP, subtracted, returned as
+      a uint64 view so that a sum below lo wraps past every span.
+    Differences of interval sums are unchanged by the reduction.
+    """
+    if bounds is None:
+        table &= min(1 << r, _SUM_CAP) - 1
+        return table
+    table -= min(bounds[0], _SUM_CAP)
+    return table.view(np.uint64)
+
+
+def chunk_hits(
+    reduced: np.ndarray, c: int, r: int | None, target: int, bounds: tuple[int, int] | None
+) -> np.ndarray:
+    """Indices i, ascending, of a table as reduce_table leaves it whose sum
+    plus c meets the equation; one pass over the table.
+
+    Modular: the residues are compared with (target - c) mod 2^r, capped at
+    _SUM_CAP (at r > 62 a residue that large matches no sum, and neither
+    does the cap). Interval: lo <= sum + c < hi is one unsigned comparison
+    of reduced + c with hi - lo; c = 0 skips the add.
+    """
+    if bounds is None:
+        hits = reduced == min((target - c) % (1 << r), _SUM_CAP)
+    else:
+        span = min(bounds[1], _SUM_CAP) - min(bounds[0], _SUM_CAP)
+        hits = (reduced + c if c else reduced) < span
+    return hits.nonzero()[0]
 
 
 def _index_list(weights: tuple[int, ...], offset: int) -> PartialSumList:

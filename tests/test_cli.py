@@ -20,11 +20,16 @@ with open(SCHEMA_PATH, "r", encoding="utf-8") as fh:
 
 
 def cli(*args: str, timeout: int = 240) -> subprocess.CompletedProcess:
+    """`shiftlab <args>`, run against this checkout's src/."""
+    env = dict(os.environ)
+    src = os.path.join(ROOT, "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
     return subprocess.run(
         [sys.executable, "-m", "shiftlab.cli", *args],
         capture_output=True,
         timeout=timeout,
         cwd=ROOT,
+        env=env,
     )
 
 

@@ -9,7 +9,7 @@ import pytest
 from shiftlab.combine import (
     FAILURE_PROJECTION,
     FAILURE_REJECTION,
-    _brute_preimages,
+    brute_row,
     combine_interval,
     combine_labels,
     combine_pow2,
@@ -28,6 +28,7 @@ from shiftlab.subset_sum import (
 )
 from shiftlab.subset_sum.instances import interval_ancilla, masked_sum, modular_ancilla
 from shiftlab.subset_sum.lists import subset_sums
+from shiftlab.subset_sum.solvers import chunk_hits, reduce_table
 
 from conftest import chi_square_p, stream
 
@@ -249,25 +250,50 @@ def test_each_combination_solves_one_witness_instance(solver_id, routine, monkey
 
 @pytest.mark.parametrize("flavor", ["modular", "interval"])
 def test_core_brute_branch_matches_solve_bruteforce(flavor):
-    """The core's brute-force branch against solve_bruteforce on the same
-    instance, k = 2..18: same set, op count, memory peak and budget raise."""
+    """The core's brute-force branch against solve_bruteforce, k = 2..18:
+    its one-chunk scan finds the same set on planted and unplanted
+    instances, and brute_row's support size, op count, memory peak and
+    budget raise are those of the instance its witness defines."""
     rng = stream("core-brute", flavor)
     for k in range(2, 19):
         for plant in (True, False):
             problem = random_instance(flavor, k, rng.randrange(1, k + 3), rng, plant=plant)
             bounds = problem.bounds() if flavor == "interval" else None
-            args = (problem.r, problem.target, bounds)
-            ref = solve_bruteforce(problem)
-            found, ops, mem = _brute_preimages(subset_sums(problem.weights), *args, None)
-            assert found == sorted(ref.solutions)
-            assert (ops, mem) == (ref.op_count, ref.mem_peak)
+            reduced = reduce_table(subset_sums(problem.weights), problem.r, bounds)
+            found = chunk_hits(reduced, 0, problem.r, problem.target, bounds)
+            assert found.tolist() == sorted(solve_bruteforce(problem).solutions)
 
-            budget = rng.randrange(1 << k)
-            with pytest.raises(BudgetExceededError) as want:
-                solve_bruteforce(problem, budget=budget)
-            with pytest.raises(BudgetExceededError) as got:
-                _brute_preimages(subset_sums(problem.weights), *args, budget)
-            assert str(got.value) == str(want.value)
+        if flavor == "modular":
+            r = rng.randrange(1, k)
+            N = 1 << (r + rng.randrange(8))
+            labels = [rng.randrange(N) for _ in range(k)]
+            routine, where, weights = POW2, 0, [modular_ancilla(lab, r) for lab in labels]
+        else:
+            r = rng.randrange(1, k - ceil_log2(k) + 1)
+            N = where = rng.choice((1 << k, rng.randrange(2, 1 << 30)))
+            labels = [rng.randrange(N) for _ in range(k)]
+            routine, weights = INTERVAL, labels
+        seed = rng.randrange(1 << 32)
+        j_star = random.Random(seed).randrange(1 << k)
+        row_args = (labels, routine, r, where, N, random.Random(seed))
+        _, pair, v, m, ops, mem = brute_row(subset_sums(weights), *row_args, None)
+        if routine == POW2:
+            problem = ModularInstance(tuple(weights), r, v)
+        else:
+            problem = IntervalInstance(tuple(labels), N, r, v)
+        ref = solve_bruteforce(problem)
+        assert j_star in ref.solutions
+        assert (m, ops, mem) == (len(ref.solutions), ref.op_count, ref.mem_peak)
+        if pair is not None:
+            assert set(pair) <= ref.solutions
+
+        budget = rng.randrange(1 << k)
+        with pytest.raises(BudgetExceededError) as want:
+            solve_bruteforce(problem, budget=budget)
+        row_args = (labels, routine, r, where, N, random.Random(seed))
+        with pytest.raises(BudgetExceededError) as got:
+            brute_row(subset_sums(weights), *row_args, budget)
+        assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("routine", [POW2, INTERVAL])

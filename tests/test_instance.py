@@ -99,6 +99,36 @@ def test_sample_labels_serve_the_element_stream(N):
         assert inst.q_queries == served
 
 
+@pytest.mark.parametrize("N", [1000003, 2**61 - 1, 2**16])
+def test_peek_labels_shows_what_comes_next(N):
+    # one-word, two-word and power-of-two N; peeks of every size, some
+    # reaching past the buffered labels into the next LABEL_BATCH refill,
+    # interleaved with the calls that serve labels: one label stream, and
+    # only served labels cost queries
+    inst = new_instance(N, RANDOM, seed=N)
+    reference = stream(N, "labels")
+    ahead: list[int] = []  # reference draws already shown by a peek
+    served = 0
+
+    def upcoming(n):
+        while len(ahead) < n:
+            ahead.append(reference.randrange(N))
+        return ahead[:n]
+
+    steps = [(0, 1), (12, 5), (LABEL_BATCH + 40, 0), (3, LABEL_BATCH - 7),
+             (2 * LABEL_BATCH, 1), (LABEL_BATCH, 2 * LABEL_BATCH + 3), (7, 7)]
+    for peek, take in steps:
+        assert inst.peek_labels(peek) == upcoming(peek)
+        assert inst.peek_labels(peek) == upcoming(peek)
+        assert inst.q_queries == served
+        assert inst.sample_labels(take) == upcoming(take)
+        del ahead[:take]
+        assert inst.sample_element().label == upcoming(1)[0]
+        del ahead[:1]
+        served += take + 1
+        assert inst.q_queries == served
+
+
 def test_query_counter_advances():
     inst = new_instance(64, 0, seed=1)
     for i in range(10):

@@ -1,31 +1,70 @@
 """run_pipeline against the element-level reference engine.
 
 The pipeline runs on int labels and makes a PhaseElement only for the
-element it returns; reference_pipeline drives the public combine_pow2 /
-combine_interval on elements, one sample_element per raw label. For equal
-seeds both must return the same element and charge the same queries and
-the same ledger, row for row.
+element it returns; with brute force it builds stage 0's subset-sum tables
+in waves from peeked labels. reference_pipeline drives the public
+combine_pow2 / combine_interval on elements, one sample_element per raw
+label. For equal seeds both must return the same element, charge the same
+queries and the same ledger, row for row, and leave the instance's label
+stream at the same place: peeking ahead consumes nothing.
 """
 
 import pytest
 
-from shiftlab import BudgetExceededError, Schedule, StageSpec, new_instance, run_pipeline
+import reference_pipeline as reference_module
+import shiftlab.pipeline as pipeline_module
+from shiftlab import (
+    AccountingError,
+    BudgetExceededError,
+    RetryExhaustedError,
+    Schedule,
+    StageSpec,
+    new_instance,
+    run_pipeline,
+)
 from shiftlab.kinds import INTERVAL, POW2, POW2_TOP, SMALL_ONE, SOLVERS
-from shiftlab.pipeline import schedule_uniform
+from shiftlab.pipeline import WAVE_CELLS, schedule_uniform
 
 from reference_pipeline import reference_pipeline
 
 SEEDS = range(8)
 
 
-def outcome(engine, N, sched, target, seed, **kwargs):
-    inst = new_instance(N, seed=seed)
-    elem, ledger = engine(inst, sched, target, **kwargs)
+def result(inst, elem, ledger):
     doc = ledger.as_dict()
     del doc["wall_seconds"]
     for row in doc["per_stage"]:
         row.pop("leftover", None)
     return elem.label, elem.scale, elem.consumed, inst.q_queries, doc
+
+
+def outcome(engine, N, sched, target, seed, calls=1, **kwargs):
+    """The results of `calls` consecutive engine calls on one instance, and
+    the next 3 labels of its stream after them."""
+    inst = new_instance(N, seed=seed)
+    results = [result(inst, *engine(inst, sched, target, **kwargs)) for _ in range(calls)]
+    return results, inst.sample_labels(3)
+
+
+def raised(engine, N, sched, target, seed, **kwargs):
+    """The error an engine call raises, the queries charged until then and
+    the next 3 labels of the stream."""
+    inst = new_instance(N, seed=seed)
+    with pytest.raises((BudgetExceededError, RetryExhaustedError)) as info:
+        engine(inst, sched, target, **kwargs)
+    return info.type, inst.q_queries, inst.sample_labels(3)
+
+
+def mid_wave(invocations, k):
+    """Whether a call that ran this many stage-0 invocations stopped with
+    rows of its current wave unused: waves hold 1, 2, 4, ... rows up to
+    WAVE_CELLS >> k, so a full wave ends after 2^j - 1 invocations early on,
+    and at a multiple of the cap past that."""
+    cap = max(1, WAVE_CELLS >> k)
+    ramp = cap.bit_length() - 1  # waves before the first full one
+    if invocations < (1 << ramp) - 1 + cap:
+        return (invocations + 1) & invocations != 0
+    return (invocations - ((1 << ramp) - 1)) % cap != 0
 
 
 def assert_same(N, sched, target, seed, **kwargs):
@@ -72,3 +111,73 @@ def test_budget_raise_matches_reference():
             engine(inst, sched, POW2_TOP, budget=40)
         errors.append((str(info.value), inst.q_queries))
     assert errors[0] == errors[1]
+
+
+def test_stage_zero_spanning_full_waves_matches_reference():
+    # k = 4: waves ramp from 1 to 2048 rows, and this call's 16,692 stage-0
+    # invocations run through seven full-cap waves
+    sched = schedule_uniform(22, 4)
+    got = outcome(run_pipeline, 1 << 22, sched, POW2_TOP, 0)
+    assert got == outcome(reference_pipeline, 1 << 22, sched, POW2_TOP, 0)
+    invocations = got[0][0][4]["per_stage"][0]["invocations"]
+    assert invocations > (1 << 11) - 1 + 2 * (WAVE_CELLS >> 4)
+    assert mid_wave(invocations, 4)
+
+
+def test_consecutive_calls_on_one_instance_match_reference():
+    # the second call starts its waves afresh from where the first call's
+    # draws, not its peeks, left the label stream
+    for seed in range(4):
+        for N, sched, target, kwargs in (
+            (1 << 12, schedule_uniform(12, 6), POW2_TOP, {}),
+            (1000003, schedule_uniform(20, 12, INTERVAL), SMALL_ONE, {"scale": 7}),
+        ):
+            got = outcome(run_pipeline, N, sched, target, seed, calls=2, **kwargs)
+            assert got == outcome(reference_pipeline, N, sched, target, seed, calls=2, **kwargs)
+
+
+def test_retry_exhaustion_mid_wave_matches_reference(monkeypatch):
+    # with caps of k invocations per demanded output and 4 top candidates,
+    # these seeds give up: seed 2 on the top candidates, seeds 7 and 8 in
+    # stage 0 (after 186 and 1012 invocations); both engines must stop at
+    # the same draw
+    for module in (pipeline_module, reference_module):
+        monkeypatch.setattr(module, "RETRY_FACTOR", 1)
+        monkeypatch.setattr(module, "P_PRIOR", 1)
+    sched = schedule_uniform(16, 4)
+    for seed in (2, 7, 8):
+        got = raised(run_pipeline, 1 << 16, sched, POW2_TOP, seed)
+        assert got == raised(reference_pipeline, 1 << 16, sched, POW2_TOP, seed)
+        assert got[0] is RetryExhaustedError
+        assert mid_wave(got[1] // 4, 4)
+
+
+def test_budget_raise_mid_wave_matches_reference():
+    # stage 0 (k = 4, 16 ops) fits the budget, stage 1 (k = 8, 256 ops)
+    # does not: the raise comes after several stage-0 waves
+    sched = Schedule((StageSpec(4, 3), StageSpec(8, 7)))
+    stopped_mid_wave = 0
+    for seed in range(8):
+        got = raised(run_pipeline, 1 << 11, sched, POW2_TOP, seed, budget=100)
+        assert got == raised(reference_pipeline, 1 << 11, sched, POW2_TOP, seed, budget=100)
+        assert got[0] is BudgetExceededError
+        stopped_mid_wave += mid_wave(got[1] // 4, 4)
+    assert stopped_mid_wave
+
+
+def test_stray_label_draw_breaks_wave_alignment(monkeypatch):
+    # one label drawn behind the engine's back, inside a wave of two rows:
+    # the next stage-0 invocation draws labels its row was not built from
+    real_record = pipeline_module._Engine._record
+    records = []
+
+    def record(self, i, *args):
+        real_record(self, i, *args)
+        records.append(i)
+        if records.count(0) == 2 and i == 0:
+            self.inst.sample_labels(1)
+
+    monkeypatch.setattr(pipeline_module._Engine, "_record", record)
+    inst = new_instance(1 << 12, seed=0)
+    with pytest.raises(AccountingError, match="out of step"):
+        run_pipeline(inst, schedule_uniform(12, 6), POW2_TOP)

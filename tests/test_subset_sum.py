@@ -274,8 +274,9 @@ def _doubled_sums(weights):
     return sums
 
 
-# m = 8 is the largest single selection-matrix product, 9 the first split,
-# 16-18 reach brute force's 18-bit chunk table, 17 up split off 4 high weights
+# m = 8 is the largest single selection-matrix product (6 for several rows),
+# 9 the first split, 16-18 reach brute force's 18-bit chunk table, 17 up
+# split off 4 high weights
 @pytest.mark.parametrize("m", range(21))
 def test_subset_sums_match_list_doubling(m):
     rng = stream("subset_sums", m)
@@ -292,6 +293,17 @@ def test_subset_sums_match_list_doubling(m):
         assert got.dtype == np.int64
         assert got.shape == (1 << m,)
         assert got.tolist() == _doubled_sums(weights), weights
+    if not 1 <= m <= 18:
+        return
+    # several rows at once, each with its own weights: row b is the table
+    # of row b, for one, two and more rows than there are cases
+    extra = [[rng.randrange(top + 1) for _ in range(m)] for _ in range(3)]
+    for rows in ([cases[1]], cases[:2], cases + extra):
+        got = subset_sums(np.array(rows, dtype=np.int64))
+        assert got.dtype == np.int64
+        assert got.shape == (len(rows), 1 << m)
+        for b, weights in enumerate(rows):
+            assert got[b].tolist() == _doubled_sums(weights), (b, weights)
 
 
 def _python_scan(inst):
