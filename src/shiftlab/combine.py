@@ -24,8 +24,11 @@ k weights' subset sums: the witness's ancilla value, the preimages (one
 chunk_hits pass, the scan solve_bruteforce runs per chunk) and the interval
 routine's output gap are all read from that one row. combine_labels hands
 it a one-row table; the pipeline's stage 0 hands it the next row of a wave
-of tables built together (pipeline.WAVE_CELLS). Every other solver gets a
-validated instance and one solve call.
+of tables built together (pipeline.WAVE_CELLS), int32 when every sum fits
+(solvers.table_dtype), which outlives the run_pipeline call that built it
+and, for power-of-two labels, holds the sums of their low k - 1 bits, whose
+residues mod 2^r serve every r < k. Every other solver gets a validated
+instance and one solve call.
 
 Projection follows the sequential model: candidate pairs are tried in sorted
 adjacent order, each succeeding with probability 2/m over the current support
@@ -108,8 +111,9 @@ def project_pair(solutions, rng: random.Random) -> tuple[int, int] | None:
 
 
 def brute_row(row, labels, routine, r, where, N, rng, budget):
-    """One brute-force combination read from row, the subset-sum table of
-    its k <= _CHUNK_BITS weights, which the scan reduces in place.
+    """One brute-force combination read from row, the int32 or int64
+    subset-sum table of its k <= _CHUNK_BITS weights (POW2: of any weights
+    congruent to them mod 2^r), which the scan reduces in place.
 
     The witness's ancilla value, the preimages (one chunk_hits pass, which
     always finds the witness) and the interval routine's output gap all

@@ -33,12 +33,20 @@ Stage 0's inputs are the next k labels of the instance's label stream, which
 no other draw in the pipeline touches. So with brute force at k <= 18 the
 engine builds stage 0's subset-sum tables ahead, in waves: one batched
 subset_sums call over labels peeked (not drawn) from the stream, one row per
-upcoming invocation. A run_pipeline call's first wave has one row and each
-next wave twice as many, up to WAVE_CELLS table cells. Each invocation still
-draws its own k labels, in demand order and with the same query charge,
-checks them against its row's (AccountingError if they differ) and runs the
-row kernel combine.brute_row on the row, with the same RNG calls as before.
-Rows left when the call returns are dropped; they cost wall time only.
+upcoming invocation, int32 when every sum fits (table_dtype). An instance's
+first wave has one row and each next wave twice as many, up to WAVE_CELLS
+table cells. Each invocation still draws its own k labels, in demand order
+and with the same query charge, checks them against its row's
+(AccountingError if they differ) and runs the row kernel combine.brute_row
+on the row, with the same RNG calls as before.
+
+A wave outlives the run_pipeline call that built it: it stays with its
+instance, and the instance's next call carries on with its unused rows when
+that call's stage 0 has the same width and routine and those rows' labels
+are still the next ones in the stream; otherwise the rows are dropped (they
+cost wall time only) and the waves start again at one row. Power-of-two
+rows hold the sums of the labels' low k - 1 bits, whose residues mod 2^r
+serve every stage-0 r, so all the levels of a recovery share its waves.
 """
 
 from __future__ import annotations
@@ -46,6 +54,7 @@ from __future__ import annotations
 import math
 import random
 import time
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,13 +67,13 @@ from .instance import HiddenShiftInstance, PhaseElement
 from .kinds import BRUTE, INTERVAL, POW2, POW2_TOP, ROUTINES, SEEDED_SOLVERS, SOLVERS, TARGETS
 from .seeds import derive, label_path
 from .subset_sum.lists import subset_sums
-from .subset_sum.solvers import _CHUNK_BITS, sums_fit
+from .subset_sum.solvers import _CHUNK_BITS, sums_fit, table_dtype
 
 # run_pipeline's retry budgets; P_PRIOR is the per-invocation success
 # probability that the (k/p)^m query law assumes
 RETRY_FACTOR = 10
 P_PRIOR = 0.25
-# most table cells (int64) one stage-0 wave of brute-force tables holds
+# most table cells one stage-0 wave of brute-force tables holds
 WAVE_CELLS = 1 << 15
 
 
@@ -368,6 +377,62 @@ def plan_interval(sched: Schedule, N: int) -> list[_PlanStage]:
     return plan
 
 
+class _Wave:
+    """Brute-force tables built ahead for an instance's stage-0 invocations
+    of one width and routine (key): row j of table is the subset-sum table
+    of labels[j*k : (j+1)*k], masked to their low k - 1 bits for POW2, and
+    row is the next unused one."""
+
+    __slots__ = ("key", "dtype", "table", "labels", "row")
+
+    def __init__(self, key: tuple[int, str], dtype):
+        self.key = key
+        self.dtype = dtype
+        self.table = np.empty((0, 0), dtype=dtype)
+        self.labels: list[int] = []
+        self.row = 0
+
+    def build(self, inst: HiddenShiftInstance) -> None:
+        """Replace the table with the next wave's, built from the labels
+        the next stage-0 invocations will draw, peeked, not drawn: twice
+        the rows of the last wave (one for the first), up to WAVE_CELLS
+        cells.
+
+        No weight check is needed: plan_interval keeps k labels below B
+        inside sums_fit, masked power-of-two weights are below 2^(k-1), and
+        the dtype is the table_dtype of those bounds.
+        """
+        k, routine = self.key
+        rows = min(max(1, 2 * len(self.table)), max(1, WAVE_CELLS >> k))
+        self.labels = inst.peek_labels(rows * k)
+        weights = np.array(self.labels, dtype=np.int64).reshape(rows, k)
+        if routine == POW2:
+            weights &= (1 << (k - 1)) - 1
+        self.table = subset_sums(weights.astype(self.dtype, copy=False))
+        self.row = 0
+
+
+# each instance's current stage-0 wave, kept across run_pipeline calls. It
+# lives here, not on the instance, which knows nothing of tables; instances
+# hash by identity, and an entry goes with its instance.
+_WAVES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _stage0_wave(inst: HiddenShiftInstance, st: _PlanStage) -> _Wave:
+    """The instance's wave for stage 0 st: its current one when the key
+    matches and the unused rows' labels are still next in the stream, else
+    a new, empty one."""
+    key = (st.k, st.routine)
+    wave = _WAVES.get(inst)
+    if wave is not None and wave.key == key:
+        unused = wave.labels[wave.row * st.k :]
+        if unused == inst.peek_labels(len(unused)):
+            return wave
+    top = (1 << (st.k - 1)) - 1 if st.routine == POW2 else inst.modulus.N - 1
+    wave = _WAVES[inst] = _Wave(key, table_dtype(st.k, top))
+    return wave
+
+
 class _Engine:
     """The stages of one run_pipeline call, run on int labels."""
 
@@ -395,12 +460,8 @@ class _Engine:
         self.ledger.per_stage = self.stats
         self.caps = [RETRY_FACTOR * math.ceil(st.k / P_PRIOR) for st in plan]
         self._invocation = 0
-        self.waves = bool(plan) and sched.solver_id == BRUTE and plan[0].k <= _CHUNK_BITS
-        # the stage-0 wave: a (rows, 2^k) table of brute-force rows, the
-        # labels they were built from, and the next unused row
-        self._wave = np.empty((0, 0), dtype=np.int64)
-        self._wave_labels: list[int] = []
-        self._row = 0
+        waves = bool(plan) and sched.solver_id == BRUTE and plan[0].k <= _CHUNK_BITS
+        self.wave = _stage0_wave(inst, plan[0]) if waves else None
 
     def _raw(self, n: int) -> list[int]:
         """Draw n raw labels, one query each, and charge them in one step."""
@@ -441,7 +502,7 @@ class _Engine:
     def _stage0(self) -> int | None:
         """One stage-0 invocation on the next k raw labels.
 
-        With waves, its brute-force table is the next row of the current
+        With waves, its brute-force table is the next row of the instance's
         wave, built ahead from peeked labels; the invocation still draws its
         own k labels (same stream, same charge) and checks them against the
         row's. Brute force is never seeded, so the solver-seed counter does
@@ -449,39 +510,22 @@ class _Engine:
         """
         st = self.plan[0]
         k = st.k
-        if not self.waves:
+        wave = self.wave
+        if wave is None:
             return self._invoke(0, self._raw(k))
-        if self._row == len(self._wave):
-            self._next_wave()
-        j = self._row
+        if wave.row == len(wave.table):
+            wave.build(self.inst)
+        j = wave.row
         labels = self._raw(k)
-        if labels != self._wave_labels[j * k : (j + 1) * k]:
+        if labels != wave.labels[j * k : (j + 1) * k]:
             raise AccountingError(f"stage-0 labels drawn out of step with wave row {j}")
-        self._row = j + 1
+        wave.row = j + 1
         where = st.a if st.routine == POW2 else st.b_in
         label, _, _, _, ops, mem = brute_row(
-            self._wave[j], labels, st.routine, st.r, where, self.N, self.rng, self.budget
+            wave.table[j], labels, st.routine, st.r, where, self.N, self.rng, self.budget
         )
         self._record(0, label, ops, mem)
         return label
-
-    def _next_wave(self) -> None:
-        """Build the next wave's tables from the labels the next stage-0
-        invocations will draw, peeked, not drawn: one row on the call's first
-        wave, doubling each wave up to WAVE_CELLS cells.
-
-        No weight check is needed: plan_interval keeps k labels below B
-        inside sums_fit, and power-of-two weights are below 2^r.
-        """
-        st = self.plan[0]
-        k = st.k
-        rows = min(max(1, 2 * len(self._wave)), max(1, WAVE_CELLS >> k))
-        self._wave_labels = self.inst.peek_labels(rows * k)
-        weights = np.array(self._wave_labels, dtype=np.int64).reshape(rows, k)
-        if st.routine == POW2:
-            weights = (weights >> st.a) & ((1 << st.r) - 1)
-        self._wave = subset_sums(weights)
-        self._row = 0
 
     def next_label(self) -> int:
         """One output label of the top stage; a raw label for an empty plan.

@@ -142,20 +142,25 @@ class PartialSumList:
         return hit
 
 
-# _BITS[m] is the 2^m x m 0/1 matrix whose row j holds the bits of j, so
-# _BITS[m] @ w lists every subset sum of m weights (about 28 KB for all nine).
+# _BITS[dtype][m] is the 2^m x m 0/1 matrix whose row j holds the bits of j,
+# so _BITS[dtype][m] @ w lists every subset sum of m weights of that dtype
+# (about 28 KB for all nine int64 ones).
 _BASE_BITS = 8
-_BITS = [
-    ((np.arange(1 << m)[:, None] >> np.arange(m)) & 1).astype(np.int64)
-    for m in range(_BASE_BITS + 1)
-]
+_BITS = {
+    dtype: [
+        ((np.arange(1 << m)[:, None] >> np.arange(m)) & 1).astype(dtype)
+        for m in range(_BASE_BITS + 1)
+    ]
+    for dtype in (np.dtype(np.int32), np.dtype(np.int64))
+}
 # widest single product when building several rows at once
 _ROWS_BASE_BITS = 6
 
 
 def subset_sums(weights: list[int] | tuple[int, ...] | np.ndarray) -> np.ndarray:
     """All 2^m subset sums of m weights, index bits selecting weights; for
-    a (B, m) int64 array, the (B, 2^m) array of each row's table.
+    a (B, m) array, the (B, 2^m) array of each row's table. An int32 array
+    gives int32 tables, anything else int64 ones.
 
     A segment of at most _BASE_BITS weights (one row) or _ROWS_BASE_BITS
     (several rows) is one selection-matrix product. A product costs m * 2^m
@@ -164,15 +169,20 @@ def subset_sums(weights: list[int] | tuple[int, ...] | np.ndarray) -> np.ndarray
     the outer sum of the two parts' tables puts high[i] + low[j] at index
     i*2^h + j. Up to 16 weights h = m // 2; above that the high part holds
     4 weights (h = m - 4), because numpy's broadcast add runs about twice as
-    fast over 16 long rows as over 2^(m/2) short ones. The int64 arithmetic
-    is exact (numpy does not route integer products through BLAS) as long
-    as every sum fits, which sums_fit guarantees.
+    fast over 16 long rows as over 2^(m/2) short ones. The integer
+    arithmetic is exact (numpy does not route integer products through
+    BLAS) as long as every sum fits the dtype, which sums_fit guarantees
+    for int64 and solvers.table_dtype for int32.
     """
-    w = np.asarray(weights, dtype=np.int64)
+    if getattr(weights, "dtype", None) == np.int32:
+        w = weights
+    else:
+        w = np.asarray(weights, dtype=np.int64)
     one_row = w.ndim == 1
     m = w.shape[-1]
     if m <= (_BASE_BITS if one_row else _ROWS_BASE_BITS):
-        return _BITS[m] @ w if one_row else w @ _BITS[m].T
+        bits = _BITS[w.dtype][m]
+        return bits @ w if one_row else w @ bits.T
     h = m // 2 if m <= 16 else m - 4
     high, low = subset_sums(w[..., h:]), subset_sums(w[..., :h])
     if one_row:

@@ -22,11 +22,22 @@ _SUM_SAFE_BITS = 62
 # sums_fit keeps every subset sum in [0, _SUM_CAP), so a nonnegative bound
 # capped at _SUM_CAP compares with every sum exactly as the bound itself does
 _SUM_CAP = 1 << _SUM_SAFE_BITS
+# table_dtype's int32 tables keep every sum in [0, 2^31) the same way
+_INT32_BITS = 31
+# by table itemsize: reduce_table's unsigned view for interval sums, and the
+# cap below every sum
+_REDUCED = {4: (np.uint32, 1 << _INT32_BITS), 8: (np.uint64, _SUM_CAP)}
 
 
 def sums_fit(k: int, top: int) -> bool:
     """Whether every subset sum of k weights in [0, top] fits the int64 bound."""
     return k * top < (1 << _SUM_SAFE_BITS)
+
+
+def table_dtype(k: int, top: int):
+    """int32 when every subset sum of k weights in [0, top] stays below
+    2^31, else int64: the dtype of a brute-force table of those weights."""
+    return np.int32 if k * top < (1 << _INT32_BITS) else np.int64
 
 
 def check_weight_magnitude(weights) -> None:
@@ -145,36 +156,41 @@ def brute_scan(
 def reduce_table(table: np.ndarray, r: int | None, bounds: tuple[int, int] | None) -> np.ndarray:
     """A subset-sum table reduced in place for chunk_hits, and returned.
 
-    Every sum lies in [0, _SUM_CAP), which makes both reductions exact in
-    64 bits:
-    - modular (bounds None): residues mod 2^r, capped at _SUM_CAP because at
-      r > 62 a residue is the sum itself;
-    - interval: the lower bound, capped at _SUM_CAP, subtracted, returned as
-      a uint64 view so that a sum below lo wraps past every span.
+    An int64 table keeps every sum in [0, _SUM_CAP) (sums_fit), an int32
+    one in [0, 2^31) (table_dtype); bounds are capped at that cap, which
+    makes both reductions exact in the table's width:
+    - modular (bounds None): residues mod 2^r, the modulus capped because a
+      residue beyond the cap is the sum itself;
+    - interval: the capped lower bound subtracted, returned as an unsigned
+      view so that a sum below lo wraps past every span.
     Differences of interval sums are unchanged by the reduction.
     """
+    unsigned, cap = _REDUCED[table.itemsize]
     if bounds is None:
-        table &= min(1 << r, _SUM_CAP) - 1
+        table &= min(1 << r, cap) - 1
         return table
-    table -= min(bounds[0], _SUM_CAP)
-    return table.view(np.uint64)
+    reduced = table.view(unsigned)
+    reduced -= min(bounds[0], cap)
+    return reduced
 
 
 def chunk_hits(
     reduced: np.ndarray, c: int, r: int | None, target: int, bounds: tuple[int, int] | None
 ) -> np.ndarray:
     """Indices i, ascending, of a table as reduce_table leaves it whose sum
-    plus c meets the equation; one pass over the table.
+    plus c meets the equation; one pass over the table. c and the sums it
+    is added to stay below the table's cap.
 
     Modular: the residues are compared with (target - c) mod 2^r, capped at
-    _SUM_CAP (at r > 62 a residue that large matches no sum, and neither
-    does the cap). Interval: lo <= sum + c < hi is one unsigned comparison
-    of reduced + c with hi - lo; c = 0 skips the add.
+    the table's cap (a residue that large matches no sum, and neither does
+    the cap). Interval: lo <= sum + c < hi is one unsigned comparison of
+    reduced + c with hi - lo, both bounds capped; c = 0 skips the add.
     """
+    cap = _REDUCED[reduced.itemsize][1]
     if bounds is None:
-        hits = reduced == min((target - c) % (1 << r), _SUM_CAP)
+        hits = reduced == min((target - c) % (1 << r), cap)
     else:
-        span = min(bounds[1], _SUM_CAP) - min(bounds[0], _SUM_CAP)
+        span = min(bounds[1], cap) - min(bounds[0], cap)
         hits = (reduced + c if c else reduced) < span
     return hits.nonzero()[0]
 

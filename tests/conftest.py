@@ -6,12 +6,24 @@ import random
 
 import pytest
 
+import shiftlab.pipeline as pipeline_module
 from shiftlab.seeds import derive, label_path
 
 
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)
+
+
+@pytest.fixture
+def waves(monkeypatch):
+    """The row counts of the stage-0 waves run_pipeline builds, in order:
+    the wave builder is the pipeline module's only subset_sums call."""
+    built = []
+    real = pipeline_module.subset_sums
+    monkeypatch.setattr(pipeline_module, "subset_sums",
+                        lambda weights: built.append(len(weights)) or real(weights))
+    return built
 
 
 def stream(*path: object) -> random.Random:

@@ -4,6 +4,7 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from shiftlab.combine import (
@@ -28,7 +29,7 @@ from shiftlab.subset_sum import (
 )
 from shiftlab.subset_sum.instances import interval_ancilla, masked_sum, modular_ancilla
 from shiftlab.subset_sum.lists import subset_sums
-from shiftlab.subset_sum.solvers import chunk_hits, reduce_table
+from shiftlab.subset_sum.solvers import chunk_hits, reduce_table, table_dtype
 
 from conftest import chi_square_p, stream
 
@@ -251,17 +252,35 @@ def test_each_combination_solves_one_witness_instance(solver_id, routine, monkey
 @pytest.mark.parametrize("flavor", ["modular", "interval"])
 def test_core_brute_branch_matches_solve_bruteforce(flavor):
     """The core's brute-force branch against solve_bruteforce, k = 2..18:
-    its one-chunk scan finds the same set on planted and unplanted
-    instances, and brute_row's support size, op count, memory peak and
-    budget raise are those of the instance its witness defines."""
+    its one-chunk scan of a table_dtype table finds the same set on planted
+    and unplanted instances and on weights whose k * max sits just below
+    2^31 (int32 tables) and just above it (int64), and brute_row's support
+    size, op count, memory peak and budget raise are those of the instance
+    its witness defines."""
     rng = stream("core-brute", flavor)
     for k in range(2, 19):
-        for plant in (True, False):
-            problem = random_instance(flavor, k, rng.randrange(1, k + 3), rng, plant=plant)
+        problems = [
+            random_instance(flavor, k, rng.randrange(1, k + 3), rng, plant=plant)
+            for plant in (True, False)
+        ]
+        for top in (((1 << 31) - 1) // k, (1 << 31) // k + 1):
+            weights = tuple(rng.randrange(top + 1) for _ in range(k - 1)) + (top,)
+            total = masked_sum(weights, rng.randrange(1 << k))
+            r = rng.choice((rng.randrange(1, k + 3), 31, 32, 40))
+            if flavor == "modular":
+                problems.append(ModularInstance(weights, r, modular_ancilla(total, r)))
+            else:
+                problems.append(IntervalInstance(weights, top + 1, r,
+                                                 interval_ancilla(total, top + 1, r)))
+        for problem in problems:
             bounds = problem.bounds() if flavor == "interval" else None
-            reduced = reduce_table(subset_sums(problem.weights), problem.r, bounds)
+            dtype = table_dtype(k, max(problem.weights))
+            table = subset_sums(np.array(problem.weights, dtype=dtype))
+            assert table.dtype == dtype
+            reduced = reduce_table(table, problem.r, bounds)
             found = chunk_hits(reduced, 0, problem.r, problem.target, bounds)
             assert found.tolist() == sorted(solve_bruteforce(problem).solutions)
+        assert [table_dtype(k, max(p.weights)) for p in problems[2:]] == [np.int32, np.int64]
 
         if flavor == "modular":
             r = rng.randrange(1, k)
@@ -276,7 +295,8 @@ def test_core_brute_branch_matches_solve_bruteforce(flavor):
         seed = rng.randrange(1 << 32)
         j_star = random.Random(seed).randrange(1 << k)
         row_args = (labels, routine, r, where, N, random.Random(seed))
-        _, pair, v, m, ops, mem = brute_row(subset_sums(weights), *row_args, None)
+        row = subset_sums(np.array(weights, dtype=table_dtype(k, max(weights))))
+        _, pair, v, m, ops, mem = brute_row(row, *row_args, None)
         if routine == POW2:
             problem = ModularInstance(tuple(weights), r, v)
         else:

@@ -2,11 +2,12 @@
 
 The pipeline runs on int labels and makes a PhaseElement only for the
 element it returns; with brute force it builds stage 0's subset-sum tables
-in waves from peeked labels. reference_pipeline drives the public
-combine_pow2 / combine_interval on elements, one sample_element per raw
-label. For equal seeds both must return the same element, charge the same
-queries and the same ledger, row for row, and leave the instance's label
-stream at the same place: peeking ahead consumes nothing.
+in waves from peeked labels, and keeps a wave with its instance for the
+next call. reference_pipeline drives the public combine_pow2 /
+combine_interval on elements, one sample_element per raw label. For equal
+seeds both must return the same element, charge the same queries and the
+same ledger, row for row, and leave the instance's label stream at the same
+place: peeking ahead consumes nothing.
 """
 
 import pytest
@@ -22,7 +23,7 @@ from shiftlab import (
     new_instance,
     run_pipeline,
 )
-from shiftlab.kinds import INTERVAL, POW2, POW2_TOP, SMALL_ONE, SOLVERS
+from shiftlab.kinds import INTERVAL, MITM, POW2, POW2_TOP, SMALL_ONE, SOLVERS
 from shiftlab.pipeline import WAVE_CELLS, schedule_uniform
 
 from reference_pipeline import reference_pipeline
@@ -33,17 +34,33 @@ SEEDS = range(8)
 def result(inst, elem, ledger):
     doc = ledger.as_dict()
     del doc["wall_seconds"]
-    for row in doc["per_stage"]:
-        row.pop("leftover", None)
     return elem.label, elem.scale, elem.consumed, inst.q_queries, doc
+
+
+def sequence(engine, N, seed, steps):
+    """The results of steps on one instance, and the next 3 labels of its
+    stream after them: a step is an engine call (sched, target, kwargs), or
+    n, a stray sample_labels(n)."""
+    inst = new_instance(N, seed=seed)
+    results = []
+    for step in steps:
+        if isinstance(step, int):
+            results.append(inst.sample_labels(step))
+        else:
+            sched, target, kwargs = step
+            results.append(result(inst, *engine(inst, sched, target, **kwargs)))
+    return results, inst.sample_labels(3)
 
 
 def outcome(engine, N, sched, target, seed, calls=1, **kwargs):
     """The results of `calls` consecutive engine calls on one instance, and
     the next 3 labels of its stream after them."""
-    inst = new_instance(N, seed=seed)
-    results = [result(inst, *engine(inst, sched, target, **kwargs)) for _ in range(calls)]
-    return results, inst.sample_labels(3)
+    return sequence(engine, N, seed, [(sched, target, kwargs)] * calls)
+
+
+def assert_same_sequence(N, seed, steps):
+    got = sequence(run_pipeline, N, seed, steps)
+    assert got == sequence(reference_pipeline, N, seed, steps)
 
 
 def raised(engine, N, sched, target, seed, **kwargs):
@@ -56,10 +73,10 @@ def raised(engine, N, sched, target, seed, **kwargs):
 
 
 def mid_wave(invocations, k):
-    """Whether a call that ran this many stage-0 invocations stopped with
-    rows of its current wave unused: waves hold 1, 2, 4, ... rows up to
-    WAVE_CELLS >> k, so a full wave ends after 2^j - 1 invocations early on,
-    and at a multiple of the cap past that."""
+    """Whether the first call on an instance, having run this many stage-0
+    invocations, stopped with rows of its current wave unused: waves hold
+    1, 2, 4, ... rows up to WAVE_CELLS >> k, so a full wave ends after
+    2^j - 1 invocations early on, and at a multiple of the cap past that."""
     cap = max(1, WAVE_CELLS >> k)
     ramp = cap.bit_length() - 1  # waves before the first full one
     if invocations < (1 << ramp) - 1 + cap:
@@ -125,8 +142,8 @@ def test_stage_zero_spanning_full_waves_matches_reference():
 
 
 def test_consecutive_calls_on_one_instance_match_reference():
-    # the second call starts its waves afresh from where the first call's
-    # draws, not its peeks, left the label stream
+    # the second call carries on with the rows of the first call's last
+    # wave that its draws, not its peeks, left unused
     for seed in range(4):
         for N, sched, target, kwargs in (
             (1 << 12, schedule_uniform(12, 6), POW2_TOP, {}),
@@ -134,6 +151,64 @@ def test_consecutive_calls_on_one_instance_match_reference():
         ):
             got = outcome(run_pipeline, N, sched, target, seed, calls=2, **kwargs)
             assert got == outcome(reference_pipeline, N, sched, target, seed, calls=2, **kwargs)
+
+
+def test_descending_levels_share_waves_and_match_reference(waves):
+    # levels 11 down to 1, as recover_pow2 asks for them: stage 0's r is 5
+    # down to level 5, then 4, 3, 2, 1, all read from the same waves, which
+    # keep doubling across calls instead of restarting at one row
+    sched = schedule_uniform(12, 6)
+    steps = [(sched, POW2_TOP, {"level": j}) for j in range(11, 0, -1)]
+    for seed in range(4):
+        waves.clear()
+        assert_same_sequence(1 << 12, seed, steps)
+        assert waves == [1 << w for w in range(len(waves))]
+        assert len(waves) < len(steps)
+
+
+def test_label_drawn_between_calls_matches_reference(waves):
+    # a level-0 call draws one raw label, and so does a stray sample_labels:
+    # the next call finds its wave's rows out of step with the stream and
+    # starts a new wave at one row
+    pow2 = schedule_uniform(12, 6)
+    odd = schedule_uniform(20, 12, INTERVAL)
+    for seed in range(4):
+        waves.clear()
+        assert_same_sequence(1 << 12, seed, [
+            (pow2, POW2_TOP, {"level": 11}),
+            (pow2, POW2_TOP, {"level": 0}),
+            (pow2, POW2_TOP, {"level": 11}),
+            1,
+            (pow2, POW2_TOP, {"level": 10}),
+        ])
+        assert waves.count(1) == 3
+        assert_same_sequence(1000003, seed, [
+            (odd, SMALL_ONE, {"scale": 3}),
+            1,
+            (odd, SMALL_ONE, {"scale": 5}),
+        ])
+
+
+def test_schedule_of_another_width_matches_reference():
+    # a wave serves one stage-0 width and routine; another width, another
+    # solver (which draws its labels without waves) and then the first
+    # schedule again each find the stream where the previous call left it
+    first, narrower = schedule_uniform(12, 6), schedule_uniform(12, 4)
+    steps = [
+        (first, POW2_TOP, {"level": 11}),
+        (narrower, POW2_TOP, {"level": 11}),
+        (first, POW2_TOP, {"level": 9}),
+        (schedule_uniform(12, 8, POW2, MITM), POW2_TOP, {"level": 7}),
+        (first, POW2_TOP, {"level": 11}),
+    ]
+    odd = [
+        (schedule_uniform(20, 12, INTERVAL), SMALL_ONE, {}),
+        (schedule_uniform(20, 10, INTERVAL), SMALL_ONE, {}),
+        (schedule_uniform(20, 12, INTERVAL), SMALL_ONE, {}),
+    ]
+    for seed in range(4):
+        assert_same_sequence(1 << 12, seed, steps)
+        assert_same_sequence(1000003, seed, odd)
 
 
 def test_retry_exhaustion_mid_wave_matches_reference(monkeypatch):

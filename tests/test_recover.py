@@ -20,6 +20,7 @@ from shiftlab import (
 )
 from shiftlab.kinds import INTERVAL
 from shiftlab.recover import candidate_from_sample
+from shiftlab.seeds import derive
 
 from conftest import chi_square_p
 
@@ -188,6 +189,17 @@ def test_recover_pow2_ledger_accounts_for_everything():
     assert ledger.per_stage and ledger.solver_ops == sum(
         row.solver_ops for row in ledger.per_stage
     )
+
+
+def test_recover_pow2_levels_share_stage_zero_waves(waves):
+    # a recovery's 16 pipeline calls, one per level, carry their stage-0
+    # waves over instead of restarting each at one row (51-56 waves when
+    # they did)
+    for u in range(3):
+        waves.clear()
+        inst = new_instance(1 << 16, seed=derive(5, u))
+        assert recover_pow2(inst, schedule_uniform(16, 8)) == inst.reveal_secret()
+        assert 0 < len(waves) <= 16
 
 
 def test_recover_pow2_deterministic_per_seed():

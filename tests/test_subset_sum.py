@@ -27,7 +27,13 @@ from shiftlab.subset_sum import (
 from shiftlab.phase_sim import ancilla_value
 from shiftlab.subset_sum.instances import interval_ancilla, masked_sum, modular_ancilla
 from shiftlab.subset_sum.lists import CONSISTENCY_BINARY, CONSISTENCY_TERNARY, subset_sums
-from shiftlab.subset_sum.solvers import expected_solutions, sums_fit
+from shiftlab.subset_sum.solvers import (
+    chunk_hits,
+    expected_solutions,
+    reduce_table,
+    sums_fit,
+    table_dtype,
+)
 
 from conftest import stream
 
@@ -304,6 +310,75 @@ def test_subset_sums_match_list_doubling(m):
         assert got.shape == (len(rows), 1 << m)
         for b, weights in enumerate(rows):
             assert got[b].tolist() == _doubled_sums(weights), (b, weights)
+
+
+def test_table_dtype_switches_at_two_to_the_31():
+    for k in range(1, 19):
+        top = ((1 << 31) - 1) // k  # k * top < 2^31 <= k * (top + 1)
+        assert table_dtype(k, top) is np.int32
+        assert table_dtype(k, top + 1) is np.int64
+
+
+@pytest.mark.parametrize("m", range(1, 19))
+def test_subset_sums_keep_int32(m):
+    # at table_dtype's edge: m * top < 2^31, so every int32 sum is exact
+    rng = stream("subset_sums_int32", m)
+    top = ((1 << 31) - 1) // m
+    rows = [
+        [top] * m,
+        [rng.randrange(top + 1) for _ in range(m)],
+        [rng.choice((0, 1, top)) for _ in range(m)],
+        [rng.randrange(top // 2, top + 1) for _ in range(m)],
+    ]
+    for weights in rows:
+        got = subset_sums(np.array(weights, dtype=np.int32))
+        assert got.dtype == np.int32
+        assert got.tolist() == subset_sums(weights).tolist(), weights
+    for batch in (rows[:1], rows[:2], rows):
+        got = subset_sums(np.array(batch, dtype=np.int32))
+        assert got.dtype == np.int32
+        assert got.shape == (len(batch), 1 << m)
+        assert got.tolist() == subset_sums(np.array(batch, dtype=np.int64)).tolist()
+
+
+def _reduction_cases(sums, rng):
+    """(r, target, bounds) cases for a table of these sums, all below 2^31:
+    residues narrower and wider than the sums, planted and unplanted, and
+    interval bounds planted, above every sum, and with hi past 2^31."""
+    top = max(sums)
+    for r in (1, 5, 30, 31, 32, 40, 63):
+        yield r, rng.choice(sums) % (1 << r), None
+        yield r, rng.randrange(1 << r), None
+    a, b = sorted(rng.sample(sums, 2))
+    yield None, 0, (a, b + 1)
+    yield None, 0, (top + 1, 1 << 31)
+    yield None, 0, (top + 1, (1 << 31) + 5)
+    yield None, 0, ((1 << 31) + 1, 1 << 40)
+    yield None, 0, (3, (1 << 31) + 7)
+    yield None, 0, (0, 1 << 70)
+    yield None, 0, (a, a)
+
+
+@pytest.mark.parametrize("k", [2, 8, 12, 18])
+def test_reduce_table_and_chunk_hits_on_int32_tables(k):
+    """The same indices from int32 and int64 copies of a table as from a
+    plain scan, for both flavors, with c = 0 and with c the weight a brute
+    chunk adds: all sums plus c stay below 2^31, the bounds need not."""
+    rng = stream("reduce_int32", k)
+    top = ((1 << 31) - 1) // k
+    weights = [rng.randrange(top + 1) for _ in range(k - 1)] + [top]
+    sums = _doubled_sums(weights[:-1])
+    for c in (0, weights[-1]):
+        for r, target, bounds in _reduction_cases(sums, rng):
+            if bounds is None:
+                want = [i for i, t in enumerate(sums) if (t + c) % (1 << r) == target]
+            else:
+                want = [i for i, t in enumerate(sums) if bounds[0] <= t + c < bounds[1]]
+            for dtype in (np.int32, np.int64):
+                table = subset_sums(np.array(weights[:-1], dtype=dtype))
+                reduced = reduce_table(table, r, bounds)
+                got = chunk_hits(reduced, c, r, target, bounds)
+                assert got.tolist() == want, (dtype, c, r, target, bounds)
 
 
 def _python_scan(inst):
