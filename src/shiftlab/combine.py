@@ -36,6 +36,13 @@ size m, and each failure removing the tried pair from the support. An odd
 support therefore fails with probability exactly 1/|J|; an even support never
 fails. Inputs are consumed unconditionally, success or not, which is what the
 per-stage (k/p)^m query accounting charges for.
+
+Every coin of a combination (the witness, the projection coins, the
+interval rejection coin) comes from one helper, _below, which draws
+rng.getrandbits exactly as stock random.Random.randrange(n) does: the same
+values and the same final rng state, without randrange's per-call overhead.
+A random.Random subclass that overrides randrange is therefore not
+consulted.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, GuardError
-from .group_arith import ceil_div, ceil_log2
+from .group_arith import ceil_log2
 from .instance import PhaseElement
 from .kinds import BRUTE, INTERVAL, POW2
 from .subset_sum import IntervalInstance, ModularInstance, solve
@@ -86,6 +93,18 @@ class CombineOutcome:
         return self.result is not None
 
 
+def _below(rng: random.Random, n: int) -> int:
+    """rng.randrange(n) for n >= 1, drawn the way stock CPython draws it
+    (Random._randbelow_with_getrandbits): getrandbits(n.bit_length()),
+    drawn again until it is below n. Same value, same final rng state, less
+    per-call overhead; every coin of a combination comes from here."""
+    b = n.bit_length()
+    x = rng.getrandbits(b)
+    while x >= n:
+        x = rng.getrandbits(b)
+    return x
+
+
 def project_pair(solutions, rng: random.Random) -> tuple[int, int] | None:
     """Project a support of basis vectors down to a pair, or fail.
 
@@ -94,17 +113,23 @@ def project_pair(solutions, rng: random.Random) -> tuple[int, int] | None:
     support, integer-exact coin) and otherwise removes both tried vectors.
     Returns the surviving pair, or None when the support has shrunk to fewer
     than two vectors. The failure probability is 0 for even |J| and exactly
-    1/|J| for odd |J|.
+    1/|J| for odd |J|. The coins come from rng.getrandbits exactly as stock
+    randrange(m) draws them (_below), so a random.Random subclass that
+    overrides randrange is not consulted.
     """
     sols = sorted(solutions)
     if not sols:
         raise AssertionError("project_pair needs a nonempty support")
+    return _pair(sols, rng)
+
+
+def _pair(sols: list[int], rng: random.Random) -> tuple[int, int] | None:
+    """project_pair's loop on a nonempty ascending support list."""
     m = len(sols)
     idx = 0
     while m >= 2:
-        pair = (sols[idx], sols[idx + 1])
-        if rng.randrange(m) < 2:
-            return pair
+        if _below(rng, m) < 2:
+            return sols[idx], sols[idx + 1]
         idx += 2
         m -= 2
     return None
@@ -120,16 +145,19 @@ def brute_row(row, labels, routine, r, where, N, rng, budget):
     come from the table. The cost is solve_bruteforce's on the same
     instance: 2^k ops, 2^k + |J| cells, and BudgetExceededError when 2^k
     exceeds the budget. The other arguments, the RNG order and the result
-    are combine_labels'.
+    are combine_labels'; its coins come from rng.getrandbits exactly as
+    stock randrange draws them (_below), so a random.Random subclass that
+    overrides randrange is not consulted. The ancilla value and bounds are
+    modular_ancilla's, interval_ancilla's and interval_bounds', inlined.
     """
-    j_star = rng.randrange(len(row))
-    total = int(row[j_star])
-    if routine == POW2:
-        v, bounds = modular_ancilla(total, r), None
-    else:
-        v = interval_ancilla(total, where, r)
-        bounds = interval_bounds(v, where, r)
     size = len(row)
+    total = row.item(_below(rng, size))
+    if routine == POW2:
+        v, bounds = total % (1 << r), None
+    else:
+        v = (total << (r - 1)) // where
+        # interval_bounds: ceil(v * where / 2^(r-1)), ceil((v + 1) * where / 2^(r-1))
+        bounds = (-((-v * where) >> (r - 1)), -((-(v + 1) * where) >> (r - 1)))
     if budget is not None and size > budget:
         raise BudgetExceededError(f"operation budget {budget} exceeded at {size}")
     reduced = reduce_table(row, r, bounds)
@@ -156,7 +184,7 @@ def combine_labels(labels, routine, r, where, N, solver_id, rng, budget, solver_
     if solver_id == BRUTE and k <= _CHUNK_BITS:
         check_weight_magnitude(weights)
         return brute_row(subset_sums(weights), labels, routine, r, where, N, rng, budget)
-    j_star = rng.randrange(1 << k)
+    j_star = _below(rng, 1 << k)
     total = masked_sum(weights, j_star)
     if pow2:
         v, bounds = modular_ancilla(total, r), None
@@ -168,16 +196,16 @@ def combine_labels(labels, routine, r, where, N, solver_id, rng, budget, solver_
     sol = solve(problem, solver_id, budget=budget, seed=solver_seed)
     support = set(sol.solutions)
     support.add(j_star)
-    return _project(labels, support, None, routine, r, where, N, rng, v, bounds,
+    return _project(labels, sorted(support), None, routine, r, where, N, rng, v, bounds,
                     sol.op_count, sol.mem_peak)
 
 
 def _project(labels, support, sums, routine, r, where, N, rng, v, bounds, ops, mem):
-    """Project the support and make the output label: combine_labels'
-    result. sums is the table brute_row read (interval sums minus lo, which
-    keeps gaps), or None to sum the labels."""
+    """Project the ascending support list and make the output label:
+    combine_labels' result. sums is the table brute_row read (interval sums
+    minus lo, which keeps gaps), or None to sum the labels."""
     m = len(support)
-    pair = project_pair(support, rng)
+    pair = _pair(support, rng)
     if pair is None:
         return None, None, v, m, ops, mem
     if routine == POW2:
@@ -186,14 +214,14 @@ def _project(labels, support, sums, routine, r, where, N, rng, v, bounds, ops, m
 
     # interval: the gap between the pair's sums, flattened by rejection
     if sums is not None:
-        s1, s2 = int(sums[pair[0]]), int(sums[pair[1]])
+        s1, s2 = sums.item(pair[0]), sums.item(pair[1])
     else:
         s1, s2 = masked_sum(labels, pair[0]), masked_sum(labels, pair[1])
     if s1 > s2:
         pair, s1, s2 = pair[::-1], s2, s1
     d = s2 - s1
     window = bounds[1] - bounds[0]
-    b_prime = ceil_div(where, 1 << r)
+    b_prime = -(-where >> r)  # ceil(where / 2^r)
     margin = window - b_prime + 1
     if d >= b_prime or margin <= 0:
         return None, pair, v, m, ops, mem
@@ -201,7 +229,7 @@ def _project(labels, support, sums, routine, r, where, N, rng, v, bounds, ops, m
         num, den = min(2 * margin, window), window
     else:
         num, den = margin, window - d
-    return (d if rng.randrange(den) < num else None), pair, v, m, ops, mem
+    return (d if _below(rng, den) < num else None), pair, v, m, ops, mem
 
 
 def _inputs(elems):

@@ -10,6 +10,7 @@ import pytest
 from shiftlab.combine import (
     FAILURE_PROJECTION,
     FAILURE_REJECTION,
+    _below,
     brute_row,
     combine_interval,
     combine_labels,
@@ -17,7 +18,7 @@ from shiftlab.combine import (
     project_pair,
 )
 from shiftlab.errors import BudgetExceededError, ConsumedElementError, GuardError
-from shiftlab.group_arith import ceil_log2, two_adic_valuation
+from shiftlab.group_arith import ceil_div, ceil_log2, two_adic_valuation
 from shiftlab.instance import new_instance
 from shiftlab.kinds import BRUTE, INTERVAL, MITM, POW2
 from shiftlab.phase_sim import statevector_combine_dist
@@ -70,6 +71,43 @@ def test_project_pair_never_fails_even_support():
     for m in (2, 4, 6, 8):
         for _ in range(2000):
             assert project_pair(set(range(m)), rng) is not None
+
+
+# -- the coin helper --------------------------------------------------------------
+
+COIN_BOUNDS = list(range(1, 301)) + [
+    n for j in range(1, 41) for n in ((1 << j) - 1, 1 << j, (1 << j) + 1)
+]
+
+
+def replays_randrange(below, seed: int) -> bool:
+    """Whether below(rng, n) draws, for every n in COIN_BOUNDS (three
+    times each), the value stock randrange(n) draws on a twin Random, and
+    leaves the same rng state after every draw."""
+    ours, stock = random.Random(seed), random.Random(seed)
+    for n in COIN_BOUNDS:
+        for _ in range(3):
+            if below(ours, n) != stock.randrange(n) or ours.getstate() != stock.getstate():
+                return False
+    return True
+
+
+@pytest.mark.parametrize("seed", [0, 1, 0x5EED, 2**64 - 1])
+def test_below_replays_stock_randrange(seed):
+    """The helper every combination coin comes from is stock randrange,
+    value and state, at small bounds and around powers of two; a helper
+    that takes its bit width from n - 1 (which draws one bit too few at
+    n = 2^j) is caught."""
+
+    def one_bit_short(rng, n):
+        b = (n - 1).bit_length()
+        x = rng.getrandbits(b)
+        while x >= n:
+            x = rng.getrandbits(b)
+        return x
+
+    assert replays_randrange(_below, seed)
+    assert not replays_randrange(one_bit_short, seed)
 
 
 # -- combine_pow2 --------------------------------------------------------------
@@ -341,6 +379,99 @@ def test_core_brute_table_path_matches_instance_path(routine):
             out = combine_labels(labels, routine, r, where, N, solver_id, coins, None, 0)
             outs.append((out[:4], coins.getstate()))
         assert outs[0] == outs[1]
+
+
+def reference_combination(labels, routine, r, where, N, rng, seen):
+    """combine_labels' brute-force result, written out from the laws: stock
+    randrange coins (witness, projection, rejection) and solve_bruteforce on
+    the witness's instance. seen counts the branches taken."""
+    k = len(labels)
+    if routine == POW2:
+        weights = tuple(modular_ancilla(lab >> where, r) for lab in labels)
+    else:
+        weights = tuple(labels)
+    total = masked_sum(weights, rng.randrange(1 << k))
+    if routine == POW2:
+        v = modular_ancilla(total, r)
+        problem = ModularInstance(weights, r, v)
+    else:
+        v = interval_ancilla(total, where, r)
+        problem = IntervalInstance(weights, where, r, v)
+    sol = solve_bruteforce(problem)
+    support = sorted(sol.solutions)
+    m, ops, mem = len(support), sol.op_count, sol.mem_peak
+    pair = None
+    for idx in range(0, m - 1, 2):
+        if rng.randrange(m - idx) < 2:
+            pair = (support[idx], support[idx + 1])
+            break
+    if pair is None:
+        seen["projection"] += 1
+        return None, None, v, m, ops, mem
+    if routine == POW2:
+        return (masked_sum(labels, pair[1]) - masked_sum(labels, pair[0])) % N, pair, v, m, ops, mem
+    s1, s2 = masked_sum(labels, pair[0]), masked_sum(labels, pair[1])
+    if s1 > s2:
+        pair, s1, s2 = (pair[1], pair[0]), s2, s1
+    d = s2 - s1
+    lo, hi = problem.bounds()
+    b_prime = ceil_div(where, 1 << r)
+    margin = hi - lo - b_prime + 1
+    if d >= b_prime or margin <= 0:
+        return None, pair, v, m, ops, mem
+    if d == 0:
+        seen["gap 0"] += 1
+        num, den = min(2 * margin, hi - lo), hi - lo
+    else:
+        num, den = margin, hi - lo - d
+    accepted = rng.randrange(den) < num
+    seen["accepted" if accepted else "rejected"] += 1
+    return (d if accepted else None), pair, v, m, ops, mem
+
+
+@pytest.mark.parametrize("routine", [POW2, INTERVAL])
+def test_brute_kernels_match_randrange_reference(routine):
+    """combine_labels' brute-force branch and brute_row on int32 and int64
+    rows against reference_combination from equal rng states: same
+    (label, pair, v, m, ops, mem) and same final rng state. The cases cover
+    odd supports that fail projection and, for the interval routine, gaps
+    of 0 and rejection coins that accept and reject; power-of-two rows are
+    also run as the pipeline builds them, on the labels' low k - 1 bits."""
+    rng = stream("kernel-reference", routine)
+    seen = Counter()
+    for _ in range(400):
+        k = rng.randrange(2, 13)
+        if routine == POW2:
+            N = 1 << 16
+            r = rng.randrange(1, k)
+            where = rng.choice((0, rng.randrange(16 - r)))
+            labels = [rng.randrange(N >> where) << where for _ in range(k)]
+            weights = [modular_ancilla(lab >> where, r) for lab in labels]
+        else:
+            N = 1000003
+            r = rng.randrange(1, k - ceil_log2(k) + 1)
+            # small bounds repeat labels, which makes gaps of 0
+            where = rng.choice((N, rng.randrange(2, 64), rng.randrange(2, 1 << 20)))
+            labels = [rng.randrange(where) for _ in range(k)]
+            weights = labels
+        rows = [subset_sums(np.array(weights, dtype=dtype)) for dtype in (np.int32, np.int64)]
+        if routine == POW2 and where == 0:
+            rows.append(subset_sums(np.array(labels, dtype=np.int32) & ((1 << (k - 1)) - 1)))
+        state = rng.getstate()
+        coins = random.Random()
+        coins.setstate(state)
+        want = reference_combination(labels, routine, r, where, N, coins, seen)
+        want_state = coins.getstate()
+        runs = [lambda c: combine_labels(labels, routine, r, where, N, BRUTE, c, None, 0)]
+        runs += [lambda c, row=row: brute_row(row, labels, routine, r, where, N, c, None)
+                 for row in rows]
+        for run in runs:
+            coins.setstate(state)
+            assert run(coins) == want
+            assert coins.getstate() == want_state
+    assert seen["projection"] > 0
+    if routine == INTERVAL:
+        assert min(seen["gap 0"], seen["accepted"], seen["rejected"]) > 0
 
 
 # -- combine_interval ----------------------------------------------------------
