@@ -9,11 +9,9 @@ by bit, with every query, solver operation and list cell accounted for.
 
 from .group_arith import Modulus, mul_mod, two_adic_valuation
 from .instance import (
-    RANDOM,
     HiddenShiftInstance,
     PhaseElement,
     classical_verify,
-    from_descriptor,
     new_instance,
 )
 from .combine import CombineOutcome, combine_interval, combine_pow2, project_pair
@@ -65,7 +63,6 @@ __all__ = [
     "HiddenShiftInstance",
     "Modulus",
     "PhaseElement",
-    "RANDOM",
     "RetryExhaustedError",
     "Schedule",
     "ShiftLabError",
@@ -80,7 +77,6 @@ __all__ = [
     "combine_pow2",
     "direct_iqft_distribution",
     "exponents",
-    "from_descriptor",
     "iqft_success_probability",
     "measure_with_correction",
     "mul_mod",

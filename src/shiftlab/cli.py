@@ -88,15 +88,19 @@ DEFAULT_C = {"brute": 1.0, "mitm": 0.5, "ss": 0.5, "rep": 0.291, "memless": 0.72
 def read_config(path: str) -> dict[str, str]:
     """key=value lines; blank lines and # comments ignored."""
     values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, val = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = val.strip()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read config file {path}: {exc}") from exc
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, val = line.split("=", 1)
+        values[key.strip().replace("-", "_")] = val.strip()
     return values
 
 
@@ -360,6 +364,12 @@ def cmd_subset_sum(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    if args.max_n < 1:
+        raise UsageError(f"need --max-n >= 1, got {args.max_n}")
+    if args.max_k < 2:
+        raise UsageError(f"need --max-k >= 2, got {args.max_k}")
+    if args.trials < 1:
+        raise UsageError(f"need --trials >= 1, got {args.trials}")
     if args.max_n > 10:
         raise GuardError(f"statevector suite capped at n = 10, got {args.max_n}")
     if args.max_k > 12:
@@ -425,8 +435,17 @@ def cmd_validate(args) -> int:
 
 def cmd_schedule(args) -> int:
     if args.load:
-        with open(args.load, "r", encoding="utf-8") as fh:
-            sched = schedule_from_json(json.load(fh))
+        # GuardError is a ValueError: keep schedule_from_json out of the read
+        # handler, so a schedule that loads but breaks a guard still exits 3
+        try:
+            with open(args.load, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise UsageError(f"cannot read schedule file {args.load}: {exc}") from exc
+        try:
+            sched = schedule_from_json(doc)
+        except (KeyError, TypeError) as exc:
+            raise UsageError(f"malformed schedule file {args.load}: {exc!r}") from exc
     else:
         if args.n is None:
             raise UsageError("schedule needs --n (or --load FILE)")

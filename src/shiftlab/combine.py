@@ -28,7 +28,7 @@ of tables built together (pipeline.WAVE_CELLS), int32 when every sum fits
 (solvers.table_dtype), which outlives the run_pipeline call that built it
 and, for power-of-two labels, holds the sums of their low k - 1 bits, whose
 residues mod 2^r serve every r < k. Every other solver gets a validated
-instance and one solve call.
+instance and one unbudgeted solve call.
 
 Projection follows the sequential model: candidate pairs are tried in sorted
 adjacent order, each succeeding with probability 2/m over the current support
@@ -50,7 +50,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import BudgetExceededError, GuardError
+from .errors import GuardError
 from .group_arith import ceil_log2
 from .instance import PhaseElement
 from .kinds import BRUTE, INTERVAL, POW2
@@ -135,7 +135,7 @@ def _pair(sols: list[int], rng: random.Random) -> tuple[int, int] | None:
     return None
 
 
-def brute_row(row, labels, routine, r, where, N, rng, budget):
+def brute_row(row, labels, routine, r, where, N, rng):
     """One brute-force combination read from row, the int32 or int64
     subset-sum table of its k <= _CHUNK_BITS weights (POW2: of any weights
     congruent to them mod 2^r), which the scan reduces in place.
@@ -143,12 +143,12 @@ def brute_row(row, labels, routine, r, where, N, rng, budget):
     The witness's ancilla value, the preimages (one chunk_hits pass, which
     always finds the witness) and the interval routine's output gap all
     come from the table. The cost is solve_bruteforce's on the same
-    instance: 2^k ops, 2^k + |J| cells, and BudgetExceededError when 2^k
-    exceeds the budget. The other arguments, the RNG order and the result
-    are combine_labels'; its coins come from rng.getrandbits exactly as
-    stock randrange draws them (_below), so a random.Random subclass that
-    overrides randrange is not consulted. The ancilla value and bounds are
-    modular_ancilla's, interval_ancilla's and interval_bounds', inlined.
+    instance: 2^k ops and 2^k + |J| cells. The other arguments, the RNG
+    order and the result are combine_labels'; its coins come from
+    rng.getrandbits exactly as stock randrange draws them (_below), so a
+    random.Random subclass that overrides randrange is not consulted. The
+    ancilla value and bounds are those of modular_ancilla, interval_ancilla
+    and interval_bounds, inlined.
     """
     size = len(row)
     total = row.item(_below(rng, size))
@@ -158,15 +158,13 @@ def brute_row(row, labels, routine, r, where, N, rng, budget):
         v = (total << (r - 1)) // where
         # interval_bounds: ceil(v * where / 2^(r-1)), ceil((v + 1) * where / 2^(r-1))
         bounds = (-((-v * where) >> (r - 1)), -((-(v + 1) * where) >> (r - 1)))
-    if budget is not None and size > budget:
-        raise BudgetExceededError(f"operation budget {budget} exceeded at {size}")
     reduced = reduce_table(row, r, bounds)
     support = chunk_hits(reduced, 0, r, v, bounds).tolist()
     return _project(labels, support, reduced, routine, r, where, N, rng, v, bounds, size,
                     size + len(support))
 
 
-def combine_labels(labels, routine, r, where, N, solver_id, rng, budget, solver_seed):
+def combine_labels(labels, routine, r, where, N, solver_id, rng, solver_seed):
     """One combination on int labels, without checks: the step both routines
     and the pipeline share.
 
@@ -175,15 +173,16 @@ def combine_labels(labels, routine, r, where, N, solver_id, rng, budget, solver_
     witness j*, finds the preimage set of its ancilla value, unions j* into
     it and projects; RNG order: witness, projection coins, rejection coin.
     Brute force at k <= _CHUNK_BITS runs brute_row on the one-row table of
-    the weights. Returns (label, pair, v, support_size, solver_ops,
-    solver_mem), label None on failure and pair None on projection failure.
+    the weights; other solvers get solver_seed and no operation budget.
+    Returns (label, pair, v, support_size, solver_ops, solver_mem), label
+    None on failure and pair None on projection failure.
     """
     k = len(labels)
     pow2 = routine == POW2
     weights = [modular_ancilla(lab >> where, r) for lab in labels] if pow2 else labels
     if solver_id == BRUTE and k <= _CHUNK_BITS:
         check_weight_magnitude(weights)
-        return brute_row(subset_sums(weights), labels, routine, r, where, N, rng, budget)
+        return brute_row(subset_sums(weights), labels, routine, r, where, N, rng)
     j_star = _below(rng, 1 << k)
     total = masked_sum(weights, j_star)
     if pow2:
@@ -193,7 +192,7 @@ def combine_labels(labels, routine, r, where, N, solver_id, rng, budget, solver_
         v = interval_ancilla(total, where, r)
         bounds = interval_bounds(v, where, r)
         problem = IntervalInstance(tuple(labels), where, r, v)
-    sol = solve(problem, solver_id, budget=budget, seed=solver_seed)
+    sol = solve(problem, solver_id, seed=solver_seed)
     support = set(sol.solutions)
     support.add(j_star)
     return _project(labels, sorted(support), None, routine, r, where, N, rng, v, bounds,
@@ -247,13 +246,13 @@ def _inputs(elems):
     return inst, scale, [e.label for e in elems]
 
 
-def _combine(elems, inst, scale, labels, routine, r, where, solver_id, rng, budget,
+def _combine(elems, inst, scale, labels, routine, r, where, solver_id, rng,
              solver_seed) -> CombineOutcome:
     """Consume the checked inputs, run the core and wrap its result."""
     for e in elems:
         e.consume()
     label, pair, v, m, ops, mem = combine_labels(
-        labels, routine, r, where, inst.modulus.N, solver_id, rng, budget, solver_seed
+        labels, routine, r, where, inst.modulus.N, solver_id, rng, solver_seed
     )
     if label is None:
         failure = FAILURE_PROJECTION if pair is None else FAILURE_REJECTION
@@ -268,7 +267,6 @@ def combine_pow2(
     solver_id: str = BRUTE,
     *,
     rng: random.Random,
-    budget: int | None = None,
     solver_seed: int = 0,
 ) -> CombineOutcome:
     """One power-of-two combination: k elements with 2^a | label in, one
@@ -294,8 +292,7 @@ def combine_pow2(
     for lab in labels:
         if lab % (1 << a):
             raise GuardError(f"label {lab} not divisible by 2^{a}")
-    return _combine(elems, inst, scale, labels, POW2, r, a, solver_id, rng, budget,
-                    solver_seed)
+    return _combine(elems, inst, scale, labels, POW2, r, a, solver_id, rng, solver_seed)
 
 
 def combine_interval(
@@ -305,7 +302,6 @@ def combine_interval(
     solver_id: str = BRUTE,
     *,
     rng: random.Random,
-    budget: int | None = None,
     solver_seed: int = 0,
 ) -> CombineOutcome:
     """One interval combination: k elements with labels in [0, B) in, one
@@ -330,5 +326,4 @@ def combine_interval(
     for lab in labels:
         if not 0 <= lab < B:
             raise GuardError(f"label {lab} outside [0, {B})")
-    return _combine(elems, inst, scale, labels, INTERVAL, r, B, solver_id, rng, budget,
-                    solver_seed)
+    return _combine(elems, inst, scale, labels, INTERVAL, r, B, solver_id, rng, solver_seed)

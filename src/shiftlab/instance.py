@@ -36,13 +36,6 @@ from .prp import KeyedPermutation
 from .seeds import derive, label_path, stream
 
 
-class _RandomSecret:
-    def __repr__(self) -> str:  # pragma: no cover
-        return "RANDOM"
-
-
-RANDOM = _RandomSecret()
-
 # randrange(N) attempts replayed per label-buffer refill. N <= 2^63 - 1 takes
 # at most two 32-bit words per attempt, so one refill draws at most 16 KiB of
 # stream, and the buffer never holds more than 2048 labels beyond the largest
@@ -79,7 +72,6 @@ class HiddenShiftInstance:
     c_queries: int = 0
     secret_revealed: bool = False
     _s: int = field(default=0, repr=False)
-    _s_explicit: bool = field(default=False, repr=False)
 
     def __post_init__(self) -> None:
         self._label_rng = stream(self.seed, "labels")
@@ -166,14 +158,12 @@ class HiddenShiftInstance:
 
     # -- referee-side measurement -------------------------------------------
 
-    def phase_turns(self, elem: PhaseElement, correction: Fraction | float = 0) -> Fraction | float:
-        """theta = s*l/N + correction (mod 1); exact when correction is rational."""
+    def phase_turns(self, elem: PhaseElement, correction: Fraction = 0) -> Fraction:
+        """theta = s*l/N + correction (mod 1), exact: corrections are rational."""
         base = Fraction((self._s * elem.true_label) % self.modulus.N, self.modulus.N)
-        if isinstance(correction, Fraction) or isinstance(correction, int):
-            return (base + correction) % 1
-        return (float(base) + correction) % 1.0
+        return (base + correction) % 1
 
-    def measure_element(self, elem: PhaseElement, correction: Fraction | float = 0) -> tuple[int, float]:
+    def measure_element(self, elem: PhaseElement, correction: Fraction = 0) -> tuple[int, float]:
         """Hadamard-basis measurement after a phase-gate correction.
 
         Returns (bit, p0) with p0 = cos^2(pi*theta). Consumes the element.
@@ -182,15 +172,12 @@ class HiddenShiftInstance:
         """
         elem.consume()
         theta = self.phase_turns(elem, correction)
-        if isinstance(theta, Fraction):
-            if theta == 0:
-                p0 = 1.0
-            elif theta == Fraction(1, 2):
-                p0 = 0.0
-            else:
-                p0 = math.cos(math.pi * float(theta)) ** 2
+        if theta == 0:
+            p0 = 1.0
+        elif theta == Fraction(1, 2):
+            p0 = 0.0
         else:
-            p0 = math.cos(math.pi * theta) ** 2
+            p0 = math.cos(math.pi * float(theta)) ** 2
         bit = 0 if self._meas_rng.random() < p0 else 1
         return bit, p0
 
@@ -203,50 +190,26 @@ class HiddenShiftInstance:
         self.secret_revealed = True
         return self._s
 
-    # -- serialization ------------------------------------------------------
-
-    def to_descriptor(self) -> dict:
-        return {
-            "N": self.modulus.N,
-            "seed": self.seed,
-            "s_present": self._s_explicit,
-        }
-
 
 def new_instance(
     N: int,
-    s: int | _RandomSecret = RANDOM,
+    s: int | None = None,
     seed: int = 0,
     measurement_mode: bool = False,
 ) -> HiddenShiftInstance:
-    """Fresh instance over Z_N. s = RANDOM derives the secret from the seed,
-    making {N, seed} a complete description."""
+    """Fresh instance over Z_N with secret s; s = None derives the secret
+    from the seed, making (N, seed) a complete description."""
     if N < 2:
         raise GuardError(f"need N >= 2, got {N}")
     modulus = Modulus(N)
     inst = HiddenShiftInstance(modulus, seed, measurement_mode)
-    if isinstance(s, _RandomSecret):
+    if s is None:
         inst._s = derive(seed, label_path("secret")) % N
-        inst._s_explicit = False
     else:
         if not 0 <= s < N:
             raise ValueError(f"s = {s} outside [0, {N})")
         inst._s = s
-        inst._s_explicit = True
     return inst
-
-
-def from_descriptor(desc: dict, s: int | None = None) -> HiddenShiftInstance:
-    """Rebuild an instance from its JSON descriptor.
-
-    Descriptors of randomly-seeded instances round-trip bare; an instance
-    with an explicitly chosen secret needs that secret passed back in.
-    """
-    if desc.get("s_present"):
-        if s is None:
-            raise ValueError("descriptor has an explicit secret; pass s=")
-        return new_instance(desc["N"], s, desc["seed"])
-    return new_instance(desc["N"], RANDOM, desc["seed"])
 
 
 def classical_verify(inst: HiddenShiftInstance, s_candidate: int, trials: int = 16) -> bool:

@@ -36,7 +36,7 @@ class MeasurementOutcome:
     p_zero: float
 
 
-def measure_with_correction(elem: PhaseElement, correction: Fraction | float = 0) -> MeasurementOutcome:
+def measure_with_correction(elem: PhaseElement, correction: Fraction = 0) -> MeasurementOutcome:
     """Apply a phase correction (in turns) and measure in the Hadamard basis.
 
     theta = s*l/N + correction (mod 1); P(bit=0) = cos^2(pi*theta). Consumes

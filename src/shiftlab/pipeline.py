@@ -442,15 +442,12 @@ class _Engine:
         sched: Schedule,
         plan: list[_PlanStage],
         rng: random.Random,
-        budget: int | None,
-        solver_seed: int,
     ):
         self.inst = inst
         self.plan = plan
         self.rng = rng
-        self.budget = budget
         self.solver_id = sched.solver_id
-        self.solver_seed = solver_seed
+        self.solver_seed = derive(inst.seed, label_path("solver"))
         self.seeded = sched.solver_id in SEEDED_SOLVERS
         self.N = inst.modulus.N
         self.ledger = CostLedger()
@@ -494,7 +491,7 @@ class _Engine:
         seed = derive(self.solver_seed, i, self._invocation) if self.seeded else 0
         where = st.a if st.routine == POW2 else st.b_in
         label, _, _, _, ops, mem = combine_labels(
-            labels, st.routine, st.r, where, self.N, self.solver_id, self.rng, self.budget, seed,
+            labels, st.routine, st.r, where, self.N, self.solver_id, self.rng, seed,
         )
         self._record(i, label, ops, mem)
         return label
@@ -522,7 +519,7 @@ class _Engine:
         wave.row = j + 1
         where = st.a if st.routine == POW2 else st.b_in
         label, _, _, _, ops, mem = brute_row(
-            wave.table[j], labels, st.routine, st.r, where, self.N, self.rng, self.budget
+            wave.table[j], labels, st.routine, st.r, where, self.N, self.rng
         )
         self._record(0, label, ops, mem)
         return label
@@ -586,8 +583,6 @@ def run_pipeline(
     *,
     level: int | None = None,
     scale: int = 1,
-    budget: int | None = None,
-    solver_seed: int | None = None,
 ) -> tuple[PhaseElement, CostLedger]:
     """Produce one target element and the ledger of what it cost.
 
@@ -602,14 +597,13 @@ def run_pipeline(
     invocations per demanded output, and at most RETRY_FACTOR * ceil(4 /
     P_PRIOR) top-stage outputs are drawn; exceeding either raises
     RetryExhaustedError. Every solve runs its solver's one configuration
-    (subset_sum.solve).
+    (subset_sum.solve) without an operation budget. Solver seeds, and rng
+    unless given, derive from inst.seed ("solver" and "pipeline" paths).
     """
     if target not in TARGETS:
         raise GuardError(f"unknown target {target!r}")
     if rng is None:
         rng = random.Random(derive(inst.seed, label_path("pipeline")))
-    if solver_seed is None:
-        solver_seed = derive(inst.seed, label_path("solver"))
     mod = inst.modulus
 
     if target == POW2_TOP:
@@ -626,7 +620,7 @@ def run_pipeline(
             raise GuardError("level applies to POW2_TOP only")
         plan = plan_interval(sched, mod.N)
 
-    eng = _Engine(inst, sched, plan, rng, budget, solver_seed)
+    eng = _Engine(inst, sched, plan, rng)
     t0 = time.perf_counter()
     top = len(plan) - 1
     tries = RETRY_FACTOR * math.ceil(4 / P_PRIOR)

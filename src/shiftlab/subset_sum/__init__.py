@@ -2,18 +2,18 @@
 
 Instances come in two flavors matching the two combination routines:
 modular (x.w == V mod 2^r) and interval (floor(x.w * 2^(r-1) / B) == V).
-Solvers: exhaustive enumeration, two-list meet-in-the-middle, four-list
-guess-and-meet with low-order modular guessing, the ternary-digit
-representation solver with repetition-to-fixed-point, and memoryless
-collision finding. All return the full solution set (the probabilistic two
-with measured success rates), plus operation and memory accounting.
+Solvers, all run through solve: exhaustive enumeration, two-list
+meet-in-the-middle, four-list guess-and-meet with low-order modular
+guessing, the ternary-digit representation solver with
+repetition-to-fixed-point, and memoryless collision finding. The exact
+three return the full solution set, rep and memless what their seeded
+rounds found; all count operations and memory, under an optional budget.
 """
 
 from .instances import (
     IntervalInstance,
     ModularInstance,
     SolutionSet,
-    instance_from_json,
     random_instance,
 )
 from .lists import IntervalConstraint, OpCounter, PartialSumList, WindowConstraint, merge_join
@@ -30,7 +30,6 @@ __all__ = [
     "PartialSumList",
     "SolutionSet",
     "WindowConstraint",
-    "instance_from_json",
     "merge_join",
     "random_instance",
     "solve",

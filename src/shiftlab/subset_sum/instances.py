@@ -9,7 +9,6 @@ call them (or check()) rather than reimplementing the arithmetic.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 
@@ -85,11 +84,6 @@ class ModularInstance(_WeightedInstance):
     def check(self, mask: int) -> bool:
         return self.ancilla(mask) == self.target
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"flavor": "modular", "weights": list(self.weights), "r": self.r, "V": self.target}
-        )
-
 
 @dataclass(frozen=True)
 class IntervalInstance(_WeightedInstance):
@@ -130,28 +124,8 @@ class IntervalInstance(_WeightedInstance):
         lo, hi = self.bounds()
         return lo <= self.subset_sum(mask) < hi
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "flavor": "interval",
-                "weights": list(self.weights),
-                "r": self.r,
-                "B": self.B,
-                "V": self.target,
-            }
-        )
-
 
 Instance = ModularInstance | IntervalInstance
-
-
-def instance_from_json(text: str) -> Instance:
-    obj = json.loads(text)
-    if obj["flavor"] == "modular":
-        return ModularInstance(tuple(obj["weights"]), obj["r"], obj["V"])
-    if obj["flavor"] == "interval":
-        return IntervalInstance(tuple(obj["weights"]), obj["B"], obj["r"], obj["V"])
-    raise ValueError(f"unknown flavor {obj['flavor']!r}")
 
 
 def random_instance(

@@ -203,9 +203,9 @@ def _expand_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return rows, cols
 
 
-# Digit-compatibility modes for the packed ternary vectors.
+# Digit-compatibility modes for the packed ternary vectors: rep's final
+# assembly is the one BINARY join, every other join is DISJOINT.
 CONSISTENCY_DISJOINT = None       # supports guaranteed disjoint (plain splits)
-CONSISTENCY_TERNARY = "ternary"   # digit sums must stay within {-1,0,1}
 CONSISTENCY_BINARY = "binary"     # digit sums must land in {0,1} (final assembly)
 
 
@@ -269,23 +269,17 @@ def merge_join(
     p2, m2 = b.plus[b_idx], b.minus[b_idx]
     if consistency is CONSISTENCY_DISJOINT:
         out = PartialSumList(values, p1 | p2, m1 | m2)
+    elif consistency == CONSISTENCY_BINARY:
+        valid = (
+            ((p1 & p2) == 0)
+            & ((m1 & m2) == 0)
+            & ((m1 & ~p2) == 0)
+            & ((m2 & ~p1) == 0)
+        )
+        plus = ((p1 | p2) & ~(m1 | m2))[valid]
+        out = PartialSumList(values[valid], plus, np.zeros_like(plus))
     else:
-        if consistency == CONSISTENCY_TERNARY:
-            valid = ((p1 & p2) == 0) & ((m1 & m2) == 0)
-            plus = (p1 | p2) & ~(m1 | m2)
-            minus = (m1 | m2) & ~(p1 | p2)
-        elif consistency == CONSISTENCY_BINARY:
-            valid = (
-                ((p1 & p2) == 0)
-                & ((m1 & m2) == 0)
-                & ((m1 & ~p2) == 0)
-                & ((m2 & ~p1) == 0)
-            )
-            plus = (p1 | p2) & ~(m1 | m2)
-            minus = np.zeros_like(plus)
-        else:
-            raise ValueError(f"unknown consistency mode {consistency!r}")
-        out = PartialSumList(values[valid], plus[valid], minus[valid])
+        raise ValueError(f"unknown consistency mode {consistency!r}")
     if counter is not None:
         logn = max(1, ceil_log2(la))
         counter.add(la * logn + lb * logn + len(out))

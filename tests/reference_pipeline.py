@@ -30,13 +30,12 @@ from shiftlab.seeds import derive, label_path
 
 
 class ReferenceEngine:
-    def __init__(self, inst, sched, plan, rng, scale, budget, solver_seed):
+    def __init__(self, inst, sched, plan, rng, scale, solver_seed):
         self.inst = inst
         self.sched = sched
         self.plan = plan
         self.rng = rng
         self.scale = scale
-        self.budget = budget
         self.solver_seed = solver_seed
         self.ledger = CostLedger()
         self.stats = [
@@ -67,7 +66,7 @@ class ReferenceEngine:
                 combine, where = combine_interval, st.b_in
             out = combine(
                 ins, st.r, where, self.sched.solver_id,
-                rng=self.rng, budget=self.budget, solver_seed=seed_i,
+                rng=self.rng, solver_seed=seed_i,
             )
             row.invocations += 1
             row.consumed += st.k
@@ -92,13 +91,11 @@ class ReferenceEngine:
             self.ledger.raw_discarded += 1
 
 
-def reference_pipeline(inst, sched, target=POW2_TOP, rng=None, *, level=None, scale=1,
-                       budget=None, solver_seed=None):
+def reference_pipeline(inst, sched, target=POW2_TOP, rng=None, *, level=None, scale=1):
     """run_pipeline's contract, computed by the element-level engine."""
     if rng is None:
         rng = random.Random(derive(inst.seed, label_path("pipeline")))
-    if solver_seed is None:
-        solver_seed = derive(inst.seed, label_path("solver"))
+    solver_seed = derive(inst.seed, label_path("solver"))
     mod = inst.modulus
     if target == POW2_TOP:
         top_level = mod.n - 1 if level is None else level
@@ -107,7 +104,7 @@ def reference_pipeline(inst, sched, target=POW2_TOP, rng=None, *, level=None, sc
         if level is not None:
             raise GuardError("level applies to POW2_TOP only")
         plan = plan_interval(sched, mod.N)
-    eng = ReferenceEngine(inst, sched, plan, rng, scale, budget, solver_seed)
+    eng = ReferenceEngine(inst, sched, plan, rng, scale, solver_seed)
     top = len(plan) - 1
     for _ in range(RETRY_FACTOR * math.ceil(4 / P_PRIOR)):
         elem = eng.take(top)

@@ -121,6 +121,19 @@ def test_solve_strategies_build_their_schedules():
 # exit codes
 
 
+def with_files(args, tmp_path) -> list[str]:
+    """args with each 1-tuple (text,) replaced by the path of a file that
+    holds text."""
+    argv = []
+    for i, arg in enumerate(args):
+        if isinstance(arg, tuple):
+            path = tmp_path / f"arg{i}"
+            path.write_text(arg[0], encoding="utf-8")
+            arg = str(path)
+        argv.append(arg)
+    return argv
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -139,10 +152,22 @@ def test_solve_strategies_build_their_schedules():
         ("subset-sum", "--k", "8", "--r", "0"),
         ("subset-sum", "--k", "8", "--instances", "0"),
         ("subset-sum", "--k", "8,8", "--instances", "2"),  # no slope over one width
+        ("validate", "--max-n", "0"),
+        ("validate", "--max-n", "-1"),
+        ("validate", "--max-k", "1"),
+        ("validate", "--trials", "0"),
+        ("schedule", "--load", "no-such-schedule.json"),
+        ("schedule", "--load", ("stages: [k=4, r=3]",)),        # not JSON
+        ("schedule", "--load", ('{"solver": "brute"}',)),        # no stages
+        ("schedule", "--load", ('{"stages": [{"k": 4}]}',)),     # a stage without r
+        ("schedule", "--load", ('[{"k": 4, "r": 3}]',)),         # not an object
+        ("--config", "no-such-config.cfg", "schedule", "--n", "8", "--k", "4"),
     ],
 )
-def test_usage_errors_exit_2(args):
-    assert cli(*args).returncode == 2
+def test_usage_errors_exit_2(args, tmp_path):
+    proc = cli(*with_files(args, tmp_path))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(b"usage error: "), proc.stderr
 
 
 @pytest.mark.parametrize(
@@ -152,10 +177,11 @@ def test_usage_errors_exit_2(args):
         ("validate", "--max-k", "13"),
         ("subset-sum", "--k", "31", "--instances", "1"),
         ("schedule", "--n", "40", "--strategy", "minquery"),
+        ("schedule", "--load", ('{"stages": []}',)),              # loads, breaks a guard
     ],
 )
-def test_guard_errors_exit_3(args):
-    assert cli(*args).returncode == 3
+def test_guard_errors_exit_3(args, tmp_path):
+    assert cli(*with_files(args, tmp_path)).returncode == 3
 
 
 def test_solve_refuses_odd_n_past_int64_sums_before_any_run():

@@ -17,7 +17,7 @@ from shiftlab.combine import (
     combine_pow2,
     project_pair,
 )
-from shiftlab.errors import BudgetExceededError, ConsumedElementError, GuardError
+from shiftlab.errors import ConsumedElementError, GuardError
 from shiftlab.group_arith import ceil_div, ceil_log2, two_adic_valuation
 from shiftlab.instance import new_instance
 from shiftlab.kinds import BRUTE, INTERVAL, MITM, POW2
@@ -293,8 +293,8 @@ def test_core_brute_branch_matches_solve_bruteforce(flavor):
     its one-chunk scan of a table_dtype table finds the same set on planted
     and unplanted instances and on weights whose k * max sits just below
     2^31 (int32 tables) and just above it (int64), and brute_row's support
-    size, op count, memory peak and budget raise are those of the instance
-    its witness defines."""
+    size, op count and memory peak are those of the instance its witness
+    defines."""
     rng = stream("core-brute", flavor)
     for k in range(2, 19):
         problems = [
@@ -334,7 +334,7 @@ def test_core_brute_branch_matches_solve_bruteforce(flavor):
         j_star = random.Random(seed).randrange(1 << k)
         row_args = (labels, routine, r, where, N, random.Random(seed))
         row = subset_sums(np.array(weights, dtype=table_dtype(k, max(weights))))
-        _, pair, v, m, ops, mem = brute_row(row, *row_args, None)
+        _, pair, v, m, ops, mem = brute_row(row, *row_args)
         if routine == POW2:
             problem = ModularInstance(tuple(weights), r, v)
         else:
@@ -344,14 +344,6 @@ def test_core_brute_branch_matches_solve_bruteforce(flavor):
         assert (m, ops, mem) == (len(ref.solutions), ref.op_count, ref.mem_peak)
         if pair is not None:
             assert set(pair) <= ref.solutions
-
-        budget = rng.randrange(1 << k)
-        with pytest.raises(BudgetExceededError) as want:
-            solve_bruteforce(problem, budget=budget)
-        row_args = (labels, routine, r, where, N, random.Random(seed))
-        with pytest.raises(BudgetExceededError) as got:
-            brute_row(subset_sums(weights), *row_args, budget)
-        assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("routine", [POW2, INTERVAL])
@@ -376,7 +368,7 @@ def test_core_brute_table_path_matches_instance_path(routine):
         for solver_id in (BRUTE, MITM):
             coins = random.Random()
             coins.setstate(state)
-            out = combine_labels(labels, routine, r, where, N, solver_id, coins, None, 0)
+            out = combine_labels(labels, routine, r, where, N, solver_id, coins, 0)
             outs.append((out[:4], coins.getstate()))
         assert outs[0] == outs[1]
 
@@ -462,8 +454,8 @@ def test_brute_kernels_match_randrange_reference(routine):
         coins.setstate(state)
         want = reference_combination(labels, routine, r, where, N, coins, seen)
         want_state = coins.getstate()
-        runs = [lambda c: combine_labels(labels, routine, r, where, N, BRUTE, c, None, 0)]
-        runs += [lambda c, row=row: brute_row(row, labels, routine, r, where, N, c, None)
+        runs = [lambda c: combine_labels(labels, routine, r, where, N, BRUTE, c, 0)]
+        runs += [lambda c, row=row: brute_row(row, labels, routine, r, where, N, c)
                  for row in rows]
         for run in runs:
             coins.setstate(state)

@@ -5,13 +5,7 @@ from fractions import Fraction
 import pytest
 
 from shiftlab.errors import ConsumedElementError, GuardError, TamperError
-from shiftlab.instance import (
-    LABEL_BATCH,
-    RANDOM,
-    classical_verify,
-    from_descriptor,
-    new_instance,
-)
+from shiftlab.instance import LABEL_BATCH, classical_verify, new_instance
 from shiftlab.prp import KeyedPermutation
 from shiftlab.seeds import stream
 
@@ -25,10 +19,13 @@ def test_constructor_basic():
 
 
 def test_constructor_random_secret_from_seed():
-    a = new_instance(15, RANDOM, seed=7)
-    b = new_instance(15, RANDOM, seed=7)
+    a = new_instance(15, seed=7)
+    b = new_instance(15, seed=7)
     assert a.reveal_secret() == b.reveal_secret()
     assert 0 <= a.reveal_secret() < 15
+    assert [a.sample_element().label for _ in range(50)] == [
+        b.sample_element().label for _ in range(50)
+    ]
 
 
 def test_constructor_rejects_degenerate():
@@ -75,7 +72,7 @@ def test_label_stream_deterministic():
 def test_buffered_labels_replay_randrange(N):
     # more draws than one refill's LABEL_BATCH attempts can yield, at mixed
     # scales; the reference is the per-call randrange of the same stream
-    inst = new_instance(N, RANDOM, seed=N)
+    inst = new_instance(N, seed=N)
     reference = stream(N, "labels")
     draws = 2 * LABEL_BATCH + 17
     for i in range(draws):
@@ -89,7 +86,7 @@ def test_buffered_labels_replay_randrange(N):
 def test_sample_labels_serve_the_element_stream(N):
     # batches of every size, across several refills, interleaved with
     # single elements: one label stream, one query per label
-    inst = new_instance(N, RANDOM, seed=N)
+    inst = new_instance(N, seed=N)
     reference = stream(N, "labels")
     served = 0
     for n in (1, 12, LABEL_BATCH - 5, 0, 3 * LABEL_BATCH, 7):
@@ -105,7 +102,7 @@ def test_peek_labels_shows_what_comes_next(N):
     # reaching past the buffered labels into the next LABEL_BATCH refill,
     # interleaved with the calls that serve labels: one label stream, and
     # only served labels cost queries
-    inst = new_instance(N, RANDOM, seed=N)
+    inst = new_instance(N, seed=N)
     reference = stream(N, "labels")
     ahead: list[int] = []  # reference draws already shown by a peek
     served = 0
@@ -205,20 +202,3 @@ def test_scaled_element_true_label():
     assert elem.true_label == 6
     # phase follows the true label
     assert inst.phase_turns(elem) == Fraction((4 * 6) % 15, 15)
-
-
-def test_descriptor_roundtrip():
-    inst = new_instance(256, RANDOM, seed=77)
-    twin = from_descriptor(inst.to_descriptor())
-    assert twin.reveal_secret() == inst.reveal_secret()
-    assert [twin.sample_element().label for _ in range(50)] == [
-        inst.sample_element().label for _ in range(50)
-    ]
-
-
-def test_descriptor_explicit_secret_needs_value():
-    inst = new_instance(256, 9, seed=77)
-    with pytest.raises(ValueError):
-        from_descriptor(inst.to_descriptor())
-    twin = from_descriptor(inst.to_descriptor(), s=9)
-    assert twin.reveal_secret() == 9

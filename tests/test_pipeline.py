@@ -10,7 +10,6 @@ import pytest
 
 from shiftlab import (
     AccountingError,
-    BudgetExceededError,
     CostLedger,
     GuardError,
     Schedule,
@@ -275,7 +274,6 @@ def test_run_is_reproducible_with_explicit_seeds():
             schedule_uniform(12, 6),
             POW2_TOP,
             rng=random.Random(7),
-            solver_seed=11,
         )
         return elem.label, ledger.q_queries, ledger.solver_ops
 
@@ -360,12 +358,6 @@ def test_level_guards():
     int_sched = schedule_uniform(8, 4, routine=INTERVAL)
     with pytest.raises(GuardError):
         run_pipeline(odd_inst, int_sched, SMALL_ONE, level=3)
-
-
-def test_solver_budget_propagates():
-    inst = new_instance(N=256, seed=0)
-    with pytest.raises(BudgetExceededError):
-        run_pipeline(inst, schedule_uniform(8, 6), POW2_TOP, budget=1)
 
 
 # ---------------------------------------------------------------------------

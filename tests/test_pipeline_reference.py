@@ -16,7 +16,6 @@ import reference_pipeline as reference_module
 import shiftlab.pipeline as pipeline_module
 from shiftlab import (
     AccountingError,
-    BudgetExceededError,
     RetryExhaustedError,
     Schedule,
     StageSpec,
@@ -67,7 +66,7 @@ def raised(engine, N, sched, target, seed, **kwargs):
     """The error an engine call raises, the queries charged until then and
     the next 3 labels of the stream."""
     inst = new_instance(N, seed=seed)
-    with pytest.raises((BudgetExceededError, RetryExhaustedError)) as info:
+    with pytest.raises(RetryExhaustedError) as info:
         engine(inst, sched, target, **kwargs)
     return info.type, inst.q_queries, inst.sample_labels(3)
 
@@ -117,17 +116,6 @@ def test_brute_past_one_chunk_matches_reference():
     sched = Schedule((StageSpec(20, 3),))
     for seed in range(2):
         assert_same(1 << 8, sched, POW2_TOP, seed, level=3)
-
-
-def test_budget_raise_matches_reference():
-    sched = schedule_uniform(12, 6)
-    errors = []
-    for engine in (run_pipeline, reference_pipeline):
-        inst = new_instance(1 << 12, seed=4)
-        with pytest.raises(BudgetExceededError) as info:
-            engine(inst, sched, POW2_TOP, budget=40)
-        errors.append((str(info.value), inst.q_queries))
-    assert errors[0] == errors[1]
 
 
 def test_stage_zero_spanning_full_waves_matches_reference():
@@ -225,19 +213,6 @@ def test_retry_exhaustion_mid_wave_matches_reference(monkeypatch):
         assert got == raised(reference_pipeline, 1 << 16, sched, POW2_TOP, seed)
         assert got[0] is RetryExhaustedError
         assert mid_wave(got[1] // 4, 4)
-
-
-def test_budget_raise_mid_wave_matches_reference():
-    # stage 0 (k = 4, 16 ops) fits the budget, stage 1 (k = 8, 256 ops)
-    # does not: the raise comes after several stage-0 waves
-    sched = Schedule((StageSpec(4, 3), StageSpec(8, 7)))
-    stopped_mid_wave = 0
-    for seed in range(8):
-        got = raised(run_pipeline, 1 << 11, sched, POW2_TOP, seed, budget=100)
-        assert got == raised(reference_pipeline, 1 << 11, sched, POW2_TOP, seed, budget=100)
-        assert got[0] is BudgetExceededError
-        stopped_mid_wave += mid_wave(got[1] // 4, 4)
-    assert stopped_mid_wave
 
 
 def test_stray_label_draw_breaks_wave_alignment(monkeypatch):

@@ -1,6 +1,5 @@
 """Subset-sum instances, list joins, and the solver suite vs brute force."""
 
-import json
 import random
 
 import numpy as np
@@ -14,7 +13,6 @@ from shiftlab.subset_sum import (
     ModularInstance,
     PartialSumList,
     WindowConstraint,
-    instance_from_json,
     merge_join,
     random_instance,
     solve,
@@ -26,7 +24,7 @@ from shiftlab.subset_sum import (
 )
 from shiftlab.phase_sim import ancilla_value
 from shiftlab.subset_sum.instances import interval_ancilla, masked_sum, modular_ancilla
-from shiftlab.subset_sum.lists import CONSISTENCY_BINARY, CONSISTENCY_TERNARY, subset_sums
+from shiftlab.subset_sum.lists import CONSISTENCY_BINARY, subset_sums
 from shiftlab.subset_sum.solvers import (
     chunk_hits,
     expected_solutions,
@@ -88,17 +86,6 @@ def test_interval_instance_validation():
         IntervalInstance((3, 9), 8, 2, 0)  # weight >= B
     with pytest.raises(ValueError):
         IntervalInstance((3, 5), 0, 2, 0)
-
-
-def test_instance_json_roundtrip():
-    for inst in (
-        ModularInstance((5, 1, 7), 3, 6),
-        IntervalInstance((3, 5, 6, 7), 8, 2, 2),
-    ):
-        twin = instance_from_json(inst.to_json())
-        assert twin == inst
-    with pytest.raises(ValueError):
-        instance_from_json(json.dumps({"flavor": "nope"}))
 
 
 def test_random_instance_planted_is_solvable():
@@ -186,7 +173,7 @@ def _digit_list(entries):
 def _scan_join(ea, eb, cons, consistency):
     """Quadratic reference for merge_join on digit vectors: add digit-wise,
     keep the pairs whose digit sums the mode allows."""
-    allowed = {None: (-1, 0, 1), CONSISTENCY_TERNARY: (-1, 0, 1), CONSISTENCY_BINARY: (0, 1)}
+    allowed = {None: (-1, 0, 1), CONSISTENCY_BINARY: (0, 1)}
     out = []
     for x, dx in ea:
         for y, dy in eb:
@@ -220,15 +207,15 @@ def _check_join(a, b, ea, eb, cons, consistency):
 
 
 def test_merge_join_against_quadratic_scan():
-    """Windows (plain and wrapping) and intervals under every consistency
-    mode, on rep-style lists with minus digits and negative values. Disjoint
+    """Windows (plain and wrapping) and intervals under both consistency
+    modes, on rep-style lists with minus digits and negative values. Disjoint
     joins take digit vectors on separate positions, as the solvers' splits do;
-    the ternary and binary modes draw both sides from the same positions."""
+    the binary mode draws both sides from the same positions."""
     rng = stream("join")
     n = 12
     weights = [rng.randrange(1, 64) for _ in range(n)]
     for trial in range(90):
-        consistency = (None, CONSISTENCY_TERNARY, CONSISTENCY_BINARY)[trial % 3]
+        consistency = (None, CONSISTENCY_BINARY)[trial % 2]
         na, nb = rng.randrange(1, 31), rng.randrange(1, 31)
         zero_weight = rng.randrange(1, 5)
         if consistency is None:
@@ -414,7 +401,7 @@ def test_bruteforce_matches_python_scan(k):
     for inst in _brute_cases(k):
         got = solve_bruteforce(inst)
         want = _python_scan(inst)
-        assert got.solutions == want, inst.to_json()
+        assert got.solutions == want, repr(inst)
         assert got.op_count == 1 << k
         assert got.mem_peak == chunk + len(want)
         # the budget check after each chunk raises at that chunk's running count
@@ -431,7 +418,7 @@ def test_exact_solvers_match_bruteforce_at_int64_edges(solver):
     int64 once crashed both list merges; they must return brute's set."""
     for k in (4, 12, 20):
         for inst in _brute_cases(k):
-            assert solver(inst).solutions == solve_bruteforce(inst).solutions, inst.to_json()
+            assert solver(inst).solutions == solve_bruteforce(inst).solutions, repr(inst)
 
 
 def test_ss_example():
