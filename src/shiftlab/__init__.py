@@ -18,7 +18,6 @@ from .combine import CombineOutcome, combine_interval, combine_pow2, project_pai
 from .cost_model import TableRow, TradeoffPoint, exponents, render_report, table_report
 from .errors import (
     AccountingError,
-    BudgetExceededError,
     ConsumedElementError,
     GuardError,
     RetryExhaustedError,
@@ -55,7 +54,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AccountingError",
-    "BudgetExceededError",
     "CombineOutcome",
     "ConsumedElementError",
     "CostLedger",

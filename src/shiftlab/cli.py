@@ -48,8 +48,8 @@ from .kinds import (
     UNIFORM,
     UNIFORM_IMPROVED,
 )
+from .cost_model import DEFAULT_C, improved_width, render_report, table_report
 from .cost_model import exponents as cost_exponents
-from .cost_model import render_report, table_report
 from .pipeline import (
     CostLedger,
     Schedule,
@@ -76,9 +76,6 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
-
-# nominal solver time exponents, used only to parameterize schedules
-DEFAULT_C = {"brute": 1.0, "mitm": 0.5, "ss": 0.5, "rep": 0.291, "memless": 0.72}
 
 
 # ---------------------------------------------------------------------------
@@ -209,9 +206,7 @@ def build_schedule(strategy: str, n: int, odd: bool, args) -> Schedule:
             raise UsageError("--strategy uniform needs --k")
         return schedule_uniform(n, args.k, routine, args.solver)
     if strategy == UNIFORM_IMPROVED:
-        k = args.k
-        if k is None:
-            k = max(2, min(30, round(math.sqrt(n * math.log2(max(n, 2)) / (2 * c)))))
+        k = args.k if args.k is not None else improved_width(n, c)
         return schedule_uniform(n, k, routine, args.solver)
     if strategy == MIN_CLASSICAL:
         return schedule_increasing(n, c, routine, args.solver)

@@ -28,7 +28,7 @@ of tables built together (pipeline.WAVE_CELLS), int32 when every sum fits
 (solvers.table_dtype), which outlives the run_pipeline call that built it
 and, for power-of-two labels, holds the sums of their low k - 1 bits, whose
 residues mod 2^r serve every r < k. Every other solver gets a validated
-instance and one unbudgeted solve call.
+instance and one solve call.
 
 Projection follows the sequential model: candidate pairs are tried in sorted
 adjacent order, each succeeding with probability 2/m over the current support
@@ -173,7 +173,7 @@ def combine_labels(labels, routine, r, where, N, solver_id, rng, solver_seed):
     witness j*, finds the preimage set of its ancilla value, unions j* into
     it and projects; RNG order: witness, projection coins, rejection coin.
     Brute force at k <= _CHUNK_BITS runs brute_row on the one-row table of
-    the weights; other solvers get solver_seed and no operation budget.
+    the weights; other solvers get one solve call with solver_seed.
     Returns (label, pair, v, support_size, solver_ops, solver_mem), label
     None on failure and pair None on projection failure.
     """

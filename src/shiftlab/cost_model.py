@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import GuardError, UsageError
+from .kinds import BRUTE, MEMLESS, MITM, REP, SS
 from .kinds import MIN_CLASSICAL, MIN_QUERY, QUAD_GAP, UNIFORM_IMPROVED
 
 MEM_POLY = "poly"
@@ -34,9 +35,9 @@ MEM_EXP = "2^cn"
 
 QUERY_POLY_DEGREE = 2      # minquery regime: O(n^2) queries
 
-# c values whose reference rows use polynomial memory (exhaustive search,
-# the poly-memory list-merging variant, Grover).
-_POLY_MEMORY_C = (1.0, 0.72, 0.5)
+# nominal time exponent c per solver id: the CLI builds each solver's
+# schedules from it, and brute, rep and memless head the classical table
+DEFAULT_C = {BRUTE: 1.0, MITM: 0.5, SS: 0.5, REP: 0.291, MEMLESS: 0.72}
 
 
 @dataclass(frozen=True)
@@ -97,12 +98,10 @@ class TradeoffPoint:
 
 
 def _memory(c: float, strategy: str, query_exp: float, poly_memory: bool | None):
-    if strategy == MIN_QUERY:
-        if poly_memory or (poly_memory is None and c in _POLY_MEMORY_C):
-            return MEM_POLY, None
-        return MEM_EXP, None
     if poly_memory or (poly_memory is None and c in _POLY_MEMORY_C):
         return MEM_POLY, None
+    if strategy == MIN_QUERY:
+        return MEM_EXP, None
     return MEM_L, query_exp
 
 
@@ -137,6 +136,12 @@ def exponents(c: float, strategy: str, poly_memory: bool | None = None) -> Trade
     return pt
 
 
+def improved_width(n: int, c: float) -> int:
+    """Stage width of the improved regime for n bits at solver exponent c:
+    sqrt(n log2 n / (2c)) rounded, kept in [2, 30]."""
+    return max(2, min(30, round(math.sqrt(n * math.log2(max(n, 2)) / (2 * c)))))
+
+
 @dataclass(frozen=True)
 class TableRow:
     table: str            # "hidden-shift" (classical time) | "purely-quantum"
@@ -146,15 +151,18 @@ class TableRow:
 
 # (c, solver description, poly_memory) per reference solver family.
 _CLASSICAL_SOLVERS = (
-    (1.0, "exhaustive search", True),
-    (0.291, "list merging (representations)", False),
-    (0.72, "list merging, poly memory", True),
+    (DEFAULT_C[BRUTE], "exhaustive search", True),
+    (DEFAULT_C[REP], "list merging (representations)", False),
+    (DEFAULT_C[MEMLESS], "list merging, poly memory", True),
 )
 _QUANTUM_SOLVERS = (
     (0.5, "Grover search", True),
     (0.241, "quantum walk", False),
     (0.226, "quantum walk (improved)", False),
 )
+# c values whose reference rows use polynomial memory; exponents infers the
+# memory column from them when poly_memory is None
+_POLY_MEMORY_C = frozenset(c for c, _, poly in _CLASSICAL_SOLVERS + _QUANTUM_SOLVERS if poly)
 
 
 def table_report() -> list[TableRow]:

@@ -1,9 +1,9 @@
 """Exception types shared across the package.
 
-Guard violations (size caps) are distinct from budget exhaustion, which is
+Guard violations (size caps) are distinct from retry exhaustion, which is
 distinct from "ran fine, found nothing". Callers that need the difference
-(the CLI exit codes, the solve() dispatcher) catch these separately; all of
-them inherit from ShiftLabError for blanket handling.
+(the CLI exit codes) catch these separately; all of them inherit from
+ShiftLabError for blanket handling.
 """
 
 from __future__ import annotations
@@ -15,10 +15,6 @@ class ShiftLabError(Exception):
 
 class GuardError(ShiftLabError, ValueError):
     """A hard size cap was exceeded (k, n or N outside the supported range)."""
-
-
-class BudgetExceededError(ShiftLabError, RuntimeError):
-    """An operation budget ran out before the computation finished."""
 
 
 class RetryExhaustedError(ShiftLabError, RuntimeError):

@@ -86,6 +86,10 @@ class StageSpec:
     routine: str = POW2
 
     def __post_init__(self) -> None:
+        for name in ("k", "r"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"stage {name} must be an int, got {value!r}")
         if self.k < 2:
             raise GuardError(f"stage width k must be >= 2, got {self.k}")
         if not 1 <= self.r < self.k:
@@ -597,8 +601,8 @@ def run_pipeline(
     invocations per demanded output, and at most RETRY_FACTOR * ceil(4 /
     P_PRIOR) top-stage outputs are drawn; exceeding either raises
     RetryExhaustedError. Every solve runs its solver's one configuration
-    (subset_sum.solve) without an operation budget. Solver seeds, and rng
-    unless given, derive from inst.seed ("solver" and "pipeline" paths).
+    (subset_sum.solve). Solver seeds, and rng unless given, derive from
+    inst.seed ("solver" and "pipeline" paths).
     """
     if target not in TARGETS:
         raise GuardError(f"unknown target {target!r}")

@@ -10,10 +10,8 @@ from .representation import solve_representation
 from .solvers import solve_bruteforce, solve_mitm, solve_schroeppel_shamir
 
 
-def solve(
-    inst: Instance, solver_id: str = BRUTE, budget: int | None = None, *, seed: int = 0
-) -> SolutionSet:
-    """Run the named solver. Budget exhaustion raises; an empty set returns.
+def solve(inst: Instance, solver_id: str = BRUTE, *, seed: int = 0) -> SolutionSet:
+    """Run the named solver; an instance with no solution gives the empty set.
 
     Deterministic solvers ignore `seed`; probabilistic ones derive all their
     round and lane seeds from it. Each solver runs its one configuration:
@@ -21,13 +19,13 @@ def solve(
     repetition_budget and MEMLESS_MAX_ROUNDS.
     """
     if solver_id == BRUTE:
-        return solve_bruteforce(inst, budget=budget)
+        return solve_bruteforce(inst)
     if solver_id == MITM:
-        return solve_mitm(inst, budget=budget)
+        return solve_mitm(inst)
     if solver_id == SS:
-        return solve_schroeppel_shamir(inst, budget=budget)
+        return solve_schroeppel_shamir(inst)
     if solver_id == REP:
-        return solve_representation(inst, budget=budget, seed=seed)
+        return solve_representation(inst, seed=seed)
     if solver_id == MEMLESS:
-        return solve_memoryless(inst, budget=budget, seed=seed)
+        return solve_memoryless(inst, seed=seed)
     raise UsageError(f"unknown solver {solver_id!r}; expected one of {SOLVERS}")

@@ -4,7 +4,9 @@ Solutions are bitmask ints: bit i set means weights[i] participates. The
 module-level masked_sum, modular_ancilla, interval_ancilla and
 interval_bounds are the single source of truth for subset sums and ancilla
 values; the instance classes, the combination routines and the solvers all
-call them (or check()) rather than reimplementing the arithmetic.
+call them (or check()) rather than reimplementing the arithmetic. The one
+copy is combine.brute_row, which inlines the ancilla value and bounds on its
+hot path; test_brute_kernels_match_randrange_reference pins it to them.
 """
 
 from __future__ import annotations
@@ -167,7 +169,9 @@ class SolutionSet:
     solutions: frozenset[int]
     op_count: int
     mem_peak: int
-    exhausted: bool = False  # probabilistic solver stopped on budget, not stability
+    # True from an exact solver (brute, mitm, ss, rep's degenerate mode): the
+    # full set; False from seeded rounds (rep's ternary mode, memless)
+    exhausted: bool = False
     stats: dict = field(default_factory=dict, compare=False)
 
     def __len__(self) -> int:

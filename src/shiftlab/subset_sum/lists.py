@@ -32,7 +32,6 @@ class OpCounter:
 
     ops: int = 0
     mem_peak: int = 0
-    budget: int | None = None
 
     def add(self, ops: int) -> None:
         self.ops += ops
@@ -40,9 +39,6 @@ class OpCounter:
     def bump_mem(self, cells: int) -> None:
         if cells > self.mem_peak:
             self.mem_peak = cells
-
-    def over_budget(self) -> bool:
-        return self.budget is not None and self.ops > self.budget
 
 
 @dataclass(frozen=True)
@@ -213,8 +209,8 @@ def merge_join(
     a: PartialSumList,
     b: PartialSumList,
     constraint: Constraint,
-    consistency: str | None = CONSISTENCY_DISJOINT,
-    counter: OpCounter | None = None,
+    consistency: str | None,
+    counter: OpCounter,
 ) -> PartialSumList:
     """All compatible cross pairs of a x b whose value sums satisfy the constraint.
 
@@ -224,16 +220,16 @@ def merge_join(
     the range of keys it needs; a cyclic window that wraps past 2^t splits
     into two linear ranges.
 
-    Charged op count: |a| log |a| + |b| log |a| + output size (sort the first
-    list, binary-search per entry of the second, write the output), whether
-    or not a's sort was already stored.
+    Charged to counter: (|a| + |b|) * max(1, ceil(log2 |a|)) + |out| ops
+    (sort the first list, binary-search per entry of the second, write the
+    output), whether or not a's sort was already stored, and a peak of
+    |a| + |b| + |out| live cells. An empty input charges
+    (|a| + |b|) * ceil(log2 max(|a|, 2)) ops and no memory.
     """
     la, lb = len(a), len(b)
     if la == 0 or lb == 0:
-        out = PartialSumList(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-        if counter is not None:
-            counter.add((la + lb) * ceil_log2(max(la, 2)))
-        return out
+        counter.add((la + lb) * ceil_log2(max(la, 2)))
+        return PartialSumList(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
 
     if isinstance(constraint, WindowConstraint):
         mod = np.int64(1) << np.int64(constraint.t)
@@ -280,8 +276,7 @@ def merge_join(
         out = PartialSumList(values[valid], plus, np.zeros_like(plus))
     else:
         raise ValueError(f"unknown consistency mode {consistency!r}")
-    if counter is not None:
-        logn = max(1, ceil_log2(la))
-        counter.add(la * logn + lb * logn + len(out))
-        counter.bump_mem(la + lb + len(out))
+    logn = max(1, ceil_log2(la))
+    counter.add((la + lb) * logn + len(out))
+    counter.bump_mem(la + lb + len(out))
     return out

@@ -30,7 +30,7 @@ from ..group_arith import ceil_log2
 from ..seeds import derive
 from .instances import Instance, ModularInstance, SolutionSet
 from .lists import OpCounter, subset_sums
-from .solvers import _raise_if_over, check_weight_magnitude, expected_solutions
+from .solvers import check_weight_magnitude, expected_solutions
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -127,12 +127,7 @@ def _advance(space, z, active, lane_mix, off):
     return np.where(active, space.step(z, lane_mix, off), z)
 
 
-def solve_memoryless(
-    inst: Instance,
-    *,
-    seed: int = 0,
-    budget: int | None = None,
-) -> SolutionSet:
+def solve_memoryless(inst: Instance, *, seed: int = 0) -> SolutionSet:
     """Solutions found by rounds of vectorized cycle walks, seeded by
     derive(seed, _WALK_TAG, round). Besides the fixed point, the loop stops
     after MEMLESS_MAX_ROUNDS rounds or once repetition_budget(inst) walks
@@ -141,7 +136,7 @@ def solve_memoryless(
     if inst.k < MEMLESS_K_MIN:
         raise GuardError(f"memoryless solver needs k >= {MEMLESS_K_MIN}")
     check_weight_magnitude(inst.weights)
-    counter = OpCounter(budget=budget)
+    counter = OpCounter()
     space = _WalkSpace(inst)
     k = inst.k
     expected = expected_solutions(inst)
@@ -192,7 +187,6 @@ def solve_memoryless(
         else:
             alive &= tortoise == hare
         counter.add(steps * k)
-        _raise_if_over(counter)
 
         # Position hare lam steps ahead of the start, then walk to the meeting
         # point keeping predecessors: those are the colliding pair.
@@ -230,7 +224,6 @@ def solve_memoryless(
         walks += lanes
         rounds += 1
         stable = stable + 1 if len(found) == before else 0
-        _raise_if_over(counter)
 
     counter.bump_mem(8 * k)
     return SolutionSet(

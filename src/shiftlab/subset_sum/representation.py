@@ -35,7 +35,6 @@ from .lists import (
     subset_sums,
 )
 from .solvers import (
-    _raise_if_over,
     check_weight_magnitude,
     expected_solutions,
     full_constraint,
@@ -140,9 +139,7 @@ def _near_trivial_hits(inst: Instance, counter: OpCounter) -> set[int]:
     return {mask for mask in candidates if inst.check(mask)}
 
 
-def solve_representation(
-    inst: Instance, *, seed: int = 0, budget: int | None = None
-) -> SolutionSet:
+def solve_representation(inst: Instance, *, seed: int = 0) -> SolutionSet:
     """All solutions found by rounds of representation joins, seeded by
     derive(seed, _ROUND_TAG, round); see the module docstring for the
     configuration. The stats record it as depth 2 and DEFAULT_MINUS_FRACTION.
@@ -151,10 +148,10 @@ def solve_representation(
         raise GuardError(f"representation solver needs k >= {REP_K_MIN}")
     check_weight_magnitude(inst.weights)
     if expected_solutions(inst) > DENSE_SOLUTION_CAP:
-        sol = solve_mitm(inst, budget=budget)
+        sol = solve_mitm(inst)
         return replace(sol, stats={"solver": "rep", "mode": "degenerate", "rounds": 0})
 
-    counter = OpCounter(budget=budget)
+    counter = OpCounter()
     k = inst.k
     h = k // 2
     left = _HalfEnumerator(inst.weights[:h], 0)
@@ -186,7 +183,6 @@ def solve_representation(
         found |= run_round(rnd)
         rounds += 1
         stable = stable + 1 if len(found) == before else 0
-        _raise_if_over(counter)
 
     return SolutionSet(
         frozenset(found),

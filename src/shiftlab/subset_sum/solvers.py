@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import BudgetExceededError, GuardError
+from ..errors import GuardError
 from .instances import Instance, ModularInstance, SolutionSet, masked_sum
 from .lists import (
     IntervalConstraint,
@@ -80,14 +80,7 @@ def expected_solutions(inst: Instance) -> int:
     return max(1, ((1 << inst.k) * (hi - lo)) // span)
 
 
-def _raise_if_over(counter: OpCounter) -> None:
-    if counter.over_budget():
-        raise BudgetExceededError(
-            f"operation budget {counter.budget} exceeded at {counter.ops}"
-        )
-
-
-def solve_bruteforce(inst: Instance, *, budget: int | None = None) -> SolutionSet:
+def solve_bruteforce(inst: Instance) -> SolutionSet:
     """Exact solution set by scanning all 2^k subset vectors.
 
     The operation count is 2^k by definition of the method. Enumeration is
@@ -98,7 +91,7 @@ def solve_bruteforce(inst: Instance, *, budget: int | None = None) -> SolutionSe
     if inst.k > BRUTE_K_CAP:
         raise GuardError(f"k={inst.k} exceeds brute-force cap {BRUTE_K_CAP}")
     check_weight_magnitude(inst.weights)
-    counter = OpCounter(budget=budget)
+    counter = OpCounter()
     low_bits = min(inst.k, _CHUNK_BITS)
     table = subset_sums(inst.weights[:low_bits])
     counter.bump_mem(len(table))
@@ -133,10 +126,8 @@ def brute_scan(
     high_weights positions, with subset sum c, is one chunk: one
     chunk_hits pass over the table as reduce_table leaves it. Hits come out
     as one index array per chunk, with the chunk's high bits OR'd in place
-    when they are nonzero. Each chunk charges len(table) ops and the budget
-    is checked after it, so BudgetExceededError carries the op count of the
-    first chunk that went over; the scan ends by charging len(table) + hits
-    cells of memory.
+    when they are nonzero. Each chunk charges len(table) ops, and the scan
+    ends by charging len(table) + hits cells of memory.
     """
     size = len(table)
     low_bits = size.bit_length() - 1
@@ -148,7 +139,6 @@ def brute_scan(
             idx |= high << low_bits
         found.extend(idx.tolist())
         counter.add(size)
-        _raise_if_over(counter)
     counter.bump_mem(size + len(found))
     return found
 
@@ -201,16 +191,15 @@ def _index_list(weights: tuple[int, ...], offset: int) -> PartialSumList:
     return PartialSumList(sums, masks)
 
 
-def solve_mitm(inst: Instance, *, budget: int | None = None) -> SolutionSet:
+def solve_mitm(inst: Instance) -> SolutionSet:
     """Exact set via one sorted join of the two position-half lists."""
     check_weight_magnitude(inst.weights)
-    counter = OpCounter(budget=budget)
+    counter = OpCounter()
     split = inst.k // 2
     a = _index_list(inst.weights[:split], 0)
     b = _index_list(inst.weights[split:], split)
     counter.bump_mem(len(a) + len(b))
     out = merge_join(a, b, full_constraint(inst), None, counter)
-    _raise_if_over(counter)
     return SolutionSet(
         frozenset(int(m) for m in out.plus.tolist()),
         op_count=counter.ops,
@@ -228,7 +217,7 @@ def guess_bits(inst: Instance) -> int:
     return max(1, t)
 
 
-def solve_schroeppel_shamir(inst: Instance, *, budget: int | None = None) -> SolutionSet:
+def solve_schroeppel_shamir(inst: Instance) -> SolutionSet:
     """Exact set via four quarter lists and a swept intermediate value.
 
     For each guess g of the low t bits of the left-half sum, the two left
@@ -239,7 +228,7 @@ def solve_schroeppel_shamir(inst: Instance, *, budget: int | None = None) -> Sol
     if inst.k < 4:
         raise GuardError("four-list merge needs k >= 4")
     check_weight_magnitude(inst.weights)
-    counter = OpCounter(budget=budget)
+    counter = OpCounter()
     k = inst.k
     half = k // 2
     q_split = half // 2
@@ -263,7 +252,6 @@ def solve_schroeppel_shamir(inst: Instance, *, budget: int | None = None) -> Sol
         counter.bump_mem(base_mem + len(left) + len(right))
         out = merge_join(left, right, final, None, counter)
         found.update(int(m) for m in out.plus.tolist())
-        _raise_if_over(counter)
     return SolutionSet(
         frozenset(found),
         op_count=counter.ops,

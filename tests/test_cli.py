@@ -161,6 +161,8 @@ def with_files(args, tmp_path) -> list[str]:
         ("schedule", "--load", ('{"solver": "brute"}',)),        # no stages
         ("schedule", "--load", ('{"stages": [{"k": 4}]}',)),     # a stage without r
         ("schedule", "--load", ('[{"k": 4, "r": 3}]',)),         # not an object
+        ("schedule", "--load", ('{"stages": [{"k": 4.5, "r": 2}]}',)),  # width not an int
+        ("schedule", "--load", ('{"stages": [{"k": 4, "r": true}]}',)),  # r a bool
         ("--config", "no-such-config.cfg", "schedule", "--n", "8", "--k", "4"),
     ],
 )

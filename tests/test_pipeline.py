@@ -41,6 +41,10 @@ def test_stage_spec_guards():
         StageSpec(4, 4)
     with pytest.raises(GuardError):
         StageSpec(4, 2, routine="triangle")
+    with pytest.raises(TypeError):
+        StageSpec(4.5, 2)
+    with pytest.raises(TypeError):
+        StageSpec(4, True)
 
 
 def test_schedule_guards_and_total():
