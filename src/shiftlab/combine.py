@@ -25,10 +25,13 @@ chunk_hits pass, the scan solve_bruteforce runs per chunk) and the interval
 routine's output gap are all read from that one row. combine_labels hands
 it a one-row table; the pipeline's stage 0 hands it the next row of a wave
 of tables built together (pipeline.WAVE_CELLS), int32 when every sum fits
-(solvers.table_dtype), which outlives the run_pipeline call that built it
-and, for power-of-two labels, holds the sums of their low k - 1 bits, whose
-residues mod 2^r serve every r < k. Every other solver gets a validated
-instance and one solve call.
+(solvers.table_dtype), which outlives the run_pipeline call that built it.
+A wave row holds the labels' full subset sums, so a power-of-two output
+label is read from it too, unless k(N - 1) fails sums_fit; then it holds
+the sums of their low k - 1 bits, whose residues mod 2^r serve every
+r < k. At r <= 8 the stage passes the row's residues mod 2^r as bytes, and
+the preimages come from bytes.find instead of the numpy scan. Every other
+solver gets a validated instance and one solve call.
 
 Projection follows the sequential model: candidate pairs are tried in sorted
 adjacent order, each succeeding with probability 2/m over the current support
@@ -135,16 +138,24 @@ def _pair(sols: list[int], rng: random.Random) -> tuple[int, int] | None:
     return None
 
 
-def brute_row(row, labels, routine, r, where, N, rng):
+def brute_row(row, labels, routine, r, where, N, rng, full=False, residues=None):
     """One brute-force combination read from row, the int32 or int64
-    subset-sum table of its k <= _CHUNK_BITS weights (POW2: of any weights
-    congruent to them mod 2^r), which the scan reduces in place.
+    subset-sum table of its k <= _CHUNK_BITS weights: for INTERVAL, of the
+    labels; for POW2, of the labels themselves when full (valuation where
+    = 0 only), else of any weights congruent to them mod 2^r.
 
-    The witness's ancilla value, the preimages (one chunk_hits pass, which
-    always finds the witness) and the interval routine's output gap all
-    come from the table. The cost is solve_bruteforce's on the same
-    instance: 2^k ops and 2^k + |J| cells. The other arguments, the RNG
-    order and the result are combine_labels'; its coins come from
+    The witness's ancilla value, the preimages and the interval routine's
+    output gap, or a full POW2 row's output label, all come from the
+    table. The preimages come, in ascending order, from one of two scans:
+    - residues = (buf, start), POW2 at r <= 8 only: the row's residues mod
+      2^r are the bytes buf[start : start + len(row)], walked with
+      bytes.find, and the row is left as it is;
+    - otherwise one chunk_hits pass over the row as reduce_table leaves it,
+      reduced in place, or a copy of it when full (POW2), whose sums are
+      still to be read.
+    Both always find the witness. The cost is solve_bruteforce's on the
+    same instance: 2^k ops and 2^k + |J| cells. The other arguments, the
+    RNG order and the result are combine_labels'; its coins come from
     rng.getrandbits exactly as stock randrange draws them (_below), so a
     random.Random subclass that overrides randrange is not consulted. The
     ancilla value and bounds are those of modular_ancilla, interval_ancilla
@@ -153,14 +164,26 @@ def brute_row(row, labels, routine, r, where, N, rng):
     size = len(row)
     total = row.item(_below(rng, size))
     if routine == POW2:
-        v, bounds = total % (1 << r), None
+        v, bounds, sums = total % (1 << r), None, (row if full else None)
     else:
         v = (total << (r - 1)) // where
         # interval_bounds: ceil(v * where / 2^(r-1)), ceil((v + 1) * where / 2^(r-1))
         bounds = (-((-v * where) >> (r - 1)), -((-(v + 1) * where) >> (r - 1)))
-    reduced = reduce_table(row, r, bounds)
-    support = chunk_hits(reduced, 0, r, v, bounds).tolist()
-    return _project(labels, support, reduced, routine, r, where, N, rng, v, bounds, size,
+        sums = None
+    if residues is None:
+        reduced = reduce_table(row if sums is None else row.copy(), r, bounds)
+        support = chunk_hits(reduced, 0, r, v, bounds).tolist()
+        if bounds is not None:
+            sums = reduced
+    else:
+        buf, start = residues
+        end = start + size
+        support = []
+        i = buf.find(v, start, end)
+        while i >= 0:
+            support.append(i - start)
+            i = buf.find(v, i + 1, end)
+    return _project(labels, support, sums, routine, r, where, N, rng, v, bounds, size,
                     size + len(support))
 
 
@@ -201,21 +224,21 @@ def combine_labels(labels, routine, r, where, N, solver_id, rng, solver_seed):
 
 def _project(labels, support, sums, routine, r, where, N, rng, v, bounds, ops, mem):
     """Project the ascending support list and make the output label:
-    combine_labels' result. sums is the table brute_row read (interval sums
-    minus lo, which keeps gaps), or None to sum the labels."""
+    combine_labels' result. sums is the table brute_row read the pair's
+    sums from (a full POW2 row, or interval sums minus lo, which keeps
+    gaps), or None to sum the labels."""
     m = len(support)
     pair = _pair(support, rng)
     if pair is None:
         return None, None, v, m, ops, mem
-    if routine == POW2:
-        label = (masked_sum(labels, pair[1]) - masked_sum(labels, pair[0])) % N
-        return label, pair, v, m, ops, mem
-
-    # interval: the gap between the pair's sums, flattened by rejection
     if sums is not None:
         s1, s2 = sums.item(pair[0]), sums.item(pair[1])
     else:
         s1, s2 = masked_sum(labels, pair[0]), masked_sum(labels, pair[1])
+    if routine == POW2:
+        return (s2 - s1) % N, pair, v, m, ops, mem
+
+    # interval: the gap between the pair's sums, flattened by rejection
     if s1 > s2:
         pair, s1, s2 = pair[::-1], s2, s1
     d = s2 - s1

@@ -138,7 +138,9 @@ def exponents(c: float, strategy: str, poly_memory: bool | None = None) -> Trade
 
 def improved_width(n: int, c: float) -> int:
     """Stage width of the improved regime for n bits at solver exponent c:
-    sqrt(n log2 n / (2c)) rounded, kept in [2, 30]."""
+    sqrt(n log2 n / (2c)) rounded, kept in [2, 30]. Needs 0 < c <= 1."""
+    if not 0 < c <= 1:
+        raise GuardError(f"need 0 < c <= 1, got {c}")
     return max(2, min(30, round(math.sqrt(n * math.log2(max(n, 2)) / (2 * c)))))
 
 

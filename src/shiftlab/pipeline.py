@@ -44,9 +44,16 @@ A wave outlives the run_pipeline call that built it: it stays with its
 instance, and the instance's next call carries on with its unused rows when
 that call's stage 0 has the same width and routine and those rows' labels
 are still the next ones in the stream; otherwise the rows are dropped (they
-cost wall time only) and the waves start again at one row. Power-of-two
-rows hold the sums of the labels' low k - 1 bits, whose residues mod 2^r
-serve every stage-0 r, so all the levels of a recovery share its waves.
+cost wall time only) and the waves start again at one row. Rows hold the
+labels' full subset sums whenever k(N - 1) passes sums_fit; their residues
+mod 2^r serve every stage-0 r, so all the levels of a recovery share its
+waves, and a power-of-two output label is the difference of two row
+entries mod N. At r <= 8 a power-of-two row's preimages are found by
+bytes.find over the wave's residues mod 2^r, one byte per cell, built once
+per wave and r; wider r and the interval routine scan the row with numpy.
+Past sums_fit (N > 2^59 at k = 8) power-of-two rows hold the sums of the
+labels' low k - 1 bits instead, and output labels are summed from the
+labels.
 """
 
 from __future__ import annotations
@@ -384,17 +391,27 @@ def plan_interval(sched: Schedule, N: int) -> list[_PlanStage]:
 class _Wave:
     """Brute-force tables built ahead for an instance's stage-0 invocations
     of one width and routine (key): row j of table is the subset-sum table
-    of labels[j*k : (j+1)*k], masked to their low k - 1 bits for POW2, and
-    row is the next unused one."""
+    of labels[j*k : (j+1)*k], and row is the next unused one.
 
-    __slots__ = ("key", "dtype", "table", "labels", "row")
+    Rows hold the labels' own sums (full), except in a power-of-two wave
+    whose sums would not pass sums_fit (N > 2^59 at k = 8): its rows hold
+    the sums of the labels' low k - 1 bits, which agree with the full sums
+    mod 2^r for every stage-0 r < k. residues holds the table's residues
+    mod 2^res_r, one byte per cell, for the one power-of-two r <= 8 last
+    asked for (residue_bytes).
+    """
 
-    def __init__(self, key: tuple[int, str], dtype):
+    __slots__ = ("key", "dtype", "full", "table", "labels", "row", "res_r", "residues")
+
+    def __init__(self, key: tuple[int, str], dtype, full: bool):
         self.key = key
         self.dtype = dtype
+        self.full = full
         self.table = np.empty((0, 0), dtype=dtype)
         self.labels: list[int] = []
         self.row = 0
+        self.res_r = 0
+        self.residues = b""
 
     def build(self, inst: HiddenShiftInstance) -> None:
         """Replace the table with the next wave's, built from the labels
@@ -402,18 +419,29 @@ class _Wave:
         the rows of the last wave (one for the first), up to WAVE_CELLS
         cells.
 
-        No weight check is needed: plan_interval keeps k labels below B
-        inside sums_fit, masked power-of-two weights are below 2^(k-1), and
-        the dtype is the table_dtype of those bounds.
+        No weight check is needed: a full wave's dtype is the table_dtype
+        of k labels below N, which pass sums_fit (_stage0_wave), and a
+        masked wave's that of k weights below 2^(k-1).
         """
-        k, routine = self.key
+        k = self.key[0]
         rows = min(max(1, 2 * len(self.table)), max(1, WAVE_CELLS >> k))
         self.labels = inst.peek_labels(rows * k)
         weights = np.array(self.labels, dtype=np.int64).reshape(rows, k)
-        if routine == POW2:
+        if not self.full:
             weights &= (1 << (k - 1)) - 1
         self.table = subset_sums(weights.astype(self.dtype, copy=False))
         self.row = 0
+        self.res_r = 0
+
+    def residue_bytes(self, r: int) -> bytes:
+        """The table's residues mod 2^r, r <= 8, one byte per cell in table
+        order: built once per table and r, and kept for the last r only."""
+        if self.res_r != r:
+            res = self.table.astype(np.uint8)
+            res &= (1 << r) - 1
+            self.residues = res.tobytes()
+            self.res_r = r
+        return self.residues
 
 
 # each instance's current stage-0 wave, kept across run_pipeline calls. It
@@ -432,8 +460,10 @@ def _stage0_wave(inst: HiddenShiftInstance, st: _PlanStage) -> _Wave:
         unused = wave.labels[wave.row * st.k :]
         if unused == inst.peek_labels(len(unused)):
             return wave
-    top = (1 << (st.k - 1)) - 1 if st.routine == POW2 else inst.modulus.N - 1
-    wave = _WAVES[inst] = _Wave(key, table_dtype(st.k, top))
+    # always full for INTERVAL: plan_interval keeps k labels below N in sums_fit
+    full = sums_fit(st.k, inst.modulus.N - 1)
+    top = inst.modulus.N - 1 if full else (1 << (st.k - 1)) - 1
+    wave = _WAVES[inst] = _Wave(key, table_dtype(st.k, top), full)
     return wave
 
 
@@ -506,8 +536,9 @@ class _Engine:
         With waves, its brute-force table is the next row of the instance's
         wave, built ahead from peeked labels; the invocation still draws its
         own k labels (same stream, same charge) and checks them against the
-        row's. Brute force is never seeded, so the solver-seed counter does
-        not need to advance.
+        row's. At r <= 8 a power-of-two row's preimages come from the
+        wave's residue bytes. Brute force is never seeded, so the
+        solver-seed counter does not need to advance.
         """
         st = self.plan[0]
         k = st.k
@@ -522,8 +553,11 @@ class _Engine:
             raise AccountingError(f"stage-0 labels drawn out of step with wave row {j}")
         wave.row = j + 1
         where = st.a if st.routine == POW2 else st.b_in
+        residues = None
+        if st.routine == POW2 and st.r <= 8:  # residues mod 2^r fit a byte
+            residues = (wave.residue_bytes(st.r), j << k)
         label, _, _, _, ops, mem = brute_row(
-            wave.table[j], labels, st.routine, st.r, where, self.N, self.rng
+            wave.table[j], labels, st.routine, st.r, where, self.N, self.rng, wave.full, residues
         )
         self._record(0, label, ops, mem)
         return label

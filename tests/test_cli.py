@@ -10,7 +10,8 @@ import sys
 import jsonschema
 import pytest
 
-from shiftlab import schedule_from_json, schedule_uniform
+import shiftlab.cli as cli_module
+from shiftlab import AccountingError, schedule_from_json, schedule_uniform
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCHEMA_PATH = os.path.join(ROOT, "docs", "schemas", "solve_line.schema.json")
@@ -109,6 +110,33 @@ def test_solve_out_file_matches_stdout(tmp_path):
     assert out.read_bytes() == direct.stdout
 
 
+def test_solve_batch_survives_a_run_that_raises(monkeypatch, capsys):
+    # the second of three runs breaks an accounting check: it prints a
+    # failed line, the other two print what an unbroken batch prints
+    args = ["solve", "--n", "8", "--strategy", "uniform", "--k", "4",
+            "--runs", "3", "--seed", "9"]
+    assert cli_module.main(args) == 0
+    clean = capsys.readouterr().out.splitlines()
+    real = cli_module.recover_pow2
+    calls = []
+
+    def recover(*a, **kw):
+        calls.append(1)
+        if len(calls) == 2:
+            raise AccountingError("stage-0 labels drawn out of step with wave row 0")
+        return real(*a, **kw)
+
+    monkeypatch.setattr(cli_module, "recover_pow2", recover)
+    assert cli_module.main(args) == 1
+    got = capsys.readouterr().out.splitlines()
+    assert len(got) == 3
+    assert (got[0], got[2]) == (clean[0], clean[2])
+    failed = json.loads(got[1])
+    jsonschema.validate(failed, SOLVE_SCHEMA)
+    assert (failed["seed"], failed["s_found"], failed["verified"]) == (
+        json.loads(clean[1])["seed"], None, False)
+
+
 def test_solve_strategies_build_their_schedules():
     proc = cli("solve", "--n", "12", "--strategy", "minclass", "--seed", "1")
     row = lines_of(proc)[0]
@@ -180,6 +208,9 @@ def test_usage_errors_exit_2(args, tmp_path):
         ("subset-sum", "--k", "31", "--instances", "1"),
         ("schedule", "--n", "40", "--strategy", "minquery"),
         ("schedule", "--load", ('{"stages": []}',)),              # loads, breaks a guard
+        ("schedule", "--n", "20", "--strategy", "improved", "--c", "0"),
+        ("schedule", "--n", "20", "--strategy", "improved", "--c", "-1"),
+        ("schedule", "--n", "20", "--strategy", "improved", "--c", "5"),
     ],
 )
 def test_guard_errors_exit_3(args, tmp_path):

@@ -7,6 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import shiftlab.combine as combine_module
 from shiftlab.combine import (
     FAILURE_PROJECTION,
     FAILURE_REJECTION,
@@ -428,7 +429,8 @@ def test_brute_kernels_match_randrange_reference(routine):
     (label, pair, v, m, ops, mem) and same final rng state. The cases cover
     odd supports that fail projection and, for the interval routine, gaps
     of 0 and rejection coins that accept and reject; power-of-two rows are
-    also run as the pipeline builds them, on the labels' low k - 1 bits."""
+    also run as the pipeline builds them, on the labels' low k - 1 bits or
+    on the labels themselves, scanned or walked as residue bytes."""
     rng = stream("kernel-reference", routine)
     seen = Counter()
     for _ in range(400):
@@ -447,8 +449,6 @@ def test_brute_kernels_match_randrange_reference(routine):
             labels = [rng.randrange(where) for _ in range(k)]
             weights = labels
         rows = [subset_sums(np.array(weights, dtype=dtype)) for dtype in (np.int32, np.int64)]
-        if routine == POW2 and where == 0:
-            rows.append(subset_sums(np.array(labels, dtype=np.int32) & ((1 << (k - 1)) - 1)))
         state = rng.getstate()
         coins = random.Random()
         coins.setstate(state)
@@ -457,6 +457,19 @@ def test_brute_kernels_match_randrange_reference(routine):
         runs = [lambda c: combine_labels(labels, routine, r, where, N, BRUTE, c, 0)]
         runs += [lambda c, row=row: brute_row(row, labels, routine, r, where, N, c)
                  for row in rows]
+        if routine == POW2 and where == 0:
+            # stage-0 wave rows: of the labels' low k - 1 bits or of the
+            # labels (full), scanned, and at r <= 8 walked as residue bytes
+            low = [lab & ((1 << (k - 1)) - 1) for lab in labels]
+            for full, source in ((False, low), (True, labels)):
+                for dtype in (np.int32, np.int64):
+                    row = subset_sums(np.array(source, dtype=dtype))
+                    runs.append(lambda c, row=row, full=full:
+                                brute_row(row.copy(), labels, routine, r, where, N, c, full))
+                    if r <= 8:
+                        res = ((row & ((1 << r) - 1)).astype(np.uint8).tobytes(), 0)
+                        runs.append(lambda c, row=row, full=full, res=res:
+                                    brute_row(row, labels, routine, r, where, N, c, full, res))
         for run in runs:
             coins.setstate(state)
             assert run(coins) == want
@@ -464,6 +477,39 @@ def test_brute_kernels_match_randrange_reference(routine):
     assert seen["projection"] > 0
     if routine == INTERVAL:
         assert min(seen["gap 0"], seen["accepted"], seen["rejected"]) > 0
+
+
+def test_byte_walk_preimages_match_chunk_hits(monkeypatch):
+    """brute_row's residue-byte walk against chunk_hits on the reduced row,
+    for int32 and int64 full-sum rows and every r in 1..8: it projects the
+    same ascending support, reads no byte outside the row's (the padding
+    holds every byte value) and leaves the row as it was, as does the
+    numpy scan of a full-sum row, which gives the same result."""
+    supports = []
+    real_pair = combine_module._pair
+    monkeypatch.setattr(combine_module, "_pair",
+                        lambda sols, rng: supports.append(list(sols)) or real_pair(sols, rng))
+    rng = stream("byte-walk")
+    pad = bytes(range(256))
+    for dtype, N in ((np.int32, 1 << 16), (np.int64, 1 << 40)):
+        for r in range(1, 9):
+            for _ in range(20):
+                k = rng.randrange(r + 1, 13)
+                labels = [rng.randrange(N) for _ in range(k)]
+                row = subset_sums(np.array(labels, dtype=dtype))
+                assert row.dtype == dtype
+                before = row.copy()
+                res = (pad + (row & ((1 << r) - 1)).astype(np.uint8).tobytes() + pad, len(pad))
+                seed = rng.randrange(1 << 32)
+                supports.clear()
+                out = brute_row(row, labels, POW2, r, 0, N, random.Random(seed), True, res)
+                assert np.array_equal(row, before)
+                want = chunk_hits(reduce_table(before.copy(), r, None), 0, r, out[2], None)
+                assert supports == [want.tolist()]
+                scanned = brute_row(row, labels, POW2, r, 0, N, random.Random(seed), True)
+                assert np.array_equal(row, before)
+                assert scanned == out
+                assert supports[1] == supports[0]
 
 
 # -- combine_interval ----------------------------------------------------------

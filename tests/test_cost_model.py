@@ -6,7 +6,7 @@ import time
 import pytest
 
 from shiftlab import GuardError, UsageError, exponents, render_report, table_report
-from shiftlab.cost_model import REPORT_FOOTNOTE, MEM_EXP, MEM_L, MEM_POLY
+from shiftlab.cost_model import REPORT_FOOTNOTE, MEM_EXP, MEM_L, MEM_POLY, improved_width
 from shiftlab.kinds import MIN_CLASSICAL, MIN_QUERY, QUAD_GAP, UNIFORM_IMPROVED
 
 # (c, strategy) -> (query exponent, time exponent), reference values quoted
@@ -111,6 +111,9 @@ def test_guards():
         exponents(1.5, MIN_CLASSICAL)
     with pytest.raises(GuardError):
         exponents(-0.2, QUAD_GAP)
+    for c in (0.0, -1.0, 5.0):
+        with pytest.raises(GuardError):
+            improved_width(20, c)
     with pytest.raises(UsageError):
         exponents(0.5, "fastest")
 

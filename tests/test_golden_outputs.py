@@ -66,6 +66,13 @@ GOLDEN = [
      "aa6045460dad461b1a1e0171b52e89a92e7d011bcb2400d3ea4e2b406fede3be"),
     ("subset-sum --k 13,17 --solver memless --flavor interval --instances 2 --seed 1",
      "78b18cdd903a1d3dc110645cb8fcbe059b232a5e08df25f4d83d5674c3c0a02d"),
+    # stage-0 waves of full label sums on both sides of the int32 bound:
+    # at N = 2^28 the largest sum is 2^31 - 8, at 2^29 the rows are int64;
+    # recorded before power-of-two waves moved from low-bit sums to full sums
+    ("solve --N 268435456 --k 8 --runs 1 --seed 3",
+     "0c1f194bf93a6a11061ddd36e81770617c5e41c75518bfc347e4cf772b823efa"),
+    ("solve --N 536870912 --k 8 --runs 1 --seed 3",
+     "ce154d0d2ca4556634aefd94078833561d15248a6d02e0ad52bc58f910368788"),
 ]
 
 

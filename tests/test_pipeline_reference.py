@@ -10,9 +10,11 @@ same ledger, row for row, and leave the instance's label stream at the same
 place: peeking ahead consumes nothing.
 """
 
+import numpy as np
 import pytest
 
 import reference_pipeline as reference_module
+import shiftlab.combine as combine_module
 import shiftlab.pipeline as pipeline_module
 from shiftlab import (
     AccountingError,
@@ -24,6 +26,8 @@ from shiftlab import (
 )
 from shiftlab.kinds import INTERVAL, MITM, POW2, POW2_TOP, SMALL_ONE, SOLVERS
 from shiftlab.pipeline import WAVE_CELLS, schedule_uniform
+from shiftlab.recover import recover_pow2
+from shiftlab.seeds import derive
 
 from reference_pipeline import reference_pipeline
 
@@ -152,6 +156,66 @@ def test_descending_levels_share_waves_and_match_reference(waves):
         assert_same_sequence(1 << 12, seed, steps)
         assert waves == [1 << w for w in range(len(waves))]
         assert len(waves) < len(steps)
+
+
+@pytest.mark.parametrize("N,k,levels,dtype,full", [
+    # int64 full sums, walked as residue bytes at r = 7 and below
+    (1 << 40, 8, (13, 9, 7, 5, 3, 1), np.int64, True),
+    # k * (N - 1) past sums_fit: rows of the low k - 1 bits, labels by masked_sum
+    (1 << 62, 8, (12, 9, 7, 4, 1), np.int32, False),
+    # r = 8, the widest residue a byte holds
+    (1 << 24, 9, (16, 8, 6, 2), np.int32, True),
+    # r = 9: the numpy scan on a copy of each full-sum row, then bytes below
+    (1 << 40, 10, (18, 9, 8, 4), np.int64, True),
+], ids=["int64-full", "masked", "r8-bytes", "r9-scan"])
+def test_wave_paths_over_descending_levels_match_reference(waves, N, k, levels, dtype, full):
+    # descending levels on one instance: the waves never restart at one
+    # row, so a wave that outlives its call serves the next call's r
+    sched = schedule_uniform(N.bit_length() - 1, k)
+    steps = [(sched, POW2_TOP, {"level": j}) for j in levels]
+    for seed in range(3):
+        waves.clear()
+        assert_same_sequence(N, seed, steps)
+        assert waves.count(1) == 1
+        inst = new_instance(N, seed=seed)
+        run_pipeline(inst, sched, POW2_TOP, level=1)
+        wave = pipeline_module._WAVES[inst]
+        assert (wave.dtype, wave.full) == (dtype, full)
+
+
+def test_pow2_k8_stage_zero_makes_no_numpy_scan_or_masked_sum(monkeypatch):
+    # 20 recoveries of the benchmark's pow2-k8 shape: every stage-0 row's
+    # preimages come from residue bytes and its output label from the row;
+    # combine_labels (stages >= 1) still scans and sums its own tables
+    calls = {"stage0": 0, "reduce_table": 0, "chunk_hits": 0, "masked_sum": 0}
+    in_stage0 = []
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += bool(in_stage0)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("reduce_table", "chunk_hits", "masked_sum"):
+        monkeypatch.setattr(combine_module, name, counted(name, getattr(combine_module, name)))
+    real_row = pipeline_module.brute_row
+
+    def stage0_row(*args):
+        calls["stage0"] += 1
+        in_stage0.append(1)
+        try:
+            return real_row(*args)
+        finally:
+            in_stage0.pop()
+
+    monkeypatch.setattr(pipeline_module, "brute_row", stage0_row)
+    sched = schedule_uniform(16, 8)
+    for unit in range(20):
+        inst = new_instance(1 << 16, seed=derive(1, unit))
+        assert recover_pow2(inst, sched) == inst.reveal_secret()
+    assert calls["stage0"] > 5000
+    assert calls == {"stage0": calls["stage0"], "reduce_table": 0, "chunk_hits": 0,
+                     "masked_sum": 0}
 
 
 def test_label_drawn_between_calls_matches_reference(waves):
