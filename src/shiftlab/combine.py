@@ -19,19 +19,21 @@ as a pessimistic support size, never as an invented solution).
 Both routines run on one label-level core, combine_labels, which the
 pipeline calls on plain int labels; combine_pow2 and combine_interval add
 the element checks, consume their inputs and wrap the core's result.
-Brute force at k <= 18 runs the row kernel, brute_row, on the table of the
-k weights' subset sums: the witness's ancilla value, the preimages (one
-chunk_hits pass, the scan solve_bruteforce runs per chunk) and the interval
-routine's output gap are all read from that one row. combine_labels hands
-it a one-row table; the pipeline's stage 0 hands it the next row of a wave
-of tables built together (pipeline.WAVE_CELLS), int32 when every sum fits
-(solvers.table_dtype), which outlives the run_pipeline call that built it.
-A wave row holds the labels' full subset sums, so a power-of-two output
-label is read from it too, unless k(N - 1) fails sums_fit; then it holds
-the sums of their low k - 1 bits, whose residues mod 2^r serve every
-r < k. At r <= 8 the stage passes the row's residues mod 2^r as bytes, and
-the preimages come from bytes.find instead of the numpy scan. Every other
-solver gets a validated instance and one solve call.
+Brute force at k <= 18 runs the run kernel, brute_run, on a table of
+subset sums, one row per combination: the witness's ancilla value, the
+preimages (one chunk_hits pass, the scan solve_bruteforce runs per chunk)
+and the interval routine's output gap are all read from the row.
+combine_labels hands it a one-row table. The pipeline's stage 0 hands it
+a wave of tables built together (pipeline.WAVE_CELLS), int32 when every
+sum fits (solvers.table_dtype), and one call runs the wave's rows in
+demand order until the stage's demand is met, its failure allowance is
+spent or the wave ends. A wave row holds the labels' full subset sums, so
+a power-of-two output label is read from it too, unless k(N - 1) fails
+sums_fit; then it holds the sums of their low k - 1 bits, whose residues
+mod 2^r serve every r < k. At r <= 8 the stage passes the wave's residues
+mod 2^r as bytes, and the preimages come from bytes.find instead of the
+numpy scan. Every other solver gets a validated instance and one solve
+call.
 
 Projection follows the sequential model: candidate pairs are tried in sorted
 adjacent order, each succeeding with probability 2/m over the current support
@@ -41,11 +43,11 @@ fails. Inputs are consumed unconditionally, success or not, which is what the
 per-stage (k/p)^m query accounting charges for.
 
 Every coin of a combination (the witness, the projection coins, the
-interval rejection coin) comes from one helper, _below, which draws
-rng.getrandbits exactly as stock random.Random.randrange(n) does: the same
-values and the same final rng state, without randrange's per-call overhead.
-A random.Random subclass that overrides randrange is therefore not
-consulted.
+interval rejection coin) is drawn from rng.getrandbits exactly as stock
+random.Random.randrange(n) draws it (_below): the same values and the same
+final rng state, without randrange's per-call overhead. The kernels draw
+from a bound rng.getrandbits inline, with the same rule. A random.Random
+subclass that overrides randrange is therefore not consulted.
 """
 
 from __future__ import annotations
@@ -123,68 +125,106 @@ def project_pair(solutions, rng: random.Random) -> tuple[int, int] | None:
     sols = sorted(solutions)
     if not sols:
         raise AssertionError("project_pair needs a nonempty support")
-    return _pair(sols, rng)
+    return _pair(sols, rng.getrandbits)
 
 
-def _pair(sols: list[int], rng: random.Random) -> tuple[int, int] | None:
-    """project_pair's loop on a nonempty ascending support list."""
+def _pair(sols: list[int], getrandbits) -> tuple[int, int] | None:
+    """project_pair's loop on a nonempty ascending support list; its coins
+    come from getrandbits, a bound rng.getrandbits, drawn as _below draws
+    them."""
     m = len(sols)
     idx = 0
     while m >= 2:
-        if _below(rng, m) < 2:
+        b = m.bit_length()
+        x = getrandbits(b)
+        while x >= m:
+            x = getrandbits(b)
+        if x < 2:
             return sols[idx], sols[idx + 1]
         idx += 2
         m -= 2
     return None
 
 
-def brute_row(row, labels, routine, r, where, N, rng, full=False, residues=None):
-    """One brute-force combination read from row, the int32 or int64
-    subset-sum table of its k <= _CHUNK_BITS weights: for INTERVAL, of the
-    labels; for POW2, of the labels themselves when full (valuation where
-    = 0 only), else of any weights congruent to them mod 2^r.
+def brute_run(table, j, labels, routine, r, where, N, rng, need, left, cap,
+              full=False, residues=None):
+    """Brute-force combinations on consecutive rows of table, from row j:
+    row i is the int32 or int64 subset-sum table of the k <= _CHUNK_BITS
+    weights of labels[i*k : (i+1)*k]; for INTERVAL, of those labels; for
+    POW2, of the labels themselves when full (valuation where = 0 only),
+    else of any weights congruent to them mod 2^r.
 
-    The witness's ancilla value, the preimages and the interval routine's
-    output gap, or a full POW2 row's output label, all come from the
-    table. The preimages come, in ascending order, from one of two scans:
-    - residues = (buf, start), POW2 at r <= 8 only: the row's residues mod
-      2^r are the bytes buf[start : start + len(row)], walked with
-      bytes.find, and the row is left as it is;
+    Each row is one combination: the witness's ancilla value, the
+    preimages and the interval routine's output gap, or a full POW2 row's
+    output label, all come from the row. The preimages come, in ascending
+    order, from one of two scans:
+    - residues, POW2 at r <= 8 only: the table's residues mod 2^r, one
+      byte per cell in table order, walked with bytes.find, and the row is
+      left as it is;
     - otherwise one chunk_hits pass over the row as reduce_table leaves it,
       reduced in place, or a copy of it when full (POW2), whose sums are
       still to be read.
-    Both always find the witness. The cost is solve_bruteforce's on the
-    same instance: 2^k ops and 2^k + |J| cells. The other arguments, the
-    RNG order and the result are combine_labels'; its coins come from
-    rng.getrandbits exactly as stock randrange draws them (_below), so a
-    random.Random subclass that overrides randrange is not consulted. The
-    ancilla value and bounds are those of modular_ancilla, interval_ancilla
-    and interval_bounds, inlined.
+    Both always find the witness. A row costs solve_bruteforce's work on
+    the same instance: 2^k ops and 2^k + |J| cells.
+
+    The run stops after need successes, when the failure allowance left
+    is spent (each failure spends one, each success restores it to cap),
+    or after the last row. Returns (results, left): combine_labels' result
+    for each row run, in order, and the allowance left. The other
+    arguments and the RNG order are combine_labels', row after row; the
+    witness is drawn from rng.getrandbits exactly as stock randrange draws
+    it, as are _project's coins. The ancilla value and bounds are those of
+    modular_ancilla, interval_ancilla and interval_bounds, inlined.
     """
-    size = len(row)
-    total = row.item(_below(rng, size))
-    if routine == POW2:
-        v, bounds, sums = total % (1 << r), None, (row if full else None)
-    else:
-        v = (total << (r - 1)) // where
-        # interval_bounds: ceil(v * where / 2^(r-1)), ceil((v + 1) * where / 2^(r-1))
-        bounds = (-((-v * where) >> (r - 1)), -((-(v + 1) * where) >> (r - 1)))
-        sums = None
-    if residues is None:
-        reduced = reduce_table(row if sums is None else row.copy(), r, bounds)
-        support = chunk_hits(reduced, 0, r, v, bounds).tolist()
-        if bounds is not None:
-            sums = reduced
-    else:
-        buf, start = residues
-        end = start + size
-        support = []
-        i = buf.find(v, start, end)
-        while i >= 0:
-            support.append(i - start)
-            i = buf.find(v, i + 1, end)
-    return _project(labels, support, sums, routine, r, where, N, rng, v, bounds, size,
-                    size + len(support))
+    size = table.shape[1]
+    k = size.bit_length() - 1
+    getrandbits = rng.getrandbits
+    pow2 = routine == POW2
+    results = []
+    stop = len(table)
+    while j < stop:
+        row = table[j]
+        # _below(size): stock randrange(2^k) draws k + 1 bits at a time
+        x = getrandbits(k + 1)
+        while x >= size:
+            x = getrandbits(k + 1)
+        total = row.item(x)
+        if pow2:
+            v, bounds, sums = total % (1 << r), None, (row if full else None)
+        else:
+            v = (total << (r - 1)) // where
+            # interval_bounds: ceil(v * where / 2^(r-1)), ceil((v + 1) * where / 2^(r-1))
+            bounds = (-((-v * where) >> (r - 1)), -((-(v + 1) * where) >> (r - 1)))
+            sums = None
+        if residues is None:
+            reduced = reduce_table(row if sums is None else row.copy(), r, bounds)
+            support = chunk_hits(reduced, 0, r, v, bounds).tolist()
+            if bounds is not None:
+                sums = reduced
+        else:
+            start = j * size
+            end = start + size
+            support = []
+            i = residues.find(v, start, end)
+            while i >= 0:
+                support.append(i - start)
+                i = residues.find(v, i + 1, end)
+        # the labels are summed only when there are no sums to read
+        row_labels = labels[j * k : (j + 1) * k] if sums is None else None
+        result = _project(row_labels, support, sums, routine, r, where, N, getrandbits, v,
+                          bounds, size, size + len(support))
+        results.append(result)
+        j += 1
+        if result[0] is None:
+            left -= 1
+            if not left:
+                break
+        else:
+            need -= 1
+            if not need:
+                break
+            left = cap
+    return results, left
 
 
 def combine_labels(labels, routine, r, where, N, solver_id, rng, solver_seed):
@@ -195,7 +235,7 @@ def combine_labels(labels, routine, r, where, N, solver_id, rng, solver_seed):
     N is the modulus that POW2 output labels are reduced by. Draws the
     witness j*, finds the preimage set of its ancilla value, unions j* into
     it and projects; RNG order: witness, projection coins, rejection coin.
-    Brute force at k <= _CHUNK_BITS runs brute_row on the one-row table of
+    Brute force at k <= _CHUNK_BITS runs brute_run on the one-row table of
     the weights; other solvers get one solve call with solver_seed.
     Returns (label, pair, v, support_size, solver_ops, solver_mem), label
     None on failure and pair None on projection failure.
@@ -205,7 +245,8 @@ def combine_labels(labels, routine, r, where, N, solver_id, rng, solver_seed):
     weights = [modular_ancilla(lab >> where, r) for lab in labels] if pow2 else labels
     if solver_id == BRUTE and k <= _CHUNK_BITS:
         check_weight_magnitude(weights)
-        return brute_row(subset_sums(weights), labels, routine, r, where, N, rng)
+        table = subset_sums(weights).reshape(1, -1)
+        return brute_run(table, 0, labels, routine, r, where, N, rng, 1, 1, 1)[0][0]
     j_star = _below(rng, 1 << k)
     total = masked_sum(weights, j_star)
     if pow2:
@@ -218,17 +259,18 @@ def combine_labels(labels, routine, r, where, N, solver_id, rng, solver_seed):
     sol = solve(problem, solver_id, seed=solver_seed)
     support = set(sol.solutions)
     support.add(j_star)
-    return _project(labels, sorted(support), None, routine, r, where, N, rng, v, bounds,
-                    sol.op_count, sol.mem_peak)
+    return _project(labels, sorted(support), None, routine, r, where, N, rng.getrandbits, v,
+                    bounds, sol.op_count, sol.mem_peak)
 
 
-def _project(labels, support, sums, routine, r, where, N, rng, v, bounds, ops, mem):
+def _project(labels, support, sums, routine, r, where, N, getrandbits, v, bounds, ops, mem):
     """Project the ascending support list and make the output label:
-    combine_labels' result. sums is the table brute_row read the pair's
+    combine_labels' result. sums is the table brute_run read the pair's
     sums from (a full POW2 row, or interval sums minus lo, which keeps
-    gaps), or None to sum the labels."""
+    gaps), or None to sum the labels. Coins come from getrandbits, a bound
+    rng.getrandbits, drawn as _below draws them."""
     m = len(support)
-    pair = _pair(support, rng)
+    pair = _pair(support, getrandbits)
     if pair is None:
         return None, None, v, m, ops, mem
     if sums is not None:
@@ -251,7 +293,12 @@ def _project(labels, support, sums, routine, r, where, N, rng, v, bounds, ops, m
         num, den = min(2 * margin, window), window
     else:
         num, den = margin, window - d
-    return (d if _below(rng, den) < num else None), pair, v, m, ops, mem
+    # _below(den)
+    b = den.bit_length()
+    x = getrandbits(b)
+    while x >= den:
+        x = getrandbits(b)
+    return (d if x < num else None), pair, v, m, ops, mem
 
 
 def _inputs(elems):

@@ -23,11 +23,12 @@ Widths from the real-valued formulas are rounded to integers with a floor of
 inputs so printers can show both.
 
 run_pipeline runs the stages on plain int labels. A demand loop asks the top
-stage for an output; a stage short of inputs asks the stage below, and stage
-0 draws its k raw labels from the instance in one step. Every invocation is
-one call of the label-level combination core, inputs are consumed whatever
-the outcome, and only the element handed back becomes a PhaseElement. The
-CostLedger it fills has per-stage rows that sum to its totals.
+stage for an output; a stage short of inputs asks the stage below, and
+stage 1 asks stage 0 for all the outputs it lacks at once, since it cannot
+run before it has them all. Every invocation is one combination on its k
+inputs, inputs are consumed whatever the outcome, and only the element
+handed back becomes a PhaseElement. The CostLedger it fills has per-stage
+rows that sum to its totals.
 
 Stage 0's inputs are the next k labels of the instance's label stream, which
 no other draw in the pipeline touches. So with brute force at k <= 18 the
@@ -35,10 +36,13 @@ engine builds stage 0's subset-sum tables ahead, in waves: one batched
 subset_sums call over labels peeked (not drawn) from the stream, one row per
 upcoming invocation, int32 when every sum fits (table_dtype). An instance's
 first wave has one row and each next wave twice as many, up to WAVE_CELLS
-table cells. Each invocation still draws its own k labels, in demand order
-and with the same query charge, checks them against its row's
-(AccountingError if they differ) and runs the row kernel combine.brute_row
-on the row, with the same RNG calls as before.
+table cells. One demanded batch of stage-0 outputs is one run: one call of
+the run kernel combine.brute_run per wave it reaches, which runs the rows
+in demand order, with the same RNG calls as one invocation at a time. The
+labels of the rows run are then drawn in one step, in stream order and
+with the same query charge, and checked against the rows' (AccountingError
+if they differ), before any next wave is built; the stage's ledger row is
+charged once per run.
 
 A wave outlives the run_pipeline call that built it: it stays with its
 instance, and the instance's next call carries on with its unused rows when
@@ -67,7 +71,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # combine_pow2/combine_interval stay importable here: perfbench's tracer wraps these names
-from .combine import brute_row, combine_interval, combine_labels, combine_pow2  # noqa: F401
+from .combine import brute_run, combine_interval, combine_labels, combine_pow2  # noqa: F401
 from .errors import AccountingError, GuardError, RetryExhaustedError
 from .group_arith import ceil_div, ceil_log2, two_adic_valuation
 from .instance import HiddenShiftInstance, PhaseElement
@@ -304,6 +308,8 @@ class CostLedger:
             raise AccountingError("query/element mismatch")
         if self.solver_ops != sum(s.solver_ops for s in self.per_stage):
             raise AccountingError("solver ops differ from the per-stage sum")
+        if self.mem_peak_cells != max((s.mem_peak for s in self.per_stage), default=0):
+            raise AccountingError("memory peak differs from the per-stage peak")
         if self.elements_wasted != self.raw_discarded + sum(
             s.k * s.failures + s.discarded for s in self.per_stage
         ):
@@ -500,21 +506,27 @@ class _Engine:
         self.ledger.elements_generated += n
         return self.inst.sample_labels(n)
 
-    def _record(self, i: int, label: int | None, ops: int, mem: int) -> None:
-        """Charge one invocation of stage i to its ledger row."""
+    def _charge(self, i: int, runs: int, failures: int, ops: int, mem: int) -> None:
+        """Charge runs invocations of stage i, failures of them failed, with
+        ops solver operations and a memory peak of mem, to its ledger row."""
         row = self.stats[i]
-        row.invocations += 1
-        row.consumed += row.k
+        row.invocations += runs
+        row.consumed += row.k * runs
+        row.successes += runs - failures
+        row.produced += runs - failures
+        row.failures += failures
         row.solver_ops += ops
         row.mem_peak = max(row.mem_peak, mem)
         self.ledger.solver_ops += ops
         self.ledger.mem_peak_cells = max(self.ledger.mem_peak_cells, mem)
-        if label is None:
-            row.failures += 1
-            self.ledger.elements_wasted += row.k
-        else:
-            row.successes += 1
-            row.produced += 1
+        self.ledger.elements_wasted += row.k * failures
+
+    def _exhausted(self, i: int) -> RetryExhaustedError:
+        st = self.plan[i]
+        return RetryExhaustedError(
+            f"stage {i} (k={st.k}, r={st.r}, {st.routine}) exhausted "
+            f"{self.caps[i]} invocations without a success"
+        )
 
     def _invoke(self, i: int, labels: list[int]) -> int | None:
         """One invocation of stage i on its k input labels; its output label,
@@ -527,77 +539,105 @@ class _Engine:
         label, _, _, _, ops, mem = combine_labels(
             labels, st.routine, st.r, where, self.N, self.solver_id, self.rng, seed,
         )
-        self._record(i, label, ops, mem)
+        self._charge(i, 1, label is None, ops, mem)
         return label
 
-    def _stage0(self) -> int | None:
-        """One stage-0 invocation on the next k raw labels.
+    def _run0(self, need: int) -> list[int]:
+        """The next need outputs of stage 0, in order. Its invocations run on
+        the next k raw labels each until need of them succeed; each output
+        may spend caps[0] invocations, else RetryExhaustedError.
 
-        With waves, its brute-force table is the next row of the instance's
-        wave, built ahead from peeked labels; the invocation still draws its
-        own k labels (same stream, same charge) and checks them against the
-        row's. At r <= 8 a power-of-two row's preimages come from the
-        wave's residue bytes. Brute force is never seeded, so the
-        solver-seed counter does not need to advance.
+        With waves, one combine.brute_run call runs the invocations on the
+        wave's next rows, built ahead from peeked labels, until the need is
+        met, the allowance is spent or the wave ends. The labels of the
+        rows it ran are then drawn in one step (same stream, same charge)
+        and checked against theirs, before any next wave is built from
+        peeked labels; the stage's ledger row is charged once for the run.
+        At r <= 8 a power-of-two row's preimages come from the wave's
+        residue bytes. Brute force is never seeded, so the solver-seed
+        counter does not need to advance.
         """
         st = self.plan[0]
         k = st.k
+        left = cap = self.caps[0]
+        outs: list[int] = []
         wave = self.wave
         if wave is None:
-            return self._invoke(0, self._raw(k))
-        if wave.row == len(wave.table):
-            wave.build(self.inst)
-        j = wave.row
-        labels = self._raw(k)
-        if labels != wave.labels[j * k : (j + 1) * k]:
-            raise AccountingError(f"stage-0 labels drawn out of step with wave row {j}")
-        wave.row = j + 1
+            while True:
+                label = self._invoke(0, self._raw(k))
+                if label is not None:
+                    outs.append(label)
+                    if len(outs) == need:
+                        return outs
+                    left = cap
+                else:
+                    left -= 1
+                    if not left:
+                        raise self._exhausted(0)
         where = st.a if st.routine == POW2 else st.b_in
-        residues = None
-        if st.routine == POW2 and st.r <= 8:  # residues mod 2^r fit a byte
-            residues = (wave.residue_bytes(st.r), j << k)
-        label, _, _, _, ops, mem = brute_row(
-            wave.table[j], labels, st.routine, st.r, where, self.N, self.rng, wave.full, residues
-        )
-        self._record(0, label, ops, mem)
-        return label
+        runs = mem = 0
+        while True:
+            if wave.row == len(wave.table):
+                wave.build(self.inst)
+            j = wave.row
+            residues = None
+            if st.routine == POW2 and st.r <= 8:  # residues mod 2^r fit a byte
+                residues = wave.residue_bytes(st.r)
+            results, left = brute_run(
+                wave.table, j, wave.labels, st.routine, st.r, where, self.N, self.rng,
+                need - len(outs), left, cap, wave.full, residues,
+            )
+            n = len(results)
+            wave.row = j + n
+            if self._raw(n * k) != wave.labels[j * k : (j + n) * k]:
+                raise AccountingError(
+                    f"stage-0 labels drawn out of step with wave rows {j} to {j + n - 1}"
+                )
+            runs += n
+            mem = max(mem, max(res[5] for res in results))
+            outs += [res[0] for res in results if res[0] is not None]
+            if len(outs) == need or not left:
+                self._charge(0, runs, runs - len(outs), runs << k, mem)
+                if not left:
+                    raise self._exhausted(0)
+                return outs
 
     def next_label(self) -> int:
         """One output label of the top stage; a raw label for an empty plan.
 
         The demand loop keeps, per stage, the inputs gathered for its next
         invocation (ins) and the invocations its current demand may still
-        spend (left). Stage i short of inputs demands one output of stage
-        i - 1, which gets a fresh allowance of caps[i - 1]; an output climbs
-        back to the stage that demanded it. A stage whose allowance runs out
+        spend (left). Stage i > 1 short of inputs demands one output of
+        stage i - 1, which gets a fresh allowance of caps[i - 1]; an output
+        climbs back to the stage that demanded it. Stage 1 short of inputs,
+        or stage 0 at the top, demands all the outputs it lacks from stage
+        0 in one run (_run0): stage 1 cannot run before it has them all,
+        so the invocations are the same. A stage whose allowance runs out
         raises RetryExhaustedError.
         """
         plan = self.plan
         top = len(plan) - 1
         if top < 0:
             return self._raw(1)[0]
+        if top == 0:
+            return self._run0(1)[0]
         ins: list[list[int]] = [[] for _ in plan]
         left = list(self.caps)
         i = top
         while True:
-            k = plan[i].k
-            if i == 0:
-                label = self._stage0()
-            elif len(ins[i]) < k:
-                i -= 1
-                left[i] = self.caps[i]
+            if len(ins[i]) < plan[i].k:
+                if i == 1:
+                    ins[1] += self._run0(plan[1].k - len(ins[1]))
+                else:
+                    i -= 1
+                    left[i] = self.caps[i]
                 continue
-            else:
-                labels, ins[i] = ins[i], []
-                label = self._invoke(i, labels)
+            labels, ins[i] = ins[i], []
+            label = self._invoke(i, labels)
             if label is None:
                 left[i] -= 1
                 if not left[i]:
-                    st = plan[i]
-                    raise RetryExhaustedError(
-                        f"stage {i} (k={st.k}, r={st.r}, {st.routine}) exhausted "
-                        f"{self.caps[i]} invocations without a success"
-                    )
+                    raise self._exhausted(i)
             elif i == top:
                 return label
             else:

@@ -5,7 +5,7 @@ module-level masked_sum, modular_ancilla, interval_ancilla and
 interval_bounds are the single source of truth for subset sums and ancilla
 values; the instance classes, the combination routines and the solvers all
 call them (or check()) rather than reimplementing the arithmetic. The one
-copy is combine.brute_row, which inlines the ancilla value and bounds on its
+copy is combine.brute_run, which inlines the ancilla value and bounds on its
 hot path; test_brute_kernels_match_randrange_reference pins it to them.
 """
 

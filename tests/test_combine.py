@@ -12,7 +12,7 @@ from shiftlab.combine import (
     FAILURE_PROJECTION,
     FAILURE_REJECTION,
     _below,
-    brute_row,
+    brute_run,
     combine_interval,
     combine_labels,
     combine_pow2,
@@ -34,6 +34,12 @@ from shiftlab.subset_sum.lists import subset_sums
 from shiftlab.subset_sum.solvers import chunk_hits, reduce_table, table_dtype
 
 from conftest import chi_square_p, stream
+
+
+def run_row(row, labels, routine, r, where, N, rng, full=False, residues=None):
+    """brute_run on the one-row table row: combine_labels' result for it."""
+    table = row.reshape(1, -1)
+    return brute_run(table, 0, labels, routine, r, where, N, rng, 1, 1, 1, full, residues)[0][0]
 
 
 # -- project_pair -------------------------------------------------------------
@@ -293,7 +299,7 @@ def test_core_brute_branch_matches_solve_bruteforce(flavor):
     """The core's brute-force branch against solve_bruteforce, k = 2..18:
     its one-chunk scan of a table_dtype table finds the same set on planted
     and unplanted instances and on weights whose k * max sits just below
-    2^31 (int32 tables) and just above it (int64), and brute_row's support
+    2^31 (int32 tables) and just above it (int64), and brute_run's support
     size, op count and memory peak are those of the instance its witness
     defines."""
     rng = stream("core-brute", flavor)
@@ -335,7 +341,7 @@ def test_core_brute_branch_matches_solve_bruteforce(flavor):
         j_star = random.Random(seed).randrange(1 << k)
         row_args = (labels, routine, r, where, N, random.Random(seed))
         row = subset_sums(np.array(weights, dtype=table_dtype(k, max(weights))))
-        _, pair, v, m, ops, mem = brute_row(row, *row_args)
+        _, pair, v, m, ops, mem = run_row(row, *row_args)
         if routine == POW2:
             problem = ModularInstance(tuple(weights), r, v)
         else:
@@ -424,7 +430,7 @@ def reference_combination(labels, routine, r, where, N, rng, seen):
 
 @pytest.mark.parametrize("routine", [POW2, INTERVAL])
 def test_brute_kernels_match_randrange_reference(routine):
-    """combine_labels' brute-force branch and brute_row on int32 and int64
+    """combine_labels' brute-force branch and brute_run on int32 and int64
     rows against reference_combination from equal rng states: same
     (label, pair, v, m, ops, mem) and same final rng state. The cases cover
     odd supports that fail projection and, for the interval routine, gaps
@@ -455,7 +461,7 @@ def test_brute_kernels_match_randrange_reference(routine):
         want = reference_combination(labels, routine, r, where, N, coins, seen)
         want_state = coins.getstate()
         runs = [lambda c: combine_labels(labels, routine, r, where, N, BRUTE, c, 0)]
-        runs += [lambda c, row=row: brute_row(row, labels, routine, r, where, N, c)
+        runs += [lambda c, row=row: run_row(row, labels, routine, r, where, N, c)
                  for row in rows]
         if routine == POW2 and where == 0:
             # stage-0 wave rows: of the labels' low k - 1 bits or of the
@@ -465,11 +471,11 @@ def test_brute_kernels_match_randrange_reference(routine):
                 for dtype in (np.int32, np.int64):
                     row = subset_sums(np.array(source, dtype=dtype))
                     runs.append(lambda c, row=row, full=full:
-                                brute_row(row.copy(), labels, routine, r, where, N, c, full))
+                                run_row(row.copy(), labels, routine, r, where, N, c, full))
                     if r <= 8:
-                        res = ((row & ((1 << r) - 1)).astype(np.uint8).tobytes(), 0)
+                        res = (row & ((1 << r) - 1)).astype(np.uint8).tobytes()
                         runs.append(lambda c, row=row, full=full, res=res:
-                                    brute_row(row, labels, routine, r, where, N, c, full, res))
+                                    run_row(row, labels, routine, r, where, N, c, full, res))
         for run in runs:
             coins.setstate(state)
             assert run(coins) == want
@@ -480,17 +486,17 @@ def test_brute_kernels_match_randrange_reference(routine):
 
 
 def test_byte_walk_preimages_match_chunk_hits(monkeypatch):
-    """brute_row's residue-byte walk against chunk_hits on the reduced row,
-    for int32 and int64 full-sum rows and every r in 1..8: it projects the
-    same ascending support, reads no byte outside the row's (the padding
-    holds every byte value) and leaves the row as it was, as does the
-    numpy scan of a full-sum row, which gives the same result."""
+    """brute_run's residue-byte walk against chunk_hits on the reduced row,
+    for int32 and int64 full-sum rows and every r in 1..8: run on the
+    middle row of a three-row table, it projects the same ascending
+    support, reads no byte outside the row's (the other rows' bytes hold
+    every value below 2^r) and leaves the row as it was, as does the numpy
+    scan of a full-sum row, which gives the same result."""
     supports = []
     real_pair = combine_module._pair
     monkeypatch.setattr(combine_module, "_pair",
-                        lambda sols, rng: supports.append(list(sols)) or real_pair(sols, rng))
+                        lambda sols, bits: supports.append(list(sols)) or real_pair(sols, bits))
     rng = stream("byte-walk")
-    pad = bytes(range(256))
     for dtype, N in ((np.int32, 1 << 16), (np.int64, 1 << 40)):
         for r in range(1, 9):
             for _ in range(20):
@@ -498,18 +504,96 @@ def test_byte_walk_preimages_match_chunk_hits(monkeypatch):
                 labels = [rng.randrange(N) for _ in range(k)]
                 row = subset_sums(np.array(labels, dtype=dtype))
                 assert row.dtype == dtype
+                table = np.stack([row, row, row])
                 before = row.copy()
-                res = (pad + (row & ((1 << r) - 1)).astype(np.uint8).tobytes() + pad, len(pad))
+                pad = bytes(i % 256 for i in range(len(row)))
+                res = pad + (row & ((1 << r) - 1)).astype(np.uint8).tobytes() + pad
+                args = ([0] * k + labels + [0] * k, POW2, r, 0, N)
                 seed = rng.randrange(1 << 32)
                 supports.clear()
-                out = brute_row(row, labels, POW2, r, 0, N, random.Random(seed), True, res)
-                assert np.array_equal(row, before)
+                (out,), _ = brute_run(table, 1, *args, random.Random(seed), 1, 1, 1, True, res)
+                assert np.array_equal(table[1], before)
                 want = chunk_hits(reduce_table(before.copy(), r, None), 0, r, out[2], None)
                 assert supports == [want.tolist()]
-                scanned = brute_row(row, labels, POW2, r, 0, N, random.Random(seed), True)
-                assert np.array_equal(row, before)
+                (scanned,), _ = brute_run(table, 1, *args, random.Random(seed), 1, 1, 1, True)
+                assert np.array_equal(table[1], before)
                 assert scanned == out
                 assert supports[1] == supports[0]
+
+
+def run_rows_singly(table, j, labels, routine, r, where, N, rng, need, left, cap, full,
+                    residues):
+    """brute_run's stopping rule written out over one-row calls."""
+    results = []
+    for row in range(j, len(table)):
+        (result,), _ = brute_run(table, row, labels, routine, r, where, N, rng, 1, 1, 1, full,
+                                 residues)
+        results.append(result)
+        if result[0] is None:
+            left -= 1
+            if not left:
+                break
+        else:
+            need -= 1
+            if not need:
+                break
+            left = cap
+    return results, left
+
+
+@pytest.mark.parametrize("routine,dtype,full,r", [
+    (POW2, np.int32, True, 5),
+    (POW2, np.int64, True, 7),
+    (POW2, np.int32, True, 9),
+    (POW2, np.int64, True, 10),
+    (POW2, np.int32, False, 6),
+    (POW2, np.int64, False, 9),
+    (INTERVAL, np.int32, True, 8),
+    (INTERVAL, np.int64, True, 6),
+], ids=["full-int32-bytes", "full-int64-bytes", "full-int32-scan", "full-int64-scan",
+        "masked-int32-bytes", "masked-int64-scan", "interval-int32", "interval-int64"])
+def test_multi_row_run_matches_one_row_per_call(routine, dtype, full, r):
+    """One brute_run call over consecutive rows of a wave-shaped table
+    gives what the same rows give run one per call: the same results row
+    for row (outputs, pairs, support sizes, memory), so the same failure
+    count and memory peak, the same allowance left and the same final rng
+    state. Runs start mid-table and stop on successes, on a spent
+    allowance and at the last row."""
+    # power-of-two rows at r = k - 1, where odd supports, and so failures, are common
+    k = 12 if routine == INTERVAL else r + 1
+    rows = 24
+    rng = stream("multi-row-run", routine, np.dtype(dtype).name, full, r)
+    if routine == POW2:
+        N = 1 << (40 if dtype == np.int64 else 16)
+        where = 0
+    else:
+        N = where = (1 << 40) + 15 if dtype == np.int64 else 1000003
+    labels = [rng.randrange(N) for _ in range(rows * k)]
+    weights = np.array(labels, dtype=np.int64).reshape(rows, k)
+    if not full:
+        weights &= (1 << (k - 1)) - 1
+    table = subset_sums(weights.astype(dtype))
+    assert table.dtype == dtype
+    residues = None
+    if routine == POW2 and r <= 8:
+        residues = (table & ((1 << r) - 1)).astype(np.uint8).tobytes()
+    stops = Counter()
+    for need, left, cap in ((3, 2, 2), (rows, 1, 1), (rows, 2, 3), (2, rows, rows),
+                            (rows, rows, rows), (5, 3, 4)):
+        j = rng.randrange(rows // 2)
+        seed = rng.randrange(1 << 32)
+        outs = []
+        for run in (brute_run, run_rows_singly):
+            coins = random.Random(seed)
+            # scans reduce interval and masked rows in place: a fresh table each
+            results, rest = run(table.copy(), j, labels, routine, r, where, N, coins, need,
+                                left, cap, full, residues)
+            outs.append((results, rest, coins.getstate()))
+        assert outs[0] == outs[1]
+        results, rest, _ = outs[0]
+        ok = [res[0] for res in results if res[0] is not None]
+        stops["need" if len(ok) == need else "allowance" if not rest else "end"] += 1
+    assert set(stops) == {"need", "allowance", "end"}
 
 
 # -- combine_interval ----------------------------------------------------------

@@ -377,13 +377,29 @@ def test_corrupted_ledger_raises_accounting_error():
         ledger.check_consistent()
 
 
+def test_corrupted_memory_peak_raises_accounting_error():
+    _, ledger = run_pipeline(new_instance(N=256, seed=1), schedule_uniform(8, 4), POW2_TOP)
+    ledger.check_consistent()
+    ledger.mem_peak_cells += 1
+    with pytest.raises(AccountingError, match="memory peak"):
+        ledger.check_consistent()
+    ledger.mem_peak_cells -= 1
+    ledger.per_stage[-1].mem_peak = ledger.mem_peak_cells + 1
+    with pytest.raises(AccountingError, match="memory peak"):
+        ledger.check_consistent()
+    with pytest.raises(AccountingError, match="memory peak"):
+        CostLedger(mem_peak_cells=1).check_consistent()
+
+
 def test_accounting_identities_hold_under_python_O():
     code = (
         "from shiftlab import AccountingError, CostLedger\n"
-        "try:\n"
-        "    CostLedger(q_queries=5, elements_generated=3).check_consistent()\n"
-        "except AccountingError:\n"
-        "    print('raised')\n"
+        "bad = CostLedger(q_queries=5, elements_generated=3), CostLedger(mem_peak_cells=1)\n"
+        "for ledger in bad:\n"
+        "    try:\n"
+        "        ledger.check_consistent()\n"
+        "    except AccountingError:\n"
+        "        print('raised')\n"
     )
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
@@ -391,4 +407,4 @@ def test_accounting_identities_hold_under_python_O():
         [sys.executable, "-O", "-c", code], capture_output=True, timeout=60, env=env
     )
     assert proc.returncode == 0, proc.stderr.decode()
-    assert proc.stdout.decode().strip() == "raised"
+    assert proc.stdout.decode().split() == ["raised", "raised"]

@@ -198,17 +198,18 @@ def test_pow2_k8_stage_zero_makes_no_numpy_scan_or_masked_sum(monkeypatch):
 
     for name in ("reduce_table", "chunk_hits", "masked_sum"):
         monkeypatch.setattr(combine_module, name, counted(name, getattr(combine_module, name)))
-    real_row = pipeline_module.brute_row
+    real_run = pipeline_module.brute_run
 
-    def stage0_row(*args):
-        calls["stage0"] += 1
+    def stage0_run(*args):
         in_stage0.append(1)
         try:
-            return real_row(*args)
+            results, left = real_run(*args)
         finally:
             in_stage0.pop()
+        calls["stage0"] += len(results)
+        return results, left
 
-    monkeypatch.setattr(pipeline_module, "brute_row", stage0_row)
+    monkeypatch.setattr(pipeline_module, "brute_run", stage0_run)
     sched = schedule_uniform(16, 8)
     for unit in range(20):
         inst = new_instance(1 << 16, seed=derive(1, unit))
@@ -279,19 +280,38 @@ def test_retry_exhaustion_mid_wave_matches_reference(monkeypatch):
         assert mid_wave(got[1] // 4, 4)
 
 
+def test_interval_retry_exhaustion_matches_reference(monkeypatch):
+    # odd N, k = 5 interval stages (r = 2) with caps of k invocations per
+    # demanded output: seed 20 gives up in stage 0 after 186 invocations,
+    # three outputs into a run of 9 rows and mid-wave; seed 33 after 63,
+    # in a run of 10 rows that ends on the last row of the 32-row wave
+    for module in (pipeline_module, reference_module):
+        monkeypatch.setattr(module, "RETRY_FACTOR", 1)
+        monkeypatch.setattr(module, "P_PRIOR", 1)
+    sched = schedule_uniform(20, 5, INTERVAL)
+    for seed, invocations in ((20, 186), (33, 63)):
+        got = raised(run_pipeline, 1000003, sched, SMALL_ONE, seed)
+        assert got == raised(reference_pipeline, 1000003, sched, SMALL_ONE, seed)
+        assert got[0] is RetryExhaustedError
+        assert got[1] == 5 * invocations
+        assert mid_wave(invocations, 5) == (seed == 20)
+
+
 def test_stray_label_draw_breaks_wave_alignment(monkeypatch):
     # one label drawn behind the engine's back, inside a wave of two rows:
-    # the next stage-0 invocation draws labels its row was not built from
-    real_record = pipeline_module._Engine._record
-    records = []
-
-    def record(self, i, *args):
-        real_record(self, i, *args)
-        records.append(i)
-        if records.count(0) == 2 and i == 0:
-            self.inst.sample_labels(1)
-
-    monkeypatch.setattr(pipeline_module._Engine, "_record", record)
+    # the run on that wave draws labels its rows were not built from
+    real_run = pipeline_module.brute_run
     inst = new_instance(1 << 12, seed=0)
+    runs = []
+
+    def run(table, *args):
+        runs.append(len(table))
+        out = real_run(table, *args)
+        if len(runs) == 2:
+            inst.sample_labels(1)
+        return out
+
+    monkeypatch.setattr(pipeline_module, "brute_run", run)
     with pytest.raises(AccountingError, match="out of step"):
         run_pipeline(inst, schedule_uniform(12, 6), POW2_TOP)
+    assert runs == [1, 2]
