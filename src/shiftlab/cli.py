@@ -256,6 +256,8 @@ def _solve_one(payload: dict) -> dict:
 def cmd_solve(args) -> int:
     if args.runs < 1:
         raise UsageError(f"need --runs >= 1, got {args.runs}")
+    if args.workers < 1:
+        raise UsageError(f"need --workers >= 1, got {args.workers}")
     N, n, odd = _resolve_modulus(args)
     sched = build_schedule(args.strategy, n, odd, args)
     if odd:

@@ -17,6 +17,11 @@ MEMLESS = "memless"
 
 SOLVERS = (BRUTE, MITM, SS, REP, MEMLESS)
 SEEDED_SOLVERS = (REP, MEMLESS)  # the probabilistic ones; the rest ignore a seed
+# widths each solver takes, lo <= k <= hi (hi None: no cap): Schedule refuses
+# a stage outside its solver's range, and the solvers' guards read the same
+SOLVER_WIDTHS = {
+    BRUTE: (2, 30), MITM: (2, None), SS: (4, None), REP: (8, None), MEMLESS: (2, None),
+}
 
 # Pipeline targets
 POW2_TOP = "pow2_top"    # element with 2-adic valuation exactly n-1 (N = 2^n)

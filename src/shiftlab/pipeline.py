@@ -22,13 +22,13 @@ Widths from the real-valued formulas are rounded to integers with a floor of
 2 and r clamped to [1, k-1]; params on the Schedule keeps the raw formula
 inputs so printers can show both.
 
-run_pipeline runs the stages on plain int labels. A demand loop asks the top
-stage for an output; a stage short of inputs asks the stage below, and
-stage 1 asks stage 0 for all the outputs it lacks at once, since it cannot
-run before it has them all. Every invocation is one combination on its k
-inputs, inputs are consumed whatever the outcome, and only the element
-handed back becomes a PhaseElement. The CostLedger it fills has per-stage
-rows that sum to its totals.
+run_pipeline runs the stages on plain int labels, recursively: the top
+stage is asked for one output, and each stage asks the stage below for the
+k inputs of an invocation in one batch, since it cannot run before it has
+them all. Every invocation is one combination on its k inputs, inputs are
+consumed whatever the outcome, and only the element handed back becomes a
+PhaseElement. The CostLedger it fills has per-stage rows that sum to its
+totals.
 
 Stage 0's inputs are the next k labels of the instance's label stream, which
 no other draw in the pipeline touches. So with brute force at k <= 18 the
@@ -75,7 +75,9 @@ from .combine import brute_run, combine_interval, combine_labels, combine_pow2  
 from .errors import AccountingError, GuardError, RetryExhaustedError
 from .group_arith import ceil_div, ceil_log2, two_adic_valuation
 from .instance import HiddenShiftInstance, PhaseElement
-from .kinds import BRUTE, INTERVAL, POW2, POW2_TOP, ROUTINES, SEEDED_SOLVERS, SOLVERS, TARGETS
+from .kinds import (
+    BRUTE, INTERVAL, POW2, POW2_TOP, ROUTINES, SEEDED_SOLVERS, SOLVER_WIDTHS, SOLVERS, TARGETS,
+)
 from .seeds import derive, label_path
 from .subset_sum.lists import subset_sums
 from .subset_sum.solvers import _CHUNK_BITS, sums_fit, table_dtype
@@ -124,6 +126,13 @@ class Schedule:
         if self.solver_id not in SOLVERS:
             raise GuardError(f"unknown solver {self.solver_id!r}")
         object.__setattr__(self, "stages", tuple(self.stages))
+        lo, hi = SOLVER_WIDTHS[self.solver_id]
+        for i, s in enumerate(self.stages):
+            if s.k < lo or hi is not None and s.k > hi:
+                widths = f"k >= {lo}" if hi is None else f"{lo} <= k <= {hi}"
+                raise GuardError(
+                    f"stage {i}: solver {self.solver_id} needs {widths}, got k={s.k}"
+                )
 
     @property
     def total_r(self) -> int:
@@ -405,6 +414,11 @@ class _Wave:
     mod 2^r for every stage-0 r < k. residues holds the table's residues
     mod 2^res_r, one byte per cell, for the one power-of-two r <= 8 last
     asked for (residue_bytes).
+
+    The masked mode stays on purpose: full int64 rows wrapping mod 2^64
+    would be exact for every power-of-two N and a little less code, but at
+    N = 2^62, k = 12 they ran about 12% slower, for the int64 row and one
+    copy per scanned row (CHANGES.md).
     """
 
     __slots__ = ("key", "dtype", "full", "table", "labels", "row", "res_r", "residues")
@@ -543,37 +557,24 @@ class _Engine:
         return label
 
     def _run0(self, need: int) -> list[int]:
-        """The next need outputs of stage 0, in order. Its invocations run on
-        the next k raw labels each until need of them succeed; each output
-        may spend caps[0] invocations, else RetryExhaustedError.
+        """The next need outputs of stage 0 with a wave, in order; each
+        output may spend caps[0] invocations, else RetryExhaustedError.
 
-        With waves, one combine.brute_run call runs the invocations on the
-        wave's next rows, built ahead from peeked labels, until the need is
-        met, the allowance is spent or the wave ends. The labels of the
-        rows it ran are then drawn in one step (same stream, same charge)
-        and checked against theirs, before any next wave is built from
-        peeked labels; the stage's ledger row is charged once for the run.
-        At r <= 8 a power-of-two row's preimages come from the wave's
-        residue bytes. Brute force is never seeded, so the solver-seed
-        counter does not need to advance.
+        One combine.brute_run call runs the invocations on the wave's next
+        rows, built ahead from peeked labels, until the need is met, the
+        allowance is spent or the wave ends. The labels of the rows it ran
+        are then drawn in one step (same stream, same charge) and checked
+        against theirs, before any next wave is built from peeked labels;
+        the stage's ledger row is charged once for the run. At r <= 8 a
+        power-of-two row's preimages come from the wave's residue bytes.
+        Brute force is never seeded, so the solver-seed counter does not
+        need to advance.
         """
         st = self.plan[0]
         k = st.k
         left = cap = self.caps[0]
         outs: list[int] = []
         wave = self.wave
-        if wave is None:
-            while True:
-                label = self._invoke(0, self._raw(k))
-                if label is not None:
-                    outs.append(label)
-                    if len(outs) == need:
-                        return outs
-                    left = cap
-                else:
-                    left -= 1
-                    if not left:
-                        raise self._exhausted(0)
         where = st.a if st.routine == POW2 else st.b_in
         runs = mem = 0
         while True:
@@ -602,47 +603,34 @@ class _Engine:
                     raise self._exhausted(0)
                 return outs
 
-    def next_label(self) -> int:
-        """One output label of the top stage; a raw label for an empty plan.
+    def run(self, i: int, need: int) -> list[int]:
+        """The next need outputs of stage i, in order; raw labels for i < 0.
 
-        The demand loop keeps, per stage, the inputs gathered for its next
-        invocation (ins) and the invocations its current demand may still
-        spend (left). Stage i > 1 short of inputs demands one output of
-        stage i - 1, which gets a fresh allowance of caps[i - 1]; an output
-        climbs back to the stage that demanded it. Stage 1 short of inputs,
-        or stage 0 at the top, demands all the outputs it lacks from stage
-        0 in one run (_run0): stage 1 cannot run before it has them all,
-        so the invocations are the same. A stage whose allowance runs out
-        raises RetryExhaustedError.
+        Stage i asks stage i - 1 for the k inputs of each invocation in one
+        batch, since it cannot run before it holds them all, and invokes
+        until need invocations succeed. Each output may spend caps[i]
+        invocations: the allowance is reset after every success, and a
+        stage that spends it raises RetryExhaustedError. Stage 0 with a
+        wave runs in _run0. The recursion is as deep as the plan is long,
+        at most 63 stages (N <= 2^63 - 1, r >= 1 per stage).
         """
-        plan = self.plan
-        top = len(plan) - 1
-        if top < 0:
-            return self._raw(1)[0]
-        if top == 0:
-            return self._run0(1)[0]
-        ins: list[list[int]] = [[] for _ in plan]
-        left = list(self.caps)
-        i = top
-        while True:
-            if len(ins[i]) < plan[i].k:
-                if i == 1:
-                    ins[1] += self._run0(plan[1].k - len(ins[1]))
-                else:
-                    i -= 1
-                    left[i] = self.caps[i]
-                continue
-            labels, ins[i] = ins[i], []
-            label = self._invoke(i, labels)
-            if label is None:
-                left[i] -= 1
-                if not left[i]:
-                    raise self._exhausted(i)
-            elif i == top:
-                return label
+        if i < 0:
+            return self._raw(need)
+        if i == 0 and self.wave is not None:
+            return self._run0(need)
+        k = self.plan[i].k
+        left = self.caps[i]
+        outs: list[int] = []
+        while len(outs) < need:
+            label = self._invoke(i, self.run(i - 1, k))
+            if label is not None:
+                outs.append(label)
+                left = self.caps[i]
             else:
-                i += 1
-                ins[i].append(label)
+                left -= 1
+                if not left:
+                    raise self._exhausted(i)
+        return outs
 
     def discard(self, depth: int) -> None:
         """Count one output of stage depth (raw for -1) that the caller drops."""
@@ -704,7 +692,7 @@ def run_pipeline(
     tries = RETRY_FACTOR * math.ceil(4 / P_PRIOR)
     result: PhaseElement | None = None
     for _ in range(tries):
-        label = eng.next_label()
+        label = eng.run(top, 1)[0]
         if target == POW2_TOP:
             if two_adic_valuation(label) == top_level:
                 result = inst.derive_element(label, scale)

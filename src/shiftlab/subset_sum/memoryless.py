@@ -27,6 +27,7 @@ import numpy as np
 
 from ..errors import GuardError
 from ..group_arith import ceil_log2
+from ..kinds import MEMLESS, SOLVER_WIDTHS
 from ..seeds import derive
 from .instances import Instance, ModularInstance, SolutionSet
 from .lists import OpCounter, subset_sums
@@ -36,7 +37,7 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _WALK_TAG = 0x5C
-MEMLESS_K_MIN = 2
+MEMLESS_K_MIN = SOLVER_WIDTHS[MEMLESS][0]
 MEMLESS_MAX_ROUNDS = 4096
 
 

@@ -24,6 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from ..errors import GuardError
+from ..kinds import REP, SOLVER_WIDTHS
 from ..seeds import derive
 from .instances import Instance, SolutionSet
 from .lists import (
@@ -42,7 +43,7 @@ from .solvers import (
     window_for,
 )
 
-REP_K_MIN = 8
+REP_K_MIN = SOLVER_WIDTHS[REP][0]
 DENSE_SOLUTION_CAP = 64
 DEFAULT_MINUS_FRACTION = 1.0 / 16.0
 REP_MAX_ROUNDS = 64

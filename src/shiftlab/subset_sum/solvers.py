@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import GuardError
+from ..kinds import BRUTE, SOLVER_WIDTHS, SS
 from .instances import Instance, ModularInstance, SolutionSet, masked_sum
 from .lists import (
     IntervalConstraint,
@@ -15,7 +16,8 @@ from .lists import (
     subset_sums,
 )
 
-BRUTE_K_CAP = 30
+BRUTE_K_CAP = SOLVER_WIDTHS[BRUTE][1]
+SS_K_MIN = SOLVER_WIDTHS[SS][0]
 _CHUNK_BITS = 18
 # int64 partial sums must not overflow even when k weights stack up.
 _SUM_SAFE_BITS = 62
@@ -225,8 +227,8 @@ def solve_schroeppel_shamir(inst: Instance) -> SolutionSet:
     quarters under the complementary constraint, so only O(2^(k/4))-sized
     lists are ever held while the guesses sweep the whole space.
     """
-    if inst.k < 4:
-        raise GuardError("four-list merge needs k >= 4")
+    if inst.k < SS_K_MIN:
+        raise GuardError(f"four-list merge needs k >= {SS_K_MIN}")
     check_weight_magnitude(inst.weights)
     counter = OpCounter()
     k = inst.k

@@ -192,6 +192,9 @@ def with_files(args, tmp_path) -> list[str]:
         ("schedule", "--load", ('{"stages": [{"k": 4.5, "r": 2}]}',)),  # width not an int
         ("schedule", "--load", ('{"stages": [{"k": 4, "r": true}]}',)),  # r a bool
         ("--config", "no-such-config.cfg", "schedule", "--n", "8", "--k", "4"),
+        ("solve", "--N", "16", "--k", "4", "--workers", "0"),
+        ("solve", "--N", "16", "--k", "4", "--workers", "-2"),
+        ("--config", ("workers = 0",), "solve", "--N", "16", "--k", "4"),
     ],
 )
 def test_usage_errors_exit_2(args, tmp_path):
@@ -211,10 +214,17 @@ def test_usage_errors_exit_2(args, tmp_path):
         ("schedule", "--n", "20", "--strategy", "improved", "--c", "0"),
         ("schedule", "--n", "20", "--strategy", "improved", "--c", "-1"),
         ("schedule", "--n", "20", "--strategy", "improved", "--c", "5"),
+        # widths the schedule's solver refuses, refused before any run
+        ("solve", "--n", "8", "--k", "4", "--solver", "rep"),    # rep needs k >= 8
+        ("solve", "--n", "8", "--k", "3", "--solver", "ss"),     # ss needs k >= 4
+        ("solve", "--n", "30", "--strategy", "minquery"),        # brute k = 31
+        ("schedule", "--n", "30", "--strategy", "minquery"),
     ],
 )
 def test_guard_errors_exit_3(args, tmp_path):
-    assert cli(*with_files(args, tmp_path)).returncode == 3
+    proc = cli(*with_files(args, tmp_path))
+    assert proc.returncode == 3
+    assert proc.stdout == b""
 
 
 def test_solve_refuses_odd_n_past_int64_sums_before_any_run():

@@ -23,7 +23,7 @@ from shiftlab import (
     schedule_uniform,
     two_adic_valuation,
 )
-from shiftlab.kinds import INTERVAL, POW2, POW2_TOP, SMALL_ONE
+from shiftlab.kinds import BRUTE, INTERVAL, MITM, POW2, POW2_TOP, REP, SMALL_ONE, SOLVER_WIDTHS, SS
 
 from conftest import stream
 
@@ -52,6 +52,12 @@ def test_schedule_guards_and_total():
         Schedule(())
     with pytest.raises(GuardError):
         Schedule((StageSpec(4, 3),), solver_id="oracle")
+    # widths its solver refuses: brute takes 2 <= k <= 30, ss k >= 4, rep k >= 8
+    for solver_id, k in ((BRUTE, 31), (SS, 3), (REP, 7)):
+        with pytest.raises(GuardError, match=f"stage 1: solver {solver_id} needs"):
+            Schedule((StageSpec(8, 1), StageSpec(k, 1)), solver_id)
+    for solver_id, (lo, hi) in SOLVER_WIDTHS.items():
+        Schedule((StageSpec(lo, 1), StageSpec(hi or 64, 1)), solver_id)
     sched = Schedule((StageSpec(4, 3), StageSpec(6, 2)))
     assert sched.total_r == 5
 
@@ -111,9 +117,10 @@ def test_increasing_widths_small_cases():
 
 
 def test_increasing_covers_n_minus_one():
+    # mitm caps no width; brute refuses the k > 30 stages of the larger n
     for n in (8, 16, 33, 64, 200):
         for c in (1.0, 0.72, 0.5, 0.291):
-            sched = schedule_increasing(n, c)
+            sched = schedule_increasing(n, c, solver_id=MITM)
             assert sched.total_r >= n - 1
             assert all(2 <= s.k <= 64 for s in sched.stages)
             # dropping the last stage must leave a gap
@@ -142,8 +149,8 @@ def test_affine_default_beta_and_widths():
 
 
 def test_affine_large_beta_means_fewer_stages():
-    plain = schedule_increasing(40, 1.0)
-    wide = schedule_affine(40, 1.0, beta=4.0)
+    plain = schedule_increasing(40, 1.0, solver_id=MITM)
+    wide = schedule_affine(40, 1.0, beta=4.0, solver_id=MITM)  # k = 64: past brute's cap
     assert len(wide.stages) < len(plain.stages)
     assert wide.stages[0].k > plain.stages[0].k
 

@@ -10,6 +10,8 @@ same ledger, row for row, and leave the instance's label stream at the same
 place: peeking ahead consumes nothing.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -67,12 +69,15 @@ def assert_same_sequence(N, seed, steps):
 
 
 def raised(engine, N, sched, target, seed, **kwargs):
-    """The error an engine call raises, the queries charged until then and
-    the next 3 labels of the stream."""
+    """The error an engine call raises, the queries charged until then, the
+    next 3 labels of the stream and the stage its message names as giving
+    up (None for the top candidates)."""
     inst = new_instance(N, seed=seed)
     with pytest.raises(RetryExhaustedError) as info:
         engine(inst, sched, target, **kwargs)
-    return info.type, inst.q_queries, inst.sample_labels(3)
+    named = re.match(r"stage (\d+) ", str(info.value))
+    stage = int(named[1]) if named else None
+    return info.type, inst.q_queries, inst.sample_labels(3), stage
 
 
 def mid_wave(invocations, k):
@@ -267,34 +272,45 @@ def test_schedule_of_another_width_matches_reference():
 def test_retry_exhaustion_mid_wave_matches_reference(monkeypatch):
     # with caps of k invocations per demanded output and 4 top candidates,
     # these seeds give up: seed 2 on the top candidates, seeds 7 and 8 in
-    # stage 0 (after 186 and 1012 invocations); both engines must stop at
-    # the same draw
+    # stage 0 (after 186 and 1012 invocations), seed 45 in stage 1 (after
+    # 260 queries) and seed 67 in stage 2 (after 5568); with mitm, whose
+    # stage 0 runs without waves, seed 23 gives up in stage 1 of 4 (after
+    # 1160); both engines must stop at the same draw
     for module in (pipeline_module, reference_module):
         monkeypatch.setattr(module, "RETRY_FACTOR", 1)
         monkeypatch.setattr(module, "P_PRIOR", 1)
-    sched = schedule_uniform(16, 4)
-    for seed in (2, 7, 8):
-        got = raised(run_pipeline, 1 << 16, sched, POW2_TOP, seed)
-        assert got == raised(reference_pipeline, 1 << 16, sched, POW2_TOP, seed)
+    brute, mitm = schedule_uniform(16, 4), schedule_uniform(12, 4, POW2, MITM)
+    for N, sched, seed, stage, queries in (
+        (1 << 16, brute, 2, None, 6708),
+        (1 << 16, brute, 7, 0, 744),
+        (1 << 16, brute, 8, 0, 4048),
+        (1 << 16, brute, 45, 1, 260),
+        (1 << 16, brute, 67, 2, 5568),
+        (1 << 12, mitm, 23, 1, 1160),
+    ):
+        got = raised(run_pipeline, N, sched, POW2_TOP, seed)
+        assert got == raised(reference_pipeline, N, sched, POW2_TOP, seed)
         assert got[0] is RetryExhaustedError
-        assert mid_wave(got[1] // 4, 4)
+        assert (got[1], got[3]) == (queries, stage)
+        assert sched is mitm or mid_wave(got[1] // 4, 4)
 
 
 def test_interval_retry_exhaustion_matches_reference(monkeypatch):
     # odd N, k = 5 interval stages (r = 2) with caps of k invocations per
     # demanded output: seed 20 gives up in stage 0 after 186 invocations,
     # three outputs into a run of 9 rows and mid-wave; seed 33 after 63,
-    # in a run of 10 rows that ends on the last row of the 32-row wave
+    # in a run of 10 rows that ends on the last row of the 32-row wave;
+    # seed 36 gives up in stage 1, after 117 stage-0 invocations
     for module in (pipeline_module, reference_module):
         monkeypatch.setattr(module, "RETRY_FACTOR", 1)
         monkeypatch.setattr(module, "P_PRIOR", 1)
     sched = schedule_uniform(20, 5, INTERVAL)
-    for seed, invocations in ((20, 186), (33, 63)):
+    for seed, invocations, stage in ((20, 186, 0), (33, 63, 0), (36, 117, 1)):
         got = raised(run_pipeline, 1000003, sched, SMALL_ONE, seed)
         assert got == raised(reference_pipeline, 1000003, sched, SMALL_ONE, seed)
         assert got[0] is RetryExhaustedError
-        assert got[1] == 5 * invocations
-        assert mid_wave(invocations, 5) == (seed == 20)
+        assert (got[1], got[3]) == (5 * invocations, stage)
+        assert mid_wave(invocations, 5) == (seed != 33)
 
 
 def test_stray_label_draw_breaks_wave_alignment(monkeypatch):
