@@ -31,6 +31,7 @@ import json
 import math
 import random
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 
 from .errors import GuardError, ShiftLabError, UsageError
@@ -152,7 +153,8 @@ def emit(lines: list[dict], fmt: str, out: str | None) -> None:
         if not lines:
             text = ""
         else:
-            fields = sorted(lines[0].keys())
+            # a failed run's line adds an error column
+            fields = sorted(set().union(*lines))
             buf = io.StringIO()
             writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
             writer.writeheader()
@@ -219,9 +221,11 @@ def build_schedule(strategy: str, n: int, odd: bool, args) -> Schedule:
 
 def _solve_one(payload: dict) -> dict:
     """One recovery run; module-level and dict-driven so worker pools can
-    ship it across processes. A run that raises a ShiftLabError gives a
-    failed line (s_found null, verified false), so the rest of its batch
-    still runs."""
+    ship it across processes. A run that raises any Exception gives a
+    failed line (s_found null, verified false) whose error field names it,
+    so the rest of its batch still runs; a line that succeeds has no error
+    field. An exception outside ShiftLabError also prints its traceback to
+    stderr."""
     N = payload["N"]
     odd = payload["odd"]
     run_seed = payload["run_seed"]
@@ -231,15 +235,18 @@ def _solve_one(payload: dict) -> dict:
     ledger = CostLedger()
     s_found: int | None = None
     verified = False
+    error: str | None = None
     try:
         if odd:
             s_found = recover_odd(inst, sched, rng=rng, ledger=ledger)
         else:
             s_found = recover_pow2(inst, sched, rng=rng, ledger=ledger)
         verified = True
-    except ShiftLabError:
-        pass
-    return {
+    except Exception as exc:  # any failure: one run must not end the batch
+        if not isinstance(exc, ShiftLabError):
+            traceback.print_exc()  # a bug, not a refused or exhausted run
+        error = f"{type(exc).__name__}: {exc}"
+    line = {
         "seed": run_seed,
         "N": N,
         "s_found": s_found,
@@ -251,6 +258,9 @@ def _solve_one(payload: dict) -> dict:
         "wall_s": round(ledger.wall_seconds, 6) if payload["timings"] else None,
         "schedule": payload["schedule"],
     }
+    if error is not None:
+        line["error"] = error
+    return line
 
 
 def cmd_solve(args) -> int:

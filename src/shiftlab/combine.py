@@ -20,20 +20,24 @@ Both routines run on one label-level core, combine_labels, which the
 pipeline calls on plain int labels; combine_pow2 and combine_interval add
 the element checks, consume their inputs and wrap the core's result.
 Brute force at k <= 18 runs the run kernel, brute_run, on a table of
-subset sums, one row per combination: the witness's ancilla value, the
-preimages (one chunk_hits pass, the scan solve_bruteforce runs per chunk)
-and the interval routine's output gap are all read from the row.
-combine_labels hands it a one-row table. The pipeline's stage 0 hands it
-a wave of tables built together (pipeline.WAVE_CELLS), int32 when every
-sum fits (solvers.table_dtype), and one call runs the wave's rows in
-demand order until the stage's demand is met, its failure allowance is
-spent or the wave ends. A wave row holds the labels' full subset sums, so
-a power-of-two output label is read from it too, unless k(N - 1) fails
+subset sums, one row per combination. The kernel runs each row whole in
+one loop, with no call per row: the witness's ancilla value, the
+preimages (the scan solve_bruteforce runs per chunk, inlined) and the
+projection tail of _project, inlined, with the interval routine's output
+gap read from the row. It returns aggregates, not one result per row: the
+outputs, the rows run, their memory peak, the allowance left and the last
+row's (pair, v, |J|). combine_labels hands it a one-row table and reports
+that last row. The pipeline's stage 0 hands it a wave of tables built
+together (pipeline._wave_rows), int32 when every sum fits
+(solvers.table_dtype), and one call runs the wave's rows in demand order
+until the stage's demand is met, its failure allowance is spent or the
+wave ends. A wave row holds the labels' full subset sums, so a
+power-of-two output label is read from it too, unless k(N - 1) fails
 sums_fit; then it holds the sums of their low k - 1 bits, whose residues
 mod 2^r serve every r < k. At r <= 8 the stage passes the wave's residues
 mod 2^r as bytes, and the preimages come from bytes.find instead of the
 numpy scan. Every other solver gets a validated instance and one solve
-call.
+call, and its solution set goes through _project and _pair.
 
 Projection follows the sequential model: candidate pairs are tried in sorted
 adjacent order, each succeeding with probability 2/m over the current support
@@ -55,6 +59,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import GuardError
 from .group_arith import ceil_log2
 from .instance import PhaseElement
@@ -67,7 +73,7 @@ from .subset_sum.instances import (
     modular_ancilla,
 )
 from .subset_sum.lists import subset_sums
-from .subset_sum.solvers import _CHUNK_BITS, check_weight_magnitude, chunk_hits, reduce_table
+from .subset_sum.solvers import _CHUNK_BITS, _REDUCED, check_weight_magnitude
 
 FAILURE_PROJECTION = "projection"
 FAILURE_REJECTION = "rejection"
@@ -154,77 +160,130 @@ def brute_run(table, j, labels, routine, r, where, N, rng, need, left, cap,
     POW2, of the labels themselves when full (valuation where = 0 only),
     else of any weights congruent to them mod 2^r.
 
-    Each row is one combination: the witness's ancilla value, the
-    preimages and the interval routine's output gap, or a full POW2 row's
-    output label, all come from the row. The preimages come, in ascending
-    order, from one of two scans:
+    Each row is one whole combination, run inline with no call per row:
+    the witness, its ancilla value and bounds (modular_ancilla,
+    interval_ancilla and interval_bounds), the preimages, and _project's
+    tail (_pair's coins, the output label or gap, the rejection coin). The
+    preimages come in ascending order from one of two scans:
     - residues, POW2 at r <= 8 only: the table's residues mod 2^r, one
-      byte per cell in table order, walked with bytes.find, and the row is
+      byte per cell in table order, walked with bytes.find; the row is
       left as it is;
-    - otherwise one chunk_hits pass over the row as reduce_table leaves it,
-      reduced in place, or a copy of it when full (POW2), whose sums are
-      still to be read.
-    Both always find the witness. A row costs solve_bruteforce's work on
-    the same instance: 2^k ops and 2^k + |J| cells.
+    - otherwise one pass over the row as reduce_table leaves it and
+      chunk_hits scans it: reduced in place, or into a new array when full
+      (POW2), whose sums are still to be read.
+    Both find the witness. An interval gap is read from the reduced row. A
+    row costs solve_bruteforce's work on the same instance: 2^k ops and
+    2^k + |J| cells.
 
     The run stops after need successes, when the failure allowance left
     is spent (each failure spends one, each success restores it to cap),
-    or after the last row. Returns (results, left): combine_labels' result
-    for each row run, in order, and the allowance left. The other
-    arguments and the RNG order are combine_labels', row after row; the
-    witness is drawn from rng.getrandbits exactly as stock randrange draws
-    it, as are _project's coins. The ancilla value and bounds are those of
-    modular_ancilla, interval_ancilla and interval_bounds, inlined.
+    or after the last row. Returns (outputs, rows_run, mem_peak, left,
+    last): the outputs of the rows that succeeded, in order, the rows run,
+    their largest memory charge, the allowance left and the last row's
+    (pair, v, |J|), pair None after a failed projection. The other
+    arguments and the RNG order are combine_labels', row after row; every
+    coin is drawn from rng.getrandbits exactly as stock randrange draws it.
     """
     size = table.shape[1]
     k = size.bit_length() - 1
     getrandbits = rng.getrandbits
     pow2 = routine == POW2
-    results = []
+    if pow2:
+        mask = (1 << r) - 1  # r < k <= _CHUNK_BITS: below every table's cap
+    else:
+        unsigned, top = _REDUCED[table.itemsize]
+        sums = table.view(unsigned)
+        shift = r - 1
+        b_prime = -(-where >> r)  # ceil(where / 2^r)
+    outputs = []
+    mem = 0
+    last = None
+    first = j
     stop = len(table)
     while j < stop:
-        row = table[j]
         # _below(size): stock randrange(2^k) draws k + 1 bits at a time
         x = getrandbits(k + 1)
         while x >= size:
             x = getrandbits(k + 1)
-        total = row.item(x)
+        total = table.item(j, x)
         if pow2:
-            v, bounds, sums = total % (1 << r), None, (row if full else None)
+            v = total & mask
+            if residues is not None:
+                start = j * size
+                end = start + size
+                support = []
+                i = residues.find(v, start, end)
+                while i >= 0:
+                    support.append(i - start)
+                    i = residues.find(v, i + 1, end)
+            else:
+                row = table[j]
+                reduced = row & mask if full else np.bitwise_and(row, mask, out=row)
+                support = (reduced == v).nonzero()[0].tolist()
         else:
-            v = (total << (r - 1)) // where
+            v = (total << shift) // where
             # interval_bounds: ceil(v * where / 2^(r-1)), ceil((v + 1) * where / 2^(r-1))
-            bounds = (-((-v * where) >> (r - 1)), -((-(v + 1) * where) >> (r - 1)))
-            sums = None
-        if residues is None:
-            reduced = reduce_table(row if sums is None else row.copy(), r, bounds)
-            support = chunk_hits(reduced, 0, r, v, bounds).tolist()
-            if bounds is not None:
-                sums = reduced
-        else:
-            start = j * size
-            end = start + size
-            support = []
-            i = residues.find(v, start, end)
-            while i >= 0:
-                support.append(i - start)
-                i = residues.find(v, i + 1, end)
-        # the labels are summed only when there are no sums to read
-        row_labels = labels[j * k : (j + 1) * k] if sums is None else None
-        result = _project(row_labels, support, sums, routine, r, where, N, getrandbits, v,
-                          bounds, size, size + len(support))
-        results.append(result)
+            lo, hi = -((-v * where) >> shift), -((-(v + 1) * where) >> shift)
+            lo_cap = lo if lo < top else top
+            row = sums[j]
+            row -= lo_cap
+            support = (row < (hi if hi < top else top) - lo_cap).nonzero()[0].tolist()
+        m = len(support)
+        if size + m > mem:
+            mem = size + m
+        # _pair: adjacent pairs of the support, each kept with probability 2/m
+        label = pair = None
+        idx, n = 0, m
+        while n >= 2:
+            b = n.bit_length()
+            x = getrandbits(b)
+            while x >= n:
+                x = getrandbits(b)
+            if x < 2:
+                pair = support[idx], support[idx + 1]
+                break
+            idx += 2
+            n -= 2
+        if pair is not None and pow2:
+            if full:
+                s1, s2 = table.item(j, pair[0]), table.item(j, pair[1])
+            else:
+                row_labels = labels[j * k : (j + 1) * k]
+                s1, s2 = masked_sum(row_labels, pair[0]), masked_sum(row_labels, pair[1])
+            label = (s2 - s1) % N
+        elif pair is not None:
+            # the gap between the pair's sums, flattened by rejection
+            s1, s2 = row.item(pair[0]), row.item(pair[1])
+            if s1 > s2:
+                pair, s1, s2 = pair[::-1], s2, s1
+            d = s2 - s1
+            window = hi - lo
+            margin = window - b_prime + 1
+            if d < b_prime and margin > 0:
+                if d == 0:
+                    num, den = min(2 * margin, window), window
+                else:
+                    num, den = margin, window - d
+                # _below(den)
+                b = den.bit_length()
+                x = getrandbits(b)
+                while x >= den:
+                    x = getrandbits(b)
+                if x < num:
+                    label = d
+        last = pair, v, m
         j += 1
-        if result[0] is None:
+        if label is None:
             left -= 1
             if not left:
                 break
         else:
+            outputs.append(label)
             need -= 1
             if not need:
                 break
             left = cap
-    return results, left
+    return outputs, j - first, mem, left, last
 
 
 def combine_labels(labels, routine, r, where, N, solver_id, rng, solver_seed):
@@ -246,7 +305,10 @@ def combine_labels(labels, routine, r, where, N, solver_id, rng, solver_seed):
     if solver_id == BRUTE and k <= _CHUNK_BITS:
         check_weight_magnitude(weights)
         table = subset_sums(weights).reshape(1, -1)
-        return brute_run(table, 0, labels, routine, r, where, N, rng, 1, 1, 1)[0][0]
+        outputs, _, mem, _, (pair, v, m) = brute_run(
+            table, 0, labels, routine, r, where, N, rng, 1, 1, 1
+        )
+        return (outputs[0] if outputs else None), pair, v, m, 1 << k, mem
     j_star = _below(rng, 1 << k)
     total = masked_sum(weights, j_star)
     if pow2:
@@ -259,24 +321,19 @@ def combine_labels(labels, routine, r, where, N, solver_id, rng, solver_seed):
     sol = solve(problem, solver_id, seed=solver_seed)
     support = set(sol.solutions)
     support.add(j_star)
-    return _project(labels, sorted(support), None, routine, r, where, N, rng.getrandbits, v,
-                    bounds, sol.op_count, sol.mem_peak)
+    return _project(labels, sorted(support), routine, r, where, N, rng, v, bounds,
+                    sol.op_count, sol.mem_peak)
 
 
-def _project(labels, support, sums, routine, r, where, N, getrandbits, v, bounds, ops, mem):
-    """Project the ascending support list and make the output label:
-    combine_labels' result. sums is the table brute_run read the pair's
-    sums from (a full POW2 row, or interval sums minus lo, which keeps
-    gaps), or None to sum the labels. Coins come from getrandbits, a bound
-    rng.getrandbits, drawn as _below draws them."""
+def _project(labels, support, routine, r, where, N, rng, v, bounds, ops, mem):
+    """Project the ascending support list and make the output label from
+    the labels' sums: combine_labels' result for the solvers other than
+    brute force, whose kernel brute_run inlines this tail."""
     m = len(support)
-    pair = _pair(support, getrandbits)
+    pair = _pair(support, rng.getrandbits)
     if pair is None:
         return None, None, v, m, ops, mem
-    if sums is not None:
-        s1, s2 = sums.item(pair[0]), sums.item(pair[1])
-    else:
-        s1, s2 = masked_sum(labels, pair[0]), masked_sum(labels, pair[1])
+    s1, s2 = masked_sum(labels, pair[0]), masked_sum(labels, pair[1])
     if routine == POW2:
         return (s2 - s1) % N, pair, v, m, ops, mem
 
@@ -293,12 +350,7 @@ def _project(labels, support, sums, routine, r, where, N, getrandbits, v, bounds
         num, den = min(2 * margin, window), window
     else:
         num, den = margin, window - d
-    # _below(den)
-    b = den.bit_length()
-    x = getrandbits(b)
-    while x >= den:
-        x = getrandbits(b)
-    return (d if x < num else None), pair, v, m, ops, mem
+    return (d if _below(rng, den) < num else None), pair, v, m, ops, mem
 
 
 def _inputs(elems):

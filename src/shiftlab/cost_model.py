@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import GuardError, UsageError
+from .errors import AccountingError, GuardError, UsageError
 from .kinds import BRUTE, MEMLESS, MITM, REP, SS
 from .kinds import MIN_CLASSICAL, MIN_QUERY, QUAD_GAP, UNIFORM_IMPROVED
 
@@ -60,9 +60,13 @@ class TradeoffPoint:
     time_linear: float | None = None
 
     def validate(self) -> None:
-        assert self.query_exp >= 0 and self.time_exp >= 0
-        if self.strategy == QUAD_GAP:
-            assert self.time_exp == 2 * self.query_exp
+        """The point's own identities; raises AccountingError when one
+        breaks (plain checks, not asserts, so they also hold under
+        python -O)."""
+        if self.query_exp < 0 or self.time_exp < 0:
+            raise AccountingError(f"negative exponent in {self.strategy} point at c = {self.c}")
+        if self.strategy == QUAD_GAP and self.time_exp != 2 * self.query_exp:
+            raise AccountingError(f"quadgap point at c = {self.c} has time != 2 x query")
 
     def memory_str(self) -> str:
         if self.mem_kind == MEM_POLY:

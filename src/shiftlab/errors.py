@@ -34,5 +34,6 @@ class UsageError(ShiftLabError, ValueError):
 
 
 class AccountingError(ShiftLabError, RuntimeError):
-    """A cost ledger broke one of its accounting identities, or the labels
-    a pipeline drew differ from the ones it built its stage-0 tables from."""
+    """A cost ledger or a cost_model tradeoff point broke one of its
+    identities, or the labels a pipeline drew differ from the ones it built
+    its stage-0 tables from."""

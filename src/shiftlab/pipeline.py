@@ -35,14 +35,17 @@ no other draw in the pipeline touches. So with brute force at k <= 18 the
 engine builds stage 0's subset-sum tables ahead, in waves: one batched
 subset_sums call over labels peeked (not drawn) from the stream, one row per
 upcoming invocation, int32 when every sum fits (table_dtype). An instance's
-first wave has one row and each next wave twice as many, up to WAVE_CELLS
-table cells. One demanded batch of stage-0 outputs is one run: one call of
-the run kernel combine.brute_run per wave it reaches, which runs the rows
-in demand order, with the same RNG calls as one invocation at a time. The
-labels of the rows run are then drawn in one step, in stream order and
-with the same query charge, and checked against the rows' (AccountingError
-if they differ), before any next wave is built; the stage's ledger row is
-charged once per run.
+first wave has one row and each next wave twice as many, up to a cap per
+width that module constants set (_wave_rows): 2048 rows at k = 4, 128 at
+k = 8, 32 at k = 12, so that wide rows share each build's fixed cost too.
+A wave's old table is dropped before the next is built. One demanded
+batch of stage-0 outputs is one run: one call of the run kernel
+combine.brute_run per wave it reaches, which runs the rows in demand
+order, with the same RNG calls as one invocation at a time, and returns
+its outputs, rows run and memory peak. The labels of the rows run are
+then drawn in one step, in stream order and with the same query charge,
+and checked against the rows' (AccountingError if they differ), before
+any next wave is built; the stage's ledger row is charged once per run.
 
 A wave outlives the run_pipeline call that built it: it stays with its
 instance, and the instance's next call carries on with its unused rows when
@@ -86,8 +89,12 @@ from .subset_sum.solvers import _CHUNK_BITS, sums_fit, table_dtype
 # probability that the (k/p)^m query law assumes
 RETRY_FACTOR = 10
 P_PRIOR = 0.25
-# most table cells one stage-0 wave of brute-force tables holds
+# rows a stage-0 wave of brute-force tables may hold at width k
+# (_wave_rows): WAVE_CELLS cells' worth, or WAVE_ROWS rows when that is
+# more and stays within WAVE_MAX_CELLS cells, and always one row
 WAVE_CELLS = 1 << 15
+WAVE_ROWS = 32
+WAVE_MAX_CELLS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -436,15 +443,18 @@ class _Wave:
     def build(self, inst: HiddenShiftInstance) -> None:
         """Replace the table with the next wave's, built from the labels
         the next stage-0 invocations will draw, peeked, not drawn: twice
-        the rows of the last wave (one for the first), up to WAVE_CELLS
-        cells.
+        the rows of the last wave (one for the first), up to _wave_rows(k).
+        The old table and residue bytes are dropped first, so that one
+        table at a time is held.
 
         No weight check is needed: a full wave's dtype is the table_dtype
         of k labels below N, which pass sums_fit (_stage0_wave), and a
         masked wave's that of k weights below 2^(k-1).
         """
         k = self.key[0]
-        rows = min(max(1, 2 * len(self.table)), max(1, WAVE_CELLS >> k))
+        rows = min(max(1, 2 * len(self.table)), _wave_rows(k))
+        self.table = np.empty((0, 0), dtype=self.dtype)
+        self.residues = b""
         self.labels = inst.peek_labels(rows * k)
         weights = np.array(self.labels, dtype=np.int64).reshape(rows, k)
         if not self.full:
@@ -462,6 +472,12 @@ class _Wave:
             self.residues = res.tobytes()
             self.res_r = r
         return self.residues
+
+
+def _wave_rows(k: int) -> int:
+    """Most rows a stage-0 wave of width k holds: 2048 at k = 4, 128 at
+    k = 8, 32 at k = 10 to 12, 8 at k = 14, 1 from k = 17 on."""
+    return max(1, WAVE_CELLS >> k, min(WAVE_ROWS, WAVE_MAX_CELLS >> k))
 
 
 # each instance's current stage-0 wave, kept across run_pipeline calls. It
@@ -562,7 +578,8 @@ class _Engine:
 
         One combine.brute_run call runs the invocations on the wave's next
         rows, built ahead from peeked labels, until the need is met, the
-        allowance is spent or the wave ends. The labels of the rows it ran
+        allowance is spent or the wave ends, and returns the outputs, the
+        rows run and their memory peak. The labels of the rows it ran
         are then drawn in one step (same stream, same charge) and checked
         against theirs, before any next wave is built from peeked labels;
         the stage's ledger row is charged once for the run. At r <= 8 a
@@ -584,19 +601,18 @@ class _Engine:
             residues = None
             if st.routine == POW2 and st.r <= 8:  # residues mod 2^r fit a byte
                 residues = wave.residue_bytes(st.r)
-            results, left = brute_run(
+            got, n, peak, left, _ = brute_run(
                 wave.table, j, wave.labels, st.routine, st.r, where, self.N, self.rng,
                 need - len(outs), left, cap, wave.full, residues,
             )
-            n = len(results)
             wave.row = j + n
             if self._raw(n * k) != wave.labels[j * k : (j + n) * k]:
                 raise AccountingError(
                     f"stage-0 labels drawn out of step with wave rows {j} to {j + n - 1}"
                 )
             runs += n
-            mem = max(mem, max(res[5] for res in results))
-            outs += [res[0] for res in results if res[0] is not None]
+            mem = max(mem, peak)
+            outs += got
             if len(outs) == need or not left:
                 self._charge(0, runs, runs - len(outs), runs << k, mem)
                 if not left:

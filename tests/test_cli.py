@@ -1,8 +1,10 @@
 """The command-line harness: output contracts, determinism, exit codes."""
 
 import csv
+import functools
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -111,30 +113,68 @@ def test_solve_out_file_matches_stdout(tmp_path):
 
 
 def test_solve_batch_survives_a_run_that_raises(monkeypatch, capsys):
-    # the second of three runs breaks an accounting check: it prints a
-    # failed line, the other two print what an unbroken batch prints
+    # the second of three runs raises, a shiftlab error (an accounting
+    # check) or any other exception: it prints a failed line naming the
+    # error, the other two print what an unbroken batch prints, the exit
+    # code is 1, and under --workers 2 (forked workers inherit the patch)
+    # the bytes are the same
     args = ["solve", "--n", "8", "--strategy", "uniform", "--k", "4",
             "--runs", "3", "--seed", "9"]
     assert cli_module.main(args) == 0
     clean = capsys.readouterr().out.splitlines()
+    bad_seed = json.loads(clean[1])["seed"]
+    real = cli_module.recover_pow2
+    fork = multiprocessing.get_context("fork")
+    monkeypatch.setattr(cli_module, "ProcessPoolExecutor",
+                        functools.partial(cli_module.ProcessPoolExecutor, mp_context=fork))
+    for exc, error in (
+        (AccountingError("stage-0 labels drawn out of step with wave row 0"),
+         "AccountingError: stage-0 labels drawn out of step with wave row 0"),
+        (RuntimeError("boom"), "RuntimeError: boom"),
+    ):
+        def recover(inst, *a, exc=exc, **kw):
+            if inst.seed == bad_seed:
+                raise exc
+            return real(inst, *a, **kw)
+
+        monkeypatch.setattr(cli_module, "recover_pow2", recover)
+        outputs = []
+        for workers in ("1", "2"):
+            assert cli_module.main(args + ["--workers", workers]) == 1
+            out, err = capsys.readouterr()
+            outputs.append(out)
+            if workers == "1":
+                # only an exception outside ShiftLabError prints its traceback
+                assert ("Traceback" in err) == (type(exc) is RuntimeError)
+        assert outputs[0] == outputs[1]
+        got = outputs[0].splitlines()
+        assert len(got) == 3
+        assert (got[0], got[2]) == (clean[0], clean[2])
+        failed = json.loads(got[1])
+        jsonschema.validate(failed, SOLVE_SCHEMA)
+        assert (failed["seed"], failed["s_found"], failed["verified"], failed["error"]) == (
+            bad_seed, None, False, error)
+        assert "error" not in json.loads(got[0])
+
+
+def test_solve_csv_failed_line_adds_error_column(monkeypatch, capsys):
+    # a failed run's error becomes a column, empty on the lines that succeed
     real = cli_module.recover_pow2
     calls = []
 
     def recover(*a, **kw):
         calls.append(1)
-        if len(calls) == 2:
-            raise AccountingError("stage-0 labels drawn out of step with wave row 0")
+        if len(calls) == 1:
+            raise RuntimeError("boom")
         return real(*a, **kw)
 
     monkeypatch.setattr(cli_module, "recover_pow2", recover)
+    args = ["solve", "--n", "8", "--strategy", "uniform", "--k", "4",
+            "--runs", "2", "--seed", "9", "--format", "csv"]
     assert cli_module.main(args) == 1
-    got = capsys.readouterr().out.splitlines()
-    assert len(got) == 3
-    assert (got[0], got[2]) == (clean[0], clean[2])
-    failed = json.loads(got[1])
-    jsonschema.validate(failed, SOLVE_SCHEMA)
-    assert (failed["seed"], failed["s_found"], failed["verified"]) == (
-        json.loads(clean[1])["seed"], None, False)
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [(row["verified"], row["error"]) for row in rows] == [
+        ("False", "RuntimeError: boom"), ("True", "")]
 
 
 def test_solve_strategies_build_their_schedules():

@@ -7,11 +7,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-import shiftlab.combine as combine_module
 from shiftlab.combine import (
     FAILURE_PROJECTION,
     FAILURE_REJECTION,
     _below,
+    _project,
     brute_run,
     combine_interval,
     combine_labels,
@@ -29,7 +29,12 @@ from shiftlab.subset_sum import (
     random_instance,
     solve_bruteforce,
 )
-from shiftlab.subset_sum.instances import interval_ancilla, masked_sum, modular_ancilla
+from shiftlab.subset_sum.instances import (
+    interval_ancilla,
+    interval_bounds,
+    masked_sum,
+    modular_ancilla,
+)
 from shiftlab.subset_sum.lists import subset_sums
 from shiftlab.subset_sum.solvers import chunk_hits, reduce_table, table_dtype
 
@@ -37,9 +42,13 @@ from conftest import chi_square_p, stream
 
 
 def run_row(row, labels, routine, r, where, N, rng, full=False, residues=None):
-    """brute_run on the one-row table row: combine_labels' result for it."""
+    """brute_run on the one-row table row: combine_labels' result for it,
+    (label, pair, v, support_size, ops, mem)."""
     table = row.reshape(1, -1)
-    return brute_run(table, 0, labels, routine, r, where, N, rng, 1, 1, 1, full, residues)[0][0]
+    outputs, rows, mem, left, (pair, v, m) = brute_run(
+        table, 0, labels, routine, r, where, N, rng, 1, 1, 1, full, residues)
+    assert rows == 1 and left == (0 if not outputs else 1)
+    return (outputs[0] if outputs else None), pair, v, m, len(row), mem
 
 
 # -- project_pair -------------------------------------------------------------
@@ -485,17 +494,14 @@ def test_brute_kernels_match_randrange_reference(routine):
         assert min(seen["gap 0"], seen["accepted"], seen["rejected"]) > 0
 
 
-def test_byte_walk_preimages_match_chunk_hits(monkeypatch):
+def test_byte_walk_preimages_match_chunk_hits():
     """brute_run's residue-byte walk against chunk_hits on the reduced row,
     for int32 and int64 full-sum rows and every r in 1..8: run on the
-    middle row of a three-row table, it projects the same ascending
-    support, reads no byte outside the row's (the other rows' bytes hold
-    every value below 2^r) and leaves the row as it was, as does the numpy
-    scan of a full-sum row, which gives the same result."""
-    supports = []
-    real_pair = combine_module._pair
-    monkeypatch.setattr(combine_module, "_pair",
-                        lambda sols, bits: supports.append(list(sols)) or real_pair(sols, bits))
+    middle row of a three-row table, its last row's |J| and pair are those
+    of the ascending chunk_hits support projected by project_pair from the
+    same seed, it reads no byte outside the row's (the other rows' bytes
+    hold every value below 2^r) and leaves the row as it was, as does the
+    numpy scan of a full-sum row, which gives the same result."""
     rng = stream("byte-walk")
     for dtype, N in ((np.int32, 1 << 16), (np.int64, 1 << 40)):
         for r in range(1, 9):
@@ -510,35 +516,40 @@ def test_byte_walk_preimages_match_chunk_hits(monkeypatch):
                 res = pad + (row & ((1 << r) - 1)).astype(np.uint8).tobytes() + pad
                 args = ([0] * k + labels + [0] * k, POW2, r, 0, N)
                 seed = rng.randrange(1 << 32)
-                supports.clear()
-                (out,), _ = brute_run(table, 1, *args, random.Random(seed), 1, 1, 1, True, res)
+                out = brute_run(table, 1, *args, random.Random(seed), 1, 1, 1, True, res)
                 assert np.array_equal(table[1], before)
-                want = chunk_hits(reduce_table(before.copy(), r, None), 0, r, out[2], None)
-                assert supports == [want.tolist()]
-                (scanned,), _ = brute_run(table, 1, *args, random.Random(seed), 1, 1, 1, True)
+                coins = random.Random(seed)
+                v = before.item(_below(coins, len(row))) % (1 << r)
+                want = chunk_hits(reduce_table(before.copy(), r, None), 0, r, v, None).tolist()
+                pair = project_pair(want, coins)
+                assert out[1] == 1 and out[4] == (pair, v, len(want))
+                assert out[2] == len(row) + len(want)
+                scanned = brute_run(table, 1, *args, random.Random(seed), 1, 1, 1, True)
                 assert np.array_equal(table[1], before)
                 assert scanned == out
-                assert supports[1] == supports[0]
 
 
 def run_rows_singly(table, j, labels, routine, r, where, N, rng, need, left, cap, full,
                     residues):
-    """brute_run's stopping rule written out over one-row calls."""
-    results = []
+    """brute_run's stopping rule written out over one-row calls, with its
+    aggregates: (outputs, rows_run, mem_peak, left, last)."""
+    outputs, mem, last = [], 0, None
     for row in range(j, len(table)):
-        (result,), _ = brute_run(table, row, labels, routine, r, where, N, rng, 1, 1, 1, full,
-                                 residues)
-        results.append(result)
-        if result[0] is None:
+        got, rows, peak, _, last = brute_run(table, row, labels, routine, r, where, N, rng,
+                                             1, 1, 1, full, residues)
+        assert rows == 1
+        mem = max(mem, peak)
+        if not got:
             left -= 1
             if not left:
                 break
         else:
+            outputs += got
             need -= 1
             if not need:
                 break
             left = cap
-    return results, left
+    return outputs, row + 1 - j, mem, left, last
 
 
 @pytest.mark.parametrize("routine,dtype,full,r", [
@@ -554,11 +565,10 @@ def run_rows_singly(table, j, labels, routine, r, where, N, rng, need, left, cap
         "masked-int32-bytes", "masked-int64-scan", "interval-int32", "interval-int64"])
 def test_multi_row_run_matches_one_row_per_call(routine, dtype, full, r):
     """One brute_run call over consecutive rows of a wave-shaped table
-    gives what the same rows give run one per call: the same results row
-    for row (outputs, pairs, support sizes, memory), so the same failure
-    count and memory peak, the same allowance left and the same final rng
-    state. Runs start mid-table and stop on successes, on a spent
-    allowance and at the last row."""
+    gives what the same rows give run one per call: the same outputs, rows
+    run, memory peak, allowance left and last row's (pair, v, |J|), and
+    the same final rng state. Runs start mid-table and stop on successes,
+    on a spent allowance and at the last row."""
     # power-of-two rows at r = k - 1, where odd supports, and so failures, are common
     k = 12 if routine == INTERVAL else r + 1
     rows = 24
@@ -586,14 +596,81 @@ def test_multi_row_run_matches_one_row_per_call(routine, dtype, full, r):
         for run in (brute_run, run_rows_singly):
             coins = random.Random(seed)
             # scans reduce interval and masked rows in place: a fresh table each
-            results, rest = run(table.copy(), j, labels, routine, r, where, N, coins, need,
-                                left, cap, full, residues)
-            outs.append((results, rest, coins.getstate()))
+            got = run(table.copy(), j, labels, routine, r, where, N, coins, need, left, cap,
+                      full, residues)
+            outs.append((got, coins.getstate()))
         assert outs[0] == outs[1]
-        results, rest, _ = outs[0]
-        ok = [res[0] for res in results if res[0] is not None]
+        ok, rows_run, _, rest, _ = outs[0][0]
+        assert rows_run >= len(ok) and j + rows_run <= rows
         stops["need" if len(ok) == need else "allowance" if not rest else "end"] += 1
     assert set(stops) == {"need", "allowance", "end"}
+
+
+@pytest.mark.parametrize("routine", [POW2, INTERVAL])
+def test_inlined_tail_matches_project(routine):
+    """brute_run's inlined projection tail against _project from equal rng
+    states: after the witness, _project on the support enumerated from the
+    row, summing the labels, gives the same label, pair, v, |J| and memory,
+    and leaves the same rng state. Power-of-two rows are full-sum and
+    masked, int32 and int64; the cases cover odd and even supports, |J| = 1
+    and, for the interval routine, gaps of 0, accepted and rejected coins
+    and gaps past B'. The margin <= 0 guard never fires: every window that
+    holds the witness has margin >= 1, checked over all small bounds."""
+    rng = stream("inlined-tail", routine)
+    seen = Counter()
+    for _ in range(600):
+        k = rng.randrange(2, 11)
+        full = True
+        if routine == POW2:
+            N, where = 1 << 16, 0
+            r = rng.randrange(1, k)
+            labels = [rng.randrange(N) for _ in range(k)]
+            full = rng.random() < 0.5
+            weights = labels if full else [lab & ((1 << (k - 1)) - 1) for lab in labels]
+        else:
+            N = 1000003
+            r = rng.randrange(1, k - ceil_log2(k) + 1)
+            where = rng.choice((N, rng.randrange(2, 64), rng.randrange(2, 1 << 20)))
+            labels = weights = [rng.randrange(where) for _ in range(k)]
+        row = subset_sums(np.array(weights, dtype=rng.choice((np.int32, np.int64))))
+        seed = rng.randrange(1 << 32)
+        coins = random.Random(seed)
+        outputs, rows, mem, _, (pair, v, m) = brute_run(
+            row.copy().reshape(1, -1), 0, labels, routine, r, where, N, coins, 1, 1, 1, full)
+        got = (outputs[0] if outputs else None), pair, v, m, len(row), mem
+
+        ref = random.Random(seed)
+        total = row.item(_below(ref, len(row)))
+        sums = [masked_sum(weights, i) for i in range(len(row))]
+        if routine == POW2:
+            want_v, bounds = total % (1 << r), None
+            support = [i for i, s in enumerate(sums) if s % (1 << r) == want_v]
+        else:
+            want_v = interval_ancilla(total, where, r)
+            bounds = interval_bounds(want_v, where, r)
+            support = [i for i, s in enumerate(sums) if bounds[0] <= s < bounds[1]]
+        want = _project(labels, support, routine, r, where, N, ref, want_v, bounds, len(row),
+                        len(row) + len(support))
+        assert rows == 1 and got == want
+        assert coins.getstate() == ref.getstate()
+        seen["odd" if m % 2 else "even"] += 1
+        seen["one"] += m == 1
+        if routine == INTERVAL and pair is not None:
+            d = abs(sums[pair[1]] - sums[pair[0]])
+            if d >= ceil_div(where, 1 << r):
+                seen["past B'"] += 1
+            else:
+                seen["gap 0" if d == 0 else "gap"] += 1
+                seen["accepted" if outputs else "rejected"] += 1
+    assert min(seen["odd"], seen["even"], seen["one"]) > 0
+    if routine == INTERVAL:
+        assert min(seen["past B'"], seen["gap 0"], seen["accepted"], seen["rejected"]) > 0
+        for where in range(1, 200):
+            for r in range(1, 9):
+                b_prime = ceil_div(where, 1 << r)
+                for v in range(12 << (r - 1)):
+                    lo, hi = interval_bounds(v, where, r)
+                    assert hi == lo or hi - lo - b_prime + 1 >= 1
 
 
 # -- combine_interval ----------------------------------------------------------

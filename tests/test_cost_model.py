@@ -1,12 +1,29 @@
 """Closed-form cost exponents and the built-in reference tables."""
 
 import math
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
-from shiftlab import GuardError, UsageError, exponents, render_report, table_report
-from shiftlab.cost_model import REPORT_FOOTNOTE, MEM_EXP, MEM_L, MEM_POLY, improved_width
+from shiftlab import (
+    AccountingError,
+    GuardError,
+    UsageError,
+    exponents,
+    render_report,
+    table_report,
+)
+from shiftlab.cost_model import (
+    REPORT_FOOTNOTE,
+    MEM_EXP,
+    MEM_L,
+    MEM_POLY,
+    TradeoffPoint,
+    improved_width,
+)
 from shiftlab.kinds import MIN_CLASSICAL, MIN_QUERY, QUAD_GAP, UNIFORM_IMPROVED
 
 # (c, strategy) -> (query exponent, time exponent), reference values quoted
@@ -58,6 +75,37 @@ def test_structural_invariants():
         assert flat.time_exp == flat.query_exp
         for pt in (gap, imp, flat):
             pt.validate()
+
+
+BROKEN_POINTS = [
+    TradeoffPoint(0.5, MIN_CLASSICAL, -0.1, 0.7, MEM_POLY),
+    TradeoffPoint(0.5, UNIFORM_IMPROVED, 0.5, -1.0, MEM_POLY),
+    TradeoffPoint(0.5, QUAD_GAP, 0.4, 0.7, MEM_POLY),
+]
+
+
+@pytest.mark.parametrize("pt", BROKEN_POINTS, ids=["query", "time", "quadgap"])
+def test_validate_refuses_broken_points(pt):
+    with pytest.raises(AccountingError):
+        pt.validate()
+
+
+def test_validate_holds_under_python_O():
+    # plain raises, not asserts: python -O keeps them
+    code = (
+        "from shiftlab.cost_model import TradeoffPoint\n"
+        "from shiftlab.errors import AccountingError\n"
+        "from shiftlab.kinds import QUAD_GAP\n"
+        "try:\n"
+        "    TradeoffPoint(0.5, QUAD_GAP, 0.4, 0.7, 'poly').validate()\n"
+        "except AccountingError:\n"
+        "    print('refused')\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, env=env,
+                          check=True)
+    assert proc.stdout == b"refused\n"
 
 
 def test_minquery_point_shape():

@@ -27,7 +27,7 @@ from shiftlab import (
     run_pipeline,
 )
 from shiftlab.kinds import INTERVAL, MITM, POW2, POW2_TOP, SMALL_ONE, SOLVERS
-from shiftlab.pipeline import WAVE_CELLS, schedule_uniform
+from shiftlab.pipeline import _wave_rows, schedule_uniform
 from shiftlab.recover import recover_pow2
 from shiftlab.seeds import derive
 
@@ -83,9 +83,9 @@ def raised(engine, N, sched, target, seed, **kwargs):
 def mid_wave(invocations, k):
     """Whether the first call on an instance, having run this many stage-0
     invocations, stopped with rows of its current wave unused: waves hold
-    1, 2, 4, ... rows up to WAVE_CELLS >> k, so a full wave ends after
+    1, 2, 4, ... rows up to _wave_rows(k), so a full wave ends after
     2^j - 1 invocations early on, and at a multiple of the cap past that."""
-    cap = max(1, WAVE_CELLS >> k)
+    cap = _wave_rows(k)
     ramp = cap.bit_length() - 1  # waves before the first full one
     if invocations < (1 << ramp) - 1 + cap:
         return (invocations + 1) & invocations != 0
@@ -134,8 +134,39 @@ def test_stage_zero_spanning_full_waves_matches_reference():
     got = outcome(run_pipeline, 1 << 22, sched, POW2_TOP, 0)
     assert got == outcome(reference_pipeline, 1 << 22, sched, POW2_TOP, 0)
     invocations = got[0][0][4]["per_stage"][0]["invocations"]
-    assert invocations > (1 << 11) - 1 + 2 * (WAVE_CELLS >> 4)
+    assert invocations > (1 << 11) - 1 + 2 * _wave_rows(4)
     assert mid_wave(invocations, 4)
+
+
+@pytest.mark.parametrize("k,rows", [(4, 2048), (8, 128), (10, 32), (12, 32), (14, 8), (18, 1)])
+def test_wave_rows_per_width(k, rows):
+    # no width holds fewer rows than 2^15 cells give it, k = 12 holds 32,
+    # and no wave of more than one row passes 2^17 cells; built waves ramp
+    # 1, 2, 4, ... up to that and stay there
+    assert _wave_rows(k) == rows
+    assert rows >= (1 << 15) >> k and (rows == 1 or rows << k <= 1 << 17)
+    inst = new_instance(1 << 20, seed=k)
+    wave = pipeline_module._Wave((k, POW2), np.int32, True)
+    built = []
+    for _ in range(rows.bit_length() + 1):
+        wave.build(inst)
+        built.append(wave.table.shape)
+    assert built == [(min(1 << w, rows), 1 << k) for w in range(len(built))]
+    assert inst.q_queries == 0
+
+
+def test_interval_k12_first_call_crossing_full_waves_matches_reference(waves):
+    # odd N, k = 12: waves ramp 1, 2, 4, 8, 16 and then hold 32 rows; the
+    # first call runs through at least three full 32-row waves
+    sched = schedule_uniform(20, 12, INTERVAL)
+    for seed in range(2):
+        waves.clear()
+        got = outcome(run_pipeline, 1000003, sched, SMALL_ONE, seed, scale=3)
+        assert got == outcome(reference_pipeline, 1000003, sched, SMALL_ONE, seed, scale=3)
+        assert waves[:6] == [1, 2, 4, 8, 16, 32]
+        assert waves.count(32) >= 4
+        invocations = got[0][0][4]["per_stage"][0]["invocations"]
+        assert invocations > 31 + 3 * 32
 
 
 def test_consecutive_calls_on_one_instance_match_reference():
@@ -189,30 +220,31 @@ def test_wave_paths_over_descending_levels_match_reference(waves, N, k, levels, 
 
 
 def test_pow2_k8_stage_zero_makes_no_numpy_scan_or_masked_sum(monkeypatch):
-    # 20 recoveries of the benchmark's pow2-k8 shape: every stage-0 row's
-    # preimages come from residue bytes and its output label from the row;
-    # combine_labels (stages >= 1) still scans and sums its own tables
-    calls = {"stage0": 0, "reduce_table": 0, "chunk_hits": 0, "masked_sum": 0}
+    # 20 recoveries of the benchmark's pow2-k8 shape: every stage-0 run
+    # walks full-sum rows' residue bytes for its preimages and reads its
+    # output labels from the rows, so it makes no numpy scan or masked_sum
+    # call; combine_labels (stages >= 1) still scans and sums its own tables
+    calls = {"stage0": 0, "masked_sum": 0}
     in_stage0 = []
+    real_sum = combine_module.masked_sum
 
-    def counted(name, real):
-        def wrapper(*args, **kwargs):
-            calls[name] += bool(in_stage0)
-            return real(*args, **kwargs)
-        return wrapper
+    def counted(*args):
+        calls["masked_sum"] += bool(in_stage0)
+        return real_sum(*args)
 
-    for name in ("reduce_table", "chunk_hits", "masked_sum"):
-        monkeypatch.setattr(combine_module, name, counted(name, getattr(combine_module, name)))
+    monkeypatch.setattr(combine_module, "masked_sum", counted)
     real_run = pipeline_module.brute_run
 
     def stage0_run(*args):
+        full, residues = args[11:]
+        assert full is True and isinstance(residues, bytes)
         in_stage0.append(1)
         try:
-            results, left = real_run(*args)
+            out = real_run(*args)
         finally:
             in_stage0.pop()
-        calls["stage0"] += len(results)
-        return results, left
+        calls["stage0"] += out[1]
+        return out
 
     monkeypatch.setattr(pipeline_module, "brute_run", stage0_run)
     sched = schedule_uniform(16, 8)
@@ -220,8 +252,7 @@ def test_pow2_k8_stage_zero_makes_no_numpy_scan_or_masked_sum(monkeypatch):
         inst = new_instance(1 << 16, seed=derive(1, unit))
         assert recover_pow2(inst, sched) == inst.reveal_secret()
     assert calls["stage0"] > 5000
-    assert calls == {"stage0": calls["stage0"], "reduce_table": 0, "chunk_hits": 0,
-                     "masked_sum": 0}
+    assert calls == {"stage0": calls["stage0"], "masked_sum": 0}
 
 
 def test_label_drawn_between_calls_matches_reference(waves):
