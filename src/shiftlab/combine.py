@@ -16,28 +16,26 @@ The witness is always unioned into J, which keeps the simulation faithful
 even under the inexact solvers (their misses shrink J, which only shows up
 as a pessimistic support size, never as an invented solution).
 
-Both routines run on one label-level core, combine_labels, which the
-pipeline calls on plain int labels; combine_pow2 and combine_interval add
+Both routines run on one label-level core, combine_labels: the witness,
+one subset_sum.solve call on the instance it defines, whatever the solver,
+and _project on the solution set. combine_pow2 and combine_interval add
 the element checks, consume their inputs and wrap the core's result.
-Brute force at k <= 18 runs the run kernel, brute_run, on a table of
-subset sums, one row per combination. The kernel runs each row whole in
-one loop, with no call per row: the witness's ancilla value, the
-preimages (the scan solve_bruteforce runs per chunk, inlined) and the
-projection tail of _project, inlined, with the interval routine's output
-gap read from the row. It returns aggregates, not one result per row: the
-outputs, the rows run, their memory peak, the allowance left and the last
-row's (pair, v, |J|). combine_labels hands it a one-row table and reports
-that last row. The pipeline's stage 0 hands it a wave of tables built
-together (pipeline._wave_rows), int32 when every sum fits
-(solvers.table_dtype), and one call runs the wave's rows in demand order
-until the stage's demand is met, its failure allowance is spent or the
-wave ends. A wave row holds the labels' full subset sums, so a
-power-of-two output label is read from it too, unless k(N - 1) fails
-sums_fit; then it holds the sums of their low k - 1 bits, whose residues
-mod 2^r serve every r < k. At r <= 8 the stage passes the wave's residues
-mod 2^r as bytes, and the preimages come from bytes.find instead of the
-numpy scan. Every other solver gets a validated instance and one solve
-call, and its solution set goes through _project and _pair.
+The pipeline runs brute force at k <= 18 on the run kernel, brute_run,
+instead: one row per combination of a table of subset sums (a stage-0
+wave, pipeline._wave_rows, or a later stage's one row), each row run
+whole in one loop with no call per row: the witness's ancilla value, the
+preimages (solve_bruteforce's scan, inlined) and _project's tail,
+inlined, with the interval routine's output gap read from the row. It
+returns aggregates: the outputs, the rows run, their memory peak and the
+allowance left. One call runs a wave's rows in demand order until the
+stage's demand is met, its failure allowance is spent or the wave ends.
+A wave row holds the labels' full subset sums, so a power-of-two output
+label is read from it too, unless k(N - 1) fails sums_fit; then it holds
+the sums of their low k - 1 bits, whose residues mod 2^r serve every
+r < k. At r <= 8 the stage passes the wave's residues mod 2^r as bytes,
+and the preimages come from bytes.find instead of the numpy scan. On
+equal labels and rng state, brute force through combine_labels gives
+what the kernel gives: the core checks it.
 
 Projection follows the sequential model: candidate pairs are tried in sorted
 adjacent order, each succeeding with probability 2/m over the current support
@@ -72,8 +70,7 @@ from .subset_sum.instances import (
     masked_sum,
     modular_ancilla,
 )
-from .subset_sum.lists import subset_sums
-from .subset_sum.solvers import _CHUNK_BITS, _REDUCED, check_weight_magnitude
+from .subset_sum.solvers import _REDUCED
 
 FAILURE_PROJECTION = "projection"
 FAILURE_REJECTION = "rejection"
@@ -155,7 +152,7 @@ def _pair(sols: list[int], getrandbits) -> tuple[int, int] | None:
 def brute_run(table, j, labels, routine, r, where, N, rng, need, left, cap,
               full=False, residues=None):
     """Brute-force combinations on consecutive rows of table, from row j:
-    row i is the int32 or int64 subset-sum table of the k <= _CHUNK_BITS
+    row i is the int32 or int64 subset-sum table of the k <= 18
     weights of labels[i*k : (i+1)*k]; for INTERVAL, of those labels; for
     POW2, of the labels themselves when full (valuation where = 0 only),
     else of any weights congruent to them mod 2^r.
@@ -177,11 +174,11 @@ def brute_run(table, j, labels, routine, r, where, N, rng, need, left, cap,
 
     The run stops after need successes, when the failure allowance left
     is spent (each failure spends one, each success restores it to cap),
-    or after the last row. Returns (outputs, rows_run, mem_peak, left,
-    last): the outputs of the rows that succeeded, in order, the rows run,
-    their largest memory charge, the allowance left and the last row's
-    (pair, v, |J|), pair None after a failed projection. The other
-    arguments and the RNG order are combine_labels', row after row; every
+    or after the last row. Returns (outputs, rows_run, mem_peak, left):
+    the outputs of the rows that succeeded, in order, the rows run, their
+    largest memory charge and the allowance left; for one row, |J| is the
+    memory charge less 2^k. The other arguments, the RNG order and each
+    row's label are combine_labels' with brute force, row after row; every
     coin is drawn from rng.getrandbits exactly as stock randrange draws it.
     """
     size = table.shape[1]
@@ -189,7 +186,7 @@ def brute_run(table, j, labels, routine, r, where, N, rng, need, left, cap,
     getrandbits = rng.getrandbits
     pow2 = routine == POW2
     if pow2:
-        mask = (1 << r) - 1  # r < k <= _CHUNK_BITS: below every table's cap
+        mask = (1 << r) - 1  # r < k <= 18: below every table's cap
     else:
         unsigned, top = _REDUCED[table.itemsize]
         sums = table.view(unsigned)
@@ -197,7 +194,6 @@ def brute_run(table, j, labels, routine, r, where, N, rng, need, left, cap,
         b_prime = -(-where >> r)  # ceil(where / 2^r)
     outputs = []
     mem = 0
-    last = None
     first = j
     stop = len(table)
     while j < stop:
@@ -258,8 +254,8 @@ def brute_run(table, j, labels, routine, r, where, N, rng, need, left, cap,
                 pair, s1, s2 = pair[::-1], s2, s1
             d = s2 - s1
             window = hi - lo
-            margin = window - b_prime + 1
-            if d < b_prime and margin > 0:
+            margin = window - b_prime + 1  # >= 1: the window holds the witness
+            if d < b_prime:
                 if d == 0:
                     num, den = min(2 * margin, window), window
                 else:
@@ -271,7 +267,6 @@ def brute_run(table, j, labels, routine, r, where, N, rng, need, left, cap,
                     x = getrandbits(b)
                 if x < num:
                     label = d
-        last = pair, v, m
         j += 1
         if label is None:
             left -= 1
@@ -283,33 +278,24 @@ def brute_run(table, j, labels, routine, r, where, N, rng, need, left, cap,
             if not need:
                 break
             left = cap
-    return outputs, j - first, mem, left, last
+    return outputs, j - first, mem, left
 
 
 def combine_labels(labels, routine, r, where, N, solver_id, rng, solver_seed):
     """One combination on int labels, without checks: the step both routines
-    and the pipeline share.
+    share, and the pipeline's for every solver but brute force at k <= 18.
 
     where is the input valuation a (POW2) or the label bound B (INTERVAL);
     N is the modulus that POW2 output labels are reduced by. Draws the
-    witness j*, finds the preimage set of its ancilla value, unions j* into
-    it and projects; RNG order: witness, projection coins, rejection coin.
-    Brute force at k <= _CHUNK_BITS runs brute_run on the one-row table of
-    the weights; other solvers get one solve call with solver_seed.
+    witness j*, finds the preimage set of its ancilla value with one solve
+    call (solver_seed for the seeded solvers), unions j* into it and
+    projects; RNG order: witness, projection coins, rejection coin.
     Returns (label, pair, v, support_size, solver_ops, solver_mem), label
     None on failure and pair None on projection failure.
     """
-    k = len(labels)
     pow2 = routine == POW2
     weights = [modular_ancilla(lab >> where, r) for lab in labels] if pow2 else labels
-    if solver_id == BRUTE and k <= _CHUNK_BITS:
-        check_weight_magnitude(weights)
-        table = subset_sums(weights).reshape(1, -1)
-        outputs, _, mem, _, (pair, v, m) = brute_run(
-            table, 0, labels, routine, r, where, N, rng, 1, 1, 1
-        )
-        return (outputs[0] if outputs else None), pair, v, m, 1 << k, mem
-    j_star = _below(rng, 1 << k)
+    j_star = _below(rng, 1 << len(labels))
     total = masked_sum(weights, j_star)
     if pow2:
         v, bounds = modular_ancilla(total, r), None
@@ -327,8 +313,8 @@ def combine_labels(labels, routine, r, where, N, solver_id, rng, solver_seed):
 
 def _project(labels, support, routine, r, where, N, rng, v, bounds, ops, mem):
     """Project the ascending support list and make the output label from
-    the labels' sums: combine_labels' result for the solvers other than
-    brute force, whose kernel brute_run inlines this tail."""
+    the labels' sums: combine_labels' result. The kernel brute_run inlines
+    this tail."""
     m = len(support)
     pair = _pair(support, rng.getrandbits)
     if pair is None:
@@ -343,8 +329,8 @@ def _project(labels, support, routine, r, where, N, rng, v, bounds, ops, mem):
     d = s2 - s1
     window = bounds[1] - bounds[0]
     b_prime = -(-where >> r)  # ceil(where / 2^r)
-    margin = window - b_prime + 1
-    if d >= b_prime or margin <= 0:
+    margin = window - b_prime + 1  # >= 1: the window holds the witness
+    if d >= b_prime:
         return None, pair, v, m, ops, mem
     if d == 0:
         num, den = min(2 * margin, window), window

@@ -101,19 +101,19 @@ class TradeoffPoint:
         }
 
 
-def _memory(c: float, strategy: str, query_exp: float, poly_memory: bool | None):
-    if poly_memory or (poly_memory is None and c in _POLY_MEMORY_C):
+def _memory(c: float, strategy: str, query_exp: float):
+    if c in _POLY_MEMORY_C:
         return MEM_POLY, None
     if strategy == MIN_QUERY:
         return MEM_EXP, None
     return MEM_L, query_exp
 
 
-def exponents(c: float, strategy: str, poly_memory: bool | None = None) -> TradeoffPoint:
+def exponents(c: float, strategy: str) -> TradeoffPoint:
     """The leading-order cost point for solver exponent c under a strategy.
 
-    poly_memory overrides the memory column (some solvers trade exponent for
-    polynomial memory); None infers it from the built-in table's c values.
+    The memory column is polynomial at the c values of the built-in
+    tables' polynomial-memory solvers (_POLY_MEMORY_C).
     """
     if not 0 < c <= 1:
         raise GuardError(f"need 0 < c <= 1, got {c}")
@@ -125,7 +125,7 @@ def exponents(c: float, strategy: str, poly_memory: bool | None = None) -> Trade
         q = math.sqrt(c / 3)
         t = 2 * q
     elif strategy == MIN_QUERY:
-        mem_kind, mem_exp = _memory(c, strategy, 0.0, poly_memory)
+        mem_kind, mem_exp = _memory(c, strategy, 0.0)
         pt = TradeoffPoint(
             c, strategy, 0.0, 0.0, mem_kind, mem_exp,
             query_poly_degree=QUERY_POLY_DEGREE, time_linear=c,
@@ -134,7 +134,7 @@ def exponents(c: float, strategy: str, poly_memory: bool | None = None) -> Trade
         return pt
     else:
         raise UsageError(f"unknown strategy {strategy!r}")
-    mem_kind, mem_exp = _memory(c, strategy, q, poly_memory)
+    mem_kind, mem_exp = _memory(c, strategy, q)
     pt = TradeoffPoint(c, strategy, q, t, mem_kind, mem_exp)
     pt.validate()
     return pt
@@ -155,7 +155,7 @@ class TableRow:
     point: TradeoffPoint
 
 
-# (c, solver description, poly_memory) per reference solver family.
+# (c, solver description, polynomial memory?) per reference solver family.
 _CLASSICAL_SOLVERS = (
     (DEFAULT_C[BRUTE], "exhaustive search", True),
     (DEFAULT_C[REP], "list merging (representations)", False),
@@ -167,7 +167,7 @@ _QUANTUM_SOLVERS = (
     (0.226, "quantum walk (improved)", False),
 )
 # c values whose reference rows use polynomial memory; exponents infers the
-# memory column from them when poly_memory is None
+# memory column from them
 _POLY_MEMORY_C = frozenset(c for c, _, poly in _CLASSICAL_SOLVERS + _QUANTUM_SOLVERS if poly)
 
 
@@ -182,23 +182,23 @@ def table_report() -> list[TableRow]:
     """
     rows: list[TableRow] = []
 
-    def add(table: str, solver: str, c: float, strategy: str, poly_memory: bool) -> None:
-        rows.append(TableRow(table, solver, exponents(c, strategy, poly_memory)))
+    def add(table: str, solver: str, c: float, strategy: str) -> None:
+        rows.append(TableRow(table, solver, exponents(c, strategy)))
 
     c1, c291, c72 = _CLASSICAL_SOLVERS
     for strat in (UNIFORM_IMPROVED, MIN_CLASSICAL, QUAD_GAP):
-        add("hidden-shift", c1[1], c1[0], strat, c1[2])
-    for c, solver, poly in (c291, c72):
+        add("hidden-shift", c1[1], c1[0], strat)
+    for c, solver, _ in (c291, c72):
         for strat in (MIN_CLASSICAL, QUAD_GAP):
-            add("hidden-shift", solver, c, strat, poly)
-    add("hidden-shift", c291[1], c291[0], MIN_QUERY, c291[2])
+            add("hidden-shift", solver, c, strat)
+    add("hidden-shift", c291[1], c291[0], MIN_QUERY)
 
     grover, walk, walk2 = _QUANTUM_SOLVERS
     for strat in (UNIFORM_IMPROVED, MIN_CLASSICAL, MIN_QUERY):
-        add("purely-quantum", grover[1], grover[0], strat, grover[2])
-    for c, solver, poly in (walk, walk2):
+        add("purely-quantum", grover[1], grover[0], strat)
+    for c, solver, _ in (walk, walk2):
         for strat in (QUAD_GAP, MIN_CLASSICAL, MIN_QUERY):
-            add("purely-quantum", solver, c, strat, poly)
+            add("purely-quantum", solver, c, strat)
     return rows
 
 

@@ -27,25 +27,26 @@ stage is asked for one output, and each stage asks the stage below for the
 k inputs of an invocation in one batch, since it cannot run before it has
 them all. Every invocation is one combination on its k inputs, inputs are
 consumed whatever the outcome, and only the element handed back becomes a
-PhaseElement. The CostLedger it fills has per-stage rows that sum to its
-totals.
+PhaseElement. Brute force at k <= 18 runs on the run kernel
+combine.brute_run, which only the engine calls, one row per invocation;
+every other solver makes one combine.combine_labels call per invocation.
+The CostLedger it fills has per-stage rows that sum to its totals.
 
 Stage 0's inputs are the next k labels of the instance's label stream, which
-no other draw in the pipeline touches. So with brute force at k <= 18 the
-engine builds stage 0's subset-sum tables ahead, in waves: one batched
+no other draw in the pipeline touches. So with brute force the engine
+builds stage 0's subset-sum tables ahead, in waves: one batched
 subset_sums call over labels peeked (not drawn) from the stream, one row per
 upcoming invocation, int32 when every sum fits (table_dtype). An instance's
 first wave has one row and each next wave twice as many, up to a cap per
 width that module constants set (_wave_rows): 2048 rows at k = 4, 128 at
 k = 8, 32 at k = 12, so that wide rows share each build's fixed cost too.
 A wave's old table is dropped before the next is built. One demanded
-batch of stage-0 outputs is one run: one call of the run kernel
-combine.brute_run per wave it reaches, which runs the rows in demand
-order, with the same RNG calls as one invocation at a time, and returns
-its outputs, rows run and memory peak. The labels of the rows run are
-then drawn in one step, in stream order and with the same query charge,
-and checked against the rows' (AccountingError if they differ), before
-any next wave is built; the stage's ledger row is charged once per run.
+batch of stage-0 outputs is one run: one brute_run call per wave it
+reaches, with the same RNG calls as one invocation at a time. The labels
+of the rows run are then drawn in one step, in stream order and with the
+same query charge, and checked against the rows' (AccountingError if
+they differ), before any next wave is built; the stage's ledger row is
+charged once per run.
 
 A wave outlives the run_pipeline call that built it: it stays with its
 instance, and the instance's next call carries on with its unused rows when
@@ -82,6 +83,7 @@ from .kinds import (
     BRUTE, INTERVAL, POW2, POW2_TOP, ROUTINES, SEEDED_SOLVERS, SOLVER_WIDTHS, SOLVERS, TARGETS,
 )
 from .seeds import derive, label_path
+from .subset_sum.instances import modular_ancilla
 from .subset_sum.lists import subset_sums
 from .subset_sum.solvers import _CHUNK_BITS, sums_fit, table_dtype
 
@@ -196,7 +198,9 @@ def _grow_stages(n: int, routine: str, width_at) -> tuple[StageSpec, ...]:
     total = 0
     i = 1
     while total < n - 1:
-        k = max(2, min(64, int(round(width_at(i)))))
+        if not math.isfinite(width := width_at(i)):
+            raise GuardError(f"stage {i - 1} width {width} is not finite")
+        k = max(2, min(64, int(round(width))))
         r = max(1, _stage_r(k, routine))
         stages.append(StageSpec(k, r, routine))
         total += r
@@ -234,8 +238,8 @@ def schedule_affine(
         raise GuardError(f"need 0 < c <= 1, got {c}")
     if beta is None:
         beta = 1 / math.sqrt(3 * c)
-    if beta < 0:
-        raise GuardError(f"beta must be >= 0, got {beta}")
+    if not 0 <= beta < math.inf:
+        raise GuardError(f"beta must be finite and >= 0, got {beta}")
     step = math.log2(n) / (2 * c)
     offset = beta * math.sqrt(n * math.log2(n))
     stages = _grow_stages(n, routine, lambda i: i * step + offset)
@@ -560,15 +564,27 @@ class _Engine:
 
     def _invoke(self, i: int, labels: list[int]) -> int | None:
         """One invocation of stage i on its k input labels; its output label,
-        or None on failure. Every invocation advances the counter behind the
+        or None on failure: one brute_run row on the weights' table for brute
+        force at k <= _CHUNK_BITS, else one combine_labels call. The weights
+        need no magnitude check: they are below 2^r, or labels plan_interval
+        keeps in sums_fit. Every invocation advances the counter behind the
         solver seed, though only seeded solvers get derive()'s value."""
         st = self.plan[i]
         self._invocation += 1
-        seed = derive(self.solver_seed, i, self._invocation) if self.seeded else 0
         where = st.a if st.routine == POW2 else st.b_in
-        label, _, _, _, ops, mem = combine_labels(
-            labels, st.routine, st.r, where, self.N, self.solver_id, self.rng, seed,
-        )
+        if self.solver_id == BRUTE and st.k <= _CHUNK_BITS:
+            weights = ([modular_ancilla(lab >> where, st.r) for lab in labels]
+                       if st.routine == POW2 else labels)
+            table = subset_sums(weights).reshape(1, -1)
+            outputs, _, mem, _ = brute_run(
+                table, 0, labels, st.routine, st.r, where, self.N, self.rng, 1, 1, 1
+            )
+            label, ops = (outputs[0] if outputs else None), 1 << st.k
+        else:
+            seed = derive(self.solver_seed, i, self._invocation) if self.seeded else 0
+            label, _, _, _, ops, mem = combine_labels(
+                labels, st.routine, st.r, where, self.N, self.solver_id, self.rng, seed,
+            )
         self._charge(i, 1, label is None, ops, mem)
         return label
 
@@ -576,16 +592,12 @@ class _Engine:
         """The next need outputs of stage 0 with a wave, in order; each
         output may spend caps[0] invocations, else RetryExhaustedError.
 
-        One combine.brute_run call runs the invocations on the wave's next
-        rows, built ahead from peeked labels, until the need is met, the
-        allowance is spent or the wave ends, and returns the outputs, the
-        rows run and their memory peak. The labels of the rows it ran
-        are then drawn in one step (same stream, same charge) and checked
-        against theirs, before any next wave is built from peeked labels;
-        the stage's ledger row is charged once for the run. At r <= 8 a
-        power-of-two row's preimages come from the wave's residue bytes.
-        Brute force is never seeded, so the solver-seed counter does not
-        need to advance.
+        One brute_run call per wave reached runs the invocations on the
+        wave's next rows until the need is met, the allowance is spent or
+        the wave ends. The labels of the rows it ran are then drawn in one
+        step and checked against theirs, before any next wave is built, and
+        the stage's ledger row is charged once for the run. Brute force is
+        never seeded, so the solver-seed counter does not need to advance.
         """
         st = self.plan[0]
         k = st.k
@@ -601,7 +613,7 @@ class _Engine:
             residues = None
             if st.routine == POW2 and st.r <= 8:  # residues mod 2^r fit a byte
                 residues = wave.residue_bytes(st.r)
-            got, n, peak, left, _ = brute_run(
+            got, n, peak, left = brute_run(
                 wave.table, j, wave.labels, st.routine, st.r, where, self.N, self.rng,
                 need - len(outs), left, cap, wave.full, residues,
             )

@@ -5,11 +5,12 @@ module-level masked_sum, modular_ancilla, interval_ancilla and
 interval_bounds are the single source of truth for subset sums and ancilla
 values; the instance classes, the combination routines and the solvers all
 call them (or check()) rather than reimplementing the arithmetic. The one
-copy is combine.brute_run, which inlines the ancilla value and bounds on its
-hot path; test_brute_kernels_match_randrange_reference pins it to them. The
-kernel also inlines combine._project's projection tail (pair coins, output
-label or gap, rejection coin); test_inlined_tail_matches_project pins it to
-_project.
+copy is combine.brute_run, the pipeline's brute-force kernel, which inlines
+the ancilla value and bounds on its hot path and combine._project's
+projection tail (pair coins, output label or gap, rejection coin).
+combine.combine_labels runs every solver, brute force included, through
+these functions and _project, so it checks the copy: the kernel tests and
+the pipeline-versus-reference tests pin the kernel to it.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 import shiftlab.pipeline as pipeline_module
@@ -18,11 +19,17 @@ def rng():
 @pytest.fixture
 def waves(monkeypatch):
     """The row counts of the stage-0 waves run_pipeline builds, in order:
-    the wave builder is the pipeline module's only subset_sums call."""
+    the wave builder's are the pipeline module's only 2-D subset_sums
+    calls (a later stage's one-row runs pass the weights of one row)."""
     built = []
     real = pipeline_module.subset_sums
-    monkeypatch.setattr(pipeline_module, "subset_sums",
-                        lambda weights: built.append(len(weights)) or real(weights))
+
+    def recording(weights):
+        if np.ndim(weights) == 2:
+            built.append(len(weights))
+        return real(weights)
+
+    monkeypatch.setattr(pipeline_module, "subset_sums", recording)
     return built
 
 

@@ -259,6 +259,11 @@ def test_usage_errors_exit_2(args, tmp_path):
         ("solve", "--n", "8", "--k", "3", "--solver", "ss"),     # ss needs k >= 4
         ("solve", "--n", "30", "--strategy", "minquery"),        # brute k = 31
         ("schedule", "--n", "30", "--strategy", "minquery"),
+        # a beta that is not finite, or overflows the stage width
+        ("schedule", "--n", "16", "--strategy", "quadgap", "--beta", "nan", "--solver", "mitm"),
+        ("schedule", "--n", "16", "--strategy", "quadgap", "--beta", "inf", "--solver", "mitm"),
+        ("schedule", "--n", "16", "--strategy", "quadgap", "--beta", "1e308", "--solver", "mitm"),
+        ("solve", "--n", "8", "--strategy", "quadgap", "--beta", "nan"),
     ],
 )
 def test_guard_errors_exit_3(args, tmp_path):

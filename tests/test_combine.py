@@ -42,13 +42,21 @@ from conftest import chi_square_p, stream
 
 
 def run_row(row, labels, routine, r, where, N, rng, full=False, residues=None):
-    """brute_run on the one-row table row: combine_labels' result for it,
-    (label, pair, v, support_size, ops, mem)."""
+    """brute_run on the one-row table row, as the pipeline runs one
+    invocation: (label, support_size, ops, mem), the support size being
+    the memory peak less 2^k. kernel_view gives the same fields of a
+    combine_labels result."""
     table = row.reshape(1, -1)
-    outputs, rows, mem, left, (pair, v, m) = brute_run(
+    outputs, rows, mem, left = brute_run(
         table, 0, labels, routine, r, where, N, rng, 1, 1, 1, full, residues)
     assert rows == 1 and left == (0 if not outputs else 1)
-    return (outputs[0] if outputs else None), pair, v, m, len(row), mem
+    return (outputs[0] if outputs else None), mem - len(row), len(row), mem
+
+
+def kernel_view(result):
+    """The fields of a combine_labels result that run_row reports."""
+    label, _, _, m, ops, mem = result
+    return label, m, ops, mem
 
 
 # -- project_pair -------------------------------------------------------------
@@ -246,11 +254,11 @@ def test_pow2_scale_passthrough():
 @pytest.mark.parametrize("routine", [POW2, INTERVAL])
 @pytest.mark.parametrize("solver_id", [BRUTE, MITM])
 def test_each_combination_solves_one_witness_instance(solver_id, routine, monkeypatch):
-    """mitm: one validated subset-sum instance per call, solved once; its
-    target is the measured ancilla value and every reported pair solves it.
-    brute (k <= 18) reads all of this from one table of subset sums and
-    builds no instance, so the instance is rebuilt from the input labels and
-    the witness the rng is about to draw, and brute force must agree."""
+    """One validated subset-sum instance per call, solved once, for brute
+    force as for mitm: it is the instance of the input labels and the
+    witness the rng is about to draw, its target is the measured ancilla
+    value, every reported pair solves it and the support is its full
+    solution set."""
     import shiftlab.combine as combine_mod
 
     built, solved = [], []
@@ -282,21 +290,16 @@ def test_each_combination_solves_one_witness_instance(solver_id, routine, monkey
             out = combine_pow2(elems, 3, solver_id=solver_id, rng=rng)
         else:
             out = combine_interval(elems, 2, N, solver_id, rng=rng)
-        if solver_id == MITM:
-            assert len(built) == len(solved) == call + 1
-            problem = built[-1]
-            assert solved[-1] is problem
-            assert problem.target == out.v_measured
-            if out.pair is not None:
-                assert all(problem.check(j) for j in out.pair)
-            continue
-        assert built == solved == []
+        assert len(built) == len(solved) == call + 1
+        problem = built[-1]
+        assert solved[-1] is problem
         if routine == POW2:
             weights = tuple(modular_ancilla(lab, 3) for lab in labels)
-            problem = ModularInstance(weights, 3, modular_ancilla(masked_sum(weights, j_star), 3))
+            want = ModularInstance(weights, 3, modular_ancilla(masked_sum(weights, j_star), 3))
         else:
             target = interval_ancilla(masked_sum(labels, j_star), N, 2)
-            problem = IntervalInstance(labels, N, 2, target)
+            want = IntervalInstance(labels, N, 2, target)
+        assert problem == want
         assert problem.target == out.v_measured
         if out.pair is not None:
             assert all(problem.check(j) for j in out.pair)
@@ -305,12 +308,13 @@ def test_each_combination_solves_one_witness_instance(solver_id, routine, monkey
 
 @pytest.mark.parametrize("flavor", ["modular", "interval"])
 def test_core_brute_branch_matches_solve_bruteforce(flavor):
-    """The core's brute-force branch against solve_bruteforce, k = 2..18:
+    """Brute force's one-row kernel against solve_bruteforce, k = 2..18:
     its one-chunk scan of a table_dtype table finds the same set on planted
     and unplanted instances and on weights whose k * max sits just below
     2^31 (int32 tables) and just above it (int64), and brute_run's support
     size, op count and memory peak are those of the instance its witness
-    defines."""
+    defines, and its label combine_labels' from the same seed, whose pair
+    solves that instance."""
     rng = stream("core-brute", flavor)
     for k in range(2, 19):
         problems = [
@@ -348,24 +352,29 @@ def test_core_brute_branch_matches_solve_bruteforce(flavor):
             routine, weights = INTERVAL, labels
         seed = rng.randrange(1 << 32)
         j_star = random.Random(seed).randrange(1 << k)
-        row_args = (labels, routine, r, where, N, random.Random(seed))
         row = subset_sums(np.array(weights, dtype=table_dtype(k, max(weights))))
-        _, pair, v, m, ops, mem = run_row(row, *row_args)
+        label, m, ops, mem = run_row(row, labels, routine, r, where, N, random.Random(seed))
+        total = masked_sum(weights, j_star)
         if routine == POW2:
-            problem = ModularInstance(tuple(weights), r, v)
+            problem = ModularInstance(tuple(weights), r, modular_ancilla(total, r))
         else:
-            problem = IntervalInstance(tuple(labels), N, r, v)
+            problem = IntervalInstance(tuple(labels), N, r, interval_ancilla(total, N, r))
         ref = solve_bruteforce(problem)
         assert j_star in ref.solutions
         assert (m, ops, mem) == (len(ref.solutions), ref.op_count, ref.mem_peak)
-        if pair is not None:
-            assert set(pair) <= ref.solutions
+        core = combine_labels(labels, routine, r, where, N, BRUTE, random.Random(seed), 0)
+        assert core[0] == label and core[2] == problem.target
+        if core[1] is not None:
+            assert set(core[1]) <= ref.solutions
 
 
 @pytest.mark.parametrize("routine", [POW2, INTERVAL])
 def test_core_brute_table_path_matches_instance_path(routine):
-    """With equal rng states, brute force's table path and mitm's instance
-    path (both exact) give the same witness value, support, pair and label."""
+    """With equal rng states, the pipeline's one-row brute_run run on the
+    table of the weights and combine_labels with brute force and with mitm
+    (both exact) give the same label and support size and leave the same
+    rng state; brute force's solver path also charges the kernel's ops
+    and memory, and the two solver paths give the same v and pair."""
     rng = stream("core-paths", routine)
     N = 1 << 20 if routine == POW2 else 1000003
     for _ in range(300):
@@ -379,14 +388,19 @@ def test_core_brute_table_path_matches_instance_path(routine):
             r = rng.randrange(1, k - ceil_log2(k) + 1)
             where = rng.choice((N, rng.randrange(2, 1 << 16)))
             labels = [rng.randrange(where) for _ in range(k)]
+        weights = [modular_ancilla(lab >> where, r) for lab in labels] if routine == POW2 else labels
         state = rng.getstate()
-        outs = []
+        coins = random.Random()
+        coins.setstate(state)
+        kernel = run_row(subset_sums(weights), labels, routine, r, where, N, coins)
+        outs = [(kernel, coins.getstate())]
         for solver_id in (BRUTE, MITM):
-            coins = random.Random()
             coins.setstate(state)
             out = combine_labels(labels, routine, r, where, N, solver_id, coins, 0)
-            outs.append((out[:4], coins.getstate()))
-        assert outs[0] == outs[1]
+            outs.append((out, coins.getstate()))
+        (brute, brute_state), (mitm, mitm_state) = outs[1:]
+        assert (kernel_view(brute), brute_state) == outs[0]
+        assert (brute[:4], brute_state) == (mitm[:4], mitm_state)
 
 
 def reference_combination(labels, routine, r, where, N, rng, seen):
@@ -439,9 +453,10 @@ def reference_combination(labels, routine, r, where, N, rng, seen):
 
 @pytest.mark.parametrize("routine", [POW2, INTERVAL])
 def test_brute_kernels_match_randrange_reference(routine):
-    """combine_labels' brute-force branch and brute_run on int32 and int64
-    rows against reference_combination from equal rng states: same
-    (label, pair, v, m, ops, mem) and same final rng state. The cases cover
+    """combine_labels with brute force, and brute_run on int32 and int64
+    rows, against reference_combination from equal rng states: the same
+    (label, pair, v, m, ops, mem) from combine_labels, the same (label, m,
+    ops, mem) from brute_run, and the same final rng state. The cases cover
     odd supports that fail projection and, for the interval routine, gaps
     of 0 and rejection coins that accept and reject; power-of-two rows are
     also run as the pipeline builds them, on the labels' low k - 1 bits or
@@ -469,9 +484,11 @@ def test_brute_kernels_match_randrange_reference(routine):
         coins.setstate(state)
         want = reference_combination(labels, routine, r, where, N, coins, seen)
         want_state = coins.getstate()
-        runs = [lambda c: combine_labels(labels, routine, r, where, N, BRUTE, c, 0)]
-        runs += [lambda c, row=row: run_row(row, labels, routine, r, where, N, c)
-                 for row in rows]
+        coins.setstate(state)
+        assert combine_labels(labels, routine, r, where, N, BRUTE, coins, 0) == want
+        assert coins.getstate() == want_state
+        runs = [lambda c, row=row: run_row(row, labels, routine, r, where, N, c)
+                for row in rows]
         if routine == POW2 and where == 0:
             # stage-0 wave rows: of the labels' low k - 1 bits or of the
             # labels (full), scanned, and at r <= 8 walked as residue bytes
@@ -487,7 +504,7 @@ def test_brute_kernels_match_randrange_reference(routine):
                                     run_row(row, labels, routine, r, where, N, c, full, res))
         for run in runs:
             coins.setstate(state)
-            assert run(coins) == want
+            assert run(coins) == kernel_view(want)
             assert coins.getstate() == want_state
     assert seen["projection"] > 0
     if routine == INTERVAL:
@@ -497,11 +514,13 @@ def test_brute_kernels_match_randrange_reference(routine):
 def test_byte_walk_preimages_match_chunk_hits():
     """brute_run's residue-byte walk against chunk_hits on the reduced row,
     for int32 and int64 full-sum rows and every r in 1..8: run on the
-    middle row of a three-row table, its last row's |J| and pair are those
-    of the ascending chunk_hits support projected by project_pair from the
-    same seed, it reads no byte outside the row's (the other rows' bytes
-    hold every value below 2^r) and leaves the row as it was, as does the
-    numpy scan of a full-sum row, which gives the same result."""
+    middle row of a three-row table, it gives the label of the pair that
+    project_pair picks from the ascending chunk_hits support with the same
+    seed, one row run, a memory peak of 2^k + |J|, the allowance left and
+    the same final rng state; it reads no byte outside the row's (the
+    other rows' bytes hold every value below 2^r) and leaves the row as it
+    was, as does the numpy scan of a full-sum row, which gives the same
+    result."""
     rng = stream("byte-walk")
     for dtype, N in ((np.int32, 1 << 16), (np.int64, 1 << 40)):
         for r in range(1, 9):
@@ -516,27 +535,30 @@ def test_byte_walk_preimages_match_chunk_hits():
                 res = pad + (row & ((1 << r) - 1)).astype(np.uint8).tobytes() + pad
                 args = ([0] * k + labels + [0] * k, POW2, r, 0, N)
                 seed = rng.randrange(1 << 32)
-                out = brute_run(table, 1, *args, random.Random(seed), 1, 1, 1, True, res)
+                walk = random.Random(seed)
+                out = brute_run(table, 1, *args, walk, 1, 1, 1, True, res)
                 assert np.array_equal(table[1], before)
                 coins = random.Random(seed)
                 v = before.item(_below(coins, len(row))) % (1 << r)
                 want = chunk_hits(reduce_table(before.copy(), r, None), 0, r, v, None).tolist()
                 pair = project_pair(want, coins)
-                assert out[1] == 1 and out[4] == (pair, v, len(want))
-                assert out[2] == len(row) + len(want)
-                scanned = brute_run(table, 1, *args, random.Random(seed), 1, 1, 1, True)
+                got = [] if pair is None else [(before.item(pair[1]) - before.item(pair[0])) % N]
+                assert out == (got, 1, len(row) + len(want), len(got))
+                assert walk.getstate() == coins.getstate()
+                scan = random.Random(seed)
+                scanned = brute_run(table, 1, *args, scan, 1, 1, 1, True)
                 assert np.array_equal(table[1], before)
-                assert scanned == out
+                assert scanned == out and scan.getstate() == coins.getstate()
 
 
 def run_rows_singly(table, j, labels, routine, r, where, N, rng, need, left, cap, full,
                     residues):
     """brute_run's stopping rule written out over one-row calls, with its
-    aggregates: (outputs, rows_run, mem_peak, left, last)."""
-    outputs, mem, last = [], 0, None
+    aggregates: (outputs, rows_run, mem_peak, left)."""
+    outputs, mem = [], 0
     for row in range(j, len(table)):
-        got, rows, peak, _, last = brute_run(table, row, labels, routine, r, where, N, rng,
-                                             1, 1, 1, full, residues)
+        got, rows, peak, _ = brute_run(table, row, labels, routine, r, where, N, rng,
+                                       1, 1, 1, full, residues)
         assert rows == 1
         mem = max(mem, peak)
         if not got:
@@ -549,7 +571,7 @@ def run_rows_singly(table, j, labels, routine, r, where, N, rng, need, left, cap
             if not need:
                 break
             left = cap
-    return outputs, row + 1 - j, mem, left, last
+    return outputs, row + 1 - j, mem, left
 
 
 @pytest.mark.parametrize("routine,dtype,full,r", [
@@ -566,9 +588,9 @@ def run_rows_singly(table, j, labels, routine, r, where, N, rng, need, left, cap
 def test_multi_row_run_matches_one_row_per_call(routine, dtype, full, r):
     """One brute_run call over consecutive rows of a wave-shaped table
     gives what the same rows give run one per call: the same outputs, rows
-    run, memory peak, allowance left and last row's (pair, v, |J|), and
-    the same final rng state. Runs start mid-table and stop on successes,
-    on a spent allowance and at the last row."""
+    run, memory peak and allowance left, and the same final rng state.
+    Runs start mid-table and stop on successes, on a spent allowance and
+    at the last row."""
     # power-of-two rows at r = k - 1, where odd supports, and so failures, are common
     k = 12 if routine == INTERVAL else r + 1
     rows = 24
@@ -600,7 +622,7 @@ def test_multi_row_run_matches_one_row_per_call(routine, dtype, full, r):
                       full, residues)
             outs.append((got, coins.getstate()))
         assert outs[0] == outs[1]
-        ok, rows_run, _, rest, _ = outs[0][0]
+        ok, rows_run, _, rest = outs[0][0]
         assert rows_run >= len(ok) and j + rows_run <= rows
         stops["need" if len(ok) == need else "allowance" if not rest else "end"] += 1
     assert set(stops) == {"need", "allowance", "end"}
@@ -610,11 +632,11 @@ def test_multi_row_run_matches_one_row_per_call(routine, dtype, full, r):
 def test_inlined_tail_matches_project(routine):
     """brute_run's inlined projection tail against _project from equal rng
     states: after the witness, _project on the support enumerated from the
-    row, summing the labels, gives the same label, pair, v, |J| and memory,
-    and leaves the same rng state. Power-of-two rows are full-sum and
-    masked, int32 and int64; the cases cover odd and even supports, |J| = 1
-    and, for the interval routine, gaps of 0, accepted and rejected coins
-    and gaps past B'. The margin <= 0 guard never fires: every window that
+    row, summing the labels, gives the same label, |J| and memory, and
+    leaves the same rng state. Power-of-two rows are full-sum and masked,
+    int32 and int64; the cases cover odd and even supports, |J| = 1 and,
+    for the interval routine, gaps of 0, accepted and rejected coins and
+    gaps past B'. Neither copy tests for margin <= 0: every window that
     holds the witness has margin >= 1, checked over all small bounds."""
     rng = stream("inlined-tail", routine)
     seen = Counter()
@@ -635,9 +657,7 @@ def test_inlined_tail_matches_project(routine):
         row = subset_sums(np.array(weights, dtype=rng.choice((np.int32, np.int64))))
         seed = rng.randrange(1 << 32)
         coins = random.Random(seed)
-        outputs, rows, mem, _, (pair, v, m) = brute_run(
-            row.copy().reshape(1, -1), 0, labels, routine, r, where, N, coins, 1, 1, 1, full)
-        got = (outputs[0] if outputs else None), pair, v, m, len(row), mem
+        got = run_row(row.copy(), labels, routine, r, where, N, coins, full)
 
         ref = random.Random(seed)
         total = row.item(_below(ref, len(row)))
@@ -651,8 +671,9 @@ def test_inlined_tail_matches_project(routine):
             support = [i for i, s in enumerate(sums) if bounds[0] <= s < bounds[1]]
         want = _project(labels, support, routine, r, where, N, ref, want_v, bounds, len(row),
                         len(row) + len(support))
-        assert rows == 1 and got == want
+        assert got == kernel_view(want)
         assert coins.getstate() == ref.getstate()
+        label, pair, _, m, _, _ = want
         seen["odd" if m % 2 else "even"] += 1
         seen["one"] += m == 1
         if routine == INTERVAL and pair is not None:
@@ -661,7 +682,7 @@ def test_inlined_tail_matches_project(routine):
                 seen["past B'"] += 1
             else:
                 seen["gap 0" if d == 0 else "gap"] += 1
-                seen["accepted" if outputs else "rejected"] += 1
+                seen["accepted" if label is not None else "rejected"] += 1
     assert min(seen["odd"], seen["even"], seen["one"]) > 0
     if routine == INTERVAL:
         assert min(seen["past B'"], seen["gap 0"], seen["accepted"], seen["rejected"]) > 0

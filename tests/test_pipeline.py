@@ -160,6 +160,10 @@ def test_affine_guards():
         schedule_affine(16, 1.0, beta=-0.1)
     with pytest.raises(GuardError):
         schedule_affine(16, 0.0)
+    # not finite, or a finite beta whose stage widths overflow
+    for beta in (math.nan, math.inf, 1e308):
+        with pytest.raises(GuardError):
+            schedule_affine(16, 0.5, beta=beta)
 
 
 def test_single_stage_shape_and_guard():

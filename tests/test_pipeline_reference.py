@@ -115,6 +115,23 @@ def test_interval_pipeline_matches_reference(solver_id):
         assert_same(263, sched, SMALL_ONE, seed, scale=5)
 
 
+def test_reference_does_not_run_the_kernel(monkeypatch):
+    # the oracle combines brute force through the solver path, so a broken
+    # run kernel cannot hide by breaking both engines the same way
+    def broken(*args):
+        raise AssertionError("the reference ran combine.brute_run")
+
+    monkeypatch.setattr(combine_module, "brute_run", broken)
+    for N, sched, target in (
+        (1 << 9, schedule_uniform(9, 8), POW2_TOP),
+        (263, schedule_uniform(9, 8, INTERVAL), SMALL_ONE),
+    ):
+        inst = new_instance(N, seed=1)
+        elem, ledger = reference_pipeline(inst, sched, target)
+        assert elem.label == (1 << 8 if target == POW2_TOP else 1)
+        assert ledger.q_queries > 0
+
+
 def test_level_zero_matches_reference():
     for seed in SEEDS:
         assert_same(64, schedule_uniform(6, 4), POW2_TOP, seed, level=0, scale=3)
@@ -223,8 +240,9 @@ def test_pow2_k8_stage_zero_makes_no_numpy_scan_or_masked_sum(monkeypatch):
     # 20 recoveries of the benchmark's pow2-k8 shape: every stage-0 run
     # walks full-sum rows' residue bytes for its preimages and reads its
     # output labels from the rows, so it makes no numpy scan or masked_sum
-    # call; combine_labels (stages >= 1) still scans and sums its own tables
-    calls = {"stage0": 0, "masked_sum": 0}
+    # call; the one-row runs of stages >= 1, which pass no residue bytes,
+    # still scan and sum their own tables
+    calls = {"stage0": 0, "later": 0, "masked_sum": 0}
     in_stage0 = []
     real_sum = combine_module.masked_sum
 
@@ -236,7 +254,11 @@ def test_pow2_k8_stage_zero_makes_no_numpy_scan_or_masked_sum(monkeypatch):
     real_run = pipeline_module.brute_run
 
     def stage0_run(*args):
-        full, residues = args[11:]
+        full, residues = (args[11:] + (False, None))[:2]
+        if residues is None:  # a later stage's one-row run on masked weights
+            assert len(args[0]) == 1 and full is False
+            calls["later"] += 1
+            return real_run(*args)
         assert full is True and isinstance(residues, bytes)
         in_stage0.append(1)
         try:
@@ -251,8 +273,8 @@ def test_pow2_k8_stage_zero_makes_no_numpy_scan_or_masked_sum(monkeypatch):
     for unit in range(20):
         inst = new_instance(1 << 16, seed=derive(1, unit))
         assert recover_pow2(inst, sched) == inst.reveal_secret()
-    assert calls["stage0"] > 5000
-    assert calls == {"stage0": calls["stage0"], "masked_sum": 0}
+    assert calls["stage0"] > 5000 and calls["later"] > 500
+    assert calls["masked_sum"] == 0
 
 
 def test_label_drawn_between_calls_matches_reference(waves):
