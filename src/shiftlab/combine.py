@@ -21,21 +21,20 @@ one subset_sum.solve call on the instance it defines, whatever the solver,
 and _project on the solution set. combine_pow2 and combine_interval add
 the element checks, consume their inputs and wrap the core's result.
 The pipeline runs brute force at k <= 18 on the run kernel, brute_run,
-instead: one row per combination of a table of subset sums (a stage-0
-wave, pipeline._wave_rows, or a later stage's one row), each row run
-whole in one loop with no call per row: the witness's ancilla value, the
-preimages (solve_bruteforce's scan, inlined) and _project's tail,
-inlined, with the interval routine's output gap read from the row. It
-returns aggregates: the outputs, the rows run, their memory peak and the
-allowance left. One call runs a wave's rows in demand order until the
+instead: one row per combination of a table of the input labels' subset
+sums (a stage-0 wave, pipeline._wave_rows, or a later stage's one row),
+each row run whole in one loop with no call per row: the witness's
+ancilla value, the preimages (solve_bruteforce's scan, inlined) and
+_project's tail, inlined, with the output label or gap read from the row.
+It returns aggregates: the outputs, the rows run, their memory peak and
+the allowance left. One call runs a wave's rows in demand order until the
 stage's demand is met, its failure allowance is spent or the wave ends.
-A wave row holds the labels' full subset sums, so a power-of-two output
-label is read from it too, unless k(N - 1) fails sums_fit; then it holds
-the sums of their low k - 1 bits, whose residues mod 2^r serve every
-r < k. At r <= 8 the stage passes the wave's residues mod 2^r as bytes,
-and the preimages come from bytes.find instead of the numpy scan. On
-equal labels and rng state, brute force through combine_labels gives
-what the kernel gives: the core checks it.
+Power-of-two rows are int64 sums that wrap mod 2^64 past 2^63, which
+changes neither their ancilla bits nor their differences mod N = 2^n. At
+r <= 8 stage 0 passes the wave's residues mod 2^r as bytes, and the
+preimages come from bytes.find instead of the numpy scan. On equal labels
+and rng state, brute force through combine_labels gives what the kernel
+gives: the core checks it.
 
 Projection follows the sequential model: candidate pairs are tried in sorted
 adjacent order, each succeeding with probability 2/m over the current support
@@ -56,8 +55,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import GuardError
 from .group_arith import ceil_log2
@@ -149,28 +146,27 @@ def _pair(sols: list[int], getrandbits) -> tuple[int, int] | None:
     return None
 
 
-def brute_run(table, j, labels, routine, r, where, N, rng, need, left, cap,
-              full=False, residues=None):
+def brute_run(table, j, routine, r, where, N, rng, need, left, cap, residues=None):
     """Brute-force combinations on consecutive rows of table, from row j:
-    row i is the int32 or int64 subset-sum table of the k <= 18
-    weights of labels[i*k : (i+1)*k]; for INTERVAL, of those labels; for
-    POW2, of the labels themselves when full (valuation where = 0 only),
-    else of any weights congruent to them mod 2^r.
+    row i is the int32 or int64 table of the subset sums of the k <= 18
+    input labels of one combination. Power-of-two rows may wrap mod 2^64
+    (N = 2^n divides 2^64), which keeps their bits where..where+r-1, the
+    ancilla, and the differences of their sums mod N, the output label.
 
     Each row is one whole combination, run inline with no call per row:
-    the witness, its ancilla value and bounds (modular_ancilla,
-    interval_ancilla and interval_bounds), the preimages, and _project's
-    tail (_pair's coins, the output label or gap, the rejection coin). The
-    preimages come in ascending order from one of two scans:
-    - residues, POW2 at r <= 8 only: the table's residues mod 2^r, one
-      byte per cell in table order, walked with bytes.find; the row is
-      left as it is;
-    - otherwise one pass over the row as reduce_table leaves it and
-      chunk_hits scans it: reduced in place, or into a new array when full
-      (POW2), whose sums are still to be read.
-    Both find the witness. An interval gap is read from the reduced row. A
-    row costs solve_bruteforce's work on the same instance: 2^k ops and
-    2^k + |J| cells.
+    the witness, its ancilla value and bounds (modular_ancilla of the
+    sum's bits from where, interval_ancilla and interval_bounds), the
+    preimages, and _project's tail (_pair's coins, the output label or
+    gap, the rejection coin). The preimages come in ascending order from
+    one of two scans:
+    - residues, POW2 at where = 0 and r <= 8 only: the table's residues
+      mod 2^r, one byte per cell in table order, walked with bytes.find;
+    - otherwise one pass over the row: the ancilla bits of each sum
+      compared with the witness's (POW2, into a new array), or the row
+      reduced in place as reduce_table leaves it and chunk_hits scans it
+      (INTERVAL), whose gap is then read from the reduced row.
+    Both find the witness. A row costs solve_bruteforce's work on the same
+    instance: 2^k ops and 2^k + |J| cells.
 
     The run stops after need successes, when the failure allowance left
     is spent (each failure spends one, each success restores it to cap),
@@ -178,15 +174,16 @@ def brute_run(table, j, labels, routine, r, where, N, rng, need, left, cap,
     the outputs of the rows that succeeded, in order, the rows run, their
     largest memory charge and the allowance left; for one row, |J| is the
     memory charge less 2^k. The other arguments, the RNG order and each
-    row's label are combine_labels' with brute force, row after row; every
-    coin is drawn from rng.getrandbits exactly as stock randrange draws it.
+    row's label are combine_labels' with brute force on the row's labels,
+    row after row; every coin is drawn from rng.getrandbits exactly as
+    stock randrange draws it.
     """
     size = table.shape[1]
     k = size.bit_length() - 1
     getrandbits = rng.getrandbits
     pow2 = routine == POW2
     if pow2:
-        mask = (1 << r) - 1  # r < k <= 18: below every table's cap
+        mask = ((1 << r) - 1) << where  # where + r <= n <= 62: an int64
     else:
         unsigned, top = _REDUCED[table.itemsize]
         sums = table.view(unsigned)
@@ -213,9 +210,7 @@ def brute_run(table, j, labels, routine, r, where, N, rng, need, left, cap,
                     support.append(i - start)
                     i = residues.find(v, i + 1, end)
             else:
-                row = table[j]
-                reduced = row & mask if full else np.bitwise_and(row, mask, out=row)
-                support = (reduced == v).nonzero()[0].tolist()
+                support = ((table[j] & mask) == v).nonzero()[0].tolist()
         else:
             v = (total << shift) // where
             # interval_bounds: ceil(v * where / 2^(r-1)), ceil((v + 1) * where / 2^(r-1))
@@ -241,12 +236,7 @@ def brute_run(table, j, labels, routine, r, where, N, rng, need, left, cap,
             idx += 2
             n -= 2
         if pair is not None and pow2:
-            if full:
-                s1, s2 = table.item(j, pair[0]), table.item(j, pair[1])
-            else:
-                row_labels = labels[j * k : (j + 1) * k]
-                s1, s2 = masked_sum(row_labels, pair[0]), masked_sum(row_labels, pair[1])
-            label = (s2 - s1) % N
+            label = (table.item(j, pair[1]) - table.item(j, pair[0])) % N
         elif pair is not None:
             # the gap between the pair's sums, flattened by rejection
             s1, s2 = row.item(pair[0]), row.item(pair[1])

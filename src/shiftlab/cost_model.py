@@ -145,7 +145,9 @@ def improved_width(n: int, c: float) -> int:
     sqrt(n log2 n / (2c)) rounded, kept in [2, 30]. Needs 0 < c <= 1."""
     if not 0 < c <= 1:
         raise GuardError(f"need 0 < c <= 1, got {c}")
-    return max(2, min(30, round(math.sqrt(n * math.log2(max(n, 2)) / (2 * c)))))
+    if not math.isfinite(width := math.sqrt(n * math.log2(max(n, 2)) / (2 * c))):
+        raise GuardError(f"stage width {width} is not finite")
+    return max(2, min(30, round(width)))
 
 
 @dataclass(frozen=True)

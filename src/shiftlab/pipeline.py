@@ -52,16 +52,16 @@ A wave outlives the run_pipeline call that built it: it stays with its
 instance, and the instance's next call carries on with its unused rows when
 that call's stage 0 has the same width and routine and those rows' labels
 are still the next ones in the stream; otherwise the rows are dropped (they
-cost wall time only) and the waves start again at one row. Rows hold the
-labels' full subset sums whenever k(N - 1) passes sums_fit; their residues
-mod 2^r serve every stage-0 r, so all the levels of a recovery share its
+cost wall time only) and the waves start again at one row. Every row,
+at every stage, holds its input labels' subset sums; their residues mod
+2^r serve every stage-0 r, so all the levels of a recovery share its
 waves, and a power-of-two output label is the difference of two row
-entries mod N. At r <= 8 a power-of-two row's preimages are found by
-bytes.find over the wave's residues mod 2^r, one byte per cell, built once
-per wave and r; wider r and the interval routine scan the row with numpy.
-Past sums_fit (N > 2^59 at k = 8) power-of-two rows hold the sums of the
-labels' low k - 1 bits instead, and output labels are summed from the
-labels.
+entries mod N. Power-of-two sums past 2^63 wrap mod 2^64 in int64, which
+N = 2^n divides, so the ancilla bits and those differences stay exact. At
+r <= 8 a stage-0 power-of-two row's preimages are found by bytes.find
+over the wave's residues mod 2^r, one byte per cell, built once per wave
+and r; wider r, later stages and the interval routine scan the row with
+numpy.
 """
 
 from __future__ import annotations
@@ -83,7 +83,6 @@ from .kinds import (
     BRUTE, INTERVAL, POW2, POW2_TOP, ROUTINES, SEEDED_SOLVERS, SOLVER_WIDTHS, SOLVERS, TARGETS,
 )
 from .seeds import derive, label_path
-from .subset_sum.instances import modular_ancilla
 from .subset_sum.lists import subset_sums
 from .subset_sum.solvers import _CHUNK_BITS, sums_fit, table_dtype
 
@@ -419,25 +418,24 @@ class _Wave:
     of one width and routine (key): row j of table is the subset-sum table
     of labels[j*k : (j+1)*k], and row is the next unused one.
 
-    Rows hold the labels' own sums (full), except in a power-of-two wave
-    whose sums would not pass sums_fit (N > 2^59 at k = 8): its rows hold
-    the sums of the labels' low k - 1 bits, which agree with the full sums
-    mod 2^r for every stage-0 r < k. residues holds the table's residues
-    mod 2^res_r, one byte per cell, for the one power-of-two r <= 8 last
-    asked for (residue_bytes).
+    Rows hold the labels' own sums, in int64 wrapping mod 2^64 where a
+    power-of-two wave's sums pass 2^63: exact for the ancilla bits and for
+    differences mod N, since N = 2^n divides 2^64. residues holds the
+    table's residues mod 2^res_r, one byte per cell, for the one
+    power-of-two r <= 8 last asked for (residue_bytes).
 
-    The masked mode stays on purpose: full int64 rows wrapping mod 2^64
-    would be exact for every power-of-two N and a little less code, but at
-    N = 2^62, k = 12 they ran about 12% slower, for the int64 row and one
-    copy per scanned row (CHANGES.md).
+    Wrapped rows replaced rows of the labels' low k - 1 bits past
+    sums_fit, the one other row format: on one N = 2^62, k = 12 top
+    element (10,168,308 queries, r = 11 numpy scans) those ran in 20.3 s
+    against 21.9 s (medians of 6 alternating runs, CHANGES.md), a cost
+    kept off every benchmark workload, none of which has N > 2^59.
     """
 
-    __slots__ = ("key", "dtype", "full", "table", "labels", "row", "res_r", "residues")
+    __slots__ = ("key", "dtype", "table", "labels", "row", "res_r", "residues")
 
-    def __init__(self, key: tuple[int, str], dtype, full: bool):
+    def __init__(self, key: tuple[int, str], dtype):
         self.key = key
         self.dtype = dtype
-        self.full = full
         self.table = np.empty((0, 0), dtype=dtype)
         self.labels: list[int] = []
         self.row = 0
@@ -451,19 +449,17 @@ class _Wave:
         The old table and residue bytes are dropped first, so that one
         table at a time is held.
 
-        No weight check is needed: a full wave's dtype is the table_dtype
-        of k labels below N, which pass sums_fit (_stage0_wave), and a
-        masked wave's that of k weights below 2^(k-1).
+        No weight check is needed: the dtype is the table_dtype of k labels
+        below N (_stage0_wave), an interval wave's labels pass sums_fit
+        (plan_interval), and a power-of-two wave's may wrap.
         """
         k = self.key[0]
         rows = min(max(1, 2 * len(self.table)), _wave_rows(k))
         self.table = np.empty((0, 0), dtype=self.dtype)
         self.residues = b""
         self.labels = inst.peek_labels(rows * k)
-        weights = np.array(self.labels, dtype=np.int64).reshape(rows, k)
-        if not self.full:
-            weights &= (1 << (k - 1)) - 1
-        self.table = subset_sums(weights.astype(self.dtype, copy=False))
+        labels = np.array(self.labels, dtype=np.int64).reshape(rows, k)
+        self.table = subset_sums(labels.astype(self.dtype, copy=False))
         self.row = 0
         self.res_r = 0
 
@@ -493,17 +489,14 @@ _WAVES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 def _stage0_wave(inst: HiddenShiftInstance, st: _PlanStage) -> _Wave:
     """The instance's wave for stage 0 st: its current one when the key
     matches and the unused rows' labels are still next in the stream, else
-    a new, empty one."""
+    a new, empty one, int32 when every sum of k labels below N fits."""
     key = (st.k, st.routine)
     wave = _WAVES.get(inst)
     if wave is not None and wave.key == key:
         unused = wave.labels[wave.row * st.k :]
         if unused == inst.peek_labels(len(unused)):
             return wave
-    # always full for INTERVAL: plan_interval keeps k labels below N in sums_fit
-    full = sums_fit(st.k, inst.modulus.N - 1)
-    top = inst.modulus.N - 1 if full else (1 << (st.k - 1)) - 1
-    wave = _WAVES[inst] = _Wave(key, table_dtype(st.k, top), full)
+    wave = _WAVES[inst] = _Wave(key, table_dtype(st.k, inst.modulus.N - 1))
     return wave
 
 
@@ -564,20 +557,19 @@ class _Engine:
 
     def _invoke(self, i: int, labels: list[int]) -> int | None:
         """One invocation of stage i on its k input labels; its output label,
-        or None on failure: one brute_run row on the weights' table for brute
-        force at k <= _CHUNK_BITS, else one combine_labels call. The weights
-        need no magnitude check: they are below 2^r, or labels plan_interval
-        keeps in sums_fit. Every invocation advances the counter behind the
-        solver seed, though only seeded solvers get derive()'s value."""
+        or None on failure: one brute_run row on the labels' int64 table for
+        brute force at k <= _CHUNK_BITS, else one combine_labels call. The
+        labels need no magnitude check: power-of-two sums may wrap (_Wave),
+        and plan_interval keeps interval labels in sums_fit. Every
+        invocation advances the counter behind the solver seed, though only
+        seeded solvers get derive()'s value."""
         st = self.plan[i]
         self._invocation += 1
         where = st.a if st.routine == POW2 else st.b_in
         if self.solver_id == BRUTE and st.k <= _CHUNK_BITS:
-            weights = ([modular_ancilla(lab >> where, st.r) for lab in labels]
-                       if st.routine == POW2 else labels)
-            table = subset_sums(weights).reshape(1, -1)
+            table = subset_sums(labels).reshape(1, -1)
             outputs, _, mem, _ = brute_run(
-                table, 0, labels, st.routine, st.r, where, self.N, self.rng, 1, 1, 1
+                table, 0, st.routine, st.r, where, self.N, self.rng, 1, 1, 1
             )
             label, ops = (outputs[0] if outputs else None), 1 << st.k
         else:
@@ -614,8 +606,8 @@ class _Engine:
             if st.routine == POW2 and st.r <= 8:  # residues mod 2^r fit a byte
                 residues = wave.residue_bytes(st.r)
             got, n, peak, left = brute_run(
-                wave.table, j, wave.labels, st.routine, st.r, where, self.N, self.rng,
-                need - len(outs), left, cap, wave.full, residues,
+                wave.table, j, st.routine, st.r, where, self.N, self.rng,
+                need - len(outs), left, cap, residues,
             )
             wave.row = j + n
             if self._raw(n * k) != wave.labels[j * k : (j + n) * k]:

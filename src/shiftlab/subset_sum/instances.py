@@ -7,10 +7,12 @@ values; the instance classes, the combination routines and the solvers all
 call them (or check()) rather than reimplementing the arithmetic. The one
 copy is combine.brute_run, the pipeline's brute-force kernel, which inlines
 the ancilla value and bounds on its hot path and combine._project's
-projection tail (pair coins, output label or gap, rejection coin).
-combine.combine_labels runs every solver, brute force included, through
-these functions and _project, so it checks the copy: the kernel tests and
-the pipeline-versus-reference tests pin the kernel to it.
+projection tail (pair coins, output label or gap, rejection coin), and
+reads every sum from a table of the input labels' subset sums instead of
+calling masked_sum. combine.combine_labels runs every solver, brute force
+included, through these functions and _project, so it checks the copy:
+the kernel tests and the pipeline-versus-reference tests pin the kernel
+to it.
 """
 
 from __future__ import annotations

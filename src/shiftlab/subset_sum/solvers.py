@@ -38,7 +38,10 @@ def sums_fit(k: int, top: int) -> bool:
 
 def table_dtype(k: int, top: int):
     """int32 when every subset sum of k weights in [0, top] stays below
-    2^31, else int64: the dtype of a brute-force table of those weights."""
+    2^31, else int64: the dtype of a brute-force table of those weights.
+    int64 sums past 2^63 wrap mod 2^64 (numpy warns of none), which keeps
+    every residue mod a power of two up to 2^64: pipeline._Wave's
+    power-of-two rows rely on it."""
     return np.int32 if k * top < (1 << _INT32_BITS) else np.int64
 
 

@@ -20,7 +20,7 @@ def rng():
 def waves(monkeypatch):
     """The row counts of the stage-0 waves run_pipeline builds, in order:
     the wave builder's are the pipeline module's only 2-D subset_sums
-    calls (a later stage's one-row runs pass the weights of one row)."""
+    calls (a later stage's one-row runs pass the labels of one row)."""
     built = []
     real = pipeline_module.subset_sums
 

@@ -264,6 +264,9 @@ def test_usage_errors_exit_2(args, tmp_path):
         ("schedule", "--n", "16", "--strategy", "quadgap", "--beta", "inf", "--solver", "mitm"),
         ("schedule", "--n", "16", "--strategy", "quadgap", "--beta", "1e308", "--solver", "mitm"),
         ("solve", "--n", "8", "--strategy", "quadgap", "--beta", "nan"),
+        # a c so small that the improved width overflows
+        ("schedule", "--n", "16", "--strategy", "improved", "--c", "5e-324"),
+        ("solve", "--n", "8", "--strategy", "improved", "--c", "1e-320"),
     ],
 )
 def test_guard_errors_exit_3(args, tmp_path):

@@ -41,14 +41,14 @@ from shiftlab.subset_sum.solvers import chunk_hits, reduce_table, table_dtype
 from conftest import chi_square_p, stream
 
 
-def run_row(row, labels, routine, r, where, N, rng, full=False, residues=None):
+def run_row(row, routine, r, where, N, rng, residues=None):
     """brute_run on the one-row table row, as the pipeline runs one
     invocation: (label, support_size, ops, mem), the support size being
     the memory peak less 2^k. kernel_view gives the same fields of a
     combine_labels result."""
     table = row.reshape(1, -1)
     outputs, rows, mem, left = brute_run(
-        table, 0, labels, routine, r, where, N, rng, 1, 1, 1, full, residues)
+        table, 0, routine, r, where, N, rng, 1, 1, 1, residues)
     assert rows == 1 and left == (0 if not outputs else 1)
     return (outputs[0] if outputs else None), mem - len(row), len(row), mem
 
@@ -311,9 +311,10 @@ def test_core_brute_branch_matches_solve_bruteforce(flavor):
     """Brute force's one-row kernel against solve_bruteforce, k = 2..18:
     its one-chunk scan of a table_dtype table finds the same set on planted
     and unplanted instances and on weights whose k * max sits just below
-    2^31 (int32 tables) and just above it (int64), and brute_run's support
-    size, op count and memory peak are those of the instance its witness
-    defines, and its label combine_labels' from the same seed, whose pair
+    2^31 (int32 tables) and just above it (int64), and brute_run on the
+    labels' table (power-of-two labels at a valuation a > 0) has the
+    support size, op count and memory peak of the instance its witness
+    defines, and combine_labels' label from the same seed, whose pair
     solves that instance."""
     rng = stream("core-brute", flavor)
     for k in range(2, 19):
@@ -342,9 +343,10 @@ def test_core_brute_branch_matches_solve_bruteforce(flavor):
 
         if flavor == "modular":
             r = rng.randrange(1, k)
-            N = 1 << (r + rng.randrange(8))
-            labels = [rng.randrange(N) for _ in range(k)]
-            routine, where, weights = POW2, 0, [modular_ancilla(lab, r) for lab in labels]
+            where = rng.randrange(1, 8)
+            N = 1 << (where + r + rng.randrange(8))
+            labels = [rng.randrange(N >> where) << where for _ in range(k)]
+            routine, weights = POW2, [modular_ancilla(lab >> where, r) for lab in labels]
         else:
             r = rng.randrange(1, k - ceil_log2(k) + 1)
             N = where = rng.choice((1 << k, rng.randrange(2, 1 << 30)))
@@ -352,8 +354,8 @@ def test_core_brute_branch_matches_solve_bruteforce(flavor):
             routine, weights = INTERVAL, labels
         seed = rng.randrange(1 << 32)
         j_star = random.Random(seed).randrange(1 << k)
-        row = subset_sums(np.array(weights, dtype=table_dtype(k, max(weights))))
-        label, m, ops, mem = run_row(row, labels, routine, r, where, N, random.Random(seed))
+        row = subset_sums(np.array(labels, dtype=table_dtype(k, max(labels))))
+        label, m, ops, mem = run_row(row, routine, r, where, N, random.Random(seed))
         total = masked_sum(weights, j_star)
         if routine == POW2:
             problem = ModularInstance(tuple(weights), r, modular_ancilla(total, r))
@@ -371,28 +373,28 @@ def test_core_brute_branch_matches_solve_bruteforce(flavor):
 @pytest.mark.parametrize("routine", [POW2, INTERVAL])
 def test_core_brute_table_path_matches_instance_path(routine):
     """With equal rng states, the pipeline's one-row brute_run run on the
-    table of the weights and combine_labels with brute force and with mitm
-    (both exact) give the same label and support size and leave the same
-    rng state; brute force's solver path also charges the kernel's ops
-    and memory, and the two solver paths give the same v and pair."""
+    table of the labels (at a valuation a > 0 for power-of-two labels) and
+    combine_labels with brute force and with mitm (both exact) give the
+    same label and support size and leave the same rng state; brute
+    force's solver path also charges the kernel's ops and memory, and the
+    two solver paths give the same v and pair."""
     rng = stream("core-paths", routine)
     N = 1 << 20 if routine == POW2 else 1000003
     for _ in range(300):
         k = rng.randrange(4, 13)
         if routine == POW2:
             r = rng.randrange(1, k)
-            a = rng.randrange(0, 20 - r)
+            a = rng.randrange(1, 20 - r)
             labels = [rng.randrange(N >> a) << a for _ in range(k)]
             where = a
         else:
             r = rng.randrange(1, k - ceil_log2(k) + 1)
             where = rng.choice((N, rng.randrange(2, 1 << 16)))
             labels = [rng.randrange(where) for _ in range(k)]
-        weights = [modular_ancilla(lab >> where, r) for lab in labels] if routine == POW2 else labels
         state = rng.getstate()
         coins = random.Random()
         coins.setstate(state)
-        kernel = run_row(subset_sums(weights), labels, routine, r, where, N, coins)
+        kernel = run_row(subset_sums(labels), routine, r, where, N, coins)
         outs = [(kernel, coins.getstate())]
         for solver_id in (BRUTE, MITM):
             coins.setstate(state)
@@ -458,27 +460,27 @@ def test_brute_kernels_match_randrange_reference(routine):
     (label, pair, v, m, ops, mem) from combine_labels, the same (label, m,
     ops, mem) from brute_run, and the same final rng state. The cases cover
     odd supports that fail projection and, for the interval routine, gaps
-    of 0 and rejection coins that accept and reject; power-of-two rows are
-    also run as the pipeline builds them, on the labels' low k - 1 bits or
-    on the labels themselves, scanned or walked as residue bytes."""
+    of 0 and rejection coins that accept and reject; power-of-two rows hold
+    the labels' sums, at valuations 0 and a > 0, wrapped mod 2^64 at
+    N = 2^62, and at valuation 0 and r <= 8 are also walked as residue
+    bytes, as stage 0 walks them."""
     rng = stream("kernel-reference", routine)
     seen = Counter()
     for _ in range(400):
         k = rng.randrange(2, 13)
         if routine == POW2:
-            N = 1 << 16
+            N = rng.choice((1 << 16, 1 << 62))
             r = rng.randrange(1, k)
-            where = rng.choice((0, rng.randrange(16 - r)))
+            where = rng.choice((0, rng.randrange(1, 16 - r)))
             labels = [rng.randrange(N >> where) << where for _ in range(k)]
-            weights = [modular_ancilla(lab >> where, r) for lab in labels]
         else:
             N = 1000003
             r = rng.randrange(1, k - ceil_log2(k) + 1)
             # small bounds repeat labels, which makes gaps of 0
             where = rng.choice((N, rng.randrange(2, 64), rng.randrange(2, 1 << 20)))
             labels = [rng.randrange(where) for _ in range(k)]
-            weights = labels
-        rows = [subset_sums(np.array(weights, dtype=dtype)) for dtype in (np.int32, np.int64)]
+        dtypes = (np.int64,) if N == 1 << 62 else (np.int32, np.int64)
+        rows = [subset_sums(np.array(labels, dtype=dtype)) for dtype in dtypes]
         state = rng.getstate()
         coins = random.Random()
         coins.setstate(state)
@@ -487,21 +489,11 @@ def test_brute_kernels_match_randrange_reference(routine):
         coins.setstate(state)
         assert combine_labels(labels, routine, r, where, N, BRUTE, coins, 0) == want
         assert coins.getstate() == want_state
-        runs = [lambda c, row=row: run_row(row, labels, routine, r, where, N, c)
-                for row in rows]
-        if routine == POW2 and where == 0:
-            # stage-0 wave rows: of the labels' low k - 1 bits or of the
-            # labels (full), scanned, and at r <= 8 walked as residue bytes
-            low = [lab & ((1 << (k - 1)) - 1) for lab in labels]
-            for full, source in ((False, low), (True, labels)):
-                for dtype in (np.int32, np.int64):
-                    row = subset_sums(np.array(source, dtype=dtype))
-                    runs.append(lambda c, row=row, full=full:
-                                run_row(row.copy(), labels, routine, r, where, N, c, full))
-                    if r <= 8:
-                        res = (row & ((1 << r) - 1)).astype(np.uint8).tobytes()
-                        runs.append(lambda c, row=row, full=full, res=res:
-                                    run_row(row, labels, routine, r, where, N, c, full, res))
+        runs = [lambda c, row=row: run_row(row, routine, r, where, N, c) for row in rows]
+        if routine == POW2 and where == 0 and r <= 8:
+            for row in rows:
+                res = (row & ((1 << r) - 1)).astype(np.uint8).tobytes()
+                runs.append(lambda c, row=row, res=res: run_row(row, routine, r, where, N, c, res))
         for run in runs:
             coins.setstate(state)
             assert run(coins) == kernel_view(want)
@@ -513,16 +505,16 @@ def test_brute_kernels_match_randrange_reference(routine):
 
 def test_byte_walk_preimages_match_chunk_hits():
     """brute_run's residue-byte walk against chunk_hits on the reduced row,
-    for int32 and int64 full-sum rows and every r in 1..8: run on the
-    middle row of a three-row table, it gives the label of the pair that
-    project_pair picks from the ascending chunk_hits support with the same
-    seed, one row run, a memory peak of 2^k + |J|, the allowance left and
-    the same final rng state; it reads no byte outside the row's (the
-    other rows' bytes hold every value below 2^r) and leaves the row as it
-    was, as does the numpy scan of a full-sum row, which gives the same
-    result."""
+    for int32 and int64 rows, wrapped mod 2^64 at N = 2^62, and every r in
+    1..8: run on the middle row of a three-row table, it gives the label
+    of the pair that project_pair picks from the ascending chunk_hits
+    support with the same seed, one row run, a memory peak of 2^k + |J|,
+    the allowance left and the same final rng state; it reads no byte
+    outside the row's (the other rows' bytes hold every value below 2^r)
+    and leaves the row as it was, as does the numpy scan of the row, which
+    gives the same result."""
     rng = stream("byte-walk")
-    for dtype, N in ((np.int32, 1 << 16), (np.int64, 1 << 40)):
+    for dtype, N in ((np.int32, 1 << 16), (np.int64, 1 << 40), (np.int64, 1 << 62)):
         for r in range(1, 9):
             for _ in range(20):
                 k = rng.randrange(r + 1, 13)
@@ -533,10 +525,10 @@ def test_byte_walk_preimages_match_chunk_hits():
                 before = row.copy()
                 pad = bytes(i % 256 for i in range(len(row)))
                 res = pad + (row & ((1 << r) - 1)).astype(np.uint8).tobytes() + pad
-                args = ([0] * k + labels + [0] * k, POW2, r, 0, N)
+                args = (POW2, r, 0, N)
                 seed = rng.randrange(1 << 32)
                 walk = random.Random(seed)
-                out = brute_run(table, 1, *args, walk, 1, 1, 1, True, res)
+                out = brute_run(table, 1, *args, walk, 1, 1, 1, res)
                 assert np.array_equal(table[1], before)
                 coins = random.Random(seed)
                 v = before.item(_below(coins, len(row))) % (1 << r)
@@ -546,19 +538,18 @@ def test_byte_walk_preimages_match_chunk_hits():
                 assert out == (got, 1, len(row) + len(want), len(got))
                 assert walk.getstate() == coins.getstate()
                 scan = random.Random(seed)
-                scanned = brute_run(table, 1, *args, scan, 1, 1, 1, True)
+                scanned = brute_run(table, 1, *args, scan, 1, 1, 1)
                 assert np.array_equal(table[1], before)
                 assert scanned == out and scan.getstate() == coins.getstate()
 
 
-def run_rows_singly(table, j, labels, routine, r, where, N, rng, need, left, cap, full,
-                    residues):
+def run_rows_singly(table, j, routine, r, where, N, rng, need, left, cap, residues):
     """brute_run's stopping rule written out over one-row calls, with its
     aggregates: (outputs, rows_run, mem_peak, left)."""
     outputs, mem = [], 0
     for row in range(j, len(table)):
-        got, rows, peak, _ = brute_run(table, row, labels, routine, r, where, N, rng,
-                                       1, 1, 1, full, residues)
+        got, rows, peak, _ = brute_run(table, row, routine, r, where, N, rng, 1, 1, 1,
+                                       residues)
         assert rows == 1
         mem = max(mem, peak)
         if not got:
@@ -574,37 +565,30 @@ def run_rows_singly(table, j, labels, routine, r, where, N, rng, need, left, cap
     return outputs, row + 1 - j, mem, left
 
 
-@pytest.mark.parametrize("routine,dtype,full,r", [
-    (POW2, np.int32, True, 5),
-    (POW2, np.int64, True, 7),
-    (POW2, np.int32, True, 9),
-    (POW2, np.int64, True, 10),
-    (POW2, np.int32, False, 6),
-    (POW2, np.int64, False, 9),
-    (INTERVAL, np.int32, True, 8),
-    (INTERVAL, np.int64, True, 6),
+@pytest.mark.parametrize("routine,N,dtype,r", [
+    (POW2, 1 << 16, np.int32, 5),
+    (POW2, 1 << 40, np.int64, 7),
+    (POW2, 1 << 16, np.int32, 9),
+    (POW2, 1 << 40, np.int64, 10),
+    (POW2, 1 << 62, np.int64, 6),
+    (POW2, 1 << 62, np.int64, 9),
+    (INTERVAL, 1000003, np.int32, 8),
+    (INTERVAL, (1 << 40) + 15, np.int64, 6),
 ], ids=["full-int32-bytes", "full-int64-bytes", "full-int32-scan", "full-int64-scan",
-        "masked-int32-bytes", "masked-int64-scan", "interval-int32", "interval-int64"])
-def test_multi_row_run_matches_one_row_per_call(routine, dtype, full, r):
+        "wrap-int64-bytes", "wrap-int64-scan", "interval-int32", "interval-int64"])
+def test_multi_row_run_matches_one_row_per_call(routine, N, dtype, r):
     """One brute_run call over consecutive rows of a wave-shaped table
     gives what the same rows give run one per call: the same outputs, rows
     run, memory peak and allowance left, and the same final rng state.
     Runs start mid-table and stop on successes, on a spent allowance and
-    at the last row."""
+    at the last row. At N = 2^62 the rows' sums wrap mod 2^64."""
     # power-of-two rows at r = k - 1, where odd supports, and so failures, are common
     k = 12 if routine == INTERVAL else r + 1
     rows = 24
-    rng = stream("multi-row-run", routine, np.dtype(dtype).name, full, r)
-    if routine == POW2:
-        N = 1 << (40 if dtype == np.int64 else 16)
-        where = 0
-    else:
-        N = where = (1 << 40) + 15 if dtype == np.int64 else 1000003
-    labels = [rng.randrange(N) for _ in range(rows * k)]
-    weights = np.array(labels, dtype=np.int64).reshape(rows, k)
-    if not full:
-        weights &= (1 << (k - 1)) - 1
-    table = subset_sums(weights.astype(dtype))
+    rng = stream("multi-row-run", routine, N, r)
+    where = 0 if routine == POW2 else N
+    labels = np.array([rng.randrange(N) for _ in range(rows * k)], dtype=np.int64)
+    table = subset_sums(labels.reshape(rows, k).astype(dtype))
     assert table.dtype == dtype
     residues = None
     if routine == POW2 and r <= 8:
@@ -617,9 +601,8 @@ def test_multi_row_run_matches_one_row_per_call(routine, dtype, full, r):
         outs = []
         for run in (brute_run, run_rows_singly):
             coins = random.Random(seed)
-            # scans reduce interval and masked rows in place: a fresh table each
-            got = run(table.copy(), j, labels, routine, r, where, N, coins, need, left, cap,
-                      full, residues)
+            # interval scans reduce rows in place: a fresh table each
+            got = run(table.copy(), j, routine, r, where, N, coins, need, left, cap, residues)
             outs.append((got, coins.getstate()))
         assert outs[0] == outs[1]
         ok, rows_run, _, rest = outs[0][0]
@@ -633,35 +616,36 @@ def test_inlined_tail_matches_project(routine):
     """brute_run's inlined projection tail against _project from equal rng
     states: after the witness, _project on the support enumerated from the
     row, summing the labels, gives the same label, |J| and memory, and
-    leaves the same rng state. Power-of-two rows are full-sum and masked,
-    int32 and int64; the cases cover odd and even supports, |J| = 1 and,
-    for the interval routine, gaps of 0, accepted and rejected coins and
-    gaps past B'. Neither copy tests for margin <= 0: every window that
-    holds the witness has margin >= 1, checked over all small bounds."""
+    leaves the same rng state. Power-of-two rows are int32 and int64, and
+    wrapped mod 2^64 at N = 2^62; the cases cover odd and even supports,
+    |J| = 1 and, for the interval routine, gaps of 0, accepted and
+    rejected coins and gaps past B'. Neither copy tests for margin <= 0:
+    every window that holds the witness has margin >= 1, checked over all
+    small bounds."""
     rng = stream("inlined-tail", routine)
     seen = Counter()
     for _ in range(600):
         k = rng.randrange(2, 11)
-        full = True
+        dtype = rng.choice((np.int32, np.int64))
         if routine == POW2:
-            N, where = 1 << 16, 0
+            N, where = rng.choice((1 << 16, 1 << 62)), 0
             r = rng.randrange(1, k)
             labels = [rng.randrange(N) for _ in range(k)]
-            full = rng.random() < 0.5
-            weights = labels if full else [lab & ((1 << (k - 1)) - 1) for lab in labels]
+            if N == 1 << 62:
+                dtype = np.int64
         else:
             N = 1000003
             r = rng.randrange(1, k - ceil_log2(k) + 1)
             where = rng.choice((N, rng.randrange(2, 64), rng.randrange(2, 1 << 20)))
-            labels = weights = [rng.randrange(where) for _ in range(k)]
-        row = subset_sums(np.array(weights, dtype=rng.choice((np.int32, np.int64))))
+            labels = [rng.randrange(where) for _ in range(k)]
+        row = subset_sums(np.array(labels, dtype=dtype))
         seed = rng.randrange(1 << 32)
         coins = random.Random(seed)
-        got = run_row(row.copy(), labels, routine, r, where, N, coins, full)
+        got = run_row(row.copy(), routine, r, where, N, coins)
 
         ref = random.Random(seed)
         total = row.item(_below(ref, len(row)))
-        sums = [masked_sum(weights, i) for i in range(len(row))]
+        sums = [masked_sum(labels, i) for i in range(len(row))]
         if routine == POW2:
             want_v, bounds = total % (1 << r), None
             support = [i for i, s in enumerate(sums) if s % (1 << r) == want_v]

@@ -163,7 +163,7 @@ def test_wave_rows_per_width(k, rows):
     assert _wave_rows(k) == rows
     assert rows >= (1 << 15) >> k and (rows == 1 or rows << k <= 1 << 17)
     inst = new_instance(1 << 20, seed=k)
-    wave = pipeline_module._Wave((k, POW2), np.int32, True)
+    wave = pipeline_module._Wave((k, POW2), np.int32)
     built = []
     for _ in range(rows.bit_length() + 1):
         wave.build(inst)
@@ -211,17 +211,19 @@ def test_descending_levels_share_waves_and_match_reference(waves):
         assert len(waves) < len(steps)
 
 
-@pytest.mark.parametrize("N,k,levels,dtype,full", [
-    # int64 full sums, walked as residue bytes at r = 7 and below
-    (1 << 40, 8, (13, 9, 7, 5, 3, 1), np.int64, True),
-    # k * (N - 1) past sums_fit: rows of the low k - 1 bits, labels by masked_sum
-    (1 << 62, 8, (12, 9, 7, 4, 1), np.int32, False),
+@pytest.mark.parametrize("N,k,levels,dtype", [
+    # int64 sums, walked as residue bytes at r = 7 and below
+    (1 << 40, 8, (13, 9, 7, 5, 3, 1), np.int64),
+    # k * (N - 1) past sums_fit: int64 sums that wrap mod 2^64
+    (1 << 62, 8, (12, 9, 7, 4, 1), np.int64),
     # r = 8, the widest residue a byte holds
-    (1 << 24, 9, (16, 8, 6, 2), np.int32, True),
-    # r = 9: the numpy scan on a copy of each full-sum row, then bytes below
-    (1 << 40, 10, (18, 9, 8, 4), np.int64, True),
-], ids=["int64-full", "masked", "r8-bytes", "r9-scan"])
-def test_wave_paths_over_descending_levels_match_reference(waves, N, k, levels, dtype, full):
+    (1 << 24, 9, (16, 8, 6, 2), np.int32),
+    # r = 9: the numpy scan on a copy of each row, then bytes below
+    (1 << 40, 10, (18, 9, 8, 4), np.int64),
+    # r = 11: the numpy scan on wrapped rows, and at stage 1 on bits 11..21
+    (1 << 62, 12, (22, 11, 9, 5), np.int64),
+], ids=["int64-full", "int64-wrap", "r8-bytes", "r9-scan", "r11-wrap-scan"])
+def test_wave_paths_over_descending_levels_match_reference(waves, N, k, levels, dtype):
     # descending levels on one instance: the waves never restart at one
     # row, so a wave that outlives its call serves the next call's r
     sched = schedule_uniform(N.bit_length() - 1, k)
@@ -233,42 +235,41 @@ def test_wave_paths_over_descending_levels_match_reference(waves, N, k, levels, 
         inst = new_instance(N, seed=seed)
         run_pipeline(inst, sched, POW2_TOP, level=1)
         wave = pipeline_module._WAVES[inst]
-        assert (wave.dtype, wave.full) == (dtype, full)
+        assert wave.dtype == dtype
 
 
 def test_pow2_k8_stage_zero_makes_no_numpy_scan_or_masked_sum(monkeypatch):
     # 20 recoveries of the benchmark's pow2-k8 shape: every stage-0 run
-    # walks full-sum rows' residue bytes for its preimages and reads its
-    # output labels from the rows, so it makes no numpy scan or masked_sum
-    # call; the one-row runs of stages >= 1, which pass no residue bytes,
-    # still scan and sum their own tables
+    # walks its rows' residue bytes for its preimages, so it makes no numpy
+    # scan; the one-row runs of stages >= 1, which pass no residue bytes,
+    # scan their own tables; every run reads its output labels from its
+    # rows, so no brute_run call makes a masked_sum call
     calls = {"stage0": 0, "later": 0, "masked_sum": 0}
-    in_stage0 = []
+    in_run = []
     real_sum = combine_module.masked_sum
 
     def counted(*args):
-        calls["masked_sum"] += bool(in_stage0)
+        calls["masked_sum"] += bool(in_run)
         return real_sum(*args)
 
     monkeypatch.setattr(combine_module, "masked_sum", counted)
     real_run = pipeline_module.brute_run
 
-    def stage0_run(*args):
-        full, residues = (args[11:] + (False, None))[:2]
-        if residues is None:  # a later stage's one-row run on masked weights
-            assert len(args[0]) == 1 and full is False
-            calls["later"] += 1
-            return real_run(*args)
-        assert full is True and isinstance(residues, bytes)
-        in_stage0.append(1)
+    def counted_run(*args):
+        residues = args[10] if len(args) > 10 else None
+        if residues is None:  # a later stage's one-row run
+            assert len(args[0]) == 1
+        else:
+            assert isinstance(residues, bytes)
+        in_run.append(1)
         try:
             out = real_run(*args)
         finally:
-            in_stage0.pop()
-        calls["stage0"] += out[1]
+            in_run.pop()
+        calls["later" if residues is None else "stage0"] += out[1]
         return out
 
-    monkeypatch.setattr(pipeline_module, "brute_run", stage0_run)
+    monkeypatch.setattr(pipeline_module, "brute_run", counted_run)
     sched = schedule_uniform(16, 8)
     for unit in range(20):
         inst = new_instance(1 << 16, seed=derive(1, unit))

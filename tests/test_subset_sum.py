@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -308,6 +309,39 @@ def test_subset_sums_match_list_doubling(m):
         assert got.shape == (len(rows), 1 << m)
         for b, weights in enumerate(rows):
             assert got[b].tolist() == _doubled_sums(weights), (b, weights)
+
+
+@pytest.mark.parametrize("n", [16, 40, 60, 62])
+def test_wrapped_int64_sums_keep_ancilla_bits_and_label_differences(n):
+    # the power-of-two row format: int64 subset sums of labels below
+    # N = 2^n wrap mod 2^64 past 2^63, with no warning, and keep the exact
+    # sums' bits a..a+r-1 (a + r <= n) and their differences mod N, for
+    # one row and for a (B, k) array of rows
+    rng = stream("wrapped-sums", n)
+    N = 1 << n
+    wrapped = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in (2, 6, 9, 12, 17, 18):
+            a = rng.randrange(1, n)
+            r = rng.randrange(1, n - a + 1)
+            mask = ((1 << r) - 1) << a
+            rows = [[rng.randrange(N >> a) << a for _ in range(k)] for _ in range(3)]
+            rows.append([((N - 1) >> a) << a] * k)  # the largest sums
+            tables = [subset_sums(row) for row in rows]
+            tables += list(subset_sums(np.array(rows, dtype=np.int64)))
+            for labels, table in zip(rows + rows, tables):
+                assert table.dtype == np.int64
+                wrapped += int((table < 0).any())
+                masks = range(1 << k) if k <= 12 else rng.sample(range(1 << k), 1 << 12)
+                exact = {i: masked_sum(labels, i) for i in masks}
+                for i, s in exact.items():
+                    assert table.item(i) & mask == s & mask
+                pairs = list(exact.items())
+                for (i1, s1), (i2, s2) in zip(pairs, pairs[1:] + pairs[:1]):
+                    assert (table.item(i2) - table.item(i1)) % N == (s2 - s1) % N
+    # the largest rows' sums pass 2^63 at n = 60 and 62 only
+    assert (wrapped > 0) == (n >= 60)
 
 
 def test_table_dtype_switches_at_two_to_the_31():
