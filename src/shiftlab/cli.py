@@ -167,11 +167,20 @@ def emit(lines: list[dict], fmt: str, out: str | None) -> None:
             text = buf.getvalue()
     else:
         raise UsageError(f"unknown format {fmt!r}")
-    if out:
+    _write(text, out)
+
+
+def _write(text: str, out: str | None) -> None:
+    """Write text to the file out, or to stdout without one; a file that
+    cannot be opened or written is a usage error."""
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {out}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -482,14 +491,10 @@ def cmd_exponents(args) -> int:
         for key in ("query_exp", "time_exp"):
             if line[key] is not None:
                 line[key] = round(line[key], 3)
-    if args.format == "text":
-        if args.c is not None:
-            for line in lines:
-                print(_dump_line(line))
-        else:
-            print(render_report())
-        return EXIT_OK
-    emit(lines, args.format, args.out)
+    if args.format == "text" and args.c is None:
+        _write(render_report() + "\n", args.out)
+    else:  # the text of custom-c lines is their JSONL
+        emit(lines, "jsonl" if args.format == "text" else args.format, args.out)
     return EXIT_OK
 
 

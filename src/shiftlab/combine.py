@@ -20,15 +20,17 @@ Both routines run on one label-level core, combine_labels: the witness,
 one subset_sum.solve call on the instance it defines, whatever the solver,
 and _project on the solution set. combine_pow2 and combine_interval add
 the element checks, consume their inputs and wrap the core's result.
-The pipeline runs brute force at k <= 18 on the run kernel, brute_run,
-instead: one row per combination of a table of the input labels' subset
-sums (a stage-0 wave, pipeline._wave_rows, or a later stage's one row),
-each row run whole in one loop with no call per row: the witness's
-ancilla value, the preimages (solve_bruteforce's scan, inlined) and
-_project's tail, inlined, with the output label or gap read from the row.
-It returns aggregates: the outputs, the rows run, their memory peak and
-the allowance left. One call runs a wave's rows in demand order until the
-stage's demand is met, its failure allowance is spent or the wave ends.
+The pipeline's stage loop runs brute force at k <= 18 on the run kernel,
+brute_run, instead: one row per combination of a table of the input
+labels' subset sums (a stage-0 wave, pipeline._wave_rows, or a later
+stage's one-row table), each row run whole in one loop with no call per
+row: the witness's ancilla value, the preimages (solve_bruteforce's scan,
+inlined) and _project's tail, inlined, with the output label or gap read
+from the row. It returns aggregates: the outputs, the rows run, their
+memory peak and the allowance left. One call runs the table's rows from a
+given one in demand order until the stage's demand is met, its failure
+allowance is spent or the table ends; the stage loop passes its
+allowance in and carries on with what is left.
 Power-of-two rows are int64 sums that wrap mod 2^64 past 2^63, which
 changes neither their ancilla bits nor their differences mod N = 2^n. At
 r <= 8 stage 0 passes the wave's residues mod 2^r as bytes, and the

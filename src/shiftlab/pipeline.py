@@ -27,10 +27,12 @@ stage is asked for one output, and each stage asks the stage below for the
 k inputs of an invocation in one batch, since it cannot run before it has
 them all. Every invocation is one combination on its k inputs, inputs are
 consumed whatever the outcome, and only the element handed back becomes a
-PhaseElement. Brute force at k <= 18 runs on the run kernel
-combine.brute_run, which only the engine calls, one row per invocation;
-every other solver makes one combine.combine_labels call per invocation.
-The CostLedger it fills has per-stage rows that sum to its totals.
+PhaseElement. One loop (_Engine.run) runs every stage: brute force at
+k <= 18 runs on the run kernel combine.brute_run, which only the engine
+calls, on a stage-0 wave's rows or on a later stage's one-row table; every
+other solver makes one combine.combine_labels call per invocation. Each
+call of the loop charges its stage's row of the CostLedger once; the rows
+sum to the ledger's totals.
 
 Stage 0's inputs are the next k labels of the instance's label stream, which
 no other draw in the pipeline touches. So with brute force the engine
@@ -41,12 +43,11 @@ first wave has one row and each next wave twice as many, up to a cap per
 width that module constants set (_wave_rows): 2048 rows at k = 4, 128 at
 k = 8, 32 at k = 12, so that wide rows share each build's fixed cost too.
 A wave's old table is dropped before the next is built. One demanded
-batch of stage-0 outputs is one run: one brute_run call per wave it
-reaches, with the same RNG calls as one invocation at a time. The labels
-of the rows run are then drawn in one step, in stream order and with the
-same query charge, and checked against the rows' (AccountingError if
-they differ), before any next wave is built; the stage's ledger row is
-charged once per run.
+batch of stage-0 outputs makes one brute_run call per wave it reaches,
+with the same RNG calls as one invocation at a time. The labels of the
+rows run are then drawn in one step, in stream order and with the same
+query charge, and checked against the rows' (AccountingError if they
+differ), before any next wave is built.
 
 A wave outlives the run_pipeline call that built it: it stays with its
 instance, and the instance's next call carries on with its unused rows when
@@ -166,8 +167,13 @@ class Schedule:
 
 
 def schedule_from_json(doc: dict) -> Schedule:
+    """The schedule of a to_json_dict document; KeyError or TypeError when
+    the document does not have that shape."""
     stages = tuple(StageSpec(d["k"], d["r"], d.get("routine", POW2)) for d in doc["stages"])
-    return Schedule(stages, doc.get("solver", BRUTE), dict(doc.get("params", {})))
+    params = doc.get("params", {})
+    if not isinstance(params, dict):
+        raise TypeError(f"schedule params must be a JSON object, got {params!r}")
+    return Schedule(stages, doc.get("solver", BRUTE), dict(params))
 
 
 def _stage_r(k: int, routine: str) -> int:
@@ -446,8 +452,9 @@ class _Wave:
         """Replace the table with the next wave's, built from the labels
         the next stage-0 invocations will draw, peeked, not drawn: twice
         the rows of the last wave (one for the first), up to _wave_rows(k).
-        The old table and residue bytes are dropped first, so that one
-        table at a time is held.
+        _Engine.run draws a run's labels after its brute_run call on the
+        wave. The old table and residue bytes are dropped first, so that
+        one table at a time is held.
 
         No weight check is needed: the dtype is the table_dtype of k labels
         below N (_stage0_wave), an interval wave's labels pass sums_fit
@@ -524,8 +531,9 @@ class _Engine:
         self.ledger.per_stage = self.stats
         self.caps = [RETRY_FACTOR * math.ceil(st.k / P_PRIOR) for st in plan]
         self._invocation = 0
-        waves = bool(plan) and sched.solver_id == BRUTE and plan[0].k <= _CHUNK_BITS
-        self.wave = _stage0_wave(inst, plan[0]) if waves else None
+        # which stages run on the kernel brute_run: brute force at k <= 18
+        self.kernel = [sched.solver_id == BRUTE and st.k <= _CHUNK_BITS for st in plan]
+        self.wave = _stage0_wave(inst, plan[0]) if plan and self.kernel[0] else None
 
     def _raw(self, n: int) -> list[int]:
         """Draw n raw labels, one query each, and charge them in one step."""
@@ -533,123 +541,88 @@ class _Engine:
         self.ledger.elements_generated += n
         return self.inst.sample_labels(n)
 
-    def _charge(self, i: int, runs: int, failures: int, ops: int, mem: int) -> None:
-        """Charge runs invocations of stage i, failures of them failed, with
-        ops solver operations and a memory peak of mem, to its ledger row."""
+    def run(self, i: int, need: int) -> list[int]:
+        """The next need outputs of stage i, in order; raw labels for i < 0.
+
+        Each output may spend caps[i] invocations: the allowance is reset
+        after every success, and a stage that spends it raises
+        RetryExhaustedError. Each pass of the loop makes one step:
+        - stage 0 with a wave: one brute_run call on the wave's next rows,
+          until the need is met, the allowance is spent or the wave ends.
+          The labels of the rows it ran are then drawn in one step and
+          checked against theirs, before any next wave is built;
+        - a later kernel stage: one brute_run call on the one-row table of
+          the k inputs it asks stage i - 1 for in one batch, since it
+          cannot run before it holds them all;
+        - any other stage: one combine_labels call on its k inputs. Only
+          this step advances the counter behind the solver seed, which
+          only seeded solvers use, and brute force is never seeded.
+        Input labels need no magnitude check: power-of-two sums may wrap
+        (_Wave), and plan_interval keeps interval labels in sums_fit. The
+        stage's ledger row is charged once per call. The recursion is as
+        deep as the plan is long, at most 63 stages (N <= 2^63 - 1, r >= 1
+        per stage).
+        """
+        if i < 0:
+            return self._raw(need)
+        st = self.plan[i]
+        k = st.k
+        where = st.a if st.routine == POW2 else st.b_in
+        wave = self.wave if i == 0 else None
+        left = cap = self.caps[i]
+        outs: list[int] = []
+        runs = ops = mem = 0
+        while len(outs) < need and left:
+            if self.kernel[i]:
+                if wave is None:
+                    table, j, residues = subset_sums(self.run(i - 1, k)).reshape(1, -1), 0, None
+                else:
+                    if wave.row == len(wave.table):
+                        wave.build(self.inst)
+                    table, j, residues = wave.table, wave.row, None
+                    if st.routine == POW2 and st.r <= 8:  # residues mod 2^r fit a byte
+                        residues = wave.residue_bytes(st.r)
+                got, n, peak, left = brute_run(
+                    table, j, st.routine, st.r, where, self.N, self.rng,
+                    need - len(outs), left, cap, residues,
+                )
+                ops += n << k
+                if wave is not None:
+                    wave.row = j + n
+                    if self._raw(n * k) != wave.labels[j * k : (j + n) * k]:
+                        raise AccountingError(
+                            f"stage-0 labels drawn out of step with wave rows {j} to {j + n - 1}"
+                        )
+            else:
+                labels = self.run(i - 1, k)  # the inputs' invocations count first
+                self._invocation += 1
+                seed = derive(self.solver_seed, i, self._invocation) if self.seeded else 0
+                label, _, _, _, solver_ops, peak = combine_labels(
+                    labels, st.routine, st.r, where, self.N, self.solver_id, self.rng, seed,
+                )
+                got, n = ([] if label is None else [label]), 1
+                left = left - 1 if label is None else cap
+                ops += solver_ops
+            runs += n
+            mem = max(mem, peak)
+            outs += got
+        failures = runs - len(outs)
         row = self.stats[i]
         row.invocations += runs
-        row.consumed += row.k * runs
-        row.successes += runs - failures
-        row.produced += runs - failures
+        row.consumed += k * runs
+        row.successes += len(outs)
+        row.produced += len(outs)
         row.failures += failures
         row.solver_ops += ops
         row.mem_peak = max(row.mem_peak, mem)
         self.ledger.solver_ops += ops
         self.ledger.mem_peak_cells = max(self.ledger.mem_peak_cells, mem)
-        self.ledger.elements_wasted += row.k * failures
-
-    def _exhausted(self, i: int) -> RetryExhaustedError:
-        st = self.plan[i]
-        return RetryExhaustedError(
-            f"stage {i} (k={st.k}, r={st.r}, {st.routine}) exhausted "
-            f"{self.caps[i]} invocations without a success"
-        )
-
-    def _invoke(self, i: int, labels: list[int]) -> int | None:
-        """One invocation of stage i on its k input labels; its output label,
-        or None on failure: one brute_run row on the labels' int64 table for
-        brute force at k <= _CHUNK_BITS, else one combine_labels call. The
-        labels need no magnitude check: power-of-two sums may wrap (_Wave),
-        and plan_interval keeps interval labels in sums_fit. Every
-        invocation advances the counter behind the solver seed, though only
-        seeded solvers get derive()'s value."""
-        st = self.plan[i]
-        self._invocation += 1
-        where = st.a if st.routine == POW2 else st.b_in
-        if self.solver_id == BRUTE and st.k <= _CHUNK_BITS:
-            table = subset_sums(labels).reshape(1, -1)
-            outputs, _, mem, _ = brute_run(
-                table, 0, st.routine, st.r, where, self.N, self.rng, 1, 1, 1
+        self.ledger.elements_wasted += k * failures
+        if not left:
+            raise RetryExhaustedError(
+                f"stage {i} (k={k}, r={st.r}, {st.routine}) exhausted "
+                f"{cap} invocations without a success"
             )
-            label, ops = (outputs[0] if outputs else None), 1 << st.k
-        else:
-            seed = derive(self.solver_seed, i, self._invocation) if self.seeded else 0
-            label, _, _, _, ops, mem = combine_labels(
-                labels, st.routine, st.r, where, self.N, self.solver_id, self.rng, seed,
-            )
-        self._charge(i, 1, label is None, ops, mem)
-        return label
-
-    def _run0(self, need: int) -> list[int]:
-        """The next need outputs of stage 0 with a wave, in order; each
-        output may spend caps[0] invocations, else RetryExhaustedError.
-
-        One brute_run call per wave reached runs the invocations on the
-        wave's next rows until the need is met, the allowance is spent or
-        the wave ends. The labels of the rows it ran are then drawn in one
-        step and checked against theirs, before any next wave is built, and
-        the stage's ledger row is charged once for the run. Brute force is
-        never seeded, so the solver-seed counter does not need to advance.
-        """
-        st = self.plan[0]
-        k = st.k
-        left = cap = self.caps[0]
-        outs: list[int] = []
-        wave = self.wave
-        where = st.a if st.routine == POW2 else st.b_in
-        runs = mem = 0
-        while True:
-            if wave.row == len(wave.table):
-                wave.build(self.inst)
-            j = wave.row
-            residues = None
-            if st.routine == POW2 and st.r <= 8:  # residues mod 2^r fit a byte
-                residues = wave.residue_bytes(st.r)
-            got, n, peak, left = brute_run(
-                wave.table, j, st.routine, st.r, where, self.N, self.rng,
-                need - len(outs), left, cap, residues,
-            )
-            wave.row = j + n
-            if self._raw(n * k) != wave.labels[j * k : (j + n) * k]:
-                raise AccountingError(
-                    f"stage-0 labels drawn out of step with wave rows {j} to {j + n - 1}"
-                )
-            runs += n
-            mem = max(mem, peak)
-            outs += got
-            if len(outs) == need or not left:
-                self._charge(0, runs, runs - len(outs), runs << k, mem)
-                if not left:
-                    raise self._exhausted(0)
-                return outs
-
-    def run(self, i: int, need: int) -> list[int]:
-        """The next need outputs of stage i, in order; raw labels for i < 0.
-
-        Stage i asks stage i - 1 for the k inputs of each invocation in one
-        batch, since it cannot run before it holds them all, and invokes
-        until need invocations succeed. Each output may spend caps[i]
-        invocations: the allowance is reset after every success, and a
-        stage that spends it raises RetryExhaustedError. Stage 0 with a
-        wave runs in _run0. The recursion is as deep as the plan is long,
-        at most 63 stages (N <= 2^63 - 1, r >= 1 per stage).
-        """
-        if i < 0:
-            return self._raw(need)
-        if i == 0 and self.wave is not None:
-            return self._run0(need)
-        k = self.plan[i].k
-        left = self.caps[i]
-        outs: list[int] = []
-        while len(outs) < need:
-            label = self._invoke(i, self.run(i - 1, k))
-            if label is not None:
-                outs.append(label)
-                left = self.caps[i]
-            else:
-                left -= 1
-                if not left:
-                    raise self._exhausted(i)
         return outs
 
     def discard(self, depth: int) -> None:

@@ -235,6 +235,18 @@ def with_files(args, tmp_path) -> list[str]:
         ("solve", "--N", "16", "--k", "4", "--workers", "0"),
         ("solve", "--N", "16", "--k", "4", "--workers", "-2"),
         ("--config", ("workers = 0",), "solve", "--N", "16", "--k", "4"),
+        # params not a JSON object
+        ("schedule", "--load", ('{"stages": [{"k": 4, "r": 2}], "params": "ab"}',)),
+        ("schedule", "--load", ('{"stages": [{"k": 4, "r": 2}], "params": [[1, 2, 3]]}',)),
+        # an --out that cannot be written: no such directory, or a directory
+        ("solve", "--n", "4", "--k", "2", "--out", "no-such-dir/x.jsonl"),
+        ("solve", "--n", "4", "--k", "2", "--out", "."),
+        ("subset-sum", "--k", "4", "--instances", "1", "--out", "no-such-dir/x.jsonl"),
+        ("subset-sum", "--k", "4", "--instances", "1", "--out", "."),
+        ("exponents", "--format", "jsonl", "--out", "no-such-dir/x.jsonl"),
+        ("exponents", "--format", "csv", "--out", "."),
+        ("exponents", "--out", "no-such-dir/x.txt"),
+        ("exponents", "--c", "0.5", "--out", "."),
     ],
 )
 def test_usage_errors_exit_2(args, tmp_path):
@@ -433,3 +445,15 @@ def test_exponents_out_file(tmp_path):
     proc = cli("exponents", "--format", "csv", "--out", str(out))
     assert proc.returncode == 0 and proc.stdout == b""
     assert out.read_text().count("\n") == 18
+
+
+@pytest.mark.parametrize("args", [(), ("--c", "0.5")], ids=["table", "custom-c"])
+def test_exponents_text_out_file_matches_stdout(args, tmp_path):
+    # the default text format writes to --out too, byte for byte what it
+    # prints without one, and then prints nothing
+    out = tmp_path / "report.txt"
+    direct = cli("exponents", *args)
+    to_file = cli("exponents", *args, "--out", str(out))
+    assert direct.returncode == to_file.returncode == 0
+    assert direct.stdout and to_file.stdout == b""
+    assert out.read_bytes() == direct.stdout

@@ -144,6 +144,28 @@ def test_brute_past_one_chunk_matches_reference():
         assert_same(1 << 8, sched, POW2_TOP, seed, level=3)
 
 
+KERNEL, SOLVER = (4, 3), (20, 3)  # brute force on the run kernel, through combine_labels
+
+
+@pytest.mark.parametrize("N,stages,target,kwargs", [
+    (1 << 8, (KERNEL, SOLVER), POW2_TOP, {"level": 6}),
+    (1 << 8, (SOLVER, KERNEL), POW2_TOP, {"level": 6}),
+    # bound ladders 63 -> 16 -> 2 and 63 -> 8 -> 2
+    (63, ((4, 2), SOLVER), SMALL_ONE, {"scale": 3}),
+    (63, (SOLVER, (4, 2)), SMALL_ONE, {"scale": 3}),
+], ids=["pow2-kernel-first", "pow2-solver-first", "interval-kernel-first",
+        "interval-solver-first"])
+def test_kernel_and_solver_stages_mixed_match_reference(N, stages, target, kwargs):
+    # one brute-force schedule whose k = 4 stage runs on the kernel and
+    # whose k = 20 stage makes combine_labels calls, in both orders: a
+    # solver stage fed by stage-0 waves, and a one-row kernel stage fed
+    # by a solver stage
+    routine = POW2 if target == POW2_TOP else INTERVAL
+    sched = Schedule(tuple(StageSpec(k, r, routine) for k, r in stages))
+    for seed in range(2):
+        assert_same(N, sched, target, seed, **kwargs)
+
+
 def test_stage_zero_spanning_full_waves_matches_reference():
     # k = 4: waves ramp from 1 to 2048 rows, and this call's 16,692 stage-0
     # invocations run through seven full-cap waves
