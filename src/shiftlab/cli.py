@@ -25,6 +25,7 @@ Exit codes: 0 success, 1 verification/oracle failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -33,6 +34,7 @@ import random
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from typing import TextIO
 
 from .errors import GuardError, ShiftLabError, UsageError
 from .group_arith import ceil_log2
@@ -146,7 +148,7 @@ def _dump_line(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def emit(lines: list[dict], fmt: str, out: str | None) -> None:
+def emit(lines: list[dict], fmt: str, out: TextIO | None) -> None:
     if fmt == "jsonl":
         text = "".join(_dump_line(line) + "\n" for line in lines)
     elif fmt == "csv":
@@ -170,17 +172,30 @@ def emit(lines: list[dict], fmt: str, out: str | None) -> None:
     _write(text, out)
 
 
-def _write(text: str, out: str | None) -> None:
-    """Write text to the file out, or to stdout without one; a file that
-    cannot be opened or written is a usage error."""
-    if not out:
+def _output(path: str | None):
+    """The output of a command, as a context manager: the file at path,
+    opened for writing at once, or None (stdout) without a path. Commands
+    open it before their first run, so a path that cannot be opened is a
+    usage error that costs no run."""
+    if not path:
+        return contextlib.nullcontext()
+    try:
+        return open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
+
+
+def _write(text: str, out: TextIO | None) -> None:
+    """Write text to the open file out (_output), or to stdout when out is
+    None; a file that cannot be written is a usage error."""
+    if out is None:
         sys.stdout.write(text)
         return
     try:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        out.write(text)
+        out.flush()
     except OSError as exc:
-        raise UsageError(f"cannot write {out}: {exc}") from exc
+        raise UsageError(f"cannot write {out.name}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -291,12 +306,13 @@ def cmd_solve(args) -> int:
         }
         for idx in range(args.runs)
     ]
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            lines = list(pool.map(_solve_one, payloads))
-    else:
-        lines = [_solve_one(p) for p in payloads]
-    emit(lines, args.format, args.out)
+    with _output(args.out) as out:
+        if args.workers > 1:
+            with ProcessPoolExecutor(max_workers=args.workers) as pool:
+                lines = list(pool.map(_solve_one, payloads))
+        else:
+            lines = [_solve_one(p) for p in payloads]
+        emit(lines, args.format, out)
     return EXIT_OK if all(line["verified"] for line in lines) else EXIT_FAIL
 
 
@@ -329,46 +345,47 @@ def cmd_subset_sum(args) -> int:
         raise UsageError(f"need --r >= 1, got {args.r}")
     if args.instances < 1:
         raise UsageError(f"need --instances >= 1, got {args.instances}")
-    flavor = "modular" if args.flavor == "mod" else "interval"
-    rng = random.Random(args.seed)
-    mismatches = 0
-    lines: list[dict] = []
-    for k in ks:
-        r = args.r if args.r is not None else k - 1
-        ops: list[int] = []
-        mem_max = 0
-        missed = 0
-        for i in range(args.instances):
-            inst = random_instance(flavor, k, min(r, k - 1), rng)
-            seed_i = derive(args.seed, k, i)
-            res = solve(inst, args.solver, seed=seed_i)
-            ops.append(res.op_count)
-            mem_max = max(mem_max, res.mem_peak)
-            if args.check:
-                oracle = solve_bruteforce(inst)
-                if set(res.solutions) != set(oracle.solutions):
-                    missed += 1
-        mismatches += missed
-        ops.sort()
-        lines.append(
-            {
-                "k": k,
-                "r": min(r, k - 1),
-                "flavor": flavor,
-                "solver": args.solver,
-                "instances": args.instances,
-                "median_ops": ops[len(ops) // 2],
-                "mean_ops": round(sum(ops) / len(ops), 1),
-                "mem_peak_max": mem_max,
-                "mismatches": missed if args.check else None,
-            }
-        )
-    slope = None
-    if len(ks) >= 2:
-        slope = _fit_slope([float(k) for k in ks], [math.log2(l["median_ops"]) for l in lines])
-        for line in lines:
-            line["log2_ops_per_k"] = round(slope, 4)
-    emit(lines, args.format, args.out)
+    with _output(args.out) as out:
+        flavor = "modular" if args.flavor == "mod" else "interval"
+        rng = random.Random(args.seed)
+        mismatches = 0
+        lines: list[dict] = []
+        for k in ks:
+            r = args.r if args.r is not None else k - 1
+            ops: list[int] = []
+            mem_max = 0
+            missed = 0
+            for i in range(args.instances):
+                inst = random_instance(flavor, k, min(r, k - 1), rng)
+                seed_i = derive(args.seed, k, i)
+                res = solve(inst, args.solver, seed=seed_i)
+                ops.append(res.op_count)
+                mem_max = max(mem_max, res.mem_peak)
+                if args.check:
+                    oracle = solve_bruteforce(inst)
+                    if set(res.solutions) != set(oracle.solutions):
+                        missed += 1
+            mismatches += missed
+            ops.sort()
+            lines.append(
+                {
+                    "k": k,
+                    "r": min(r, k - 1),
+                    "flavor": flavor,
+                    "solver": args.solver,
+                    "instances": args.instances,
+                    "median_ops": ops[len(ops) // 2],
+                    "mean_ops": round(sum(ops) / len(ops), 1),
+                    "mem_peak_max": mem_max,
+                    "mismatches": missed if args.check else None,
+                }
+            )
+        slope = None
+        if len(ks) >= 2:
+            slope = _fit_slope([float(k) for k in ks], [math.log2(l["median_ops"]) for l in lines])
+            for line in lines:
+                line["log2_ops_per_k"] = round(slope, 4)
+        emit(lines, args.format, out)
     if args.check:
         status = "ok" if mismatches == 0 else "MISMATCH"
         print(f"# oracle check: {mismatches} mismatches ({status})", file=sys.stderr)
@@ -491,10 +508,11 @@ def cmd_exponents(args) -> int:
         for key in ("query_exp", "time_exp"):
             if line[key] is not None:
                 line[key] = round(line[key], 3)
-    if args.format == "text" and args.c is None:
-        _write(render_report() + "\n", args.out)
-    else:  # the text of custom-c lines is their JSONL
-        emit(lines, "jsonl" if args.format == "text" else args.format, args.out)
+    with _output(args.out) as out:
+        if args.format == "text" and args.c is None:
+            _write(render_report() + "\n", out)
+        else:  # the text of custom-c lines is their JSONL
+            emit(lines, "jsonl" if args.format == "text" else args.format, out)
     return EXIT_OK
 
 

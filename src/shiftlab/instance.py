@@ -14,11 +14,13 @@ l_view * u mod N. Phases are computed from the underlying label, so rescaled
 pipelines (odd-N recovery) need no special cases downstream.
 
 Labels come from the instance's own "labels" stream and nothing else reads
-that stream, so it is served from a buffer: each refill replays a fixed
-number of randrange(N) attempts from one getrandbits call, bit for bit (see
-_refill_labels). The label sequence is the one per-query randrange(N) calls
-would give; sample_labels serves the same sequence as plain ints, and
-peek_labels shows what it will serve next without serving it.
+that stream, so it is served from one int64 buffer: each refill replays a
+fixed number of randrange(N) attempts from one getrandbits call, bit for
+bit (see _refill_labels). Every label is below N <= 2^63 - 1, so int64
+holds it. The label sequence is the one per-query randrange(N) calls would
+give; sample_labels serves the same sequence as plain ints, and
+peek_labels shows what it will serve next, as an int64 view of the buffer,
+without serving it.
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ from .seeds import derive, label_path, stream
 
 # randrange(N) attempts replayed per label-buffer refill. N <= 2^63 - 1 takes
 # at most two 32-bit words per attempt, so one refill draws at most 16 KiB of
-# stream, and the buffer never holds more than 2048 labels beyond the largest
-# sample_labels or peek_labels request.
+# stream, and the int64 buffer never holds more than 2048 labels beyond the
+# largest sample_labels or peek_labels request.
 LABEL_BATCH = 2048
 
 
@@ -75,8 +77,10 @@ class HiddenShiftInstance:
 
     def __post_init__(self) -> None:
         self._label_rng = stream(self.seed, "labels")
-        # replayed draws in stream order; _next is the first one not yet served
-        self._labels: list[int] = []
+        # replayed draws in stream order, int64 and read-only; _next is the
+        # first one not yet served
+        self._labels = np.empty(0, dtype=np.int64)
+        self._labels.flags.writeable = False
         self._next = 0
         self._meas_rng = stream(self.seed, "measure")
         self._verify_rng = stream(self.seed, "verify")
@@ -108,26 +112,31 @@ class HiddenShiftInstance:
 
     def sample_labels(self, n: int) -> list[int]:
         """The next n randrange(N) draws of the instance's "labels" stream, in
-        stream order, served from a buffer of replayed draws (_refill_labels);
-        costs n quantum queries and makes no element."""
-        out = self.peek_labels(n)
+        stream order and as plain ints, served from the buffer of replayed
+        draws (_refill_labels); costs n quantum queries and makes no element.
+        Each label served advances q_queries by one, so q_queries is also the
+        stream position of the next label."""
+        out = self.peek_labels(n).tolist()
         self._next += n
         self.q_queries += n
         return out
 
-    def peek_labels(self, n: int) -> list[int]:
+    def peek_labels(self, n: int) -> np.ndarray:
         """The n labels the next sample_labels(n) would serve, without
         serving them: no query is charged and a later sample_labels or
-        sample_element still gets them. Refills append behind the labels
-        already buffered, so peeking leaves the label sequence unchanged."""
+        sample_element still gets them. They come as a read-only int64 view
+        of the buffer, which later refills replace rather than change.
+        Refills append behind the labels already buffered, so peeking leaves
+        the label sequence unchanged."""
         if len(self._labels) - self._next < n:
             self._refill_labels(n)
         return self._labels[self._next : self._next + n]
 
     def _refill_labels(self, n: int) -> None:
         """Drop the served labels and replay batches of LABEL_BATCH
-        randrange(N) attempts of the labels stream, appended in stream order,
-        until at least n unserved labels are buffered.
+        randrange(N) attempts of the labels stream, concatenated in stream
+        order into a new int64 buffer, until at least n unserved labels are
+        buffered.
 
         CPython draws randrange(N) as getrandbits(b) with b = N.bit_length(),
         retried while the value is >= N. getrandbits(b) takes w = ceil(b/32)
@@ -140,16 +149,19 @@ class HiddenShiftInstance:
         N = self.modulus.N
         bits = N.bit_length()
         w = (bits + 31) // 32
-        labels = self._labels[self._next :]
-        while len(labels) < n:
+        parts = [self._labels[self._next :]]
+        have = len(parts[0])
+        while have < n:
             raw = self._label_rng.getrandbits(32 * w * LABEL_BATCH)
             words = np.frombuffer(raw.to_bytes(4 * w * LABEL_BATCH, "little"), dtype="<u4")
             words = words.astype(np.uint64).reshape(LABEL_BATCH, w)
             values = words[:, w - 1] >> np.uint64(32 * w - bits)
             for i in range(w - 2, -1, -1):
                 values = (values << np.uint64(32)) | words[:, i]
-            labels += values[values < N].tolist()
-        self._labels = labels
+            parts.append(values[values < N].view(np.int64))  # below N < 2^63
+            have += len(parts[-1])
+        self._labels = np.concatenate(parts)
+        self._labels.flags.writeable = False
         self._next = 0
 
     def derive_element(self, label: int, scale: int = 1) -> PhaseElement:

@@ -38,22 +38,27 @@ Stage 0's inputs are the next k labels of the instance's label stream, which
 no other draw in the pipeline touches. So with brute force the engine
 builds stage 0's subset-sum tables ahead, in waves: one batched
 subset_sums call over labels peeked (not drawn) from the stream, one row per
-upcoming invocation, int32 when every sum fits (table_dtype). An instance's
-first wave has one row and each next wave twice as many, up to a cap per
-width that module constants set (_wave_rows): 2048 rows at k = 4, 128 at
-k = 8, 32 at k = 12, so that wide rows share each build's fixed cost too.
-A wave's old table is dropped before the next is built. One demanded
+upcoming invocation, int32 when every sum fits (table_dtype). The peeked
+labels are an int64 view of the instance's label buffer, so no Python list
+stands between the stream and a table. An instance's first wave has one
+row and each next wave twice as many, up to a cap per width that module
+constants set (_wave_rows): 2048 rows at k = 4, 128 at k = 8, 32 at
+k = 12, so that wide rows share each build's fixed cost too. A wave's old
+table is dropped before the next is built. One demanded
 batch of stage-0 outputs makes one brute_run call per wave it reaches,
 with the same RNG calls as one invocation at a time. The labels of the
 rows run are then drawn in one step, in stream order and with the same
-query charge, and checked against the rows' (AccountingError if they
-differ), before any next wave is built.
+query charge, before any next wave is built. A wave knows its labels by
+their stream position only: the instance's q_queries when it was built,
+since each served label advances q_queries by one. So row j's labels are
+the next ones exactly when q_queries is that position plus j*k, and a
+draw made when it is not raises AccountingError.
 
 A wave outlives the run_pipeline call that built it: it stays with its
 instance, and the instance's next call carries on with its unused rows when
-that call's stage 0 has the same width and routine and those rows' labels
-are still the next ones in the stream; otherwise the rows are dropped (they
-cost wall time only) and the waves start again at one row. Every row,
+that call's stage 0 has the same width and routine and the stream is still
+at those rows' position; otherwise the rows are dropped (they cost wall
+time only) and the waves start again at one row. Every row,
 at every stage, holds its input labels' subset sums; their residues mod
 2^r serve every stage-0 r, so all the levels of a recovery share its
 waves, and a power-of-two output label is the difference of two row
@@ -422,7 +427,9 @@ def plan_interval(sched: Schedule, N: int) -> list[_PlanStage]:
 class _Wave:
     """Brute-force tables built ahead for an instance's stage-0 invocations
     of one width and routine (key): row j of table is the subset-sum table
-    of labels[j*k : (j+1)*k], and row is the next unused one.
+    of the k labels at stream positions start + j*k onwards, and row is the
+    next unused one. start is the instance's q_queries when the table was
+    built: the position of the first label not yet served.
 
     Rows hold the labels' own sums, in int64 wrapping mod 2^64 where a
     power-of-two wave's sums pass 2^63: exact for the ancilla bits and for
@@ -437,13 +444,13 @@ class _Wave:
     kept off every benchmark workload, none of which has N > 2^59.
     """
 
-    __slots__ = ("key", "dtype", "table", "labels", "row", "res_r", "residues")
+    __slots__ = ("key", "dtype", "table", "start", "row", "res_r", "residues")
 
     def __init__(self, key: tuple[int, str], dtype):
         self.key = key
         self.dtype = dtype
         self.table = np.empty((0, 0), dtype=dtype)
-        self.labels: list[int] = []
+        self.start = 0
         self.row = 0
         self.res_r = 0
         self.residues = b""
@@ -452,9 +459,10 @@ class _Wave:
         """Replace the table with the next wave's, built from the labels
         the next stage-0 invocations will draw, peeked, not drawn: twice
         the rows of the last wave (one for the first), up to _wave_rows(k).
-        _Engine.run draws a run's labels after its brute_run call on the
-        wave. The old table and residue bytes are dropped first, so that
-        one table at a time is held.
+        The peeked int64 view is cast to the wave's dtype and reshaped, with
+        no Python list in between. _Engine.run draws a run's labels after
+        its brute_run call on the wave. The old table and residue bytes are
+        dropped first, so that one table at a time is held.
 
         No weight check is needed: the dtype is the table_dtype of k labels
         below N (_stage0_wave), an interval wave's labels pass sums_fit
@@ -464,9 +472,9 @@ class _Wave:
         rows = min(max(1, 2 * len(self.table)), _wave_rows(k))
         self.table = np.empty((0, 0), dtype=self.dtype)
         self.residues = b""
-        self.labels = inst.peek_labels(rows * k)
-        labels = np.array(self.labels, dtype=np.int64).reshape(rows, k)
-        self.table = subset_sums(labels.astype(self.dtype, copy=False))
+        labels = inst.peek_labels(rows * k)
+        self.table = subset_sums(labels.astype(self.dtype, copy=False).reshape(rows, k))
+        self.start = inst.q_queries
         self.row = 0
         self.res_r = 0
 
@@ -495,14 +503,13 @@ _WAVES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 def _stage0_wave(inst: HiddenShiftInstance, st: _PlanStage) -> _Wave:
     """The instance's wave for stage 0 st: its current one when the key
-    matches and the unused rows' labels are still next in the stream, else
-    a new, empty one, int32 when every sum of k labels below N fits."""
+    matches and the stream is at its next unused row's position (no label
+    was served since its last run), else a new, empty one, int32 when every
+    sum of k labels below N fits."""
     key = (st.k, st.routine)
     wave = _WAVES.get(inst)
-    if wave is not None and wave.key == key:
-        unused = wave.labels[wave.row * st.k :]
-        if unused == inst.peek_labels(len(unused)):
-            return wave
+    if wave is not None and wave.key == key and inst.q_queries == wave.start + wave.row * st.k:
+        return wave
     wave = _WAVES[inst] = _Wave(key, table_dtype(st.k, inst.modulus.N - 1))
     return wave
 
@@ -533,6 +540,11 @@ class _Engine:
         self._invocation = 0
         # which stages run on the kernel brute_run: brute force at k <= 18
         self.kernel = [sched.solver_id == BRUTE and st.k <= _CHUNK_BITS for st in plan]
+        # a later kernel stage's one-row table dtype: its inputs are below N
+        # (pow2) or b_in (interval), so it is int32 wherever a wave would be
+        self.dtypes = [
+            table_dtype(st.k, (self.N if st.routine == POW2 else st.b_in) - 1) for st in plan
+        ]
         self.wave = _stage0_wave(inst, plan[0]) if plan and self.kernel[0] else None
 
     def _raw(self, n: int) -> list[int]:
@@ -549,11 +561,13 @@ class _Engine:
         RetryExhaustedError. Each pass of the loop makes one step:
         - stage 0 with a wave: one brute_run call on the wave's next rows,
           until the need is met, the allowance is spent or the wave ends.
-          The labels of the rows it ran are then drawn in one step and
-          checked against theirs, before any next wave is built;
+          The labels of the rows it ran are then drawn in one step, after
+          checking that the stream is still at those rows' position
+          (AccountingError if not), before any next wave is built;
         - a later kernel stage: one brute_run call on the one-row table of
           the k inputs it asks stage i - 1 for in one batch, since it
-          cannot run before it holds them all;
+          cannot run before it holds them all, built from a 1-D array of
+          its dtype (dtypes[i]);
         - any other stage: one combine_labels call on its k inputs. Only
           this step advances the counter behind the solver seed, which
           only seeded solvers use, and brute force is never seeded.
@@ -575,7 +589,8 @@ class _Engine:
         while len(outs) < need and left:
             if self.kernel[i]:
                 if wave is None:
-                    table, j, residues = subset_sums(self.run(i - 1, k)).reshape(1, -1), 0, None
+                    inputs = np.array(self.run(i - 1, k), dtype=self.dtypes[i])
+                    table, j, residues = subset_sums(inputs).reshape(1, -1), 0, None
                 else:
                     if wave.row == len(wave.table):
                         wave.build(self.inst)
@@ -589,10 +604,11 @@ class _Engine:
                 ops += n << k
                 if wave is not None:
                     wave.row = j + n
-                    if self._raw(n * k) != wave.labels[j * k : (j + n) * k]:
+                    if self.inst.q_queries != wave.start + j * k:
                         raise AccountingError(
                             f"stage-0 labels drawn out of step with wave rows {j} to {j + n - 1}"
                         )
+                    self._raw(n * k)
             else:
                 labels = self.run(i - 1, k)  # the inputs' invocations count first
                 self._invocation += 1

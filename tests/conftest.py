@@ -20,7 +20,8 @@ def rng():
 def waves(monkeypatch):
     """The row counts of the stage-0 waves run_pipeline builds, in order:
     the wave builder's are the pipeline module's only 2-D subset_sums
-    calls (a later stage's one-row runs pass the labels of one row)."""
+    calls (a later stage's one-row runs pass a 1-D array of one row's
+    labels)."""
     built = []
     real = pipeline_module.subset_sums
 

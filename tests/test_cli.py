@@ -112,6 +112,25 @@ def test_solve_out_file_matches_stdout(tmp_path):
     assert out.read_bytes() == direct.stdout
 
 
+@pytest.mark.parametrize("command,patched", [
+    (["solve", "--n", "8", "--k", "4", "--runs", "3"], "_solve_one"),
+    (["subset-sum", "--k", "8,10", "--instances", "2"], "solve"),
+])
+@pytest.mark.parametrize("out", ["no-such-dir/x.jsonl", "."])
+def test_unwritable_out_is_refused_before_any_run(monkeypatch, capsys, tmp_path, command,
+                                                  patched, out):
+    # the --out file is opened after the argument checks and before the
+    # first run: a path that cannot be opened exits 2 and starts no run
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(cli_module, patched, no_run)
+    monkeypatch.chdir(tmp_path)
+    assert cli_module.main([*command, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: cannot write {out}: "), err
+
+
 def test_solve_batch_survives_a_run_that_raises(monkeypatch, capsys):
     # the second of three runs raises, a shiftlab error (an accounting
     # check) or any other exception: it prints a failed line naming the

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from shiftlab.errors import ConsumedElementError, GuardError, TamperError
@@ -90,18 +91,22 @@ def test_sample_labels_serve_the_element_stream(N):
     reference = stream(N, "labels")
     served = 0
     for n in (1, 12, LABEL_BATCH - 5, 0, 3 * LABEL_BATCH, 7):
-        assert inst.sample_labels(n) == [reference.randrange(N) for _ in range(n)]
+        served_labels = inst.sample_labels(n)
+        assert served_labels == [reference.randrange(N) for _ in range(n)]
+        assert all(type(label) is int for label in served_labels)
         assert inst.sample_element().label == reference.randrange(N)
         served += n + 1
         assert inst.q_queries == served
 
 
-@pytest.mark.parametrize("N", [1000003, 2**61 - 1, 2**16])
+@pytest.mark.parametrize("N", [1000003, 2**61 - 1, 2**16, 2**32 + 1, 2**63 - 1])
 def test_peek_labels_shows_what_comes_next(N):
-    # one-word, two-word and power-of-two N; peeks of every size, some
-    # reaching past the buffered labels into the next LABEL_BATCH refill,
-    # interleaved with the calls that serve labels: one label stream, and
-    # only served labels cost queries
+    # one-word, two-word and power-of-two N, up to the largest one int64
+    # holds; peeks of every size, some reaching past the buffered labels
+    # into the next LABEL_BATCH refill, interleaved with the calls that
+    # serve labels: one label stream, and only served labels cost queries.
+    # A peek is a read-only int64 view of the one label buffer: a second
+    # peek with no refill in between shares its memory
     inst = new_instance(N, seed=N)
     reference = stream(N, "labels")
     ahead: list[int] = []  # reference draws already shown by a peek
@@ -115,8 +120,12 @@ def test_peek_labels_shows_what_comes_next(N):
     steps = [(0, 1), (12, 5), (LABEL_BATCH + 40, 0), (3, LABEL_BATCH - 7),
              (2 * LABEL_BATCH, 1), (LABEL_BATCH, 2 * LABEL_BATCH + 3), (7, 7)]
     for peek, take in steps:
-        assert inst.peek_labels(peek) == upcoming(peek)
-        assert inst.peek_labels(peek) == upcoming(peek)
+        view = inst.peek_labels(peek)
+        assert view.dtype == np.int64 and not view.flags.writeable
+        assert view.tolist() == upcoming(peek)
+        again = inst.peek_labels(peek)
+        assert again.tolist() == upcoming(peek)
+        assert peek == 0 or np.shares_memory(view, again)
         assert inst.q_queries == served
         assert inst.sample_labels(take) == upcoming(take)
         del ahead[:take]

@@ -27,6 +27,7 @@ from shiftlab import (
     run_pipeline,
 )
 from shiftlab.kinds import INTERVAL, MITM, POW2, POW2_TOP, SMALL_ONE, SOLVERS
+from shiftlab.instance import LABEL_BATCH
 from shiftlab.pipeline import _wave_rows, schedule_uniform
 from shiftlab.recover import recover_pow2
 from shiftlab.seeds import derive
@@ -407,3 +408,50 @@ def test_stray_label_draw_breaks_wave_alignment(monkeypatch):
     with pytest.raises(AccountingError, match="out of step"):
         run_pipeline(inst, schedule_uniform(12, 6), POW2_TOP)
     assert runs == [1, 2]
+
+
+@pytest.mark.parametrize("N,sched,target,kwargs,dtype", [
+    (1000003, schedule_uniform(20, 12, INTERVAL), SMALL_ONE, {"scale": 3}, np.int32),
+    (1 << 16, schedule_uniform(16, 8), POW2_TOP, {}, np.int32),
+    # k * (N - 1) >= 2^31: table_dtype gives int64
+    (1 << 40, schedule_uniform(40, 8), POW2_TOP, {"level": 9}, np.int64),
+], ids=["interval-k12", "pow2-k8", "pow2-2^40"])
+def test_later_stage_tables_take_the_stage_dtype(monkeypatch, N, sched, target, kwargs, dtype):
+    # a later kernel stage's one-row table is built in the dtype its
+    # inputs' bound gives (table_dtype of k inputs below N or b_in): int32
+    # wherever stage 0's waves are, with the reference's results
+    dtypes = set()
+    real_run = pipeline_module.brute_run
+
+    def run(table, *args):
+        if not any(table is wave.table for wave in pipeline_module._WAVES.values()):
+            assert len(table) == 1
+            dtypes.add(table.dtype)
+        return real_run(table, *args)
+
+    monkeypatch.setattr(pipeline_module, "brute_run", run)
+    for seed in range(2):
+        assert_same(N, sched, target, seed, **kwargs)
+    assert dtypes == {np.dtype(dtype)}
+
+
+def test_peek_or_another_instance_between_calls_keeps_the_wave(waves):
+    # a wave knows its rows by stream position: a peek between two calls,
+    # even one that refills the label buffer, and a call on another
+    # instance serve no label, so the next call carries on with the same
+    # wave and its rows keep doubling instead of restarting at one row
+    sched = schedule_uniform(12, 6)
+    for seed in range(3):
+        waves.clear()
+        got = []
+        for engine in (run_pipeline, reference_pipeline):
+            inst, other = new_instance(1 << 12, seed=seed), new_instance(1 << 12, seed=seed + 8)
+            first = result(inst, *engine(inst, sched, POW2_TOP, level=11))
+            wave = pipeline_module._WAVES.get(inst)
+            inst.peek_labels(3 * LABEL_BATCH)
+            between = result(other, *engine(other, sched, POW2_TOP, level=11))
+            second = result(inst, *engine(inst, sched, POW2_TOP, level=10))
+            assert pipeline_module._WAVES.get(inst) is wave
+            got.append((first, between, second, inst.sample_labels(3)))
+        assert got[0] == got[1]
+        assert waves.count(1) == 2  # one first wave per instance
