@@ -559,7 +559,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--solver", choices=SOLVERS, default=BRUTE)
     sp.add_argument("--instances", type=int, default=50)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--check", action="store_true", help="compare against brute force")
+    sp.add_argument(
+        "--check",
+        action="store_true",
+        help="compare each set with brute force's, which comes from mitm's join: no "
+        "independent check of mitm (the test suite's enumeration and validate are)",
+    )
     _add_common_out(sp)
     sp.set_defaults(func=cmd_subset_sum)
 

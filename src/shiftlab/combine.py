@@ -24,10 +24,10 @@ The pipeline's stage loop runs brute force at k <= 18 on the run kernel,
 brute_run, instead: one row per combination of a table of the input
 labels' subset sums (a stage-0 wave, pipeline._wave_rows, or a later
 stage's one-row table), each row run whole in one loop with no call per
-row: the witness's ancilla value, the preimages (solve_bruteforce's scan,
-inlined) and _project's tail, inlined, with the output label or gap read
-from the row. It returns aggregates: the outputs, the rows run, their
-memory peak and the allowance left. One call runs the table's rows from a
+row: the witness's ancilla value, the preimages (one scan of the row) and
+_project's tail, inlined, with the output label or gap read from the row.
+It returns aggregates: the outputs, the rows run, their memory peak and
+the allowance left. One call runs the table's rows from a
 given one in demand order until the stage's demand is met, its failure
 allowance is spent or the table ends; the stage loop passes its
 allowance in and carries on with what is left.
@@ -164,11 +164,12 @@ def brute_run(table, j, routine, r, where, N, rng, need, left, cap, residues=Non
     - residues, POW2 at where = 0 and r <= 8 only: the table's residues
       mod 2^r, one byte per cell in table order, walked with bytes.find;
     - otherwise one pass over the row: the ancilla bits of each sum
-      compared with the witness's (POW2, into a new array), or the row
-      reduced in place as reduce_table leaves it and chunk_hits scans it
-      (INTERVAL), whose gap is then read from the reduced row.
-    Both find the witness. A row costs solve_bruteforce's work on the same
-    instance: 2^k ops and 2^k + |J| cells.
+      compared with the witness's (POW2, into a new array), or (INTERVAL)
+      the row's unsigned view less the capped lower bound, in place, each
+      sum compared once with the capped bounds' difference; the gap is
+      then read from the reduced row.
+    Both find the witness. A row is charged what solve_bruteforce charges
+    the same instance: 2^k ops and 2^k + |J| cells.
 
     The run stops after need successes, when the failure allowance left
     is spent (each failure spends one, each success restores it to cap),

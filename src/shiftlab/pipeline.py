@@ -90,7 +90,7 @@ from .kinds import (
 )
 from .seeds import derive, label_path
 from .subset_sum.lists import subset_sums
-from .subset_sum.solvers import _CHUNK_BITS, sums_fit, table_dtype
+from .subset_sum.solvers import sums_fit, table_dtype
 
 # run_pipeline's retry budgets; P_PRIOR is the per-invocation success
 # probability that the (k/p)^m query law assumes
@@ -102,6 +102,12 @@ P_PRIOR = 0.25
 WAVE_CELLS = 1 << 15
 WAVE_ROWS = 32
 WAVE_MAX_CELLS = 1 << 17
+# widest brute-force stage run on the kernel combine.brute_run, one table row
+# of 2^k subset sums per combination; wider stages go through combine_labels,
+# whose solve_bruteforce joins two half tables. The kernel charges a row
+# 2^k + |J| cells, which is solve_bruteforce's charge only up to
+# solvers.BRUTE_TABLE_BITS, so this stays at or below it.
+KERNEL_K_MAX = 18
 
 
 @dataclass(frozen=True)
@@ -538,8 +544,8 @@ class _Engine:
         self.ledger.per_stage = self.stats
         self.caps = [RETRY_FACTOR * math.ceil(st.k / P_PRIOR) for st in plan]
         self._invocation = 0
-        # which stages run on the kernel brute_run: brute force at k <= 18
-        self.kernel = [sched.solver_id == BRUTE and st.k <= _CHUNK_BITS for st in plan]
+        # which stages run on the kernel brute_run
+        self.kernel = [sched.solver_id == BRUTE and st.k <= KERNEL_K_MAX for st in plan]
         # a later kernel stage's one-row table dtype: its inputs are below N
         # (pow2) or b_in (interval), so it is int32 wherever a wave would be
         self.dtypes = [

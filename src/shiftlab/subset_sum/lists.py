@@ -4,11 +4,12 @@ A PartialSumList holds (value, digit-vector) entries, digit vectors packed as
 two bitmasks: plus (digit +1) and minus (digit -1). Plain {0,1} splits leave
 minus empty. Lists are immutable once built, so each stores the key sorts
 that joins ask of it (by_key) and sorts by the same key at most once, however
-many guesses, weight classes or rounds reuse it. merge_join emits every cross
-pair whose value sum satisfies the constraint and whose digit vectors are
-compatible; it is the single building block behind the meet-in-the-middle,
-guess-and-meet and representation solvers, and is oracle-tested against a
-quadratic scan.
+many guesses, weight classes or rounds reuse it. join_pairs finds every
+cross pair whose value sum satisfies the constraint; it is the one join in
+the package. merge_join builds a list from its pairs whose digit vectors
+are compatible, and is the building block of the guess-and-meet and
+representation solvers, oracle-tested against a quadratic scan; brute
+force and meet-in-the-middle take their masks from join_pairs directly.
 
 subset_sums builds the table of all 2^m subset sums of a weight segment,
 or one table per row of a (B, m) weight array, from whole-array products:
@@ -189,23 +190,77 @@ def subset_sums(weights: list[int] | tuple[int, ...] | np.ndarray) -> np.ndarray
     return (high[:, :, None] + low[:, None, :]).reshape(len(w), -1)
 
 
-def _expand_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each row i emit pairs (i, j) for j in [lo[i], hi[i])."""
-    counts = hi - lo
-    total = int(counts.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    rows = np.repeat(np.arange(len(lo), dtype=np.int64), counts)
-    # pair p of row i sits at column lo[i] + (p - first pair of row i)
-    cols = np.arange(total, dtype=np.int64) - (np.cumsum(counts) - counts - lo)[rows]
-    return rows, cols
+def _key_ranges(
+    sorted_keys: np.ndarray, lo_keys: np.ndarray, hi_keys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols): for each row i, ascending, every column j with
+    lo_keys[i] <= sorted_keys[j] < hi_keys[i], ascending; sorted_keys is
+    nonempty and lo_keys <= hi_keys.
+
+    hi_keys is searched only on the rows whose range is nonempty, i.e. whose
+    first key at or above lo_keys[i] exists and lies below hi_keys[i]: a
+    sparse join, such as meet-in-the-middle's at r = k - 1, then pays one
+    binary search per row, not two.
+    """
+    lo = np.searchsorted(sorted_keys, lo_keys, side="left")
+    first = sorted_keys.take(lo, mode="clip")
+    rows = ((lo_keys <= first) & (first < hi_keys)).nonzero()[0]
+    lo = lo[rows]
+    counts = np.searchsorted(sorted_keys, hi_keys[rows], side="left") - lo
+    ends = np.cumsum(counts)
+    # pair p of a range sits at column lo + (p - the range's first pair)
+    total = ends[-1] if len(ends) else 0
+    cols = np.arange(total, dtype=np.int64) - np.repeat(ends - counts - lo, counts)
+    return np.repeat(rows, counts), cols
 
 
 # Digit-compatibility modes for the packed ternary vectors: rep's final
 # assembly is the one BINARY join, every other join is DISJOINT.
 CONSISTENCY_DISJOINT = None       # supports guaranteed disjoint (plain splits)
 CONSISTENCY_BINARY = "binary"     # digit sums must land in {0,1} (final assembly)
+
+
+def join_pairs(
+    a: PartialSumList, b: PartialSumList, constraint: Constraint
+) -> tuple[np.ndarray, np.ndarray]:
+    """(a_idx, b_idx): every cross pair of nonempty lists a x b whose value
+    sum satisfies the constraint, as entry indices, grouped by b entry.
+
+    a's entries are taken in key order from a.by_key (the low t bits of the
+    value for a window, the value for an interval), so a list joined again
+    under the same key is not sorted again. Each entry of b binary-searches
+    the range of keys it needs; a cyclic window that wraps past 2^t splits
+    into two linear ranges. Charges nothing: callers charge the join.
+    """
+    if isinstance(constraint, WindowConstraint):
+        mod = np.int64(1) << np.int64(constraint.t)
+        order, sorted_keys = a.by_key(constraint.t)
+        # need the window [residue - vb, residue - vb + count) mod 2^t per b row
+        start = (np.int64(constraint.residue) - b.values) & (mod - 1)
+        end = start + np.int64(constraint.count)
+        # every key is below 2^t, so an end past 2^t already stops at |a|
+        rows, cols = _key_ranges(sorted_keys, start, end)
+        # start < 2^t, so only a window of count > 1 can wrap
+        wrap = (end > mod).nonzero()[0] if constraint.count > 1 else ()
+        if len(wrap):
+            rows2, cols2 = _key_ranges(sorted_keys, np.zeros(len(wrap), np.int64), end[wrap] - mod)
+            rows = np.concatenate([rows, wrap[rows2]])
+            cols = np.concatenate([cols, cols2])
+    else:
+        order, sorted_keys = a.by_key(None)
+        rows, cols = _key_ranges(
+            sorted_keys, np.int64(constraint.lo) - b.values, np.int64(constraint.hi) - b.values
+        )
+    return order[cols], rows
+
+
+def charge_join(counter: OpCounter, la: int, lb: int, out: int) -> None:
+    """A join's charge for nonempty inputs of sizes la and lb and out
+    results: (la + lb) * max(1, ceil(log2 la)) + out ops (sort the first
+    list, binary-search per entry of the second, write the output) and a
+    peak of la + lb + out live cells."""
+    counter.add((la + lb) * max(1, ceil_log2(la)) + out)
+    counter.bump_mem(la + lb + out)
 
 
 def merge_join(
@@ -215,54 +270,20 @@ def merge_join(
     consistency: str | None,
     counter: OpCounter,
 ) -> PartialSumList:
-    """All compatible cross pairs of a x b whose value sums satisfy the constraint.
+    """All compatible cross pairs of a x b whose value sums satisfy the
+    constraint: join_pairs' pairs, their digit vectors checked in the given
+    consistency mode.
 
-    a's entries are taken in key order from a.by_key (the low t bits of the
-    value for a window, the value for an interval), so a list joined again
-    under the same key is not sorted again. Each entry of b binary-searches
-    the range of keys it needs; a cyclic window that wraps past 2^t splits
-    into two linear ranges.
-
-    Charged to counter: (|a| + |b|) * max(1, ceil(log2 |a|)) + |out| ops
-    (sort the first list, binary-search per entry of the second, write the
-    output), whether or not a's sort was already stored, and a peak of
-    |a| + |b| + |out| live cells. An empty input charges
-    (|a| + |b|) * ceil(log2 max(|a|, 2)) ops and no memory.
+    Charged as charge_join, whether or not a's sort was already stored. An
+    empty input charges (|a| + |b|) * ceil(log2 max(|a|, 2)) ops and no
+    memory.
     """
     la, lb = len(a), len(b)
     if la == 0 or lb == 0:
         counter.add((la + lb) * ceil_log2(max(la, 2)))
         return PartialSumList(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
 
-    if isinstance(constraint, WindowConstraint):
-        mod = np.int64(1) << np.int64(constraint.t)
-        order, sorted_keys = a.by_key(constraint.t)
-        # need the window [residue - vb, residue - vb + count) mod 2^t per b row
-        start = (np.int64(constraint.residue) - b.values) & (mod - 1)
-        end = start + np.int64(constraint.count)
-        # every key is below 2^t, so an end past 2^t already stops at |a|
-        rows, cols = _expand_ranges(
-            np.searchsorted(sorted_keys, start, side="left"),
-            np.searchsorted(sorted_keys, end, side="left"),
-        )
-        wrap = end > mod
-        if bool(wrap.any()):
-            end2 = np.where(wrap, end - mod, np.int64(0))
-            rows2, cols2 = _expand_ranges(
-                np.zeros(lb, dtype=np.int64),
-                np.searchsorted(sorted_keys, end2, side="left"),
-            )
-            rows = np.concatenate([rows, rows2])
-            cols = np.concatenate([cols, cols2])
-    else:
-        order, sorted_keys = a.by_key(None)
-        rows, cols = _expand_ranges(
-            np.searchsorted(sorted_keys, np.int64(constraint.lo) - b.values, side="left"),
-            np.searchsorted(sorted_keys, np.int64(constraint.hi) - b.values, side="left"),
-        )
-    a_idx = order[cols]
-    b_idx = rows
-
+    a_idx, b_idx = join_pairs(a, b, constraint)
     values = a.values[a_idx] + b.values[b_idx]
     p1, m1 = a.plus[a_idx], a.minus[a_idx]
     p2, m2 = b.plus[b_idx], b.minus[b_idx]
@@ -279,7 +300,5 @@ def merge_join(
         out = PartialSumList(values[valid], plus, np.zeros_like(plus))
     else:
         raise ValueError(f"unknown consistency mode {consistency!r}")
-    logn = max(1, ceil_log2(la))
-    counter.add((la + lb) * logn + len(out))
-    counter.bump_mem(la + lb + len(out))
+    charge_join(counter, la, lb, len(out))
     return out

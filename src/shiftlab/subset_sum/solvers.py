@@ -1,4 +1,5 @@
-"""Exact solvers: full enumeration and the two- and four-list merges."""
+"""Exact solvers: brute force and meet-in-the-middle, both by one join of
+the two position halves, and the four-list merge."""
 
 from __future__ import annotations
 
@@ -6,19 +7,24 @@ import numpy as np
 
 from ..errors import GuardError
 from ..kinds import BRUTE, SOLVER_WIDTHS, SS
-from .instances import Instance, ModularInstance, SolutionSet, masked_sum
+from .instances import Instance, ModularInstance, SolutionSet
 from .lists import (
     IntervalConstraint,
     OpCounter,
     PartialSumList,
     WindowConstraint,
+    charge_join,
+    join_pairs,
     merge_join,
     subset_sums,
 )
 
 BRUTE_K_CAP = SOLVER_WIDTHS[BRUTE][1]
 SS_K_MIN = SOLVER_WIDTHS[SS][0]
-_CHUNK_BITS = 18
+# brute force's modeled memory charge: a table of the subset sums of at most
+# this many positions, plus the solution set, 2^min(k, 18) + |J| cells
+# (ROADMAP item 9 replaces this charge)
+BRUTE_TABLE_BITS = 18
 # int64 partial sums must not overflow even when k weights stack up.
 _SUM_SAFE_BITS = 62
 # sums_fit keeps every subset sum in [0, _SUM_CAP), so a nonnegative bound
@@ -26,8 +32,8 @@ _SUM_SAFE_BITS = 62
 _SUM_CAP = 1 << _SUM_SAFE_BITS
 # table_dtype's int32 tables keep every sum in [0, 2^31) the same way
 _INT32_BITS = 31
-# by table itemsize: reduce_table's unsigned view for interval sums, and the
-# cap below every sum
+# by table itemsize: the unsigned view that combine.brute_run reduces
+# interval sums in, and the cap below every sum
 _REDUCED = {4: (np.uint32, 1 << _INT32_BITS), 8: (np.uint64, _SUM_CAP)}
 
 
@@ -56,7 +62,7 @@ def full_constraint(inst: Instance) -> WindowConstraint | IntervalConstraint:
     Interval bounds are capped at _SUM_CAP so they fit int64. At
     r > _SUM_SAFE_BITS a residue is the sum itself, so the residue constraint
     becomes the point interval [target, target + 1), which keeps the window
-    arithmetic in merge_join below 2^63.
+    arithmetic in join_pairs below 2^63.
     """
     if isinstance(inst, ModularInstance):
         if inst.r <= _SUM_SAFE_BITS:
@@ -85,128 +91,56 @@ def expected_solutions(inst: Instance) -> int:
     return max(1, ((1 << inst.k) * (hi - lo)) // span)
 
 
-def solve_bruteforce(inst: Instance) -> SolutionSet:
-    """Exact solution set by scanning all 2^k subset vectors.
-
-    The operation count is 2^k by definition of the method. Enumeration is
-    chunked: the low min(k, _CHUNK_BITS) positions are expanded once into a
-    table of subset sums (lists.subset_sums), which brute_scan tests chunk
-    by chunk.
-    """
-    if inst.k > BRUTE_K_CAP:
-        raise GuardError(f"k={inst.k} exceeds brute-force cap {BRUTE_K_CAP}")
-    check_weight_magnitude(inst.weights)
-    counter = OpCounter()
-    low_bits = min(inst.k, _CHUNK_BITS)
-    table = subset_sums(inst.weights[:low_bits])
-    counter.bump_mem(len(table))
-    high_weights = inst.weights[low_bits:]
-    if isinstance(inst, ModularInstance):
-        found = brute_scan(table, high_weights, counter, r=inst.r, target=inst.target)
-    else:
-        found = brute_scan(table, high_weights, counter, bounds=inst.bounds())
-    return SolutionSet(
-        frozenset(found),
-        op_count=counter.ops,
-        mem_peak=counter.mem_peak,
-        exhausted=True,
-        stats={"solver": "brute"},
-    )
-
-
-def brute_scan(
-    table: np.ndarray,
-    high_weights,
-    counter: OpCounter,
-    *,
-    r: int | None = None,
-    target: int = 0,
-    bounds: tuple[int, int] | None = None,
-) -> list[int]:
-    """Every subset vector whose sum has residue target mod 2^r, or, given
-    bounds (lo, hi), lies in [lo, hi); in ascending order.
-
-    table holds the subset sums of the low positions (index bits select
-    weights, as lists.subset_sums builds it); each assignment of the
-    high_weights positions, with subset sum c, is one chunk: one
-    chunk_hits pass over the table as reduce_table leaves it. Hits come out
-    as one index array per chunk, with the chunk's high bits OR'd in place
-    when they are nonzero. Each chunk charges len(table) ops, and the scan
-    ends by charging len(table) + hits cells of memory.
-    """
-    size = len(table)
-    low_bits = size.bit_length() - 1
-    reduced = reduce_table(table, r, bounds)
-    found: list[int] = []
-    for high in range(1 << len(high_weights)):
-        idx = chunk_hits(reduced, masked_sum(high_weights, high) if high else 0, r, target, bounds)
-        if high:
-            idx |= high << low_bits
-        found.extend(idx.tolist())
-        counter.add(size)
-    counter.bump_mem(size + len(found))
-    return found
-
-
-def reduce_table(table: np.ndarray, r: int | None, bounds: tuple[int, int] | None) -> np.ndarray:
-    """A subset-sum table reduced in place for chunk_hits, and returned.
-
-    An int64 table keeps every sum in [0, _SUM_CAP) (sums_fit), an int32
-    one in [0, 2^31) (table_dtype); bounds are capped at that cap, which
-    makes both reductions exact in the table's width:
-    - modular (bounds None): residues mod 2^r, the modulus capped because a
-      residue beyond the cap is the sum itself;
-    - interval: the capped lower bound subtracted, returned as an unsigned
-      view so that a sum below lo wraps past every span.
-    Differences of interval sums are unchanged by the reduction.
-    """
-    unsigned, cap = _REDUCED[table.itemsize]
-    if bounds is None:
-        table &= min(1 << r, cap) - 1
-        return table
-    reduced = table.view(unsigned)
-    reduced -= min(bounds[0], cap)
-    return reduced
-
-
-def chunk_hits(
-    reduced: np.ndarray, c: int, r: int | None, target: int, bounds: tuple[int, int] | None
-) -> np.ndarray:
-    """Indices i, ascending, of a table as reduce_table leaves it whose sum
-    plus c meets the equation; one pass over the table. c and the sums it
-    is added to stay below the table's cap.
-
-    Modular: the residues are compared with (target - c) mod 2^r, capped at
-    the table's cap (a residue that large matches no sum, and neither does
-    the cap). Interval: lo <= sum + c < hi is one unsigned comparison of
-    reduced + c with hi - lo, both bounds capped; c = 0 skips the add.
-    """
-    cap = _REDUCED[reduced.itemsize][1]
-    if bounds is None:
-        hits = reduced == min((target - c) % (1 << r), cap)
-    else:
-        span = min(bounds[1], cap) - min(bounds[0], cap)
-        hits = (reduced + c if c else reduced) < span
-    return hits.nonzero()[0]
-
-
 def _index_list(weights: tuple[int, ...], offset: int) -> PartialSumList:
     sums = subset_sums(weights)
     masks = np.arange(len(sums), dtype=np.int64) << offset
     return PartialSumList(sums, masks)
 
 
-def solve_mitm(inst: Instance) -> SolutionSet:
-    """Exact set via one sorted join of the two position-half lists."""
-    check_weight_magnitude(inst.weights)
-    counter = OpCounter()
+def _half_join(inst: Instance) -> tuple[np.ndarray, int, int]:
+    """(masks, |a|, |b|): every solution's mask, ascending, from one
+    join_pairs of the value-sorted subset-sum lists a and b of the low
+    k // 2 and the high positions (Horowitz and Sahni, J. ACM 1974); a
+    solution is the low half's index OR'd with the high half's shifted
+    past it. Sorting costs a few percent of what it saves: a frozenset of
+    2^20 masks builds about twice as fast from ascending ones as from the
+    join's order."""
     split = inst.k // 2
     a = _index_list(inst.weights[:split], 0)
     b = _index_list(inst.weights[split:], split)
-    counter.bump_mem(len(a) + len(b))
-    out = merge_join(a, b, full_constraint(inst), None, counter)
+    a_idx, b_idx = join_pairs(a, b, full_constraint(inst))
+    return np.sort(a.plus[a_idx] | b.plus[b_idx]), len(a), len(b)
+
+
+def solve_bruteforce(inst: Instance) -> SolutionSet:
+    """Exact solution set, charged as a scan of all 2^k subset vectors.
+
+    The set comes from the same half-table join as solve_mitm's; the
+    charges are brute force's by definition of the method, as formulas:
+    2^k ops and 2^min(k, BRUTE_TABLE_BITS) + |J| cells of memory.
+    """
+    if inst.k > BRUTE_K_CAP:
+        raise GuardError(f"k={inst.k} exceeds brute-force cap {BRUTE_K_CAP}")
+    check_weight_magnitude(inst.weights)
+    masks, _, _ = _half_join(inst)
     return SolutionSet(
-        frozenset(int(m) for m in out.plus.tolist()),
+        frozenset(masks.tolist()),
+        op_count=1 << inst.k,
+        mem_peak=(1 << min(inst.k, BRUTE_TABLE_BITS)) + len(masks),
+        exhausted=True,
+        stats={"solver": "brute"},
+    )
+
+
+def solve_mitm(inst: Instance) -> SolutionSet:
+    """Exact set via one sorted join of the two position-half lists,
+    charged as the join (lists.charge_join)."""
+    check_weight_magnitude(inst.weights)
+    counter = OpCounter()
+    masks, la, lb = _half_join(inst)
+    charge_join(counter, la, lb, len(masks))
+    return SolutionSet(
+        frozenset(masks.tolist()),
         op_count=counter.ops,
         mem_peak=counter.mem_peak,
         exhausted=True,

@@ -31,6 +31,7 @@ from shiftlab.subset_sum import (
     solve_bruteforce,
 )
 
+from brute_oracle import brute_solutions
 from conftest import stream
 
 pytestmark = pytest.mark.acceptance
@@ -79,7 +80,7 @@ def test_criterion_2_solver_oracle_equivalence():
     t0 = time.perf_counter()
     rng = stream("acceptance", "c2")
 
-    exact = {"mitm": 0, "ss": 0}
+    exact = {"brute": 0, "mitm": 0, "ss": 0}
     total = 0
     for flavor in ("modular", "interval"):
         for i in range(500):
@@ -89,9 +90,9 @@ def test_criterion_2_solver_oracle_equivalence():
             else:
                 r = rng.randrange(1, k - _ceil_log2(k) + 1)
             inst = random_instance(flavor, k, r, rng)
-            oracle = set(solve_bruteforce(inst).solutions)
+            oracle = brute_solutions(inst)
             total += 1
-            for solver in ("mitm", "ss"):
+            for solver in ("brute", "mitm", "ss"):
                 res = solve(inst, solver, seed=derive(41, total, hash(solver) & 0xFF))
                 if set(res.solutions) == oracle:
                     exact[solver] += 1
@@ -100,7 +101,7 @@ def test_criterion_2_solver_oracle_equivalence():
     for i in range(200):
         k = rng.randrange(8, 17)
         inst = random_instance("modular", k, k - 1, rng)
-        oracle = set(solve_bruteforce(inst).solutions)
+        oracle = brute_solutions(inst)
         res = solve(inst, "rep", seed=derive(43, i))
         rep_total += 1
         rep_exact += set(res.solutions) == oracle
@@ -109,7 +110,7 @@ def test_criterion_2_solver_oracle_equivalence():
     for i in range(100):
         k = rng.randrange(8, 15)
         inst = random_instance("modular", k, k - 1, rng)
-        oracle = set(solve_bruteforce(inst).solutions)
+        oracle = brute_solutions(inst)
         res = solve(inst, "memless", seed=derive(47, i))
         mem_total += 1
         mem_exact += set(res.solutions) == oracle
@@ -118,14 +119,16 @@ def test_criterion_2_solver_oracle_equivalence():
     rep_rate = rep_exact / rep_total
     mem_rate = mem_exact / mem_total
     ok = (
-        exact["mitm"] == total
+        exact["brute"] == total
+        and exact["mitm"] == total
         and exact["ss"] == total
         and rep_rate >= 0.99
         and mem_rate >= 0.95
         and elapsed < 300
     )
     _report(2, "solver oracle equivalence", ok,
-            f"mitm {exact['mitm']}/{total}, ss {exact['ss']}/{total}, "
+            f"brute {exact['brute']}/{total}, mitm {exact['mitm']}/{total}, "
+            f"ss {exact['ss']}/{total}, "
             f"rep {rep_rate:.1%}, memless {mem_rate:.1%}, {elapsed:.1f}s")
 
 

@@ -36,8 +36,9 @@ from shiftlab.subset_sum.instances import (
     modular_ancilla,
 )
 from shiftlab.subset_sum.lists import subset_sums
-from shiftlab.subset_sum.solvers import chunk_hits, reduce_table, table_dtype
+from shiftlab.subset_sum.solvers import table_dtype
 
+from brute_oracle import chunk_hits, reduce_table
 from conftest import chi_square_p, stream
 
 

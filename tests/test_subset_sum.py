@@ -1,4 +1,4 @@
-"""Subset-sum instances, list joins, and the solver suite vs brute force."""
+"""Subset-sum instances, list joins, and the solver suite vs full enumeration."""
 
 import math
 import random
@@ -29,13 +29,13 @@ from shiftlab.phase_sim import ancilla_value
 from shiftlab.subset_sum.instances import interval_ancilla, masked_sum, modular_ancilla
 from shiftlab.subset_sum.lists import CONSISTENCY_BINARY, subset_sums
 from shiftlab.subset_sum.solvers import (
-    chunk_hits,
+    BRUTE_K_CAP,
     expected_solutions,
-    reduce_table,
     sums_fit,
     table_dtype,
 )
 
+from brute_oracle import brute_solutions, chunk_hits, reduce_table
 from conftest import stream
 
 
@@ -451,13 +451,14 @@ def test_bruteforce_matches_python_scan(k):
         assert got.mem_peak == chunk + len(want)
 
 
-@pytest.mark.parametrize("solver", [solve_mitm, solve_schroeppel_shamir])
+@pytest.mark.parametrize("solver", [solve_bruteforce, solve_mitm, solve_schroeppel_shamir])
 def test_exact_solvers_match_bruteforce_at_int64_edges(solver):
     """r = 63 (a residue wider than any sum) and interval bounds outside
-    int64 once crashed both list merges; they must return brute's set."""
+    int64 once crashed both list merges; they must return the full
+    enumeration's set."""
     for k in (4, 12, 20):
         for inst in _brute_cases(k):
-            assert solver(inst).solutions == solve_bruteforce(inst).solutions, repr(inst)
+            assert solver(inst).solutions == brute_solutions(inst), repr(inst)
 
 
 def test_ss_example():
@@ -465,7 +466,7 @@ def test_ss_example():
     assert got.solutions == frozenset({0b011, 0b100})
 
 
-@pytest.mark.parametrize("solver", [solve_mitm, solve_schroeppel_shamir])
+@pytest.mark.parametrize("solver", [solve_bruteforce, solve_mitm, solve_schroeppel_shamir])
 def test_exact_solvers_match_bruteforce(solver):
     rng = stream("exact", solver.__name__)
     for flavor in ("modular", "interval"):
@@ -473,7 +474,40 @@ def test_exact_solvers_match_bruteforce(solver):
             k = rng.randrange(8, 17)
             r = rng.randrange(2, k)
             inst = random_instance(flavor, k, r, rng)
-            assert solver(inst).solutions == solve_bruteforce(inst).solutions
+            assert solver(inst).solutions == brute_solutions(inst)
+
+
+def _assert_brute_counters(inst, want):
+    got = solve_bruteforce(inst)
+    assert got.solutions == want, repr(inst)
+    assert got.op_count == 1 << inst.k
+    assert got.mem_peak == (1 << min(inst.k, 18)) + len(want)
+
+
+@pytest.mark.parametrize("flavor", ["modular", "interval"])
+def test_bruteforce_counters_past_the_goldens(flavor):
+    """The full enumeration's set, 2^k ops and 2^min(k, 18) + |J| cells at
+    k = 24 and on a dense k = 21 instance (|J| in the tens of thousands),
+    which the golden digests (k = 18 and 21) do not reach."""
+    rng = stream("brute-counters", flavor)
+    dense = random_instance(flavor, 21, 3, rng)
+    want = brute_solutions(dense)
+    assert len(want) >= 20_000
+    _assert_brute_counters(dense, want)
+    for r in (5, 23):
+        inst = random_instance(flavor, 24, r, rng)
+        _assert_brute_counters(inst, brute_solutions(inst))
+
+
+@pytest.mark.parametrize("flavor", ["modular", "interval"])
+def test_bruteforce_at_its_cap_matches_schroeppel_shamir(flavor):
+    """One k = BRUTE_K_CAP = 30 solve, the brute-force charges, and the
+    four-list merge's set; 2^30 enumerated sums would take minutes."""
+    rng = stream("brute-cap", flavor)
+    inst = random_instance(flavor, BRUTE_K_CAP, BRUTE_K_CAP - 1, rng)
+    want = solve_schroeppel_shamir(inst).solutions
+    assert want
+    _assert_brute_counters(inst, want)
 
 
 def test_ss_memory_scaling():
