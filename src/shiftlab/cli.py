@@ -562,8 +562,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--check",
         action="store_true",
-        help="compare each set with brute force's, which comes from mitm's join: no "
-        "independent check of mitm (the test suite's enumeration and validate are)",
+        help="compare each set with brute force's, from the one join brute, mitm and ss "
+        "share: independent for rep and memless only (tests' oracles and validate check it)",
     )
     _add_common_out(sp)
     sp.set_defaults(func=cmd_subset_sum)

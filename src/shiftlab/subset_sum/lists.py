@@ -4,12 +4,11 @@ A PartialSumList holds (value, digit-vector) entries, digit vectors packed as
 two bitmasks: plus (digit +1) and minus (digit -1). Plain {0,1} splits leave
 minus empty. Lists are immutable once built, so each stores the key sorts
 that joins ask of it (by_key) and sorts by the same key at most once, however
-many guesses, weight classes or rounds reuse it. join_pairs finds every
-cross pair whose value sum satisfies the constraint; it is the one join in
-the package. merge_join builds a list from its pairs whose digit vectors
-are compatible, and is the building block of the guess-and-meet and
-representation solvers, oracle-tested against a quadratic scan; brute
-force and meet-in-the-middle take their masks from join_pairs directly.
+many weight classes or rounds reuse it. join_pairs finds every cross pair
+whose value sum satisfies the constraint; it is the one join in the
+package, and charge_join its one charge. merge_join builds a list from its
+pairs whose digit vectors are compatible (only the representation solver
+builds lists so); the exact solvers take their masks from join_pairs.
 
 subset_sums builds the table of all 2^m subset sums of a weight segment,
 or one table per row of a (B, m) weight array, from whole-array products:
@@ -113,7 +112,7 @@ class PartialSumList:
             raise ValueError("column lengths differ")
         # Sorting by value here is kept even though joins sort by key: a key
         # sort and the searchsorted probes run faster on value-ordered input.
-        order = np.argsort(self.values, kind="stable")
+        order = np.argsort(self.values)
         self.values = self.values[order]
         self.plus = self.plus[order]
         self.minus = self.minus[order]
@@ -123,7 +122,8 @@ class PartialSumList:
 
     def by_key(self, t: int | None) -> tuple[np.ndarray, np.ndarray]:
         """(order, sorted_keys) for keys values & (2^t - 1), or the values
-        themselves when t is None; stable, computed once per list and t.
+        themselves when t is None (equal keys in no set order); computed
+        once per list and t.
 
         The t = None entry is the construction sort: the identity order.
         """
@@ -133,7 +133,7 @@ class PartialSumList:
                 hit = (np.arange(len(self.values), dtype=np.int64), self.values)
             else:
                 keys = self.values & np.int64((1 << t) - 1)
-                order = np.argsort(keys, kind="stable")
+                order = np.argsort(keys)
                 hit = (order, keys[order])
             self._by_key[t] = hit
         return hit
@@ -255,12 +255,13 @@ def join_pairs(
 
 
 def charge_join(counter: OpCounter, la: int, lb: int, out: int) -> None:
-    """A join's charge for nonempty inputs of sizes la and lb and out
-    results: (la + lb) * max(1, ceil(log2 la)) + out ops (sort the first
-    list, binary-search per entry of the second, write the output) and a
-    peak of la + lb + out live cells."""
-    counter.add((la + lb) * max(1, ceil_log2(la)) + out)
-    counter.bump_mem(la + lb + out)
+    """A join's charge for inputs of sizes la and lb and out results:
+    (la + lb) * ceil(log2 max(la, 2)) + out ops (sort the first list,
+    binary-search per entry of the second, write the output) and, unless
+    an input is empty, a peak of la + lb + out live cells."""
+    counter.add((la + lb) * ceil_log2(max(la, 2)) + out)
+    if la and lb:
+        counter.bump_mem(la + lb + out)
 
 
 def merge_join(
@@ -274,13 +275,11 @@ def merge_join(
     constraint: join_pairs' pairs, their digit vectors checked in the given
     consistency mode.
 
-    Charged as charge_join, whether or not a's sort was already stored. An
-    empty input charges (|a| + |b|) * ceil(log2 max(|a|, 2)) ops and no
-    memory.
+    Charged as charge_join, whether or not a's sort was already stored.
     """
     la, lb = len(a), len(b)
     if la == 0 or lb == 0:
-        counter.add((la + lb) * ceil_log2(max(la, 2)))
+        charge_join(counter, la, lb, 0)
         return PartialSumList(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
 
     a_idx, b_idx = join_pairs(a, b, constraint)

@@ -1,5 +1,5 @@
-"""Exact solvers: brute force and meet-in-the-middle, both by one join of
-the two position halves, and the four-list merge."""
+"""Exact solvers: brute force, meet-in-the-middle and the four-list merge, all
+by one join of the two position halves, each charged as the method it models."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from .lists import (
     WindowConstraint,
     charge_join,
     join_pairs,
-    merge_join,
     subset_sums,
 )
 
@@ -97,8 +96,8 @@ def _index_list(weights: tuple[int, ...], offset: int) -> PartialSumList:
     return PartialSumList(sums, masks)
 
 
-def _half_join(inst: Instance) -> tuple[np.ndarray, int, int]:
-    """(masks, |a|, |b|): every solution's mask, ascending, from one
+def _half_join(inst: Instance) -> tuple[np.ndarray, PartialSumList, PartialSumList]:
+    """(masks, a, b): every solution's mask, ascending, from one
     join_pairs of the value-sorted subset-sum lists a and b of the low
     k // 2 and the high positions (Horowitz and Sahni, J. ACM 1974); a
     solution is the low half's index OR'd with the high half's shifted
@@ -109,7 +108,12 @@ def _half_join(inst: Instance) -> tuple[np.ndarray, int, int]:
     a = _index_list(inst.weights[:split], 0)
     b = _index_list(inst.weights[split:], split)
     a_idx, b_idx = join_pairs(a, b, full_constraint(inst))
-    return np.sort(a.plus[a_idx] | b.plus[b_idx]), len(a), len(b)
+    return np.sort(a.plus[a_idx] | b.plus[b_idx]), a, b
+
+
+def _exact(masks: np.ndarray, ops: int, mem_peak: int, **stats) -> SolutionSet:
+    """An exact solver's result: every solution's mask, and its charges."""
+    return SolutionSet(frozenset(masks.tolist()), ops, mem_peak, exhausted=True, stats=stats)
 
 
 def solve_bruteforce(inst: Instance) -> SolutionSet:
@@ -122,14 +126,9 @@ def solve_bruteforce(inst: Instance) -> SolutionSet:
     if inst.k > BRUTE_K_CAP:
         raise GuardError(f"k={inst.k} exceeds brute-force cap {BRUTE_K_CAP}")
     check_weight_magnitude(inst.weights)
-    masks, _, _ = _half_join(inst)
-    return SolutionSet(
-        frozenset(masks.tolist()),
-        op_count=1 << inst.k,
-        mem_peak=(1 << min(inst.k, BRUTE_TABLE_BITS)) + len(masks),
-        exhausted=True,
-        stats={"solver": "brute"},
-    )
+    masks = _half_join(inst)[0]
+    table = 1 << min(inst.k, BRUTE_TABLE_BITS)
+    return _exact(masks, 1 << inst.k, table + len(masks), solver="brute")
 
 
 def solve_mitm(inst: Instance) -> SolutionSet:
@@ -137,15 +136,9 @@ def solve_mitm(inst: Instance) -> SolutionSet:
     charged as the join (lists.charge_join)."""
     check_weight_magnitude(inst.weights)
     counter = OpCounter()
-    masks, la, lb = _half_join(inst)
-    charge_join(counter, la, lb, len(masks))
-    return SolutionSet(
-        frozenset(masks.tolist()),
-        op_count=counter.ops,
-        mem_peak=counter.mem_peak,
-        exhausted=True,
-        stats={"solver": "mitm"},
-    )
+    masks, a, b = _half_join(inst)
+    charge_join(counter, len(a), len(b), len(masks))
+    return _exact(masks, counter.ops, counter.mem_peak, solver="mitm")
 
 
 def guess_bits(inst: Instance) -> int:
@@ -157,44 +150,44 @@ def guess_bits(inst: Instance) -> int:
 
 
 def solve_schroeppel_shamir(inst: Instance) -> SolutionSet:
-    """Exact set via four quarter lists and a swept intermediate value.
+    """Exact set, charged as the four-list merge (Schroeppel and Shamir,
+    SIAM J. Comput. 1981): per guess g of the low t bits of the left-half
+    sum, it joins the left quarters under g into L_g, the right quarters
+    under window_for(inst, t, g) into R_g, and L_g with R_g into the
+    solutions O_g, holding only O(2^(k/4))-sized lists.
 
-    For each guess g of the low t bits of the left-half sum, the two left
-    quarters are joined under the point constraint g and the two right
-    quarters under the complementary constraint, so only O(2^(k/4))-sized
-    lists are ever held while the guesses sweep the whole space.
+    The set comes from solve_mitm's join, which splits at k // 2 as the
+    merge does, and each guess is charged from |L_g|, |R_g| and |O_g|
+    counted on the two halves: a solution's low half fixes its g, and its
+    high half lies in R_g. As with brute force, the simulator holds 2^(k/2)
+    entries per half while the memory charged stays the model's 2^(k/4).
     """
     if inst.k < SS_K_MIN:
         raise GuardError(f"four-list merge needs k >= {SS_K_MIN}")
     check_weight_magnitude(inst.weights)
-    counter = OpCounter()
-    k = inst.k
-    half = k // 2
-    q_split = half // 2
-    r_split = half + (k - half) // 2
-    quarters = [
-        _index_list(inst.weights[:q_split], 0),
-        _index_list(inst.weights[q_split:half], q_split),
-        _index_list(inst.weights[half:r_split], half),
-        _index_list(inst.weights[r_split:], r_split),
-    ]
-    base_mem = sum(len(q) for q in quarters)
-    counter.bump_mem(base_mem)
-
+    masks, a, b = _half_join(inst)
     t = guess_bits(inst)
     mod = 1 << t
-    final = full_constraint(inst)
-    found: set[int] = set()
-    for g in range(mod):
-        left = merge_join(quarters[0], quarters[1], WindowConstraint(t, g), None, counter)
-        right = merge_join(quarters[2], quarters[3], window_for(inst, t, g), None, counter)
-        counter.bump_mem(base_mem + len(left) + len(right))
-        out = merge_join(left, right, final, None, counter)
-        found.update(int(m) for m in out.plus.tolist())
-    return SolutionSet(
-        frozenset(found),
-        op_count=counter.ops,
-        mem_peak=counter.mem_peak,
-        exhausted=True,
-        stats={"solver": "ss", "guesses": mod},
-    )
+    keys = np.int64(mod - 1)
+    low = np.empty_like(a.values)
+    low[a.plus] = a.values & keys  # low-half residues by mask
+    low_count = np.bincount(low, minlength=mod)
+    hits = np.bincount(low[masks & (len(a) - 1)], minlength=mod)
+    # g's window starts g below guess 0's, cyclically, with the same count;
+    # cum[i] counts the high half's residues below i on two laps of [0, 2^t)
+    window = window_for(inst, t, 0)
+    start = (window.residue - np.arange(mod)) & (mod - 1)
+    cum = np.concatenate(([0], np.cumsum(np.tile(np.bincount(b.values & keys, minlength=mod), 2))))
+    high_count = cum[start + window.count] - cum[start]
+
+    k, half = inst.k, inst.k // 2
+    q_split, r_split = half // 2, half + (k - half) // 2
+    q0, q1, q2, q3 = (1 << n for n in (q_split, half - q_split, r_split - half, k - r_split))
+    counter = OpCounter()
+    counter.bump_mem(q0 + q1 + q2 + q3)
+    for lg, rg, og in zip(low_count.tolist(), high_count.tolist(), hits.tolist()):
+        charge_join(counter, q0, q1, lg)
+        charge_join(counter, q2, q3, rg)
+        counter.bump_mem(q0 + q1 + q2 + q3 + lg + rg)
+        charge_join(counter, lg, rg, og)
+    return _exact(masks, counter.ops, counter.mem_peak, solver="ss", guesses=mod)

@@ -36,6 +36,7 @@ from shiftlab.subset_sum.solvers import (
 )
 
 from brute_oracle import brute_solutions, chunk_hits, reduce_table
+from ss_oracle import ss_solutions
 from conftest import stream
 
 
@@ -505,9 +506,40 @@ def test_bruteforce_at_its_cap_matches_schroeppel_shamir(flavor):
     four-list merge's set; 2^30 enumerated sums would take minutes."""
     rng = stream("brute-cap", flavor)
     inst = random_instance(flavor, BRUTE_K_CAP, BRUTE_K_CAP - 1, rng)
-    want = solve_schroeppel_shamir(inst).solutions
+    # the guess-by-guess merge (256 guesses), not solve_schroeppel_shamir,
+    # whose set comes from the join solve_bruteforce uses
+    want = ss_solutions(inst).solutions
     assert want
     _assert_brute_counters(inst, want)
+
+
+def _ss_oracle_cases(flavor):
+    rng = stream("ss-oracle", flavor)
+    for k in range(4, 14):
+        for r in sorted({1, 2, k // 2, k - 1, k, k + 3}):
+            yield random_instance(flavor, k, r, rng)
+    for k in (16, 20, 24, 28):
+        for r in (k // 2 + 3, k - 1, k):
+            yield random_instance(flavor, k, r, rng)
+    if flavor == "interval":
+        inst = IntervalInstance((3, 5, 6, 7, 1, 2, 4, 9), 16, 8, 5)
+        assert inst.bounds() == (1, 1)  # the empty window, count 0
+        yield inst
+    else:
+        weights = tuple(rng.randrange(1 << 40) for _ in range(12))
+        yield ModularInstance(weights, 70, sum(weights[:5]))
+        yield ModularInstance(weights, 64, (1 << 63) + 5)  # a target past every sum
+
+
+@pytest.mark.parametrize("flavor", ["modular", "interval"])
+def test_ss_matches_four_list_oracle(flavor):
+    """The set, ops, memory peak and stats of the guess-by-guess four-list
+    merge (tests/ss_oracle.py), which the solver charges from counts."""
+    for inst in _ss_oracle_cases(flavor):
+        got, want = solve_schroeppel_shamir(inst), ss_solutions(inst)
+        assert got.solutions == want.solutions, repr(inst)
+        assert (got.op_count, got.mem_peak) == (want.op_count, want.mem_peak), repr(inst)
+        assert got.stats == want.stats and got.exhausted, repr(inst)
 
 
 def test_ss_memory_scaling():
