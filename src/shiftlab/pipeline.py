@@ -22,12 +22,15 @@ Widths from the real-valued formulas are rounded to integers with a floor of
 2 and r clamped to [1, k-1]; params on the Schedule keeps the raw formula
 inputs so printers can show both.
 
-run_pipeline runs the stages on plain int labels, recursively: the top
-stage is asked for one output, and each stage asks the stage below for the
-k inputs of an invocation in one batch, since it cannot run before it has
-them all. Every invocation is one combination on its k inputs, inputs are
-consumed whatever the outcome, and only the element handed back becomes a
-PhaseElement. One loop (_Engine.run) runs every stage: brute force at
+A Pipeline is one recovery's engine: one instance, schedule, target and
+rng, asked for one target element at a time (Pipeline.element), and
+run_pipeline is a Pipeline asked for one element. It runs the stages on
+plain int labels, recursively: the top stage is asked for one output, and
+each stage asks the stage below for the k inputs of an invocation in one
+batch, since it cannot run before it has them all. Every invocation is one
+combination on its k inputs, inputs are consumed whatever the outcome, and
+only the element handed back becomes a PhaseElement. One loop
+(Pipeline._run) runs every stage: brute force at
 k <= 18 runs on the run kernel combine.brute_run, which only the engine
 calls, on a stage-0 wave's rows or on a later stage's one-row table; every
 other solver makes one combine.combine_labels call per invocation. Each
@@ -40,7 +43,7 @@ builds stage 0's subset-sum tables ahead, in waves: one batched
 subset_sums call over labels peeked (not drawn) from the stream, one row per
 upcoming invocation, int32 when every sum fits (table_dtype). The peeked
 labels are an int64 view of the instance's label buffer, so no Python list
-stands between the stream and a table. An instance's first wave has one
+stands between the stream and a table. A Pipeline's first wave has one
 row and each next wave twice as many, up to a cap per width that module
 constants set (_wave_rows): 2048 rows at k = 4, 128 at k = 8, 32 at
 k = 12, so that wide rows share each build's fixed cost too. A wave's old
@@ -54,20 +57,17 @@ since each served label advances q_queries by one. So row j's labels are
 the next ones exactly when q_queries is that position plus j*k, and a
 draw made when it is not raises AccountingError.
 
-A wave outlives the run_pipeline call that built it: it stays with its
-instance, and the instance's next call carries on with its unused rows when
-that call's stage 0 has the same width and routine and the stream is still
-at those rows' position; otherwise the rows are dropped (they cost wall
-time only) and the waves start again at one row. Every row,
-at every stage, holds its input labels' subset sums; their residues mod
-2^r serve every stage-0 r, so all the levels of a recovery share its
-waves, and a power-of-two output label is the difference of two row
-entries mod N. Power-of-two sums past 2^63 wrap mod 2^64 in int64, which
+A wave lasts as long as its Pipeline: the next element carries on with its
+unused rows when the stream is still at those rows' position; otherwise the
+rows are dropped (they cost wall time only) and the waves start again at one
+row. Every row, at every stage, holds its input labels' subset sums; their
+residues mod 2^r serve every stage-0 r, so all the levels of a recovery
+share its waves, and a power-of-two output label is the difference of two
+row entries mod N. Power-of-two sums past 2^63 wrap mod 2^64 in int64, which
 N = 2^n divides, so the ancilla bits and those differences stay exact. At
-r <= 8 a stage-0 power-of-two row's preimages are found by bytes.find
-over the wave's residues mod 2^r, one byte per cell, built once per wave
-and r; wider r, later stages and the interval routine scan the row with
-numpy.
+r <= 8 a stage-0 power-of-two row's preimages are found by bytes.find over
+the wave's residues mod 2^r, one byte per cell, built once per wave and r;
+wider r, later stages and the interval routine scan the row with numpy.
 """
 
 from __future__ import annotations
@@ -75,7 +75,6 @@ from __future__ import annotations
 import math
 import random
 import time
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -312,7 +311,7 @@ class StageStats:
 @dataclass
 class CostLedger:
     """What producing elements cost. wall_seconds is the summed wall time of
-    the pipeline calls merged into the ledger; it excludes readout and
+    the pipeline elements merged into the ledger; it excludes readout and
     classical_verify."""
 
     q_queries: int = 0
@@ -431,7 +430,7 @@ def plan_interval(sched: Schedule, N: int) -> list[_PlanStage]:
 
 
 class _Wave:
-    """Brute-force tables built ahead for an instance's stage-0 invocations
+    """Brute-force tables built ahead for a Pipeline's stage-0 invocations
     of one width and routine (key): row j of table is the subset-sum table
     of the k labels at stream positions start + j*k onwards, and row is the
     next unused one. start is the instance's q_queries when the table was
@@ -466,12 +465,12 @@ class _Wave:
         the next stage-0 invocations will draw, peeked, not drawn: twice
         the rows of the last wave (one for the first), up to _wave_rows(k).
         The peeked int64 view is cast to the wave's dtype and reshaped, with
-        no Python list in between. _Engine.run draws a run's labels after
+        no Python list in between. Pipeline._run draws a run's labels after
         its brute_run call on the wave. The old table and residue bytes are
         dropped first, so that one table at a time is held.
 
         No weight check is needed: the dtype is the table_dtype of k labels
-        below N (_stage0_wave), an interval wave's labels pass sums_fit
+        below N (Pipeline), an interval wave's labels pass sums_fit
         (plan_interval), and a power-of-two wave's may wrap.
         """
         k = self.key[0]
@@ -501,57 +500,97 @@ def _wave_rows(k: int) -> int:
     return max(1, WAVE_CELLS >> k, min(WAVE_ROWS, WAVE_MAX_CELLS >> k))
 
 
-# each instance's current stage-0 wave, kept across run_pipeline calls. It
-# lives here, not on the instance, which knows nothing of tables; instances
-# hash by identity, and an entry goes with its instance.
-_WAVES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _stage0_wave(inst: HiddenShiftInstance, st: _PlanStage) -> _Wave:
-    """The instance's wave for stage 0 st: its current one when the key
-    matches and the stream is at its next unused row's position (no label
-    was served since its last run), else a new, empty one, int32 when every
-    sum of k labels below N fits."""
-    key = (st.k, st.routine)
-    wave = _WAVES.get(inst)
-    if wave is not None and wave.key == key and inst.q_queries == wave.start + wave.row * st.k:
-        return wave
-    wave = _WAVES[inst] = _Wave(key, table_dtype(st.k, inst.modulus.N - 1))
-    return wave
-
-
-class _Engine:
-    """The stages of one run_pipeline call, run on int labels."""
+class Pipeline:
+    """One recovery's stages, run on int labels: an instance, schedule,
+    target and rng, asked for one target element at a time (element). The
+    guards, solver seed, interval plan and per-stage lists are set up once;
+    a power-of-two schedule's lists cover its longest plan, n - 1 stages."""
 
     def __init__(
         self,
         inst: HiddenShiftInstance,
         sched: Schedule,
-        plan: list[_PlanStage],
-        rng: random.Random,
+        target: str = POW2_TOP,
+        rng: random.Random | None = None,
     ):
+        if target not in TARGETS:
+            raise GuardError(f"unknown target {target!r}")
+        mod = inst.modulus
+        if target == POW2_TOP:
+            if not mod.is_pow2:
+                raise GuardError("POW2_TOP target needs N = 2^n")
+            last = len(sched.stages) - 1
+            stages = [sched.stages[min(i, last)] for i in range(mod.n - 1)]
+        else:
+            if not mod.is_odd:
+                raise GuardError("SMALL_ONE target needs odd N")
+            stages = self.plan = plan_interval(sched, mod.N)
         self.inst = inst
-        self.plan = plan
+        self.sched = sched
+        self.target = target
+        if rng is None:
+            rng = random.Random(derive(inst.seed, label_path("pipeline")))
         self.rng = rng
         self.solver_id = sched.solver_id
         self.solver_seed = derive(inst.seed, label_path("solver"))
         self.seeded = sched.solver_id in SEEDED_SOLVERS
-        self.N = inst.modulus.N
-        self.ledger = CostLedger()
-        self.stats = [
-            StageStats(i, st.k, st.r, st.routine, b_in=st.b_in) for i, st in enumerate(plan)
-        ]
-        self.ledger.per_stage = self.stats
-        self.caps = [RETRY_FACTOR * math.ceil(st.k / P_PRIOR) for st in plan]
-        self._invocation = 0
+        self.N = mod.N
+        self.caps = [RETRY_FACTOR * math.ceil(st.k / P_PRIOR) for st in stages]
         # which stages run on the kernel brute_run
-        self.kernel = [sched.solver_id == BRUTE and st.k <= KERNEL_K_MAX for st in plan]
+        self.kernel = [sched.solver_id == BRUTE and st.k <= KERNEL_K_MAX for st in stages]
         # a later kernel stage's one-row table dtype: its inputs are below N
         # (pow2) or b_in (interval), so it is int32 wherever a wave would be
         self.dtypes = [
-            table_dtype(st.k, (self.N if st.routine == POW2 else st.b_in) - 1) for st in plan
+            table_dtype(st.k, (self.N if target == POW2_TOP else st.b_in) - 1) for st in stages
         ]
-        self.wave = _stage0_wave(inst, plan[0]) if plan and self.kernel[0] else None
+        # stage 0's wave, kept from one element to the next (element)
+        self.wave = None
+        if stages and self.kernel[0]:
+            self.wave = _Wave((stages[0].k, stages[0].routine), self.dtypes[0])
+
+    def element(
+        self, *, level: int | None = None, scale: int = 1
+    ) -> tuple[PhaseElement, CostLedger]:
+        """run_pipeline's element and ledger. The wave carries over when the
+        stream is at its next unused row and starts again at one row
+        otherwise; the ledger and the invocation count behind the solver
+        seed are the element's own."""
+        inst = self.inst
+        if self.target == POW2_TOP:
+            top_level = inst.modulus.n - 1 if level is None else level
+            if not 0 <= top_level <= inst.modulus.n - 1:
+                raise GuardError(f"level must be in [0, {inst.modulus.n - 1}], got {top_level}")
+            self.plan = _plan_pow2(self.sched, top_level)
+        elif level is not None:
+            raise GuardError("level applies to POW2_TOP only")
+        wave = self.wave
+        if wave is not None and inst.q_queries != wave.start + wave.row * wave.key[0]:
+            self.wave = _Wave(wave.key, wave.dtype)
+        self.ledger = CostLedger()
+        self.ledger.per_stage = self.stats = [
+            StageStats(i, st.k, st.r, st.routine, b_in=st.b_in) for i, st in enumerate(self.plan)
+        ]
+        self._invocation = 0
+        t0 = time.perf_counter()
+        top = len(self.plan) - 1
+        tries = RETRY_FACTOR * math.ceil(4 / P_PRIOR)
+        for _ in range(tries):
+            label = self._run(top, 1)[0]
+            if self.target == POW2_TOP:
+                if two_adic_valuation(label) == top_level:
+                    break
+            elif label == 1:
+                break
+            self.ledger.elements_wasted += 1  # a dropped output of the top stage
+            if top >= 0:
+                self.stats[top].discarded += 1
+            else:
+                self.ledger.raw_discarded += 1
+        else:
+            raise RetryExhaustedError(f"no {self.target} element after {tries} candidates")
+        self.ledger.wall_seconds = time.perf_counter() - t0
+        self.ledger.check_consistent()
+        return inst.derive_element(label, scale), self.ledger
 
     def _raw(self, n: int) -> list[int]:
         """Draw n raw labels, one query each, and charge them in one step."""
@@ -559,7 +598,7 @@ class _Engine:
         self.ledger.elements_generated += n
         return self.inst.sample_labels(n)
 
-    def run(self, i: int, need: int) -> list[int]:
+    def _run(self, i: int, need: int) -> list[int]:
         """The next need outputs of stage i, in order; raw labels for i < 0.
 
         Each output may spend caps[i] invocations: the allowance is reset
@@ -595,7 +634,7 @@ class _Engine:
         while len(outs) < need and left:
             if self.kernel[i]:
                 if wave is None:
-                    inputs = np.array(self.run(i - 1, k), dtype=self.dtypes[i])
+                    inputs = np.array(self._run(i - 1, k), dtype=self.dtypes[i])
                     table, j, residues = subset_sums(inputs).reshape(1, -1), 0, None
                 else:
                     if wave.row == len(wave.table):
@@ -616,7 +655,7 @@ class _Engine:
                         )
                     self._raw(n * k)
             else:
-                labels = self.run(i - 1, k)  # the inputs' invocations count first
+                labels = self._run(i - 1, k)  # the inputs' invocations count first
                 self._invocation += 1
                 seed = derive(self.solver_seed, i, self._invocation) if self.seeded else 0
                 label, _, _, _, solver_ops, peak = combine_labels(
@@ -647,14 +686,6 @@ class _Engine:
             )
         return outs
 
-    def discard(self, depth: int) -> None:
-        """Count one output of stage depth (raw for -1) that the caller drops."""
-        self.ledger.elements_wasted += 1
-        if depth >= 0:
-            self.stats[depth].discarded += 1
-        else:
-            self.ledger.raw_discarded += 1
-
 
 def run_pipeline(
     inst: HiddenShiftInstance,
@@ -681,44 +712,4 @@ def run_pipeline(
     (subset_sum.solve). Solver seeds, and rng unless given, derive from
     inst.seed ("solver" and "pipeline" paths).
     """
-    if target not in TARGETS:
-        raise GuardError(f"unknown target {target!r}")
-    if rng is None:
-        rng = random.Random(derive(inst.seed, label_path("pipeline")))
-    mod = inst.modulus
-
-    if target == POW2_TOP:
-        if not mod.is_pow2:
-            raise GuardError("POW2_TOP target needs N = 2^n")
-        top_level = mod.n - 1 if level is None else level
-        if not 0 <= top_level <= mod.n - 1:
-            raise GuardError(f"level must be in [0, {mod.n - 1}], got {top_level}")
-        plan = _plan_pow2(sched, top_level)
-    else:
-        if not mod.is_odd:
-            raise GuardError("SMALL_ONE target needs odd N")
-        if level is not None:
-            raise GuardError("level applies to POW2_TOP only")
-        plan = plan_interval(sched, mod.N)
-
-    eng = _Engine(inst, sched, plan, rng)
-    t0 = time.perf_counter()
-    top = len(plan) - 1
-    tries = RETRY_FACTOR * math.ceil(4 / P_PRIOR)
-    result: PhaseElement | None = None
-    for _ in range(tries):
-        label = eng.run(top, 1)[0]
-        if target == POW2_TOP:
-            if two_adic_valuation(label) == top_level:
-                result = inst.derive_element(label, scale)
-                break
-        else:
-            if label == 1:
-                result = inst.derive_element(label, scale)
-                break
-        eng.discard(top)
-    if result is None:
-        raise RetryExhaustedError(f"no {target} element after {tries} candidates")
-    eng.ledger.wall_seconds = time.perf_counter() - t0
-    eng.ledger.check_consistent()
-    return result, eng.ledger
+    return Pipeline(inst, sched, target, rng).element(level=level, scale=scale)

@@ -33,7 +33,8 @@ from .group_arith import ceil_log2
 from .instance import HiddenShiftInstance, PhaseElement, classical_verify
 from .kinds import POW2_TOP, SMALL_ONE
 from .phase_sim import measure_with_correction
-from .pipeline import CostLedger, Schedule, run_pipeline
+# run_pipeline stays importable here: perfbench's tracer and self-test look this name up
+from .pipeline import CostLedger, Pipeline, Schedule, run_pipeline  # noqa: F401
 from .seeds import derive, label_path
 
 IQFT_DIRECT_CAP = 26          # 2^26 float64 is ~0.5 GiB; plenty for tests
@@ -108,18 +109,19 @@ def semiclassical_iqft(elems: list[PhaseElement], inst: HiddenShiftInstance) -> 
 
 def _recover(inst, sched, target, attempt, rng, attempts, ledger) -> int:
     """The attempt loop both readouts share: attempt(element) builds a
-    candidate from pipeline elements (element(**where) runs the pipeline and
-    merges its ledger), classical_verify checks it, and the verifier's
-    queries are charged to the ledger. Returns the first verified candidate;
-    `attempts` unverified ones raise RetryExhaustedError.
+    candidate from elements of the recovery's one Pipeline (element(**where)
+    asks it for one and merges its ledger), classical_verify checks it, and
+    the verifier's queries are charged to the ledger. Returns the first
+    verified candidate; `attempts` unverified ones raise RetryExhaustedError.
     """
     if rng is None:
         rng = random.Random(derive(inst.seed, label_path("recover")))
     if ledger is None:
         ledger = CostLedger()
+    pipeline = Pipeline(inst, sched, target, rng)
 
     def element(**where) -> PhaseElement:
-        elem, led = run_pipeline(inst, sched, target, rng, **where)
+        elem, led = pipeline.element(**where)
         ledger.merge(led)
         return elem
 

@@ -9,9 +9,10 @@ pure: equal (seed, path) always give the same child. Two limits hold today:
   seeds derive(s, i) of master seed s are those of master seed s ^ 1 with
   i ^ 1, so `solve --seed 0 --runs 2` and `--seed 1 --runs 2` print the
   same two runs in swapped order.
-* One pipeline rng is shared by every combination of a run_pipeline call,
-  in demand order, so a combination's witness and coins depend on every
-  earlier combination. Only the solver seed is derived per invocation.
+* One pipeline rng is shared by every combination of a recovery, across
+  all its elements, in demand order, so a combination's witness and coins
+  depend on every earlier combination. Only the solver seed is derived per
+  invocation.
 
 ROADMAP item 1 (seed scheme v2) fixes both.
 """

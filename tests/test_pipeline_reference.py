@@ -1,15 +1,19 @@
-"""run_pipeline against the element-level reference engine.
+"""run_pipeline and Pipeline against the element-level reference engine.
 
 The pipeline runs on int labels and makes a PhaseElement only for the
 element it returns; with brute force it builds stage 0's subset-sum tables
-in waves from peeked labels, and keeps a wave with its instance for the
-next call. reference_pipeline drives the public combine_pow2 /
-combine_interval on elements, one sample_element per raw label. For equal
-seeds both must return the same element, charge the same queries and the
-same ledger, row for row, and leave the instance's label stream at the same
-place: peeking ahead consumes nothing.
+in waves from peeked labels. A Pipeline keeps its wave from one element to
+the next; run_pipeline is a Pipeline asked for one element, so its waves
+last for one call. reference_pipeline drives the public combine_pow2 /
+combine_interval on elements, one sample_element per raw label; the
+elements of one Pipeline are compared with reference_pipeline calls that
+share one rng, as the Pipeline's elements do. For equal seeds both must
+return the same element, charge the same queries and the same ledger, row
+for row, and leave the instance's label stream at the same place: peeking
+ahead consumes nothing.
 """
 
+import random
 import re
 
 import numpy as np
@@ -28,9 +32,9 @@ from shiftlab import (
 )
 from shiftlab.kinds import INTERVAL, MITM, POW2, POW2_TOP, SMALL_ONE, SOLVERS
 from shiftlab.instance import LABEL_BATCH
-from shiftlab.pipeline import _wave_rows, schedule_uniform
+from shiftlab.pipeline import Pipeline, _wave_rows, schedule_uniform
 from shiftlab.recover import recover_pow2
-from shiftlab.seeds import derive
+from shiftlab.seeds import derive, label_path
 
 from reference_pipeline import reference_pipeline
 
@@ -67,6 +71,34 @@ def outcome(engine, N, sched, target, seed, calls=1, **kwargs):
 def assert_same_sequence(N, seed, steps):
     got = sequence(run_pipeline, N, seed, steps)
     assert got == sequence(reference_pipeline, N, seed, steps)
+
+
+def elements(inst, sched, target, reference=False):
+    """The element function of one Pipeline on inst, or with reference, of
+    reference_pipeline calls that share one rng seeded as the Pipeline's
+    default."""
+    if not reference:
+        return Pipeline(inst, sched, target).element
+    rng = random.Random(derive(inst.seed, label_path("pipeline")))
+    return lambda **kwargs: reference_pipeline(inst, sched, target, rng, **kwargs)
+
+
+def element_sequence(N, seed, sched, target, steps, reference=False):
+    """sequence's results with each step an element of one Pipeline (or its
+    reference): a step is the element's kwargs, or n, a stray
+    sample_labels(n)."""
+    inst = new_instance(N, seed=seed)
+    element = elements(inst, sched, target, reference)
+    results = [
+        inst.sample_labels(step) if isinstance(step, int) else result(inst, *element(**step))
+        for step in steps
+    ]
+    return results, inst.sample_labels(3)
+
+
+def assert_same_elements(N, seed, sched, target, steps):
+    got = element_sequence(N, seed, sched, target, steps)
+    assert got == element_sequence(N, seed, sched, target, steps, reference=True)
 
 
 def raised(engine, N, sched, target, seed, **kwargs):
@@ -210,8 +242,8 @@ def test_interval_k12_first_call_crossing_full_waves_matches_reference(waves):
 
 
 def test_consecutive_calls_on_one_instance_match_reference():
-    # the second call carries on with the rows of the first call's last
-    # wave that its draws, not its peeks, left unused
+    # the second call starts where the first call's draws, not its peeks,
+    # left the stream
     for seed in range(4):
         for N, sched, target, kwargs in (
             (1 << 12, schedule_uniform(12, 6), POW2_TOP, {}),
@@ -222,14 +254,15 @@ def test_consecutive_calls_on_one_instance_match_reference():
 
 
 def test_descending_levels_share_waves_and_match_reference(waves):
-    # levels 11 down to 1, as recover_pow2 asks for them: stage 0's r is 5
-    # down to level 5, then 4, 3, 2, 1, all read from the same waves, which
-    # keep doubling across calls instead of restarting at one row
+    # levels 11 down to 1 as elements of one Pipeline, as recover_pow2 asks
+    # for them: stage 0's r is 5 down to level 5, then 4, 3, 2, 1, all read
+    # from the same waves, which keep doubling across elements instead of
+    # restarting at one row
     sched = schedule_uniform(12, 6)
-    steps = [(sched, POW2_TOP, {"level": j}) for j in range(11, 0, -1)]
+    steps = [{"level": j} for j in range(11, 0, -1)]
     for seed in range(4):
         waves.clear()
-        assert_same_sequence(1 << 12, seed, steps)
+        assert_same_elements(1 << 12, seed, sched, POW2_TOP, steps)
         assert waves == [1 << w for w in range(len(waves))]
         assert len(waves) < len(steps)
 
@@ -247,18 +280,18 @@ def test_descending_levels_share_waves_and_match_reference(waves):
     (1 << 62, 12, (22, 11, 9, 5), np.int64),
 ], ids=["int64-full", "int64-wrap", "r8-bytes", "r9-scan", "r11-wrap-scan"])
 def test_wave_paths_over_descending_levels_match_reference(waves, N, k, levels, dtype):
-    # descending levels on one instance: the waves never restart at one
-    # row, so a wave that outlives its call serves the next call's r
+    # descending levels as elements of one Pipeline: the waves never
+    # restart at one row, so a wave that outlives its element serves the
+    # next element's r
     sched = schedule_uniform(N.bit_length() - 1, k)
-    steps = [(sched, POW2_TOP, {"level": j}) for j in levels]
+    steps = [{"level": j} for j in levels]
     for seed in range(3):
         waves.clear()
-        assert_same_sequence(N, seed, steps)
+        assert_same_elements(N, seed, sched, POW2_TOP, steps)
         assert waves.count(1) == 1
-        inst = new_instance(N, seed=seed)
-        run_pipeline(inst, sched, POW2_TOP, level=1)
-        wave = pipeline_module._WAVES[inst]
-        assert wave.dtype == dtype
+        pipeline = Pipeline(new_instance(N, seed=seed), sched, POW2_TOP)
+        pipeline.element(level=1)
+        assert pipeline.wave.table.dtype == dtype
 
 
 def test_pow2_k8_stage_zero_makes_no_numpy_scan_or_masked_sum(monkeypatch):
@@ -302,19 +335,15 @@ def test_pow2_k8_stage_zero_makes_no_numpy_scan_or_masked_sum(monkeypatch):
 
 
 def test_label_drawn_between_calls_matches_reference(waves):
-    # a level-0 call draws one raw label, and so does a stray sample_labels:
-    # the next call finds its wave's rows out of step with the stream and
-    # starts a new wave at one row
+    # elements of one Pipeline: a level-0 element draws one raw label, and
+    # so does a stray sample_labels, so the next element finds its wave's
+    # rows out of step with the stream and starts a new wave at one row
     pow2 = schedule_uniform(12, 6)
     odd = schedule_uniform(20, 12, INTERVAL)
     for seed in range(4):
         waves.clear()
-        assert_same_sequence(1 << 12, seed, [
-            (pow2, POW2_TOP, {"level": 11}),
-            (pow2, POW2_TOP, {"level": 0}),
-            (pow2, POW2_TOP, {"level": 11}),
-            1,
-            (pow2, POW2_TOP, {"level": 10}),
+        assert_same_elements(1 << 12, seed, pow2, POW2_TOP, [
+            {"level": 11}, {"level": 0}, {"level": 11}, 1, {"level": 10},
         ])
         assert waves.count(1) == 3
         assert_same_sequence(1000003, seed, [
@@ -322,6 +351,17 @@ def test_label_drawn_between_calls_matches_reference(waves):
             1,
             (odd, SMALL_ONE, {"scale": 5}),
         ])
+
+
+def test_one_shot_calls_share_no_wave(waves):
+    # run_pipeline is a Pipeline asked for one element: a second call on
+    # the same instance builds its own first wave, although the stream is
+    # at the first call's next unused row, and both still match
+    sched = schedule_uniform(12, 6)
+    for seed in range(3):
+        waves.clear()
+        assert_same(1 << 12, sched, POW2_TOP, seed, calls=2)
+        assert waves.count(1) == 2
 
 
 def test_schedule_of_another_width_matches_reference():
@@ -419,16 +459,24 @@ def test_stray_label_draw_breaks_wave_alignment(monkeypatch):
 def test_later_stage_tables_take_the_stage_dtype(monkeypatch, N, sched, target, kwargs, dtype):
     # a later kernel stage's one-row table is built in the dtype its
     # inputs' bound gives (table_dtype of k inputs below N or b_in): int32
-    # wherever stage 0's waves are, with the reference's results
+    # wherever stage 0's waves are, with the reference's results. A stage-0
+    # run is on the table the last _Wave.build made; every other run is on
+    # a later stage's one-row table
     dtypes = set()
-    real_run = pipeline_module.brute_run
+    wave_table = []
+    real_build, real_run = pipeline_module._Wave.build, pipeline_module.brute_run
+
+    def build(wave, inst):
+        real_build(wave, inst)
+        wave_table[:] = [wave.table]
 
     def run(table, *args):
-        if not any(table is wave.table for wave in pipeline_module._WAVES.values()):
+        if not any(table is built for built in wave_table):
             assert len(table) == 1
             dtypes.add(table.dtype)
         return real_run(table, *args)
 
+    monkeypatch.setattr(pipeline_module._Wave, "build", build)
     monkeypatch.setattr(pipeline_module, "brute_run", run)
     for seed in range(2):
         assert_same(N, sched, target, seed, **kwargs)
@@ -436,22 +484,23 @@ def test_later_stage_tables_take_the_stage_dtype(monkeypatch, N, sched, target, 
 
 
 def test_peek_or_another_instance_between_calls_keeps_the_wave(waves):
-    # a wave knows its rows by stream position: a peek between two calls,
-    # even one that refills the label buffer, and a call on another
-    # instance serve no label, so the next call carries on with the same
-    # wave and its rows keep doubling instead of restarting at one row
+    # a wave knows its rows by stream position: a peek between two elements
+    # of one Pipeline, even one that refills the label buffer, and an
+    # element of another instance's Pipeline serve no label, so the next
+    # element carries on with the same wave and its rows keep doubling
+    # instead of restarting at one row
     sched = schedule_uniform(12, 6)
     for seed in range(3):
         waves.clear()
         got = []
-        for engine in (run_pipeline, reference_pipeline):
+        for reference in (False, True):
             inst, other = new_instance(1 << 12, seed=seed), new_instance(1 << 12, seed=seed + 8)
-            first = result(inst, *engine(inst, sched, POW2_TOP, level=11))
-            wave = pipeline_module._WAVES.get(inst)
+            element = elements(inst, sched, POW2_TOP, reference)
+            first = result(inst, *element(level=11))
             inst.peek_labels(3 * LABEL_BATCH)
-            between = result(other, *engine(other, sched, POW2_TOP, level=11))
-            second = result(inst, *engine(inst, sched, POW2_TOP, level=10))
-            assert pipeline_module._WAVES.get(inst) is wave
+            between = result(other, *elements(other, sched, POW2_TOP, reference)(level=11))
+            second = result(inst, *element(level=10))
             got.append((first, between, second, inst.sample_labels(3)))
         assert got[0] == got[1]
-        assert waves.count(1) == 2  # one first wave per instance
+        # one first wave per instance: a restarted wave would be a third
+        assert waves.count(1) == 2
