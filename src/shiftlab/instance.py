@@ -18,9 +18,9 @@ that stream, so it is served from one int64 buffer: each refill replays a
 fixed number of randrange(N) attempts from one getrandbits call, bit for
 bit (see _refill_labels). Every label is below N <= 2^63 - 1, so int64
 holds it. The label sequence is the one per-query randrange(N) calls would
-give; sample_labels serves the same sequence as plain ints, and
-peek_labels shows what it will serve next, as an int64 view of the buffer,
-without serving it.
+give; sample_labels serves it as int64 views of the buffer, and
+peek_labels shows what it will serve next, as the same view, without
+serving it.
 """
 
 from __future__ import annotations
@@ -105,18 +105,19 @@ class HiddenShiftInstance:
         label is view*u mod N; multiplication by a unit is a bijection, so the
         underlying label is uniform too.
 
-        The label is the next label of sample_labels, which also charges
-        the query.
+        The label is the next label of sample_labels, as an int; that call
+        also charges the query.
         """
-        return PhaseElement(self.sample_labels(1)[0], scale, self, next(self._uid_counter))
+        return PhaseElement(int(self.sample_labels(1)[0]), scale, self, next(self._uid_counter))
 
-    def sample_labels(self, n: int) -> list[int]:
+    def sample_labels(self, n: int) -> np.ndarray:
         """The next n randrange(N) draws of the instance's "labels" stream, in
-        stream order and as plain ints, served from the buffer of replayed
-        draws (_refill_labels); costs n quantum queries and makes no element.
-        Each label served advances q_queries by one, so q_queries is also the
-        stream position of the next label."""
-        out = self.peek_labels(n).tolist()
+        stream order, as the read-only int64 view of the buffer of replayed
+        draws (_refill_labels) that peek_labels(n) would return; costs n
+        quantum queries and makes no element. Each label served advances
+        q_queries by one, so q_queries is also the stream position of the
+        next label."""
+        out = self.peek_labels(n)
         self._next += n
         self.q_queries += n
         return out

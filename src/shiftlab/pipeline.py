@@ -33,9 +33,10 @@ only the element handed back becomes a PhaseElement. One loop
 (Pipeline._run) runs every stage: brute force at
 k <= 18 runs on the run kernel combine.brute_run, which only the engine
 calls, on a stage-0 wave's rows or on a later stage's one-row table; every
-other solver makes one combine.combine_labels call per invocation. Each
-call of the loop charges its stage's row of the CostLedger once; the rows
-sum to the ledger's totals.
+other solver makes one combine.combine_labels call per invocation. An
+element's plan is its CostLedger rows (StageStats), built afresh per
+element: each call of the loop reads its stage's k, r and input bound from
+its row and charges that row once; the rows sum to the ledger's totals.
 
 Stage 0's inputs are the next k labels of the instance's label stream, which
 no other draw in the pipeline touches. So with brute force the engine
@@ -286,14 +287,18 @@ def schedule_single(n: int, routine: str = POW2, solver_id: str = BRUTE) -> Sche
 
 @dataclass
 class StageStats:
-    """Per-stage ledger row. consumed counts inputs eaten by this stage's
-    invocations; discarded counts this stage's own outputs dropped by the
-    caller (wrong valuation, label 0 at the tail)."""
+    """Per-stage ledger row, and the stage of an element's plan: a is the
+    input 2-adic valuation (power-of-two rows), b_in the input label bound
+    (interval rows), None on the other routine's rows. consumed counts
+    inputs eaten by this stage's invocations; discarded counts this stage's
+    own outputs dropped by the caller (wrong valuation, label 0 at the
+    tail)."""
 
     stage: int
     k: int
     r: int
     routine: str
+    a: int | None = None
     b_in: int | None = None
     invocations: int = 0
     successes: int = 0
@@ -367,42 +372,28 @@ class CostLedger:
 # the pipeline itself
 
 
-class _PlanStage:
-    """Concrete stage after target resolution: a is the input valuation
-    (pow2), b_in the input label bound (interval)."""
-
-    __slots__ = ("k", "r", "routine", "a", "b_in")
-
-    def __init__(self, k: int, r: int, routine: str, a: int = 0, b_in: int | None = None):
-        self.k = k
-        self.r = r
-        self.routine = routine
-        self.a = a
-        self.b_in = b_in
-
-
-def _plan_pow2(sched: Schedule, level: int) -> list[_PlanStage]:
-    """Stage prefix whose r values sum to exactly `level`, clipping the last.
+def _plan_pow2(sched: Schedule, level: int) -> list[StageStats]:
+    """Fresh ledger rows for the stage prefix whose r values sum to exactly
+    `level`, clipping the last.
 
     Schedules shorter than the level reuse their final stage; a level of 0
     needs no combining at all (raw odd labels are level-0 elements).
     """
-    plan: list[_PlanStage] = []
+    plan: list[StageStats] = []
     cum = 0
-    idx = 0
     while cum < level:
-        spec = sched.stages[min(idx, len(sched.stages) - 1)]
+        spec = sched.stages[min(len(plan), len(sched.stages) - 1)]
         if spec.routine != POW2:
             raise GuardError("POW2_TOP target needs a power-of-two schedule")
         r_use = min(spec.r, level - cum)
-        plan.append(_PlanStage(spec.k, r_use, POW2, a=cum))
+        plan.append(StageStats(len(plan), spec.k, r_use, POW2, a=cum))
         cum += r_use
-        idx += 1
     return plan
 
 
-def plan_interval(sched: Schedule, N: int) -> list[_PlanStage]:
-    """Interval ladder: B shrinks by ceil(B/2^r_eff) per stage until B <= 2.
+def plan_interval(sched: Schedule, N: int) -> list[StageStats]:
+    """Fresh ledger rows for the interval ladder: B shrinks by
+    ceil(B/2^r_eff) per stage until B <= 2.
 
     r_eff keeps two constraints: the combination's r <= k - ceil(log2 k)
     precondition, and B' >= 2 (a bound of 1 would collapse every label to 0).
@@ -410,10 +401,10 @@ def plan_interval(sched: Schedule, N: int) -> list[_PlanStage]:
     Raises GuardError, before any element is drawn, when a stage's k labels
     below B could sum past the solvers' int64 bound.
     """
-    plan: list[_PlanStage] = []
+    plan: list[StageStats] = []
     B = N
-    idx = 0
     while B > 2:
+        idx = len(plan)
         spec = sched.stages[min(idx, len(sched.stages) - 1)]
         if spec.routine != INTERVAL:
             raise GuardError("SMALL_ONE target needs an interval schedule")
@@ -423,18 +414,17 @@ def plan_interval(sched: Schedule, N: int) -> list[_PlanStage]:
                 "too large for 64-bit partial sums"
             )
         r_eff = min(spec.r, _stage_r(spec.k, INTERVAL), max(1, ceil_log2(B) - 1))
-        plan.append(_PlanStage(spec.k, r_eff, INTERVAL, b_in=B))
+        plan.append(StageStats(idx, spec.k, r_eff, INTERVAL, b_in=B))
         B = ceil_div(B, 1 << r_eff)
-        idx += 1
     return plan
 
 
 class _Wave:
-    """Brute-force tables built ahead for a Pipeline's stage-0 invocations
-    of one width and routine (key): row j of table is the subset-sum table
-    of the k labels at stream positions start + j*k onwards, and row is the
-    next unused one. start is the instance's q_queries when the table was
-    built: the position of the first label not yet served.
+    """Brute-force tables built ahead for a Pipeline's stage-0 invocations,
+    k labels each: row j of table is the subset-sum table of the k labels
+    at stream positions start + j*k onwards, and row is the next unused
+    one. start is the instance's q_queries when the table was built: the
+    position of the first label not yet served.
 
     Rows hold the labels' own sums, in int64 wrapping mod 2^64 where a
     power-of-two wave's sums pass 2^63: exact for the ancilla bits and for
@@ -449,10 +439,10 @@ class _Wave:
     kept off every benchmark workload, none of which has N > 2^59.
     """
 
-    __slots__ = ("key", "dtype", "table", "start", "row", "res_r", "residues")
+    __slots__ = ("k", "dtype", "table", "start", "row", "res_r", "residues")
 
-    def __init__(self, key: tuple[int, str], dtype):
-        self.key = key
+    def __init__(self, k: int, dtype):
+        self.k = k
         self.dtype = dtype
         self.table = np.empty((0, 0), dtype=dtype)
         self.start = 0
@@ -473,7 +463,7 @@ class _Wave:
         below N (Pipeline), an interval wave's labels pass sums_fit
         (plan_interval), and a power-of-two wave's may wrap.
         """
-        k = self.key[0]
+        k = self.k
         rows = min(max(1, 2 * len(self.table)), _wave_rows(k))
         self.table = np.empty((0, 0), dtype=self.dtype)
         self.residues = b""
@@ -503,8 +493,8 @@ def _wave_rows(k: int) -> int:
 class Pipeline:
     """One recovery's stages, run on int labels: an instance, schedule,
     target and rng, asked for one target element at a time (element). The
-    guards, solver seed, interval plan and per-stage lists are set up once;
-    a power-of-two schedule's lists cover its longest plan, n - 1 stages."""
+    guards, solver seed and stage-0 wave are set up once; each element's
+    plan is built afresh as its ledger rows."""
 
     def __init__(
         self,
@@ -519,12 +509,8 @@ class Pipeline:
         if target == POW2_TOP:
             if not mod.is_pow2:
                 raise GuardError("POW2_TOP target needs N = 2^n")
-            last = len(sched.stages) - 1
-            stages = [sched.stages[min(i, last)] for i in range(mod.n - 1)]
-        else:
-            if not mod.is_odd:
-                raise GuardError("SMALL_ONE target needs odd N")
-            stages = self.plan = plan_interval(sched, mod.N)
+        elif not mod.is_odd:
+            raise GuardError("SMALL_ONE target needs odd N")
         self.inst = inst
         self.sched = sched
         self.target = target
@@ -535,23 +521,19 @@ class Pipeline:
         self.solver_seed = derive(inst.seed, label_path("solver"))
         self.seeded = sched.solver_id in SEEDED_SOLVERS
         self.N = mod.N
-        self.caps = [RETRY_FACTOR * math.ceil(st.k / P_PRIOR) for st in stages]
-        # which stages run on the kernel brute_run
-        self.kernel = [sched.solver_id == BRUTE and st.k <= KERNEL_K_MAX for st in stages]
-        # a later kernel stage's one-row table dtype: its inputs are below N
-        # (pow2) or b_in (interval), so it is int32 wherever a wave would be
-        self.dtypes = [
-            table_dtype(st.k, (self.N if target == POW2_TOP else st.b_in) - 1) for st in stages
-        ]
-        # stage 0's wave, kept from one element to the next (element)
+        # stage 0's wave, kept from one element to the next (element); every
+        # plan's stage 0 has the schedule's first width and inputs below N
+        k = sched.stages[0].k
         self.wave = None
-        if stages and self.kernel[0]:
-            self.wave = _Wave((stages[0].k, stages[0].routine), self.dtypes[0])
+        if sched.solver_id == BRUTE and k <= KERNEL_K_MAX:
+            self.wave = _Wave(k, table_dtype(k, mod.N - 1))
 
     def element(
         self, *, level: int | None = None, scale: int = 1
     ) -> tuple[PhaseElement, CostLedger]:
-        """run_pipeline's element and ledger. The wave carries over when the
+        """run_pipeline's element and ledger. The plan, fresh ledger rows
+        from _plan_pow2 or plan_interval, is built before any label is
+        drawn, so its guards refuse first. The wave carries over when the
         stream is at its next unused row and starts again at one row
         otherwise; the ledger and the invocation count behind the solver
         seed are the element's own."""
@@ -560,19 +542,19 @@ class Pipeline:
             top_level = inst.modulus.n - 1 if level is None else level
             if not 0 <= top_level <= inst.modulus.n - 1:
                 raise GuardError(f"level must be in [0, {inst.modulus.n - 1}], got {top_level}")
-            self.plan = _plan_pow2(self.sched, top_level)
+            plan = _plan_pow2(self.sched, top_level)
         elif level is not None:
             raise GuardError("level applies to POW2_TOP only")
+        else:
+            plan = plan_interval(self.sched, self.N)
         wave = self.wave
-        if wave is not None and inst.q_queries != wave.start + wave.row * wave.key[0]:
-            self.wave = _Wave(wave.key, wave.dtype)
+        if wave is not None and inst.q_queries != wave.start + wave.row * wave.k:
+            self.wave = _Wave(wave.k, wave.dtype)
         self.ledger = CostLedger()
-        self.ledger.per_stage = self.stats = [
-            StageStats(i, st.k, st.r, st.routine, b_in=st.b_in) for i, st in enumerate(self.plan)
-        ]
+        self.ledger.per_stage = self.plan = plan
         self._invocation = 0
         t0 = time.perf_counter()
-        top = len(self.plan) - 1
+        top = len(plan) - 1
         tries = RETRY_FACTOR * math.ceil(4 / P_PRIOR)
         for _ in range(tries):
             label = self._run(top, 1)[0]
@@ -583,7 +565,7 @@ class Pipeline:
                 break
             self.ledger.elements_wasted += 1  # a dropped output of the top stage
             if top >= 0:
-                self.stats[top].discarded += 1
+                plan[top].discarded += 1
             else:
                 self.ledger.raw_discarded += 1
         else:
@@ -592,18 +574,21 @@ class Pipeline:
         self.ledger.check_consistent()
         return inst.derive_element(label, scale), self.ledger
 
-    def _raw(self, n: int) -> list[int]:
+    def _raw(self, n: int) -> np.ndarray:
         """Draw n raw labels, one query each, and charge them in one step."""
         self.ledger.q_queries += n
         self.ledger.elements_generated += n
         return self.inst.sample_labels(n)
 
     def _run(self, i: int, need: int) -> list[int]:
-        """The next need outputs of stage i, in order; raw labels for i < 0.
+        """The next need outputs of stage i, in order; raw labels, as ints,
+        for i < 0.
 
-        Each output may spend caps[i] invocations: the allowance is reset
-        after every success, and a stage that spends it raises
-        RetryExhaustedError. Each pass of the loop makes one step:
+        Stage i's row of the plan is also its ledger row. Each output may
+        spend RETRY_FACTOR * ceil(k / P_PRIOR) invocations: the allowance
+        is reset after every success, and a stage that spends it raises
+        RetryExhaustedError. Brute force at k <= KERNEL_K_MAX runs on the
+        kernel. Each pass of the loop makes one step:
         - stage 0 with a wave: one brute_run call on the wave's next rows,
           until the need is met, the allowance is spent or the wave ends.
           The labels of the rows it ran are then drawn in one step, after
@@ -612,38 +597,41 @@ class Pipeline:
         - a later kernel stage: one brute_run call on the one-row table of
           the k inputs it asks stage i - 1 for in one batch, since it
           cannot run before it holds them all, built from a 1-D array of
-          its dtype (dtypes[i]);
+          the table_dtype of k inputs below N (power-of-two) or b_in
+          (interval), int32 wherever a wave would be;
         - any other stage: one combine_labels call on its k inputs. Only
           this step advances the counter behind the solver seed, which
           only seeded solvers use, and brute force is never seeded.
         Input labels need no magnitude check: power-of-two sums may wrap
         (_Wave), and plan_interval keeps interval labels in sums_fit. The
-        stage's ledger row is charged once per call. The recursion is as
-        deep as the plan is long, at most 63 stages (N <= 2^63 - 1, r >= 1
-        per stage).
+        stage's row is charged once per call. The recursion is as deep as
+        the plan is long, at most 63 stages (N <= 2^63 - 1, r >= 1 per
+        stage).
         """
         if i < 0:
-            return self._raw(need)
-        st = self.plan[i]
-        k = st.k
-        where = st.a if st.routine == POW2 else st.b_in
+            return self._raw(need).tolist()
+        row = self.plan[i]
+        k = row.k
+        where = row.a if row.routine == POW2 else row.b_in
+        kernel = self.solver_id == BRUTE and k <= KERNEL_K_MAX
         wave = self.wave if i == 0 else None
-        left = cap = self.caps[i]
+        left = cap = RETRY_FACTOR * math.ceil(k / P_PRIOR)
         outs: list[int] = []
         runs = ops = mem = 0
         while len(outs) < need and left:
-            if self.kernel[i]:
+            if kernel:
                 if wave is None:
-                    inputs = np.array(self._run(i - 1, k), dtype=self.dtypes[i])
+                    dtype = table_dtype(k, (self.N if row.b_in is None else row.b_in) - 1)
+                    inputs = np.array(self._run(i - 1, k), dtype=dtype)
                     table, j, residues = subset_sums(inputs).reshape(1, -1), 0, None
                 else:
                     if wave.row == len(wave.table):
                         wave.build(self.inst)
                     table, j, residues = wave.table, wave.row, None
-                    if st.routine == POW2 and st.r <= 8:  # residues mod 2^r fit a byte
-                        residues = wave.residue_bytes(st.r)
+                    if row.routine == POW2 and row.r <= 8:  # residues mod 2^r fit a byte
+                        residues = wave.residue_bytes(row.r)
                 got, n, peak, left = brute_run(
-                    table, j, st.routine, st.r, where, self.N, self.rng,
+                    table, j, row.routine, row.r, where, self.N, self.rng,
                     need - len(outs), left, cap, residues,
                 )
                 ops += n << k
@@ -659,7 +647,7 @@ class Pipeline:
                 self._invocation += 1
                 seed = derive(self.solver_seed, i, self._invocation) if self.seeded else 0
                 label, _, _, _, solver_ops, peak = combine_labels(
-                    labels, st.routine, st.r, where, self.N, self.solver_id, self.rng, seed,
+                    labels, row.routine, row.r, where, self.N, self.solver_id, self.rng, seed,
                 )
                 got, n = ([] if label is None else [label]), 1
                 left = left - 1 if label is None else cap
@@ -668,7 +656,6 @@ class Pipeline:
             mem = max(mem, peak)
             outs += got
         failures = runs - len(outs)
-        row = self.stats[i]
         row.invocations += runs
         row.consumed += k * runs
         row.successes += len(outs)
@@ -681,7 +668,7 @@ class Pipeline:
         self.ledger.elements_wasted += k * failures
         if not left:
             raise RetryExhaustedError(
-                f"stage {i} (k={k}, r={st.r}, {st.routine}) exhausted "
+                f"stage {i} (k={k}, r={row.r}, {row.routine}) exhausted "
                 f"{cap} invocations without a success"
             )
         return outs

@@ -18,14 +18,7 @@ from shiftlab.combine import combine_interval, combine_pow2
 from shiftlab.errors import GuardError, RetryExhaustedError
 from shiftlab.group_arith import two_adic_valuation
 from shiftlab.kinds import POW2, POW2_TOP
-from shiftlab.pipeline import (
-    P_PRIOR,
-    RETRY_FACTOR,
-    CostLedger,
-    StageStats,
-    _plan_pow2,
-    plan_interval,
-)
+from shiftlab.pipeline import P_PRIOR, RETRY_FACTOR, CostLedger, _plan_pow2, plan_interval
 from shiftlab.seeds import derive, label_path
 
 
@@ -38,10 +31,7 @@ class ReferenceEngine:
         self.scale = scale
         self.solver_seed = solver_seed
         self.ledger = CostLedger()
-        self.stats = [
-            StageStats(i, st.k, st.r, st.routine, b_in=st.b_in) for i, st in enumerate(plan)
-        ]
-        self.ledger.per_stage = self.stats
+        self.ledger.per_stage = plan  # the plan's rows are the ledger's
         self.caps = [RETRY_FACTOR * math.ceil(st.k / P_PRIOR) for st in plan]
         self.invocation = 0
 
@@ -54,22 +44,21 @@ class ReferenceEngine:
         return self.raw() if depth < 0 else self.produce(depth)
 
     def produce(self, i):
-        st = self.plan[i]
-        row = self.stats[i]
+        row = self.plan[i]
         for _ in range(self.caps[i]):
-            ins = [self.take(i - 1) for _ in range(st.k)]
+            ins = [self.take(i - 1) for _ in range(row.k)]
             self.invocation += 1
             seed_i = derive(self.solver_seed, i, self.invocation)
-            if st.routine == POW2:
-                combine, where = combine_pow2, st.a
+            if row.routine == POW2:
+                combine, where = combine_pow2, row.a
             else:
-                combine, where = combine_interval, st.b_in
+                combine, where = combine_interval, row.b_in
             out = combine(
-                ins, st.r, where, self.sched.solver_id,
+                ins, row.r, where, self.sched.solver_id,
                 rng=self.rng, solver_seed=seed_i,
             )
             row.invocations += 1
-            row.consumed += st.k
+            row.consumed += row.k
             row.solver_ops += out.solver_ops
             row.mem_peak = max(row.mem_peak, out.solver_mem)
             self.ledger.solver_ops += out.solver_ops
@@ -79,14 +68,14 @@ class ReferenceEngine:
                 row.produced += 1
                 return out.result
             row.failures += 1
-            self.ledger.elements_wasted += st.k
+            self.ledger.elements_wasted += row.k
         raise RetryExhaustedError(f"stage {i} exhausted {self.caps[i]} invocations")
 
     def discard(self, elem, depth):
         elem.consume()
         self.ledger.elements_wasted += 1
         if depth >= 0:
-            self.stats[depth].discarded += 1
+            self.plan[depth].discarded += 1
         else:
             self.ledger.raw_discarded += 1
 

@@ -92,8 +92,8 @@ def test_sample_labels_serve_the_element_stream(N):
     served = 0
     for n in (1, 12, LABEL_BATCH - 5, 0, 3 * LABEL_BATCH, 7):
         served_labels = inst.sample_labels(n)
-        assert served_labels == [reference.randrange(N) for _ in range(n)]
-        assert all(type(label) is int for label in served_labels)
+        assert served_labels.tolist() == [reference.randrange(N) for _ in range(n)]
+        assert served_labels.dtype == np.int64
         assert inst.sample_element().label == reference.randrange(N)
         served += n + 1
         assert inst.q_queries == served
@@ -127,12 +127,27 @@ def test_peek_labels_shows_what_comes_next(N):
         assert again.tolist() == upcoming(peek)
         assert peek == 0 or np.shares_memory(view, again)
         assert inst.q_queries == served
-        assert inst.sample_labels(take) == upcoming(take)
+        assert inst.sample_labels(take).tolist() == upcoming(take)
         del ahead[:take]
         assert inst.sample_element().label == upcoming(1)[0]
         del ahead[:1]
         served += take + 1
         assert inst.q_queries == served
+
+
+@pytest.mark.parametrize("N", [1000003, 2**63 - 1])
+def test_sample_labels_serve_the_peeked_view(N):
+    # the served labels are the read-only int64 view that the peek just
+    # before showed, not a list of ints, and each costs one query
+    inst = new_instance(N, seed=N)
+    for n in (5, LABEL_BATCH + 3, 0):
+        peeked = inst.peek_labels(n)
+        before = inst.q_queries
+        served = inst.sample_labels(n)
+        assert isinstance(served, np.ndarray) and served.dtype == np.int64
+        assert not served.flags.writeable
+        assert np.array_equal(served, peeked)
+        assert inst.q_queries == before + n
 
 
 def test_query_counter_advances():

@@ -1,13 +1,16 @@
 """Schedule builders and the element-production pipeline."""
 
+import ast
 import math
 import os
+import pathlib
 import random
 import subprocess
 import sys
 
 import pytest
 
+import shiftlab.pipeline as pipeline_module
 from shiftlab import (
     AccountingError,
     CostLedger,
@@ -15,6 +18,7 @@ from shiftlab import (
     Schedule,
     StageSpec,
     new_instance,
+    recover_odd,
     run_pipeline,
     schedule_affine,
     schedule_from_json,
@@ -24,6 +28,7 @@ from shiftlab import (
     two_adic_valuation,
 )
 from shiftlab.kinds import BRUTE, INTERVAL, MITM, POW2, POW2_TOP, REP, SMALL_ONE, SOLVER_WIDTHS, SS
+from shiftlab.subset_sum import solvers
 
 from conftest import stream
 
@@ -402,6 +407,27 @@ def test_corrupted_memory_peak_raises_accounting_error():
         CostLedger(mem_peak_cells=1).check_consistent()
 
 
+def test_ledger_rows_are_the_plan_fresh_per_element():
+    # an element's plan is its ledger rows: a power-of-two row carries its
+    # input valuation a, the r of the rows below it, and an interval row
+    # its input bound b_in instead; each element gets rows of its own, so
+    # a recovery's merged ledger holds no row twice and still sums to its
+    # totals
+    _, ledger = run_pipeline(new_instance(N=2**10, seed=5), schedule_uniform(10, 4), POW2_TOP)
+    rows = ledger.per_stage
+    assert [row.a for row in rows] == [sum(low.r for low in rows[:i]) for i in range(len(rows))]
+    assert [row.b_in for row in rows] == [None] * 3
+    inst = new_instance(N=4001, seed=1)
+    ledger = CostLedger()
+    s = recover_odd(inst, schedule_uniform(12, 8, routine=INTERVAL), ledger=ledger)
+    assert s == inst.reveal_secret()
+    rows = ledger.per_stage
+    assert len(rows) > 3 and all(row.a is None and row.b_in > 2 for row in rows)
+    assert len({id(row) for row in rows}) == len(rows)
+    assert ledger.solver_ops == sum(row.solver_ops for row in rows)
+    assert ledger.mem_peak_cells == max(row.mem_peak for row in rows)
+
+
 def test_accounting_identities_hold_under_python_O():
     code = (
         "from shiftlab import AccountingError, CostLedger\n"
@@ -419,3 +445,31 @@ def test_accounting_identities_hold_under_python_O():
     )
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout.decode().split() == ["raised", "raised"]
+
+
+# ---------------------------------------------------------------------------
+# module structure
+
+
+def test_pipeline_module_binds_no_mutable_state():
+    # pipeline.py binds nothing at module level but imports, definitions
+    # and constant arithmetic, and declares no global: state shared by
+    # every Pipeline in the process would let one recovery's waves or
+    # rows leak into another's
+    tree = ast.parse(pathlib.Path(pipeline_module.__file__).read_text(encoding="utf-8"))
+    constant = (ast.Constant, ast.BinOp, ast.UnaryOp, ast.operator, ast.unaryop)
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            assert all(isinstance(n, constant) for n in ast.walk(node.value)), ast.unparse(node)
+        elif isinstance(node, ast.Expr):
+            assert isinstance(node.value, ast.Constant), ast.unparse(node)
+        else:
+            defs = (ast.Import, ast.ImportFrom, ast.FunctionDef, ast.ClassDef)
+            assert isinstance(node, defs), ast.unparse(node)
+    assert not any(isinstance(n, (ast.Global, ast.Nonlocal)) for n in ast.walk(tree))
+
+
+def test_kernel_widths_stay_within_the_brute_force_charge():
+    # the kernel charges a row 2^k + |J| cells, which is solve_bruteforce's
+    # charge only up to BRUTE_TABLE_BITS
+    assert pipeline_module.KERNEL_K_MAX <= solvers.BRUTE_TABLE_BITS

@@ -55,11 +55,11 @@ def sequence(engine, N, seed, steps):
     results = []
     for step in steps:
         if isinstance(step, int):
-            results.append(inst.sample_labels(step))
+            results.append(inst.sample_labels(step).tolist())
         else:
             sched, target, kwargs = step
             results.append(result(inst, *engine(inst, sched, target, **kwargs)))
-    return results, inst.sample_labels(3)
+    return results, inst.sample_labels(3).tolist()
 
 
 def outcome(engine, N, sched, target, seed, calls=1, **kwargs):
@@ -90,10 +90,11 @@ def element_sequence(N, seed, sched, target, steps, reference=False):
     inst = new_instance(N, seed=seed)
     element = elements(inst, sched, target, reference)
     results = [
-        inst.sample_labels(step) if isinstance(step, int) else result(inst, *element(**step))
+        inst.sample_labels(step).tolist() if isinstance(step, int)
+        else result(inst, *element(**step))
         for step in steps
     ]
-    return results, inst.sample_labels(3)
+    return results, inst.sample_labels(3).tolist()
 
 
 def assert_same_elements(N, seed, sched, target, steps):
@@ -110,7 +111,7 @@ def raised(engine, N, sched, target, seed, **kwargs):
         engine(inst, sched, target, **kwargs)
     named = re.match(r"stage (\d+) ", str(info.value))
     stage = int(named[1]) if named else None
-    return info.type, inst.q_queries, inst.sample_labels(3), stage
+    return info.type, inst.q_queries, inst.sample_labels(3).tolist(), stage
 
 
 def mid_wave(invocations, k):
@@ -218,7 +219,7 @@ def test_wave_rows_per_width(k, rows):
     assert _wave_rows(k) == rows
     assert rows >= (1 << 15) >> k and (rows == 1 or rows << k <= 1 << 17)
     inst = new_instance(1 << 20, seed=k)
-    wave = pipeline_module._Wave((k, POW2), np.int32)
+    wave = pipeline_module._Wave(k, np.int32)
     built = []
     for _ in range(rows.bit_length() + 1):
         wave.build(inst)
@@ -500,7 +501,7 @@ def test_peek_or_another_instance_between_calls_keeps_the_wave(waves):
             inst.peek_labels(3 * LABEL_BATCH)
             between = result(other, *elements(other, sched, POW2_TOP, reference)(level=11))
             second = result(inst, *element(level=10))
-            got.append((first, between, second, inst.sample_labels(3)))
+            got.append((first, between, second, inst.sample_labels(3).tolist()))
         assert got[0] == got[1]
         # one first wave per instance: a restarted wave would be a third
         assert waves.count(1) == 2
