@@ -125,7 +125,10 @@ def apply_config(
     for dest, raw in cfg.items():
         p, action = owners[dest]
         if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-            value: object = raw.lower() in ("1", "true", "yes", "on")
+            word = raw.lower()
+            if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+                raise UsageError(f"config key {dest}: {raw!r} is not a boolean")
+            value: object = word in ("1", "true", "yes", "on")
         elif action.type is not None:
             try:
                 value = action.type(raw)

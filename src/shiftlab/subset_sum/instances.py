@@ -4,15 +4,14 @@ Solutions are bitmask ints: bit i set means weights[i] participates. The
 module-level masked_sum, modular_ancilla, interval_ancilla and
 interval_bounds are the single source of truth for subset sums and ancilla
 values; the instance classes, the combination routines and the solvers all
-call them (or check()) rather than reimplementing the arithmetic. The one
-copy is combine.brute_run, the pipeline's brute-force kernel, which inlines
-the ancilla value and bounds on its hot path and combine._project's
-projection tail (pair coins, output label or gap, rejection coin), and
-reads every sum from a table of the input labels' subset sums instead of
-calling masked_sum. combine.combine_labels runs every solver, brute force
-included, through these functions and _project, so it checks the copy:
-the kernel tests and the pipeline-versus-reference tests pin the kernel
-to it.
+call them (or check()) rather than reimplementing the arithmetic.
+combine.brute_run, the pipeline's brute-force kernel, reads every sum from
+a table of the input labels' subset sums instead of calling masked_sum,
+and writes three steps out inline, because a call per row costs more than
+the step: the witness draw, the ancilla value and window
+(modular_ancilla, interval_ancilla and interval_bounds) and the preimage
+scans. combine.combine_labels runs every solver, brute force included,
+through these functions, and the kernel tests pin the kernel to it.
 """
 
 from __future__ import annotations

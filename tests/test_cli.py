@@ -266,6 +266,10 @@ def with_files(args, tmp_path) -> list[str]:
         ("exponents", "--format", "csv", "--out", "."),
         ("exponents", "--out", "no-such-dir/x.txt"),
         ("exponents", "--c", "0.5", "--out", "."),
+        # a config boolean that is neither true nor false
+        ("--config", ("timings = ture",), "solve", "--n", "8", "--strategy", "uniform",
+         "--k", "4"),
+        ("--config", ("check = nope",), "subset-sum", "--k", "4", "--instances", "1"),
     ],
 )
 def test_usage_errors_exit_2(args, tmp_path):
@@ -361,6 +365,10 @@ def test_config_boolean_and_unknown_key(tmp_path):
     proc = cli("--config", str(cfg), "solve", "--n", "8", "--strategy",
                "uniform", "--k", "4", "--seed", "1")
     assert lines_of(proc)[0]["wall_s"] is not None
+    cfg.write_text("timings = OFF\n")
+    proc = cli("--config", str(cfg), "solve", "--n", "8", "--strategy",
+               "uniform", "--k", "4", "--seed", "1")
+    assert proc.returncode == 0 and lines_of(proc)[0]["wall_s"] is None
 
     bad = tmp_path / "bad.cfg"
     bad.write_text("width = 9\n")

@@ -7,6 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from shiftlab import combine
 from shiftlab.combine import (
     FAILURE_PROJECTION,
     FAILURE_REJECTION,
@@ -96,6 +97,11 @@ def test_project_pair_never_fails_even_support():
     for m in (2, 4, 6, 8):
         for _ in range(2000):
             assert project_pair(set(range(m)), rng) is not None
+
+
+def test_project_pair_empty_support_is_a_guard_error():
+    with pytest.raises(GuardError):
+        project_pair(set(), random.Random(0))
 
 
 # -- the coin helper --------------------------------------------------------------
@@ -614,15 +620,15 @@ def test_multi_row_run_matches_one_row_per_call(routine, N, dtype, r):
 
 @pytest.mark.parametrize("routine", [POW2, INTERVAL])
 def test_inlined_tail_matches_project(routine):
-    """brute_run's inlined projection tail against _project from equal rng
-    states: after the witness, _project on the support enumerated from the
-    row, summing the labels, gives the same label, |J| and memory, and
-    leaves the same rng state. Power-of-two rows are int32 and int64, and
-    wrapped mod 2^64 at N = 2^62; the cases cover odd and even supports,
-    |J| = 1 and, for the interval routine, gaps of 0, accepted and
-    rejected coins and gaps past B'. Neither copy tests for margin <= 0:
-    every window that holds the witness has margin >= 1, checked over all
-    small bounds."""
+    """brute_run's preimage scans and row sums against a Python enumeration,
+    from equal rng states: after the witness, _project on the support
+    enumerated from the labels' masked sums, which sums the labels itself,
+    gives the same label, |J| and memory, and leaves the same rng state.
+    Power-of-two rows are int32 and int64, and wrapped mod 2^64 at
+    N = 2^62; the cases cover odd and even supports, |J| = 1 and, for the
+    interval routine, gaps of 0, accepted and rejected coins and gaps past
+    B'. _gap does not test for margin <= 0: every window that holds the
+    witness has margin >= 1, checked over all small bounds."""
     rng = stream("inlined-tail", routine)
     seen = Counter()
     for _ in range(600):
@@ -654,11 +660,10 @@ def test_inlined_tail_matches_project(routine):
             want_v = interval_ancilla(total, where, r)
             bounds = interval_bounds(want_v, where, r)
             support = [i for i, s in enumerate(sums) if bounds[0] <= s < bounds[1]]
-        want = _project(labels, support, routine, r, where, N, ref, want_v, bounds, len(row),
-                        len(row) + len(support))
-        assert got == kernel_view(want)
+        label, pair = _project(labels, support, routine, r, where, N, ref, bounds)
+        m = len(support)
+        assert got == (label, m, len(row), len(row) + m)
         assert coins.getstate() == ref.getstate()
-        label, pair, _, m, _, _ = want
         seen["odd" if m % 2 else "even"] += 1
         seen["one"] += m == 1
         if routine == INTERVAL and pair is not None:
@@ -677,6 +682,53 @@ def test_inlined_tail_matches_project(routine):
                 for v in range(12 << (r - 1)):
                     lo, hi = interval_bounds(v, where, r)
                     assert hi == lo or hi - lo - b_prime + 1 >= 1
+
+
+@pytest.mark.parametrize("routine,N,r,bytes_walk", [
+    (POW2, 1 << 16, 9, False),
+    (POW2, 1 << 16, 7, True),
+    (INTERVAL, 1000003, 8, False),
+], ids=["pow2-scan", "pow2-bytes", "interval"])
+def test_kernel_and_core_share_pair_and_gap(routine, N, r, bytes_walk, monkeypatch):
+    """The projection law is written once: a multi-row brute_run call
+    calls _pair once per row it runs and, on interval rows, _gap once per
+    row whose projection found a pair; combine_labels on each row's
+    labels goes through the same two functions."""
+    calls = Counter()
+    real_pair, real_gap = combine._pair, combine._gap
+
+    def counting_pair(sols, getrandbits):
+        pair = real_pair(sols, getrandbits)
+        calls["pair"] += 1
+        calls["found"] += pair is not None
+        return pair
+
+    def counting_gap(*args):
+        calls["gap"] += 1
+        return real_gap(*args)
+
+    monkeypatch.setattr(combine, "_pair", counting_pair)
+    monkeypatch.setattr(combine, "_gap", counting_gap)
+    rng = stream("shared-law", routine, r)
+    # r = k - 1 (power of two) and r = k - ceil(log2 k) (interval) keep
+    # supports small, so odd supports, and so projection failures, are common
+    k, rows = (12 if routine == INTERVAL else r + 1), 24
+    where = 0 if routine == POW2 else N
+    labels = [rng.randrange(N) for _ in range(rows * k)]
+    table = subset_sums(np.array(labels, dtype=np.int64).reshape(rows, k))
+    residues = (table & ((1 << r) - 1)).astype(np.uint8).tobytes() if bytes_walk else None
+    outputs, rows_run, _, _ = brute_run(table, 0, routine, r, where, N, rng, rows, rows, rows,
+                                        residues)
+    assert rows_run == rows
+    assert calls["pair"] == rows
+    assert calls["gap"] == (calls["found"] if routine == INTERVAL else 0)
+    assert 0 < len(outputs) <= calls["found"] < rows
+    for row in range(rows):
+        calls.clear()
+        _, pair, *_ = combine_labels(labels[row * k:(row + 1) * k], routine, r, where, N,
+                                     BRUTE, rng, 0)
+        assert calls["pair"] == 1
+        assert calls["gap"] == (routine == INTERVAL and pair is not None)
 
 
 # -- combine_interval ----------------------------------------------------------
