@@ -366,7 +366,7 @@ def cmd_subset_sum(args) -> int:
                 mem_max = max(mem_max, res.mem_peak)
                 if args.check:
                     oracle = solve_bruteforce(inst)
-                    if set(res.solutions) != set(oracle.solutions):
+                    if res.masks.tolist() != oracle.masks.tolist():
                         missed += 1
             mismatches += missed
             ops.sort()
@@ -448,9 +448,9 @@ def cmd_validate(args) -> int:
         tv = 0.0
         for v, prob in dist.probs.items():
             res = solve(problems[v])
-            if set(res.solutions) != set(dist.preimages[v]):
+            if tuple(res.masks.tolist()) != dist.preimages[v]:
                 preimage_mismatch += 1
-            tv += abs(len(res.solutions) / (1 << k) - float(prob))
+            tv += abs(len(res) / (1 << k) - float(prob))
         max_tv = max(max_tv, tv / 2)
 
     print(f"statevector label uniformity: max |P(l) - 1/N| = {max_label_dev:.3e}")

@@ -58,6 +58,7 @@ random.Random subclass that overrides randrange is therefore not consulted.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import GuardError
@@ -295,9 +296,11 @@ def combine_labels(labels, routine, r, where, N, solver_id, rng, solver_seed):
         bounds = interval_bounds(v, where, r)
         problem = IntervalInstance(tuple(labels), where, r, v)
     sol = solve(problem, solver_id, seed=solver_seed)
-    support = set(sol.solutions)
-    support.add(j_star)
-    label, pair = _project(labels, sorted(support), routine, r, where, N, rng, bounds)
+    support = sol.masks.tolist()
+    i = bisect_left(support, j_star)
+    if i == len(support) or support[i] != j_star:  # only an inexact solver misses j*
+        support.insert(i, j_star)
+    label, pair = _project(labels, support, routine, r, where, N, rng, bounds)
     return label, pair, v, len(support), sol.op_count, sol.mem_peak
 
 

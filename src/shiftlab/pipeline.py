@@ -230,13 +230,9 @@ def schedule_increasing(n: int, c: float, routine: str = POW2, solver_id: str = 
     The step makes the per-stage solver cost 2^{c k_i} grow by a fixed factor
     sqrt(n) per stage, keeping all stages within poly(n) of each other.
     """
-    if n < 2:
-        raise GuardError(f"need n >= 2, got {n}")
-    if not 0 < c <= 1:
-        raise GuardError(f"need 0 < c <= 1, got {c}")
-    step = math.log2(n) / (2 * c)
-    stages = _grow_stages(n, routine, lambda i: i * step)
-    return Schedule(stages, solver_id, {"family": "increasing", "n": n, "c": c, "alpha": step})
+    affine = schedule_affine(n, c, 0.0, routine, solver_id)
+    params = {"family": "increasing", "n": n, "c": c, "alpha": affine.params["alpha"]}
+    return Schedule(affine.stages, solver_id, params)
 
 
 def schedule_affine(

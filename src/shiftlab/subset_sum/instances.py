@@ -1,4 +1,4 @@
-"""Subset-sum instance flavors and solution sets.
+"""Subset-sum instance flavors and solution sets, each a sorted int64 mask array.
 
 Solutions are bitmask ints: bit i set means weights[i] participates. The
 module-level masked_sum, modular_ancilla, interval_ancilla and
@@ -18,6 +18,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 from ..group_arith import ceil_div
 
@@ -167,20 +170,29 @@ def random_instance(
     raise ValueError(f"unknown flavor {flavor!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolutionSet:
-    """All solutions of one instance plus cost accounting."""
+    """All solutions of one instance plus cost accounting. masks, the one
+    format, is sorted, unique and read-only int64, as the exact solvers' join
+    yields it; solutions, its frozenset, is built on first use."""
 
-    solutions: frozenset[int]
+    masks: np.ndarray
     op_count: int
     mem_peak: int
     # True from an exact solver (brute, mitm, ss, rep's degenerate mode): the
     # full set; False from seeded rounds (rep's ternary mode, memless)
     exhausted: bool = False
-    stats: dict = field(default_factory=dict, compare=False)
+    stats: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.masks.flags.writeable = False
+
+    @cached_property
+    def solutions(self) -> frozenset[int]:
+        return frozenset(self.masks.tolist())
 
     def __len__(self) -> int:
-        return len(self.solutions)
+        return len(self.masks)
 
     def __contains__(self, mask: int) -> bool:
         return mask in self.solutions

@@ -228,7 +228,7 @@ def solve_memoryless(inst: Instance, *, seed: int = 0) -> SolutionSet:
 
     counter.bump_mem(8 * k)
     return SolutionSet(
-        frozenset(found),
+        np.array(sorted(found), dtype=np.int64),
         op_count=counter.ops,
         mem_peak=counter.mem_peak,
         exhausted=False,

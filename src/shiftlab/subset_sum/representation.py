@@ -186,7 +186,7 @@ def solve_representation(inst: Instance, *, seed: int = 0) -> SolutionSet:
         stable = stable + 1 if len(found) == before else 0
 
     return SolutionSet(
-        frozenset(found),
+        np.array(sorted(found), dtype=np.int64),
         op_count=counter.ops,
         mem_peak=counter.mem_peak,
         exhausted=False,

@@ -13,6 +13,8 @@ are what the solver must report.
 
 from __future__ import annotations
 
+import numpy as np
+
 from shiftlab.errors import GuardError
 from shiftlab.subset_sum.instances import Instance, SolutionSet
 from shiftlab.subset_sum.lists import OpCounter, WindowConstraint, merge_join
@@ -56,7 +58,7 @@ def ss_solutions(inst: Instance) -> SolutionSet:
         out = merge_join(left, right, final, None, counter)
         found.update(int(m) for m in out.plus.tolist())
     return SolutionSet(
-        frozenset(found),
+        np.array(sorted(found), dtype=np.int64),
         op_count=counter.ops,
         mem_peak=counter.mem_peak,
         exhausted=True,

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from collections import Counter
 
 import numpy as np
@@ -24,6 +25,7 @@ from shiftlab.group_arith import ceil_div, ceil_log2, two_adic_valuation
 from shiftlab.instance import new_instance
 from shiftlab.kinds import BRUTE, INTERVAL, MITM, POW2
 from shiftlab.phase_sim import statevector_combine_dist
+from shiftlab.pipeline import KERNEL_K_MAX
 from shiftlab.subset_sum import (
     IntervalInstance,
     ModularInstance,
@@ -31,6 +33,7 @@ from shiftlab.subset_sum import (
     solve_bruteforce,
 )
 from shiftlab.subset_sum.instances import (
+    SolutionSet,
     interval_ancilla,
     interval_bounds,
     masked_sum,
@@ -729,6 +732,81 @@ def test_kernel_and_core_share_pair_and_gap(routine, N, r, bytes_walk, monkeypat
                                      BRUTE, rng, 0)
         assert calls["pair"] == 1
         assert calls["gap"] == (routine == INTERVAL and pair is not None)
+
+
+@pytest.mark.parametrize("routine", [POW2, INTERVAL])
+def test_wide_brute_combination_builds_no_frozenset(routine, monkeypatch):
+    """Past KERNEL_K_MAX, combine_labels projects brute force's mask array
+    as it is: no shiftlab module builds a frozenset during the call, and
+    the support is the solution set of the witness's instance."""
+    built = Counter()
+
+    def counting_frozenset(*args):
+        built["frozenset"] += 1
+        return frozenset(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name == "shiftlab" or name.startswith("shiftlab."):
+            monkeypatch.setattr(module, "frozenset", counting_frozenset, raising=False)
+    k = KERNEL_K_MAX + 2
+    rng = stream("wide-brute", routine)
+    if routine == POW2:
+        N, r, where = 1 << 24, 4, 0
+    else:
+        N = where = 1000003
+        r = 6
+    labels = [rng.randrange(N) for _ in range(k)]
+    _, _, v, m, ops, _ = combine_labels(labels, routine, r, where, N, BRUTE, rng, 0)
+    assert built["frozenset"] == 0
+    if routine == POW2:
+        problem = ModularInstance(tuple(modular_ancilla(lab, r) for lab in labels), r, v)
+    else:
+        problem = IntervalInstance(tuple(labels), N, r, v)
+    assert (m, ops) == (len(solve_bruteforce(problem)), 1 << k)
+    assert m > 1000
+
+
+@pytest.mark.parametrize("routine", [POW2, INTERVAL])
+def test_witness_joins_an_inexact_solution_set_in_order(routine, monkeypatch):
+    """An inexact solver's set may lack the witness j*: combine_labels
+    projects its masks with j* inserted in order, which gives the support
+    size, pair, label and rng state of _project on sorted(set(masks) |
+    {j*}), whether the set is empty or j* lies below, between, above or
+    among its masks."""
+    k, r = 8, 3
+    N = 1 << 16 if routine == POW2 else 1000003
+    where = 0 if routine == POW2 else N
+    offsets = {
+        "empty": (), "below": (1, 2, 7), "between": (-2, 3, 4),
+        "above": (-5, -3, -1), "equal": (-1, 0, 2), "equal-even": (-3, -1, 0, 5),
+    }
+    handed = []
+    monkeypatch.setattr(combine, "solve", lambda *args, **kwargs: handed[-1])
+    rng = stream("inexact-witness", routine)
+    rounds = 0
+    while rounds < 20:
+        labels = [rng.randrange(N) for _ in range(k)]
+        seed = rng.randrange(1 << 32)
+        j_star = random.Random(seed).randrange(1 << k)
+        if not 8 <= j_star < (1 << k) - 8:
+            continue
+        for name, offs in offsets.items():
+            masks = [j_star + d for d in offs]
+            handed.append(SolutionSet(np.array(masks, dtype=np.int64), 0, 0))
+            coins = random.Random(seed)
+            label, pair, _, m, _, _ = combine_labels(labels, routine, r, where, N, MITM,
+                                                     coins, 0)
+            ref = random.Random(seed)
+            assert _below(ref, 1 << k) == j_star
+            support = sorted(set(masks) | {j_star})
+            if routine == POW2:
+                bounds = None
+            else:
+                bounds = interval_bounds(interval_ancilla(masked_sum(labels, j_star), N, r), N, r)
+            want = _project(labels, support, routine, r, where, N, ref, bounds)
+            assert (label, pair, m) == (*want, len(support)), name
+            assert coins.getstate() == ref.getstate()
+        rounds += 1
 
 
 # -- combine_interval ----------------------------------------------------------

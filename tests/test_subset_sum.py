@@ -685,3 +685,41 @@ def test_dispatch_unknown_solver():
     inst = random_instance("modular", 8, 5, rng)
     with pytest.raises(ValueError):
         solve(inst, "quantum")
+
+
+# -- the solution-set format ----------------------------------------------------
+
+
+def _empty_unplanted(flavor, rng):
+    """An unplanted instance with no solution: r = k + 4 leaves 2^k
+    subsets among 2^(k+4) modular residues, and interval windows below
+    one unit wide."""
+    for _ in range(50):
+        inst = random_instance(flavor, 10, 14, rng, plant=False)
+        if not len(solve_bruteforce(inst)):
+            return inst
+    raise AssertionError("no unplanted instance without a solution in 50 draws")
+
+
+@pytest.mark.parametrize("flavor", ["modular", "interval"])
+@pytest.mark.parametrize("solver_id", ALL_SOLVERS)
+def test_solution_set_is_one_sorted_read_only_mask_array(solver_id, flavor):
+    """Every solver hands SolutionSet one format: masks is int64, strictly
+    increasing and read-only, solutions is its frozenset and len counts
+    it; on a sparse and a dense planted instance (rep's degenerate mode)
+    and an unplanted one without a solution."""
+    rng = stream("solution-set", solver_id, flavor)
+    insts = (random_instance(flavor, 12, 9, rng), random_instance(flavor, 12, 3, rng),
+             _empty_unplanted(flavor, rng))
+    sparse, dense, empty = sols = [solve(inst, solver_id, seed=3) for inst in insts]
+    for inst, sol in zip(insts, sols):
+        masks = sol.masks
+        assert masks.dtype == np.int64 and masks.ndim == 1
+        assert bool(np.all(masks[1:] > masks[:-1]))
+        assert not masks.flags.writeable
+        assert sol.solutions == frozenset(masks.tolist())
+        assert len(sol) == len(masks)
+        assert all(inst.check(m) for m in masks.tolist())
+    assert len(sparse) > 0 and len(empty) == 0
+    if solver_id == REP:
+        assert dense.stats["mode"] == "degenerate"
