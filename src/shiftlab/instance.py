@@ -181,8 +181,11 @@ class HiddenShiftInstance:
 
         Returns (bit, p0) with p0 = cos^2(pi*theta). Consumes the element.
         Exactly deterministic when theta is 0 or 1/2, so bit-recovery chains
-        do not accumulate float noise.
+        do not accumulate float noise. An element of another instance is a
+        GuardError and stays unconsumed.
         """
+        if elem.instance is not self:
+            raise GuardError("element belongs to a different instance")
         elem.consume()
         theta = self.phase_turns(elem, correction)
         if theta == 0:
@@ -230,8 +233,11 @@ def classical_verify(inst: HiddenShiftInstance, s_candidate: int, trials: int = 
 
     The oracles are injective, so a wrong candidate fails every trial; one
     trial already refutes with probability 1. Multiple trials are kept for
-    the cost accounting contract.
+    the cost accounting contract. trials < 1 would accept any candidate
+    unchecked, so it is a GuardError.
     """
+    if trials < 1:
+        raise GuardError(f"need trials >= 1, got {trials}")
     ok = True
     N = inst.modulus.N
     for _ in range(trials):

@@ -7,7 +7,8 @@ meet-in-the-middle, four-list guess-and-meet with low-order modular
 guessing, the ternary-digit representation solver with
 repetition-to-fixed-point, and memoryless collision finding. The exact
 three return the full solution set, rep and memless what their seeded
-rounds found; all count operations and memory.
+rounds found before one stopping rule (solvers.seeded_rounds) ended them;
+all count operations and memory.
 """
 
 from .instances import (

@@ -62,9 +62,6 @@ class WindowConstraint:
         if not 0 <= self.count <= (1 << self.t):
             raise ValueError("count outside [0, 2^t]")
 
-    def matches(self, total: int) -> bool:
-        return ((total - self.residue) % (1 << self.t)) < self.count
-
 
 @dataclass(frozen=True)
 class IntervalConstraint:
@@ -76,9 +73,6 @@ class IntervalConstraint:
     def __post_init__(self) -> None:
         if self.hi < self.lo:
             raise ValueError("empty interval")
-
-    def matches(self, total: int) -> bool:
-        return self.lo <= total < self.hi
 
 
 Constraint = WindowConstraint | IntervalConstraint

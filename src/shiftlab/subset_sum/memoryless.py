@@ -6,9 +6,9 @@ right map sends a right mask to its own key. A seeded mixing step turns key
 equality into collisions of a random walk on a domain of 2^(d+1) points
 (top bit = side, low bits = mask), found by Brent cycle detection. Cross-side
 collisions are checked against the instance equation; same-side ones are
-discarded. Repetitions with fresh walk seeds run until the found set is
-stable for three rounds, the repetition_budget runs out or
-MEMLESS_MAX_ROUNDS rounds have run.
+discarded. Rounds of repetitions with fresh walk seeds run under
+solvers.seeded_rounds, capped by the repetition_budget and by
+MEMLESS_MAX_ROUNDS.
 
 Modular targets compare full low-r residues, so every cross-side key match
 is a solution. Interval targets compare sums truncated to 2^rho blocks with
@@ -26,12 +26,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import GuardError
-from ..group_arith import ceil_log2
+from ..group_arith import ceil_div, ceil_log2
 from ..kinds import MEMLESS, SOLVER_WIDTHS
 from ..seeds import derive
 from .instances import Instance, ModularInstance, SolutionSet
 from .lists import OpCounter, subset_sums
-from .solvers import check_weight_magnitude, expected_solutions
+from .solvers import check_weight_magnitude, expected_solutions, seeded_result, seeded_rounds
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -130,9 +130,10 @@ def _advance(space, z, active, lane_mix, off):
 
 def solve_memoryless(inst: Instance, *, seed: int = 0) -> SolutionSet:
     """Solutions found by rounds of vectorized cycle walks, seeded by
-    derive(seed, _WALK_TAG, round). Besides the fixed point, the loop stops
-    after MEMLESS_MAX_ROUNDS rounds or once repetition_budget(inst) walks
-    have run; the stats report that budget as walk_budget.
+    derive(seed, _WALK_TAG, round). Each round walks `lanes` lanes, so
+    repetition_budget(inst) walks cap solvers.seeded_rounds at
+    ceil(budget / lanes) rounds, and MEMLESS_MAX_ROUNDS caps it too; the
+    stats report that budget as walk_budget.
     """
     if inst.k < MEMLESS_K_MIN:
         raise GuardError(f"memoryless solver needs k >= {MEMLESS_K_MIN}")
@@ -149,22 +150,14 @@ def solve_memoryless(inst: Instance, *, seed: int = 0) -> SolutionSet:
     scale = 4 if space.modular else 32
     lanes = int(min(8192, max(512, scale * expected)))
     step_cap = 24 * int(float(space.domain) ** 0.5) + 64
+    # interval lanes alternate between the two block offsets
+    off = np.zeros(lanes, dtype=np.int64)
+    if not space.modular:
+        off[1::2] = space.half_block
 
-    found: set[int] = set()
-    stable = 0
-    rounds = 0
-    walks = 0
-    while stable < 3 and rounds < MEMLESS_MAX_ROUNDS and walks < walks_cap:
-        lane_seed = derive(seed, _WALK_TAG, rounds)
-        lane_mix = _mix64(
-            np.arange(lanes, dtype=np.uint64) ^ np.uint64(lane_seed & (2**64 - 1))
-        )
-        if space.modular:
-            off = np.zeros(lanes, dtype=np.int64)
-        else:
-            off = np.where(
-                np.arange(lanes) % 2 == 0, np.int64(0), np.int64(space.half_block)
-            )
+    def run_round(i: int) -> set[int]:
+        lane_seed = np.uint64(derive(seed, _WALK_TAG, i) & (2**64 - 1))
+        lane_mix = _mix64(np.arange(lanes, dtype=np.uint64) ^ lane_seed)
         z0 = _mix64(lane_mix ^ _GOLDEN) % space.domain
 
         # Brent phase: cycle length per lane.
@@ -216,28 +209,15 @@ def solve_memoryless(inst: Instance, *, seed: int = 0) -> SolutionSet:
             has_pair &= tortoise == hare
         counter.add(steps * k)
 
-        before = len(found)
-        if bool(has_pair.any()):
-            for mask in space.cross_masks(pu[has_pair], pv[has_pair]):
-                counter.add(k)
-                if inst.check(mask):
-                    found.add(mask)
-        walks += lanes
-        rounds += 1
-        stable = stable + 1 if len(found) == before else 0
+        masks = space.cross_masks(pu[has_pair], pv[has_pair])
+        counter.add(len(masks) * k)
+        return {mask for mask in masks if inst.check(mask)}
 
+    found: set[int] = set()
+    max_rounds = min(MEMLESS_MAX_ROUNDS, ceil_div(walks_cap, lanes))
+    rounds, stable = seeded_rounds(found, run_round, max_rounds)
     counter.bump_mem(8 * k)
-    return SolutionSet(
-        np.array(sorted(found), dtype=np.int64),
-        op_count=counter.ops,
-        mem_peak=counter.mem_peak,
-        exhausted=False,
-        stats={
-            "solver": "memless",
-            "rounds": rounds,
-            "walks": walks,
-            "walk_budget": walks_cap,
-            "stable": stable >= 3,
-            "lanes": lanes,
-        },
+    return seeded_result(
+        found, counter, solver="memless", rounds=rounds, walks=rounds * lanes,
+        walk_budget=walks_cap, stable=stable, lanes=lanes,
     )

@@ -4,11 +4,11 @@ A weight-w solution x splits as x = x1 + x2 where x1 carries ceil(w/2) of the
 ones plus M extra +1/-1 cancelling pairs and x2 carries the rest; the many
 ways of choosing the split mean a random low-bit constraint on x1's partial
 sum keeps some representation of x alive with constant probability. Each
-round draws fresh constraints, builds the candidate lists per weight class,
-merges them with digit-consistency filtering, and the round loop stops once
-the found set has been stable for three consecutive rounds (or after
-REP_MAX_ROUNDS). The split is one level deep: x1 and x2 each come from one
-join of two position halves, and DEFAULT_MINUS_FRACTION * k sets M.
+round draws fresh constraints, builds the candidate lists per weight class and
+merges them with digit-consistency filtering; solvers.seeded_rounds decides
+when the rounds stop, with REP_MAX_ROUNDS as the round cap. The split is one
+level deep: x1 and x2 each come from one join of two position halves, and
+DEFAULT_MINUS_FRACTION * k sets M.
 
 Dense instances (many expected solutions) gain nothing from representations;
 for those the solver runs the plain position split of the two-list merge,
@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -39,6 +40,8 @@ from .solvers import (
     check_weight_magnitude,
     expected_solutions,
     full_constraint,
+    seeded_result,
+    seeded_rounds,
     solve_mitm,
     window_for,
 )
@@ -52,20 +55,8 @@ _ROUND_TAG = 0x9E
 
 @lru_cache(maxsize=None)
 def _combo_masks(n: int, t: int) -> tuple[int, ...]:
-    """All t-subsets of [0, n) as bitmasks, ascending (Gosper's hack)."""
-    if t < 0 or t > n:
-        return ()
-    if t == 0:
-        return (0,)
-    out = []
-    mask = (1 << t) - 1
-    top = 1 << n
-    while mask < top:
-        out.append(mask)
-        low = mask & -mask
-        ripple = mask + low
-        mask = ripple | (((mask ^ ripple) >> 2) // low)
-    return tuple(out)
+    """All t-subsets of [0, n) as bitmasks, ascending; none for t > n."""
+    return tuple(sorted(sum(1 << i for i in c) for c in combinations(range(n), t)))
 
 
 class _HalfEnumerator:
@@ -161,7 +152,8 @@ def solve_representation(inst: Instance, *, seed: int = 0) -> SolutionSet:
     m_pairs = max(1, round(DEFAULT_MINUS_FRACTION * k))
     t1 = max(1, inst.r // 2)
 
-    def run_round(rnd) -> set[int]:
+    def run_round(i: int) -> set[int]:
+        rnd = random.Random(derive(seed, _ROUND_TAG, i))
         hits: set[int] = set()
         for w in range(2, k - 1):
             m_w = min(m_pairs, (k - w) // 2)
@@ -176,26 +168,8 @@ def solve_representation(inst: Instance, *, seed: int = 0) -> SolutionSet:
         return hits
 
     found = _near_trivial_hits(inst, counter)
-    stable = 0
-    rounds = 0
-    while stable < 3 and rounds < REP_MAX_ROUNDS:
-        rnd = random.Random(derive(seed, _ROUND_TAG, rounds))
-        before = len(found)
-        found |= run_round(rnd)
-        rounds += 1
-        stable = stable + 1 if len(found) == before else 0
-
-    return SolutionSet(
-        np.array(sorted(found), dtype=np.int64),
-        op_count=counter.ops,
-        mem_peak=counter.mem_peak,
-        exhausted=False,
-        stats={
-            "solver": "rep",
-            "mode": "ternary",
-            "rounds": rounds,
-            "stable": stable >= 3,
-            "depth": 2,
-            "minus_fraction": DEFAULT_MINUS_FRACTION,
-        },
+    rounds, stable = seeded_rounds(found, run_round, REP_MAX_ROUNDS)
+    return seeded_result(
+        found, counter, solver="rep", mode="ternary", rounds=rounds, stable=stable,
+        depth=2, minus_fraction=DEFAULT_MINUS_FRACTION,
     )

@@ -1,5 +1,7 @@
 """Exact solvers: brute force, meet-in-the-middle and the four-list merge, all
-by one join of the two position halves, each charged as the method it models."""
+by one join of the two position halves, each charged as the method it models;
+and what the seeded solvers (rep's ternary mode, memless) share: one stopping
+rule, seeded_rounds, and one result, seeded_result."""
 
 from __future__ import annotations
 
@@ -34,6 +36,8 @@ _INT32_BITS = 31
 # by table itemsize: the unsigned view that combine.brute_run reduces
 # interval sums in, and the cap below every sum
 _REDUCED = {4: (np.uint32, 1 << _INT32_BITS), 8: (np.uint64, _SUM_CAP)}
+# seeded_rounds stops after this many rounds in a row find nothing new
+QUIET_ROUNDS = 3
 
 
 def sums_fit(k: int, top: int) -> bool:
@@ -113,6 +117,27 @@ def _half_join(inst: Instance) -> tuple[np.ndarray, PartialSumList, PartialSumLi
 def _exact(masks: np.ndarray, ops: int, mem_peak: int, **stats) -> SolutionSet:
     """An exact solver's result: every solution's mask, and its charges."""
     return SolutionSet(masks, ops, mem_peak, exhausted=True, stats=stats)
+
+
+def seeded_rounds(found: set[int], run_round, max_rounds: int) -> tuple[int, bool]:
+    """The seeded solvers' stopping rule: add run_round(i)'s finds to found
+    for i = 0, 1, ... until QUIET_ROUNDS rounds in a row add nothing or
+    max_rounds rounds have run. Returns (rounds, stable): the rounds run
+    and whether the quiet stop was reached."""
+    quiet = rounds = 0
+    while quiet < QUIET_ROUNDS and rounds < max_rounds:
+        before = len(found)
+        found |= run_round(rounds)
+        rounds += 1
+        quiet = quiet + 1 if len(found) == before else 0
+    return rounds, quiet >= QUIET_ROUNDS
+
+
+def seeded_result(found: set[int], counter: OpCounter, **stats) -> SolutionSet:
+    """A seeded solver's result: the masks its rounds found, and its
+    charges; not known to be the full set."""
+    masks = np.array(sorted(found), dtype=np.int64)
+    return SolutionSet(masks, counter.ops, counter.mem_peak, exhausted=False, stats=stats)
 
 
 def solve_bruteforce(inst: Instance) -> SolutionSet:

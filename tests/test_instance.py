@@ -174,6 +174,14 @@ def test_classical_verify_counts_two_per_trial():
     assert inst.c_queries == before + 20
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_classical_verify_refuses_fewer_than_one_trial(trials):
+    inst = new_instance(101, 5, seed=3)
+    with pytest.raises(GuardError):
+        classical_verify(inst, 6, trials=trials)
+    assert inst.c_queries == 0
+
+
 def test_reveal_gated_in_measurement_mode():
     inst = new_instance(64, 9, seed=0, measurement_mode=True)
     with pytest.raises(TamperError):
@@ -218,6 +226,15 @@ def test_elements_consume_once():
     inst.measure_element(elem)
     with pytest.raises(ConsumedElementError):
         inst.measure_element(elem)
+
+
+def test_measure_refuses_element_of_another_instance():
+    inst, other = new_instance(64, seed=4), new_instance(64, seed=3)
+    elem = other.sample_element()
+    with pytest.raises(GuardError):
+        inst.measure_element(elem)
+    assert not elem.consumed
+    assert other.measure_element(elem)[0] in (0, 1)
 
 
 def test_scaled_element_true_label():

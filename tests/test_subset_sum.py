@@ -28,9 +28,12 @@ from shiftlab.subset_sum import (
 from shiftlab.phase_sim import ancilla_value
 from shiftlab.subset_sum.instances import interval_ancilla, masked_sum, modular_ancilla
 from shiftlab.subset_sum.lists import CONSISTENCY_BINARY, subset_sums
+from shiftlab.subset_sum.representation import _combo_masks
 from shiftlab.subset_sum.solvers import (
     BRUTE_K_CAP,
+    QUIET_ROUNDS,
     expected_solutions,
+    seeded_rounds,
     sums_fit,
     table_dtype,
 )
@@ -182,12 +185,19 @@ def _digit_list(entries):
 
 def _scan_join(ea, eb, cons, consistency):
     """Quadratic reference for merge_join on digit vectors: add digit-wise,
-    keep the pairs whose digit sums the mode allows."""
+    keep the pairs whose sums meet the constraint, by its definition, and
+    whose digit sums the mode allows."""
+
+    def meets(total):
+        if isinstance(cons, WindowConstraint):
+            return (total - cons.residue) % (1 << cons.t) < cons.count
+        return cons.lo <= total < cons.hi
+
     allowed = {None: (-1, 0, 1), CONSISTENCY_BINARY: (0, 1)}
     out = []
     for x, dx in ea:
         for y, dy in eb:
-            if not cons.matches(x + y):
+            if not meets(x + y):
                 continue
             total = {i: dx.get(i, 0) + dy.get(i, 0) for i in set(dx) | set(dy)}
             if any(d not in allowed[consistency] for d in total.values()):
@@ -602,6 +612,12 @@ def test_rep_planted_wide_instance():
     assert witness in got.solutions
 
 
+@pytest.mark.parametrize("n", range(13))
+def test_combo_masks_are_the_popcount_t_masks_ascending(n):
+    for t in range(n + 2):
+        assert _combo_masks(n, t) == tuple(m for m in range(1 << n) if m.bit_count() == t)
+
+
 def test_rep_guards():
     with pytest.raises(GuardError):
         solve_representation(ModularInstance((1, 2, 3), 2, 0))
@@ -635,6 +651,61 @@ def test_memless_memory_linear_in_k():
         inst = random_instance("modular", k, k - 2, rng)
         got = solve_memoryless(inst, seed=1)
         assert got.mem_peak <= 8 * k
+
+
+# -- seeded rounds -----------------------------------------------------------
+
+
+def _scripted(finds):
+    """run_round for seeded_rounds: round i finds finds[i], or nothing past
+    the script's end; calls records the round indices asked for."""
+    calls = []
+
+    def run_round(i):
+        calls.append(i)
+        return set(finds[i]) if i < len(finds) else set()
+
+    return run_round, calls
+
+
+def test_seeded_rounds_stop_after_quiet_rounds():
+    run_round, calls = _scripted([])
+    found = set()
+    assert seeded_rounds(found, run_round, 64) == (QUIET_ROUNDS, True)
+    assert calls == list(range(QUIET_ROUNDS)) and found == set()
+
+
+def test_seeded_rounds_new_find_resets_the_quiet_count():
+    # round 1 finds 1 again, which is nothing new; round 3 finds 2
+    quiet = [()] * (QUIET_ROUNDS - 1)
+    finds = [(1,), (1,), *quiet[1:], (2, 1), *quiet]
+    run_round, calls = _scripted(finds)
+    found = {7}
+    rounds, stable = seeded_rounds(found, run_round, 64)
+    assert (rounds, stable) == (2 * QUIET_ROUNDS + 1, True)
+    assert calls == list(range(rounds)) and found == {1, 2, 7}
+
+
+@pytest.mark.parametrize("max_rounds", [0, 1, QUIET_ROUNDS, 5])
+def test_seeded_rounds_stop_at_max_rounds(max_rounds):
+    run_round, calls = _scripted([(i,) for i in range(10)])
+    found = set()
+    assert seeded_rounds(found, run_round, max_rounds) == (max_rounds, False)
+    assert calls == list(range(max_rounds)) and found == set(range(max_rounds))
+
+
+@pytest.mark.parametrize("solver", [REP, MEMLESS])
+def test_seeded_solvers_return_sorted_unique_read_only_masks(solver):
+    rng = stream("seededresult")
+    for i in range(8):
+        inst = random_instance(rng.choice(("modular", "interval")), 12, rng.randrange(8, 12), rng)
+        got = solve(inst, solver, seed=i)
+        assert got.stats.get("mode", "ternary") == "ternary", repr(inst)
+        masks = got.masks
+        assert masks.dtype == np.int64 and not masks.flags.writeable
+        assert np.all(np.diff(masks) > 0), repr(inst)
+        assert not got.exhausted and got.stats["stable"] is True
+        assert got.solutions <= _enum(inst)
 
 
 # -- empty interval bounds ------------------------------------------------------
