@@ -171,8 +171,10 @@ class HiddenShiftInstance:
 
     # -- referee-side measurement -------------------------------------------
 
-    def phase_turns(self, elem: PhaseElement, correction: Fraction = 0) -> Fraction:
-        """theta = s*l/N + correction (mod 1), exact: corrections are rational."""
+    def _phase_turns(self, elem: PhaseElement, correction: Fraction = 0) -> Fraction:
+        """theta = s*l/N + correction (mod 1), exact: corrections are rational.
+        It reads the secret, so only measure_element, which checks the
+        element's instance first, calls it."""
         base = Fraction((self._s * elem.true_label) % self.modulus.N, self.modulus.N)
         return (base + correction) % 1
 
@@ -187,7 +189,7 @@ class HiddenShiftInstance:
         if elem.instance is not self:
             raise GuardError("element belongs to a different instance")
         elem.consume()
-        theta = self.phase_turns(elem, correction)
+        theta = self._phase_turns(elem, correction)
         if theta == 0:
             p0 = 1.0
         elif theta == Fraction(1, 2):

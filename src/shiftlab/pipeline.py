@@ -22,9 +22,12 @@ Widths from the real-valued formulas are rounded to integers with a floor of
 2 and r clamped to [1, k-1]; params on the Schedule keeps the raw formula
 inputs so printers can show both.
 
-A Pipeline is one recovery's engine: one instance, schedule, target and
-rng, asked for one target element at a time (Pipeline.element), and
-run_pipeline is a Pipeline asked for one element. It runs the stages on
+A Pipeline is one recovery's engine: one instance, schedule and rng, asked
+for one element at a time (Pipeline.element), and run_pipeline is a
+Pipeline asked for one element. The modulus picks the ladder: a power of
+two runs power-of-two stages up to an element of a given 2-adic level, an
+odd N interval stages down to an element of label 1, and the Pipeline
+refuses a schedule with a stage of the other routine. It runs the stages on
 plain int labels, recursively: the top stage is asked for one output, and
 each stage asks the stage below for the k inputs of an invocation in one
 batch, since it cannot run before it has them all. Every invocation is one
@@ -85,9 +88,7 @@ from .combine import brute_run, combine_interval, combine_labels, combine_pow2  
 from .errors import AccountingError, GuardError, RetryExhaustedError
 from .group_arith import ceil_div, ceil_log2, two_adic_valuation
 from .instance import HiddenShiftInstance, PhaseElement
-from .kinds import (
-    BRUTE, INTERVAL, POW2, POW2_TOP, ROUTINES, SEEDED_SOLVERS, SOLVER_WIDTHS, SOLVERS, TARGETS,
-)
+from .kinds import BRUTE, INTERVAL, POW2, ROUTINES, SOLVER_WIDTHS, SOLVERS
 from .seeds import derive, label_path
 from .subset_sum.lists import subset_sums
 from .subset_sum.solvers import sums_fit, table_dtype
@@ -305,9 +306,6 @@ class StageStats:
     solver_ops: int = 0
     mem_peak: int = 0
 
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
-
 
 @dataclass
 class CostLedger:
@@ -358,11 +356,6 @@ class CostLedger:
             ):
                 raise AccountingError(f"stage {s.stage} row is inconsistent")
 
-    def as_dict(self) -> dict:
-        d = {k: v for k, v in self.__dict__.items() if k != "per_stage"}
-        d["per_stage"] = [s.as_dict() for s in self.per_stage]
-        return d
-
 
 # ---------------------------------------------------------------------------
 # the pipeline itself
@@ -379,8 +372,6 @@ def _plan_pow2(sched: Schedule, level: int) -> list[StageStats]:
     cum = 0
     while cum < level:
         spec = sched.stages[min(len(plan), len(sched.stages) - 1)]
-        if spec.routine != POW2:
-            raise GuardError("POW2_TOP target needs a power-of-two schedule")
         r_use = min(spec.r, level - cum)
         plan.append(StageStats(len(plan), spec.k, r_use, POW2, a=cum))
         cum += r_use
@@ -402,8 +393,6 @@ def plan_interval(sched: Schedule, N: int) -> list[StageStats]:
     while B > 2:
         idx = len(plan)
         spec = sched.stages[min(idx, len(sched.stages) - 1)]
-        if spec.routine != INTERVAL:
-            raise GuardError("SMALL_ONE target needs an interval schedule")
         if not sums_fit(spec.k, B - 1):
             raise GuardError(
                 f"N = {N}: stage {idx} sums k = {spec.k} labels below {B}, "
@@ -427,12 +416,6 @@ class _Wave:
     differences mod N, since N = 2^n divides 2^64. residues holds the
     table's residues mod 2^res_r, one byte per cell, for the one
     power-of-two r <= 8 last asked for (residue_bytes).
-
-    Wrapped rows replaced rows of the labels' low k - 1 bits past
-    sums_fit, the one other row format: on one N = 2^62, k = 12 top
-    element (10,168,308 queries, r = 11 numpy scans) those ran in 20.3 s
-    against 21.9 s (medians of 6 alternating runs, CHANGES.md), a cost
-    kept off every benchmark workload, none of which has N > 2^59.
     """
 
     __slots__ = ("k", "dtype", "table", "start", "row", "res_r", "residues")
@@ -487,35 +470,29 @@ def _wave_rows(k: int) -> int:
 
 
 class Pipeline:
-    """One recovery's stages, run on int labels: an instance, schedule,
-    target and rng, asked for one target element at a time (element). The
-    guards, solver seed and stage-0 wave are set up once; each element's
-    plan is built afresh as its ledger rows."""
+    """One recovery's stages, run on int labels: an instance, schedule and
+    rng, asked for one element at a time (element). N picks the ladder:
+    power-of-two stages when it is a power of two (pow2), interval stages
+    when it is odd; any other N, or a stage of the other routine, is a
+    GuardError here. The solver seed and stage-0 wave are set up once;
+    each element's plan is built afresh as its ledger rows."""
 
     def __init__(
-        self,
-        inst: HiddenShiftInstance,
-        sched: Schedule,
-        target: str = POW2_TOP,
-        rng: random.Random | None = None,
+        self, inst: HiddenShiftInstance, sched: Schedule, rng: random.Random | None = None
     ):
-        if target not in TARGETS:
-            raise GuardError(f"unknown target {target!r}")
         mod = inst.modulus
-        if target == POW2_TOP:
-            if not mod.is_pow2:
-                raise GuardError("POW2_TOP target needs N = 2^n")
-        elif not mod.is_odd:
-            raise GuardError("SMALL_ONE target needs odd N")
+        if not (mod.is_pow2 or mod.is_odd):
+            raise GuardError(f"N = {mod.N} is neither a power of two nor odd")
+        self.pow2 = mod.is_pow2
+        routine = POW2 if self.pow2 else INTERVAL
+        if any(spec.routine != routine for spec in sched.stages):
+            raise GuardError(f"N = {mod.N} needs a schedule of {routine} stages only")
         self.inst = inst
         self.sched = sched
-        self.target = target
         if rng is None:
             rng = random.Random(derive(inst.seed, label_path("pipeline")))
         self.rng = rng
-        self.solver_id = sched.solver_id
         self.solver_seed = derive(inst.seed, label_path("solver"))
-        self.seeded = sched.solver_id in SEEDED_SOLVERS
         self.N = mod.N
         # stage 0's wave, kept from one element to the next (element); every
         # plan's stage 0 has the schedule's first width and inputs below N
@@ -534,13 +511,13 @@ class Pipeline:
         otherwise; the ledger and the invocation count behind the solver
         seed are the element's own."""
         inst = self.inst
-        if self.target == POW2_TOP:
+        if self.pow2:
             top_level = inst.modulus.n - 1 if level is None else level
             if not 0 <= top_level <= inst.modulus.n - 1:
                 raise GuardError(f"level must be in [0, {inst.modulus.n - 1}], got {top_level}")
             plan = _plan_pow2(self.sched, top_level)
         elif level is not None:
-            raise GuardError("level applies to POW2_TOP only")
+            raise GuardError("level applies to N = 2^n only")
         else:
             plan = plan_interval(self.sched, self.N)
         wave = self.wave
@@ -554,7 +531,7 @@ class Pipeline:
         tries = RETRY_FACTOR * math.ceil(4 / P_PRIOR)
         for _ in range(tries):
             label = self._run(top, 1)[0]
-            if self.target == POW2_TOP:
+            if self.pow2:
                 if two_adic_valuation(label) == top_level:
                     break
             elif label == 1:
@@ -565,7 +542,8 @@ class Pipeline:
             else:
                 self.ledger.raw_discarded += 1
         else:
-            raise RetryExhaustedError(f"no {self.target} element after {tries} candidates")
+            name = "pow2_top" if self.pow2 else "small_one"  # failed solve lines print these
+            raise RetryExhaustedError(f"no {name} element after {tries} candidates")
         self.ledger.wall_seconds = time.perf_counter() - t0
         self.ledger.check_consistent()
         return inst.derive_element(label, scale), self.ledger
@@ -595,9 +573,9 @@ class Pipeline:
           cannot run before it holds them all, built from a 1-D array of
           the table_dtype of k inputs below N (power-of-two) or b_in
           (interval), int32 wherever a wave would be;
-        - any other stage: one combine_labels call on its k inputs. Only
-          this step advances the counter behind the solver seed, which
-          only seeded solvers use, and brute force is never seeded.
+        - any other stage: one combine_labels call on its k inputs, with
+          the solver seed derived from the stage and an invocation counter
+          that only this step advances.
         Input labels need no magnitude check: power-of-two sums may wrap
         (_Wave), and plan_interval keeps interval labels in sums_fit. The
         stage's row is charged once per call. The recursion is as deep as
@@ -609,7 +587,7 @@ class Pipeline:
         row = self.plan[i]
         k = row.k
         where = row.a if row.routine == POW2 else row.b_in
-        kernel = self.solver_id == BRUTE and k <= KERNEL_K_MAX
+        kernel = self.sched.solver_id == BRUTE and k <= KERNEL_K_MAX
         wave = self.wave if i == 0 else None
         left = cap = RETRY_FACTOR * math.ceil(k / P_PRIOR)
         outs: list[int] = []
@@ -641,9 +619,9 @@ class Pipeline:
             else:
                 labels = self._run(i - 1, k)  # the inputs' invocations count first
                 self._invocation += 1
-                seed = derive(self.solver_seed, i, self._invocation) if self.seeded else 0
                 label, _, _, _, solver_ops, peak = combine_labels(
-                    labels, row.routine, row.r, where, self.N, self.solver_id, self.rng, seed,
+                    labels, row.routine, row.r, where, self.N, self.sched.solver_id, self.rng,
+                    derive(self.solver_seed, i, self._invocation),
                 )
                 got, n = ([] if label is None else [label]), 1
                 left = left - 1 if label is None else cap
@@ -673,20 +651,21 @@ class Pipeline:
 def run_pipeline(
     inst: HiddenShiftInstance,
     sched: Schedule,
-    target: str = POW2_TOP,
     rng: random.Random | None = None,
     *,
     level: int | None = None,
     scale: int = 1,
 ) -> tuple[PhaseElement, CostLedger]:
-    """Produce one target element and the ledger of what it cost.
+    """Produce one element and the ledger of what it cost.
 
-    POW2_TOP (N = 2^n): returns an element whose label has 2-adic valuation
-    exactly `level` (default n-1), built from the schedule prefix covering
-    `level` bits. SMALL_ONE (odd N): returns an element with label exactly 1,
-    built by interval stages until the label bound reaches 2, dropping
-    label-0 outputs. `scale` propagates to sampled elements so callers can
-    run the pipeline in rescaled label coordinates.
+    N = 2^n: returns an element whose label has 2-adic valuation exactly
+    `level` (default n-1), built from the schedule prefix covering `level`
+    bits. Odd N: returns an element with label exactly 1, built by interval
+    stages until the label bound reaches 2, dropping label-0 outputs; a
+    level is a GuardError. Any other N, or a schedule with a stage of the
+    routine N does not take, is a GuardError before any label is drawn.
+    `scale` propagates to sampled elements so callers can run the pipeline
+    in rescaled label coordinates.
 
     Each stage gets a retry budget of RETRY_FACTOR * ceil(k / P_PRIOR)
     invocations per demanded output, and at most RETRY_FACTOR * ceil(4 /
@@ -695,4 +674,4 @@ def run_pipeline(
     (subset_sum.solve). Solver seeds, and rng unless given, derive from
     inst.seed ("solver" and "pipeline" paths).
     """
-    return Pipeline(inst, sched, target, rng).element(level=level, scale=scale)
+    return Pipeline(inst, sched, rng).element(level=level, scale=scale)

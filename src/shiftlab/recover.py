@@ -31,7 +31,6 @@ import numpy as np
 from .errors import GuardError, RetryExhaustedError
 from .group_arith import ceil_log2
 from .instance import HiddenShiftInstance, PhaseElement, classical_verify
-from .kinds import POW2_TOP, SMALL_ONE
 # measure_with_correction stays importable here: perfbench's tracer and self-test look it up
 from .phase_sim import measure_with_correction  # noqa: F401
 # run_pipeline stays importable here: perfbench's tracer and self-test look this name up
@@ -107,7 +106,7 @@ def semiclassical_iqft(elems: list[PhaseElement], inst: HiddenShiftInstance) -> 
     return sample
 
 
-def _recover(inst, sched, target, attempt, rng, attempts, ledger) -> int:
+def _recover(inst, sched, attempt, rng, attempts, ledger) -> int:
     """The attempt loop both readouts share: attempt(element) builds a
     candidate from elements of the recovery's one Pipeline (element(**where)
     asks it for one and merges its ledger), classical_verify checks it, and
@@ -118,7 +117,7 @@ def _recover(inst, sched, target, attempt, rng, attempts, ledger) -> int:
         rng = random.Random(derive(inst.seed, label_path("recover")))
     if ledger is None:
         ledger = CostLedger()
-    pipeline = Pipeline(inst, sched, target, rng)
+    pipeline = Pipeline(inst, sched, rng)
 
     def element(**where) -> PhaseElement:
         elem, led = pipeline.element(**where)
@@ -166,7 +165,7 @@ def recover_pow2(
             s_known |= bit << (n - 1 - j)
         return s_known
 
-    return _recover(inst, sched, POW2_TOP, attempt, rng, POW2_ATTEMPTS, ledger)
+    return _recover(inst, sched, attempt, rng, POW2_ATTEMPTS, ledger)
 
 
 def recover_odd(
@@ -179,15 +178,15 @@ def recover_odd(
     """Recover s for odd N via rescaled label-1 elements and the
     semiclassical inverse QFT.
 
-    Uses n_q = ceil(log2 N) + GUARD_BITS qubits. Element j is produced by the
-    SMALL_ONE pipeline at scale 2^j mod N, giving true label 2^j. One IQFT
+    Uses n_q = ceil(log2 N) + GUARD_BITS qubits. Element j is the pipeline's
+    label-1 element at scale 2^j mod N, giving true label 2^j. One IQFT
     pass yields a candidate, classically verified; each attempt consumes n_q
     pipeline elements and succeeds with constant probability (0.4 at the
     single-point floor, typically 0.8+ with the guard bits), up to
     ODD_ATTEMPTS attempts.
     """
     mod = inst.modulus
-    if not mod.is_odd or mod.N < 3:
+    if not mod.is_odd:
         raise GuardError("recover_odd needs odd N >= 3")
     N = mod.N
     n_q = ceil_log2(N) + GUARD_BITS
@@ -196,4 +195,4 @@ def recover_odd(
         elems = [element(scale=pow(2, j, N)) for j in range(n_q)]
         return candidate_from_sample(semiclassical_iqft(elems, inst), N, n_q)
 
-    return _recover(inst, sched, SMALL_ONE, attempt, rng, ODD_ATTEMPTS, ledger)
+    return _recover(inst, sched, attempt, rng, ODD_ATTEMPTS, ledger)

@@ -17,7 +17,7 @@ import random
 from shiftlab.combine import combine_interval, combine_pow2
 from shiftlab.errors import GuardError, RetryExhaustedError
 from shiftlab.group_arith import two_adic_valuation
-from shiftlab.kinds import POW2, POW2_TOP
+from shiftlab.kinds import POW2
 from shiftlab.pipeline import P_PRIOR, RETRY_FACTOR, CostLedger, _plan_pow2, plan_interval
 from shiftlab.seeds import derive, label_path
 
@@ -80,27 +80,28 @@ class ReferenceEngine:
             self.ledger.raw_discarded += 1
 
 
-def reference_pipeline(inst, sched, target=POW2_TOP, rng=None, *, level=None, scale=1):
-    """run_pipeline's contract, computed by the element-level engine."""
+def reference_pipeline(inst, sched, rng=None, *, level=None, scale=1):
+    """run_pipeline's contract, computed by the element-level engine: N = 2^n
+    asks for an element of 2-adic level `level`, odd N for label 1."""
     if rng is None:
         rng = random.Random(derive(inst.seed, label_path("pipeline")))
     solver_seed = derive(inst.seed, label_path("solver"))
     mod = inst.modulus
-    if target == POW2_TOP:
+    if mod.is_pow2:
         top_level = mod.n - 1 if level is None else level
         plan = _plan_pow2(sched, top_level)
     else:
         if level is not None:
-            raise GuardError("level applies to POW2_TOP only")
+            raise GuardError("level applies to N = 2^n only")
         plan = plan_interval(sched, mod.N)
     eng = ReferenceEngine(inst, sched, plan, rng, scale, solver_seed)
     top = len(plan) - 1
     for _ in range(RETRY_FACTOR * math.ceil(4 / P_PRIOR)):
         elem = eng.take(top)
-        if target == POW2_TOP:
+        if mod.is_pow2:
             if two_adic_valuation(elem.label) == top_level:
                 return elem, eng.ledger
         elif elem.label == 1:
             return elem, eng.ledger
         eng.discard(elem, top)
-    raise RetryExhaustedError(f"no {target} element")
+    raise RetryExhaustedError("no top element")

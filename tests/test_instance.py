@@ -189,6 +189,14 @@ def test_reveal_gated_in_measurement_mode():
     assert not inst.secret_revealed
 
 
+def test_measurement_mode_has_no_public_phase_readout():
+    # a public phase_turns would read s*l/N off an unmeasured element (9/64
+    # for label 1 here) with no query charged and no reveal recorded
+    inst = new_instance(64, 9, seed=0, measurement_mode=True)
+    assert not hasattr(inst, "phase_turns")
+    assert inst.q_queries == 0 and not inst.secret_revealed
+
+
 def test_reveal_sets_audit_flag():
     inst = new_instance(64, 9, seed=0)
     assert not inst.secret_revealed
@@ -242,4 +250,4 @@ def test_scaled_element_true_label():
     elem = inst.derive_element(3, scale=2)
     assert elem.true_label == 6
     # phase follows the true label
-    assert inst.phase_turns(elem) == Fraction((4 * 6) % 15, 15)
+    assert inst._phase_turns(elem) == Fraction((4 * 6) % 15, 15)

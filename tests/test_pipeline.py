@@ -27,7 +27,8 @@ from shiftlab import (
     schedule_uniform,
     two_adic_valuation,
 )
-from shiftlab.kinds import BRUTE, INTERVAL, MITM, POW2, POW2_TOP, REP, SMALL_ONE, SOLVER_WIDTHS, SS
+from shiftlab.kinds import BRUTE, INTERVAL, MITM, POW2, REP, SOLVER_WIDTHS, SS
+from shiftlab.pipeline import Pipeline
 from shiftlab.subset_sum import solvers
 
 from conftest import stream
@@ -188,7 +189,7 @@ def test_pow2_top_element_over_seeds():
     sched = schedule_uniform(8, 4)
     for seed in range(20):
         inst = new_instance(N=256, seed=seed)
-        elem, ledger = run_pipeline(inst, sched, POW2_TOP)
+        elem, ledger = run_pipeline(inst, sched)
         assert two_adic_valuation(elem.label) == 7
         assert not elem.consumed
         assert ledger.q_queries == inst.q_queries
@@ -199,7 +200,7 @@ def test_pow2_top_element_over_seeds():
 def test_pow2_stage_rows_match_plan():
     inst = new_instance(N=256, seed=3)
     sched = schedule_uniform(8, 4)  # r=3 per stage
-    _, ledger = run_pipeline(inst, sched, POW2_TOP)
+    _, ledger = run_pipeline(inst, sched)
     rows = ledger.per_stage
     # level 7 covered as 3 + 3 + 1: the last stage is clipped
     assert [(row.k, row.r) for row in rows] == [(4, 3), (4, 3), (4, 1)]
@@ -211,21 +212,21 @@ def test_pow2_stage_rows_match_plan():
 def test_pow2_schedule_shorter_than_level_reuses_last_stage():
     inst = new_instance(N=2**10, seed=5)
     sched = Schedule((StageSpec(4, 3),))
-    _, ledger = run_pipeline(inst, sched, POW2_TOP)
+    _, ledger = run_pipeline(inst, sched)
     assert [row.r for row in ledger.per_stage] == [3, 3, 3]
 
 
 def test_pow2_explicit_level():
     inst = new_instance(N=2**10, seed=1)
     sched = schedule_uniform(10, 4)
-    elem, ledger = run_pipeline(inst, sched, POW2_TOP, level=3)
+    elem, ledger = run_pipeline(inst, sched, level=3)
     assert two_adic_valuation(elem.label) == 3
     assert len(ledger.per_stage) == 1 and ledger.per_stage[0].r == 3
 
 
 def test_pow2_level_zero_needs_no_stages():
     inst = new_instance(N=64, seed=2)
-    elem, ledger = run_pipeline(inst, schedule_uniform(6, 4), POW2_TOP, level=0)
+    elem, ledger = run_pipeline(inst, schedule_uniform(6, 4), level=0)
     assert elem.label % 2 == 1
     assert ledger.per_stage == []
     assert ledger.q_queries >= 1
@@ -234,7 +235,7 @@ def test_pow2_level_zero_needs_no_stages():
 
 def test_pow2_single_stage_run():
     inst = new_instance(N=2**10, seed=4)
-    elem, ledger = run_pipeline(inst, schedule_single(10), POW2_TOP)
+    elem, ledger = run_pipeline(inst, schedule_single(10))
     assert two_adic_valuation(elem.label) == 9
     assert {(row.k, row.r) for row in ledger.per_stage} == {(11, 9)}
 
@@ -243,7 +244,7 @@ def test_top_element_measures_secret_parity():
     # at valuation n-1 the phase angle is s/2 mod 1, a deterministic readout
     for seed in range(8):
         inst = new_instance(N=256, seed=seed)
-        elem, _ = run_pipeline(inst, schedule_uniform(8, 5), POW2_TOP)
+        elem, _ = run_pipeline(inst, schedule_uniform(8, 5))
         bit, p0 = inst.measure_element(elem)
         assert p0 in (0.0, 1.0)
         assert bit == inst.reveal_secret() % 2
@@ -254,7 +255,7 @@ def test_pow2_success_rate_at_least_quarter():
     total_succ = 0
     for seed in range(10):
         inst = new_instance(N=2**16, seed=seed)
-        _, ledger = run_pipeline(inst, schedule_uniform(16, 8), POW2_TOP)
+        _, ledger = run_pipeline(inst, schedule_uniform(16, 8))
         total_inv += sum(row.invocations for row in ledger.per_stage)
         total_succ += sum(row.successes for row in ledger.per_stage)
     assert total_succ / total_inv >= 0.25
@@ -271,7 +272,7 @@ def test_query_count_grows_geometrically_with_depth():
         qs = []
         for seed in range(12):
             inst = new_instance(N=1 << n, seed=seed)
-            _, ledger = run_pipeline(inst, schedule_uniform(n, k), POW2_TOP)
+            _, ledger = run_pipeline(inst, schedule_uniform(n, k))
             qs.append(ledger.q_queries)
         means.append(sum(qs) / len(qs))
     ys = [math.log2(v) for v in means]
@@ -292,7 +293,6 @@ def test_run_is_reproducible_with_explicit_seeds():
         elem, ledger = run_pipeline(
             inst,
             schedule_uniform(12, 6),
-            POW2_TOP,
             rng=random.Random(7),
         )
         return elem.label, ledger.q_queries, ledger.solver_ops
@@ -303,7 +303,7 @@ def test_run_is_reproducible_with_explicit_seeds():
 def test_default_rngs_derive_from_instance_seed():
     def one_run():
         inst = new_instance(N=2**10, seed=31)
-        elem, ledger = run_pipeline(inst, schedule_uniform(10, 5), POW2_TOP)
+        elem, ledger = run_pipeline(inst, schedule_uniform(10, 5))
         return elem.label, ledger.q_queries, ledger.solver_ops
 
     assert one_run() == one_run()
@@ -317,7 +317,7 @@ def test_small_one_run_and_ladder():
     sched = schedule_uniform(12, 8, routine=INTERVAL)  # r = 5
     for seed in range(5):
         inst = new_instance(N=4001, seed=seed)
-        elem, ledger = run_pipeline(inst, sched, SMALL_ONE)
+        elem, ledger = run_pipeline(inst, sched)
         assert elem.label == 1
         assert ledger.q_queries == inst.q_queries
         # bound ladder 4001 -> 126 -> 4 -> 2, last r clipped to 1
@@ -332,7 +332,7 @@ def test_small_one_run_and_ladder():
 def test_small_one_scale_changes_true_label_only():
     inst = new_instance(N=4001, seed=1)
     sched = schedule_uniform(12, 8, routine=INTERVAL)
-    elem, _ = run_pipeline(inst, sched, SMALL_ONE, scale=17, rng=stream("scale"))
+    elem, _ = run_pipeline(inst, sched, scale=17, rng=stream("scale"))
     assert elem.label == 1
     assert elem.scale == 17
     assert elem.true_label == 17
@@ -342,28 +342,32 @@ def test_small_one_scale_changes_true_label_only():
 # guards and failure plumbing
 
 
-def test_target_and_modulus_guards():
-    pow2_inst = new_instance(N=256, seed=0)
-    odd_inst = new_instance(N=255, seed=0)
-    pow2_sched = schedule_uniform(8, 4)
-    int_sched = schedule_uniform(8, 4, routine=INTERVAL)
-
-    with pytest.raises(GuardError):
-        run_pipeline(pow2_inst, pow2_sched, "smallest")
-    with pytest.raises(GuardError):
-        run_pipeline(odd_inst, pow2_sched, POW2_TOP)
-    with pytest.raises(GuardError):
-        run_pipeline(pow2_inst, int_sched, SMALL_ONE)
-    with pytest.raises(GuardError):
-        run_pipeline(pow2_inst, int_sched, POW2_TOP)
-    with pytest.raises(GuardError):
-        run_pipeline(odd_inst, pow2_sched, SMALL_ONE)
+def test_modulus_and_routine_guards():
+    # N picks the ladder, power-of-two stages for N = 2^n and interval
+    # stages for odd N: the Pipeline itself refuses any other N, and a
+    # schedule with a stage of the other routine, even one that the level
+    # asked for (3, one stage) never reaches, before a label is drawn
+    mixed = schedule_from_json({"stages": [
+        {"k": 4, "r": 3, "routine": POW2}, {"k": 4, "r": 3, "routine": INTERVAL},
+    ]})
+    for N, sched, kwargs, match in (
+        (255, schedule_uniform(8, 4), {}, "needs a schedule of interval stages only"),
+        (256, schedule_uniform(8, 4, routine=INTERVAL), {}, "needs a schedule of pow2 stages only"),
+        (256, mixed, {"level": 3}, "needs a schedule of pow2 stages only"),
+        (12, schedule_uniform(4, 2), {}, "neither a power of two nor odd"),
+    ):
+        inst = new_instance(N=N, seed=0)
+        with pytest.raises(GuardError, match=match):
+            Pipeline(inst, sched)
+        with pytest.raises(GuardError, match=match):
+            run_pipeline(inst, sched, **kwargs)
+        assert inst.q_queries == 0
 
 
 def test_interval_plan_refuses_int64_overflow_before_sampling():
     inst = new_instance(N=2**61 - 1, seed=0)
     with pytest.raises(GuardError, match="64-bit partial sums"):
-        run_pipeline(inst, schedule_uniform(61, 12, routine=INTERVAL), SMALL_ONE)
+        run_pipeline(inst, schedule_uniform(61, 12, routine=INTERVAL))
     assert inst.q_queries == 0
 
 
@@ -371,13 +375,13 @@ def test_level_guards():
     inst = new_instance(N=256, seed=0)
     sched = schedule_uniform(8, 4)
     with pytest.raises(GuardError):
-        run_pipeline(inst, sched, POW2_TOP, level=8)
+        run_pipeline(inst, sched, level=8)
     with pytest.raises(GuardError):
-        run_pipeline(inst, sched, POW2_TOP, level=-1)
+        run_pipeline(inst, sched, level=-1)
     odd_inst = new_instance(N=255, seed=0)
     int_sched = schedule_uniform(8, 4, routine=INTERVAL)
     with pytest.raises(GuardError):
-        run_pipeline(odd_inst, int_sched, SMALL_ONE, level=3)
+        run_pipeline(odd_inst, int_sched, level=3)
 
 
 # ---------------------------------------------------------------------------
@@ -387,14 +391,14 @@ def test_level_guards():
 def test_corrupted_ledger_raises_accounting_error():
     with pytest.raises(AccountingError, match="query/element"):
         CostLedger(q_queries=5, elements_generated=3).check_consistent()
-    _, ledger = run_pipeline(new_instance(N=256, seed=1), schedule_uniform(8, 4), POW2_TOP)
+    _, ledger = run_pipeline(new_instance(N=256, seed=1), schedule_uniform(8, 4))
     ledger.per_stage[0].produced += 1
     with pytest.raises(AccountingError, match="stage 0"):
         ledger.check_consistent()
 
 
 def test_corrupted_memory_peak_raises_accounting_error():
-    _, ledger = run_pipeline(new_instance(N=256, seed=1), schedule_uniform(8, 4), POW2_TOP)
+    _, ledger = run_pipeline(new_instance(N=256, seed=1), schedule_uniform(8, 4))
     ledger.check_consistent()
     ledger.mem_peak_cells += 1
     with pytest.raises(AccountingError, match="memory peak"):
@@ -413,7 +417,7 @@ def test_ledger_rows_are_the_plan_fresh_per_element():
     # its input bound b_in instead; each element gets rows of its own, so
     # a recovery's merged ledger holds no row twice and still sums to its
     # totals
-    _, ledger = run_pipeline(new_instance(N=2**10, seed=5), schedule_uniform(10, 4), POW2_TOP)
+    _, ledger = run_pipeline(new_instance(N=2**10, seed=5), schedule_uniform(10, 4))
     rows = ledger.per_stage
     assert [row.a for row in rows] == [sum(low.r for low in rows[:i]) for i in range(len(rows))]
     assert [row.b_in for row in rows] == [None] * 3

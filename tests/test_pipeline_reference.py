@@ -13,6 +13,7 @@ for row, and leave the instance's label stream at the same place: peeking
 ahead consumes nothing.
 """
 
+import dataclasses
 import random
 import re
 
@@ -30,7 +31,7 @@ from shiftlab import (
     new_instance,
     run_pipeline,
 )
-from shiftlab.kinds import INTERVAL, MITM, POW2, POW2_TOP, SMALL_ONE, SOLVERS
+from shiftlab.kinds import INTERVAL, MITM, POW2, SOLVERS
 from shiftlab.instance import LABEL_BATCH
 from shiftlab.pipeline import Pipeline, _wave_rows, schedule_uniform
 from shiftlab.recover import recover_pow2
@@ -42,14 +43,14 @@ SEEDS = range(8)
 
 
 def result(inst, elem, ledger):
-    doc = ledger.as_dict()
+    doc = dataclasses.asdict(ledger)
     del doc["wall_seconds"]
     return elem.label, elem.scale, elem.consumed, inst.q_queries, doc
 
 
 def sequence(engine, N, seed, steps):
     """The results of steps on one instance, and the next 3 labels of its
-    stream after them: a step is an engine call (sched, target, kwargs), or
+    stream after them: a step is an engine call (sched, kwargs), or
     n, a stray sample_labels(n)."""
     inst = new_instance(N, seed=seed)
     results = []
@@ -57,15 +58,15 @@ def sequence(engine, N, seed, steps):
         if isinstance(step, int):
             results.append(inst.sample_labels(step).tolist())
         else:
-            sched, target, kwargs = step
-            results.append(result(inst, *engine(inst, sched, target, **kwargs)))
+            sched, kwargs = step
+            results.append(result(inst, *engine(inst, sched, **kwargs)))
     return results, inst.sample_labels(3).tolist()
 
 
-def outcome(engine, N, sched, target, seed, calls=1, **kwargs):
+def outcome(engine, N, sched, seed, calls=1, **kwargs):
     """The results of `calls` consecutive engine calls on one instance, and
     the next 3 labels of its stream after them."""
-    return sequence(engine, N, seed, [(sched, target, kwargs)] * calls)
+    return sequence(engine, N, seed, [(sched, kwargs)] * calls)
 
 
 def assert_same_sequence(N, seed, steps):
@@ -73,22 +74,22 @@ def assert_same_sequence(N, seed, steps):
     assert got == sequence(reference_pipeline, N, seed, steps)
 
 
-def elements(inst, sched, target, reference=False):
+def elements(inst, sched, reference=False):
     """The element function of one Pipeline on inst, or with reference, of
     reference_pipeline calls that share one rng seeded as the Pipeline's
     default."""
     if not reference:
-        return Pipeline(inst, sched, target).element
+        return Pipeline(inst, sched).element
     rng = random.Random(derive(inst.seed, label_path("pipeline")))
-    return lambda **kwargs: reference_pipeline(inst, sched, target, rng, **kwargs)
+    return lambda **kwargs: reference_pipeline(inst, sched, rng, **kwargs)
 
 
-def element_sequence(N, seed, sched, target, steps, reference=False):
+def element_sequence(N, seed, sched, steps, reference=False):
     """sequence's results with each step an element of one Pipeline (or its
     reference): a step is the element's kwargs, or n, a stray
     sample_labels(n)."""
     inst = new_instance(N, seed=seed)
-    element = elements(inst, sched, target, reference)
+    element = elements(inst, sched, reference)
     results = [
         inst.sample_labels(step).tolist() if isinstance(step, int)
         else result(inst, *element(**step))
@@ -97,18 +98,18 @@ def element_sequence(N, seed, sched, target, steps, reference=False):
     return results, inst.sample_labels(3).tolist()
 
 
-def assert_same_elements(N, seed, sched, target, steps):
-    got = element_sequence(N, seed, sched, target, steps)
-    assert got == element_sequence(N, seed, sched, target, steps, reference=True)
+def assert_same_elements(N, seed, sched, steps):
+    got = element_sequence(N, seed, sched, steps)
+    assert got == element_sequence(N, seed, sched, steps, reference=True)
 
 
-def raised(engine, N, sched, target, seed, **kwargs):
+def raised(engine, N, sched, seed, **kwargs):
     """The error an engine call raises, the queries charged until then, the
     next 3 labels of the stream and the stage its message names as giving
     up (None for the top candidates)."""
     inst = new_instance(N, seed=seed)
     with pytest.raises(RetryExhaustedError) as info:
-        engine(inst, sched, target, **kwargs)
+        engine(inst, sched, **kwargs)
     named = re.match(r"stage (\d+) ", str(info.value))
     stage = int(named[1]) if named else None
     return info.type, inst.q_queries, inst.sample_labels(3).tolist(), stage
@@ -126,9 +127,9 @@ def mid_wave(invocations, k):
     return (invocations - ((1 << ramp) - 1)) % cap != 0
 
 
-def assert_same(N, sched, target, seed, **kwargs):
-    got = outcome(run_pipeline, N, sched, target, seed, **kwargs)
-    want = outcome(reference_pipeline, N, sched, target, seed, **kwargs)
+def assert_same(N, sched, seed, **kwargs):
+    got = outcome(run_pipeline, N, sched, seed, **kwargs)
+    want = outcome(reference_pipeline, N, sched, seed, **kwargs)
     assert got == want
 
 
@@ -138,7 +139,7 @@ def test_pow2_pipeline_matches_reference(solver_id):
     # level 8 takes two stages, (k, r) = (8, 7) then (8, 1)
     sched = schedule_uniform(9, 8, POW2, solver_id)
     for seed in SEEDS:
-        assert_same(1 << 9, sched, POW2_TOP, seed)
+        assert_same(1 << 9, sched, seed)
 
 
 @pytest.mark.parametrize("solver_id", SOLVERS)
@@ -146,7 +147,7 @@ def test_interval_pipeline_matches_reference(solver_id):
     # bound ladder 263 -> 9 -> 2: two stages
     sched = schedule_uniform(9, 8, INTERVAL, solver_id)
     for seed in SEEDS:
-        assert_same(263, sched, SMALL_ONE, seed, scale=5)
+        assert_same(263, sched, seed, scale=5)
 
 
 def test_reference_does_not_run_the_kernel(monkeypatch):
@@ -156,56 +157,55 @@ def test_reference_does_not_run_the_kernel(monkeypatch):
         raise AssertionError("the reference ran combine.brute_run")
 
     monkeypatch.setattr(combine_module, "brute_run", broken)
-    for N, sched, target in (
-        (1 << 9, schedule_uniform(9, 8), POW2_TOP),
-        (263, schedule_uniform(9, 8, INTERVAL), SMALL_ONE),
+    for N, sched, label in (
+        (1 << 9, schedule_uniform(9, 8), 1 << 8),
+        (263, schedule_uniform(9, 8, INTERVAL), 1),
     ):
         inst = new_instance(N, seed=1)
-        elem, ledger = reference_pipeline(inst, sched, target)
-        assert elem.label == (1 << 8 if target == POW2_TOP else 1)
+        elem, ledger = reference_pipeline(inst, sched)
+        assert elem.label == label
         assert ledger.q_queries > 0
 
 
 def test_level_zero_matches_reference():
     for seed in SEEDS:
-        assert_same(64, schedule_uniform(6, 4), POW2_TOP, seed, level=0, scale=3)
+        assert_same(64, schedule_uniform(6, 4), seed, level=0, scale=3)
 
 
 def test_brute_past_one_chunk_matches_reference():
     # one k = 20 stage: brute force scans four 2^18 chunks per invocation
     sched = Schedule((StageSpec(20, 3),))
     for seed in range(2):
-        assert_same(1 << 8, sched, POW2_TOP, seed, level=3)
+        assert_same(1 << 8, sched, seed, level=3)
 
 
 KERNEL, SOLVER = (4, 3), (20, 3)  # brute force on the run kernel, through combine_labels
 
 
-@pytest.mark.parametrize("N,stages,target,kwargs", [
-    (1 << 8, (KERNEL, SOLVER), POW2_TOP, {"level": 6}),
-    (1 << 8, (SOLVER, KERNEL), POW2_TOP, {"level": 6}),
+@pytest.mark.parametrize("N,stages,routine,kwargs", [
+    (1 << 8, (KERNEL, SOLVER), POW2, {"level": 6}),
+    (1 << 8, (SOLVER, KERNEL), POW2, {"level": 6}),
     # bound ladders 63 -> 16 -> 2 and 63 -> 8 -> 2
-    (63, ((4, 2), SOLVER), SMALL_ONE, {"scale": 3}),
-    (63, (SOLVER, (4, 2)), SMALL_ONE, {"scale": 3}),
+    (63, ((4, 2), SOLVER), INTERVAL, {"scale": 3}),
+    (63, (SOLVER, (4, 2)), INTERVAL, {"scale": 3}),
 ], ids=["pow2-kernel-first", "pow2-solver-first", "interval-kernel-first",
         "interval-solver-first"])
-def test_kernel_and_solver_stages_mixed_match_reference(N, stages, target, kwargs):
+def test_kernel_and_solver_stages_mixed_match_reference(N, stages, routine, kwargs):
     # one brute-force schedule whose k = 4 stage runs on the kernel and
     # whose k = 20 stage makes combine_labels calls, in both orders: a
     # solver stage fed by stage-0 waves, and a one-row kernel stage fed
     # by a solver stage
-    routine = POW2 if target == POW2_TOP else INTERVAL
     sched = Schedule(tuple(StageSpec(k, r, routine) for k, r in stages))
     for seed in range(2):
-        assert_same(N, sched, target, seed, **kwargs)
+        assert_same(N, sched, seed, **kwargs)
 
 
 def test_stage_zero_spanning_full_waves_matches_reference():
     # k = 4: waves ramp from 1 to 2048 rows, and this call's 16,692 stage-0
     # invocations run through seven full-cap waves
     sched = schedule_uniform(22, 4)
-    got = outcome(run_pipeline, 1 << 22, sched, POW2_TOP, 0)
-    assert got == outcome(reference_pipeline, 1 << 22, sched, POW2_TOP, 0)
+    got = outcome(run_pipeline, 1 << 22, sched, 0)
+    assert got == outcome(reference_pipeline, 1 << 22, sched, 0)
     invocations = got[0][0][4]["per_stage"][0]["invocations"]
     assert invocations > (1 << 11) - 1 + 2 * _wave_rows(4)
     assert mid_wave(invocations, 4)
@@ -234,8 +234,8 @@ def test_interval_k12_first_call_crossing_full_waves_matches_reference(waves):
     sched = schedule_uniform(20, 12, INTERVAL)
     for seed in range(2):
         waves.clear()
-        got = outcome(run_pipeline, 1000003, sched, SMALL_ONE, seed, scale=3)
-        assert got == outcome(reference_pipeline, 1000003, sched, SMALL_ONE, seed, scale=3)
+        got = outcome(run_pipeline, 1000003, sched, seed, scale=3)
+        assert got == outcome(reference_pipeline, 1000003, sched, seed, scale=3)
         assert waves[:6] == [1, 2, 4, 8, 16, 32]
         assert waves.count(32) >= 4
         invocations = got[0][0][4]["per_stage"][0]["invocations"]
@@ -246,12 +246,12 @@ def test_consecutive_calls_on_one_instance_match_reference():
     # the second call starts where the first call's draws, not its peeks,
     # left the stream
     for seed in range(4):
-        for N, sched, target, kwargs in (
-            (1 << 12, schedule_uniform(12, 6), POW2_TOP, {}),
-            (1000003, schedule_uniform(20, 12, INTERVAL), SMALL_ONE, {"scale": 7}),
+        for N, sched, kwargs in (
+            (1 << 12, schedule_uniform(12, 6), {}),
+            (1000003, schedule_uniform(20, 12, INTERVAL), {"scale": 7}),
         ):
-            got = outcome(run_pipeline, N, sched, target, seed, calls=2, **kwargs)
-            assert got == outcome(reference_pipeline, N, sched, target, seed, calls=2, **kwargs)
+            got = outcome(run_pipeline, N, sched, seed, calls=2, **kwargs)
+            assert got == outcome(reference_pipeline, N, sched, seed, calls=2, **kwargs)
 
 
 def test_descending_levels_share_waves_and_match_reference(waves):
@@ -263,7 +263,7 @@ def test_descending_levels_share_waves_and_match_reference(waves):
     steps = [{"level": j} for j in range(11, 0, -1)]
     for seed in range(4):
         waves.clear()
-        assert_same_elements(1 << 12, seed, sched, POW2_TOP, steps)
+        assert_same_elements(1 << 12, seed, sched, steps)
         assert waves == [1 << w for w in range(len(waves))]
         assert len(waves) < len(steps)
 
@@ -288,9 +288,9 @@ def test_wave_paths_over_descending_levels_match_reference(waves, N, k, levels, 
     steps = [{"level": j} for j in levels]
     for seed in range(3):
         waves.clear()
-        assert_same_elements(N, seed, sched, POW2_TOP, steps)
+        assert_same_elements(N, seed, sched, steps)
         assert waves.count(1) == 1
-        pipeline = Pipeline(new_instance(N, seed=seed), sched, POW2_TOP)
+        pipeline = Pipeline(new_instance(N, seed=seed), sched)
         pipeline.element(level=1)
         assert pipeline.wave.table.dtype == dtype
 
@@ -343,14 +343,14 @@ def test_label_drawn_between_calls_matches_reference(waves):
     odd = schedule_uniform(20, 12, INTERVAL)
     for seed in range(4):
         waves.clear()
-        assert_same_elements(1 << 12, seed, pow2, POW2_TOP, [
+        assert_same_elements(1 << 12, seed, pow2, [
             {"level": 11}, {"level": 0}, {"level": 11}, 1, {"level": 10},
         ])
         assert waves.count(1) == 3
         assert_same_sequence(1000003, seed, [
-            (odd, SMALL_ONE, {"scale": 3}),
+            (odd, {"scale": 3}),
             1,
-            (odd, SMALL_ONE, {"scale": 5}),
+            (odd, {"scale": 5}),
         ])
 
 
@@ -361,7 +361,7 @@ def test_one_shot_calls_share_no_wave(waves):
     sched = schedule_uniform(12, 6)
     for seed in range(3):
         waves.clear()
-        assert_same(1 << 12, sched, POW2_TOP, seed, calls=2)
+        assert_same(1 << 12, sched, seed, calls=2)
         assert waves.count(1) == 2
 
 
@@ -371,16 +371,16 @@ def test_schedule_of_another_width_matches_reference():
     # schedule again each find the stream where the previous call left it
     first, narrower = schedule_uniform(12, 6), schedule_uniform(12, 4)
     steps = [
-        (first, POW2_TOP, {"level": 11}),
-        (narrower, POW2_TOP, {"level": 11}),
-        (first, POW2_TOP, {"level": 9}),
-        (schedule_uniform(12, 8, POW2, MITM), POW2_TOP, {"level": 7}),
-        (first, POW2_TOP, {"level": 11}),
+        (first, {"level": 11}),
+        (narrower, {"level": 11}),
+        (first, {"level": 9}),
+        (schedule_uniform(12, 8, POW2, MITM), {"level": 7}),
+        (first, {"level": 11}),
     ]
     odd = [
-        (schedule_uniform(20, 12, INTERVAL), SMALL_ONE, {}),
-        (schedule_uniform(20, 10, INTERVAL), SMALL_ONE, {}),
-        (schedule_uniform(20, 12, INTERVAL), SMALL_ONE, {}),
+        (schedule_uniform(20, 12, INTERVAL), {}),
+        (schedule_uniform(20, 10, INTERVAL), {}),
+        (schedule_uniform(20, 12, INTERVAL), {}),
     ]
     for seed in range(4):
         assert_same_sequence(1 << 12, seed, steps)
@@ -406,8 +406,8 @@ def test_retry_exhaustion_mid_wave_matches_reference(monkeypatch):
         (1 << 16, brute, 67, 2, 5568),
         (1 << 12, mitm, 23, 1, 1160),
     ):
-        got = raised(run_pipeline, N, sched, POW2_TOP, seed)
-        assert got == raised(reference_pipeline, N, sched, POW2_TOP, seed)
+        got = raised(run_pipeline, N, sched, seed)
+        assert got == raised(reference_pipeline, N, sched, seed)
         assert got[0] is RetryExhaustedError
         assert (got[1], got[3]) == (queries, stage)
         assert sched is mitm or mid_wave(got[1] // 4, 4)
@@ -424,8 +424,8 @@ def test_interval_retry_exhaustion_matches_reference(monkeypatch):
         monkeypatch.setattr(module, "P_PRIOR", 1)
     sched = schedule_uniform(20, 5, INTERVAL)
     for seed, invocations, stage in ((20, 186, 0), (33, 63, 0), (36, 117, 1)):
-        got = raised(run_pipeline, 1000003, sched, SMALL_ONE, seed)
-        assert got == raised(reference_pipeline, 1000003, sched, SMALL_ONE, seed)
+        got = raised(run_pipeline, 1000003, sched, seed)
+        assert got == raised(reference_pipeline, 1000003, sched, seed)
         assert got[0] is RetryExhaustedError
         assert (got[1], got[3]) == (5 * invocations, stage)
         assert mid_wave(invocations, 5) == (seed != 33)
@@ -447,17 +447,17 @@ def test_stray_label_draw_breaks_wave_alignment(monkeypatch):
 
     monkeypatch.setattr(pipeline_module, "brute_run", run)
     with pytest.raises(AccountingError, match="out of step"):
-        run_pipeline(inst, schedule_uniform(12, 6), POW2_TOP)
+        run_pipeline(inst, schedule_uniform(12, 6))
     assert runs == [1, 2]
 
 
-@pytest.mark.parametrize("N,sched,target,kwargs,dtype", [
-    (1000003, schedule_uniform(20, 12, INTERVAL), SMALL_ONE, {"scale": 3}, np.int32),
-    (1 << 16, schedule_uniform(16, 8), POW2_TOP, {}, np.int32),
+@pytest.mark.parametrize("N,sched,kwargs,dtype", [
+    (1000003, schedule_uniform(20, 12, INTERVAL), {"scale": 3}, np.int32),
+    (1 << 16, schedule_uniform(16, 8), {}, np.int32),
     # k * (N - 1) >= 2^31: table_dtype gives int64
-    (1 << 40, schedule_uniform(40, 8), POW2_TOP, {"level": 9}, np.int64),
+    (1 << 40, schedule_uniform(40, 8), {"level": 9}, np.int64),
 ], ids=["interval-k12", "pow2-k8", "pow2-2^40"])
-def test_later_stage_tables_take_the_stage_dtype(monkeypatch, N, sched, target, kwargs, dtype):
+def test_later_stage_tables_take_the_stage_dtype(monkeypatch, N, sched, kwargs, dtype):
     # a later kernel stage's one-row table is built in the dtype its
     # inputs' bound gives (table_dtype of k inputs below N or b_in): int32
     # wherever stage 0's waves are, with the reference's results. A stage-0
@@ -480,7 +480,7 @@ def test_later_stage_tables_take_the_stage_dtype(monkeypatch, N, sched, target, 
     monkeypatch.setattr(pipeline_module._Wave, "build", build)
     monkeypatch.setattr(pipeline_module, "brute_run", run)
     for seed in range(2):
-        assert_same(N, sched, target, seed, **kwargs)
+        assert_same(N, sched, seed, **kwargs)
     assert dtypes == {np.dtype(dtype)}
 
 
@@ -496,10 +496,10 @@ def test_peek_or_another_instance_between_calls_keeps_the_wave(waves):
         got = []
         for reference in (False, True):
             inst, other = new_instance(1 << 12, seed=seed), new_instance(1 << 12, seed=seed + 8)
-            element = elements(inst, sched, POW2_TOP, reference)
+            element = elements(inst, sched, reference)
             first = result(inst, *element(level=11))
             inst.peek_labels(3 * LABEL_BATCH)
-            between = result(other, *elements(other, sched, POW2_TOP, reference)(level=11))
+            between = result(other, *elements(other, sched, reference)(level=11))
             second = result(inst, *element(level=10))
             got.append((first, between, second, inst.sample_labels(3).tolist()))
         assert got[0] == got[1]

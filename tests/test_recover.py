@@ -82,7 +82,7 @@ def _chain_distribution(inst, n_q: int) -> np.ndarray:
     """Exact law of the measure-one-qubit-at-a-time chain, by path enumeration.
 
     Derived elements are free, so each path re-mints its own; probabilities
-    come from the referee's phase_turns with the same correction rule the
+    come from the referee's _phase_turns with the same correction rule the
     sampler uses.
     """
     N = inst.modulus.N
@@ -99,7 +99,7 @@ def _chain_distribution(inst, n_q: int) -> np.ndarray:
         corr = Fraction(0)
         for t in range(j + 1, n_q):
             corr -= Fraction(bits[t], 1 << (t - j + 1))
-        theta = inst.phase_turns(inst.derive_element(pow(2, j, N)), corr)
+        theta = inst._phase_turns(inst.derive_element(pow(2, j, N)), corr)
         if theta == 0:
             p0 = 1.0
         elif theta == Fraction(1, 2):
