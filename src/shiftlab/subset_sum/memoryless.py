@@ -11,14 +11,18 @@ solvers.seeded_rounds, capped by the repetition_budget and by
 MEMLESS_MAX_ROUNDS.
 
 Modular targets compare full low-r residues, so every cross-side key match
-is a solution. Interval targets compare sums truncated to 2^rho blocks with
-rho chosen so the window fits half a block; straddling pairs are caught by a
-second pass offset by half a block, and spurious block matches are filtered
-by evaluating the true sum.
+is a solution; past r = 62, where every sum is below 2^62, keys compare
+residues mod 2^62 and the instance equation filters the matches. Interval
+targets compare sums truncated to 2^rho blocks with rho chosen so the window
+fits half a block; straddling pairs are caught by a second pass offset by
+half a block, and spurious block matches are filtered by evaluating the true
+sum.
 
 Walk lanes are vectorized; each lane is an independent repetition with its
-own derived seed, so memory per repetition stays O(k) and results match a
-sequential run of the same seeds.
+own derived seed, so memory per repetition stays O(k). The rounds that the
+stopping rule will run anyway are walked as one vector of lanes, and the
+results do not change: they match a sequential run of the same seeds, one
+lane and one round at a time.
 """
 
 from __future__ import annotations
@@ -31,7 +35,13 @@ from ..kinds import MEMLESS, SOLVER_WIDTHS
 from ..seeds import derive
 from .instances import Instance, ModularInstance, SolutionSet
 from .lists import OpCounter, subset_sums
-from .solvers import check_weight_magnitude, expected_solutions, seeded_result, seeded_rounds
+from .solvers import (
+    _SUM_SAFE_BITS,
+    check_weight_magnitude,
+    expected_solutions,
+    seeded_result,
+    seeded_rounds,
+)
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -42,13 +52,14 @@ MEMLESS_MAX_ROUNDS = 4096
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        x = x + _GOLDEN
-        x ^= x >> np.uint64(30)
-        x *= _MIX1
-        x ^= x >> np.uint64(27)
-        x *= _MIX2
-        x ^= x >> np.uint64(31)
+    """splitmix64's finalizer on a uint64 array (numpy wraps array integer
+    arithmetic mod 2^64 without warning)."""
+    x = x + _GOLDEN
+    x ^= x >> np.uint64(30)
+    x *= _MIX1
+    x ^= x >> np.uint64(27)
+    x *= _MIX2
+    x ^= x >> np.uint64(31)
     return x
 
 
@@ -65,43 +76,62 @@ def repetition_budget(inst: Instance) -> int:
 
 
 class _WalkSpace:
-    """Per-instance constants and the vectorized walk step."""
+    """Per-instance constants, the lane layout of a round and the
+    vectorized walk step.
+
+    A walk point's key is a table lookup, keys[z | base]: the table holds
+    the key of every point of the domain, once per block offset, and a
+    lane's base (0, or domain for the second offset) picks its copy.
+    """
 
     def __init__(self, inst: Instance):
         k = inst.k
         self.hl = (k + 1) // 2
         self.d = self.hl
-        self.domain = np.uint64(1 << (self.d + 1))
+        self.domain = 1 << (self.d + 1)
+        self.dmask_full = np.uint64(self.domain - 1)
         self.dmask = np.uint64((1 << self.d) - 1)
         self.hr_mask = np.int64((1 << (k - self.hl)) - 1)
-        self.tl = subset_sums(inst.weights[: self.hl])
-        self.tr = subset_sums(inst.weights[self.hl :])
-        if isinstance(inst, ModularInstance):
-            self.modular = True
-            self.mod = np.int64(1 << inst.r)
-            self.target = np.int64(inst.target)
-        else:
-            self.modular = False
-            lo, hi = inst.bounds()
-            self.lo = lo
-            width = hi - lo
-            self.rho = 1 if width <= 1 else ceil_log2(width) + 1
-            self.half_block = 1 << (self.rho - 1)
-            top = k * max(inst.weights, default=0)
-            self.shift = ((top >> self.rho) + 1) << self.rho
-
-    def step(self, z: np.ndarray, lane_mix: np.ndarray, off: np.ndarray) -> np.ndarray:
+        z = np.arange(self.domain, dtype=np.uint64)
         masks = (z & self.dmask).astype(np.int64)
         side0 = (z >> np.uint64(self.d)) == 0
-        s_left, s_right = self.tl[masks], self.tr[masks & self.hr_mask]
-        if self.modular:
-            key_l = (self.target - s_left) % self.mod
-            key_r = s_right % self.mod
+        s_left = subset_sums(inst.weights[: self.hl])[masks]
+        s_right = subset_sums(inst.weights[self.hl :])[masks & self.hr_mask]
+        modular = isinstance(inst, ModularInstance)
+        if modular:
+            # every sum is below 2^_SUM_SAFE_BITS, so past that width keys
+            # compare residues mod 2^_SUM_SAFE_BITS; inst.check drops the
+            # matches that are not solutions
+            key_mask = (1 << min(inst.r, _SUM_SAFE_BITS)) - 1
+            target = inst.target & key_mask
+            keys = [np.where(side0, (target - s_left) & key_mask, s_right & key_mask)]
         else:
-            key_l = (self.shift + self.lo - s_left + off) >> self.rho
-            key_r = (self.shift + s_right + off) >> self.rho
-        key = np.where(side0, key_l, key_r).astype(np.uint64)
-        return _mix64(key ^ lane_mix) % self.domain
+            lo, hi = inst.bounds()
+            width = hi - lo
+            rho = 1 if width <= 1 else ceil_log2(width) + 1
+            top = k * max(inst.weights, default=0)
+            shift = ((top >> rho) + 1) << rho
+            keys = [
+                np.where(side0, (shift + lo - s_left + off) >> rho, (shift + s_right + off) >> rho)
+                for off in (0, 1 << (rho - 1))
+            ]
+        self.keys = np.concatenate(keys).astype(np.uint64)
+
+        # Interval block matching admits false positives (several blocks per
+        # window), so a fixed-point round needs proportionally more
+        # repetitions to carry the same evidence of completeness. The floor
+        # keeps rounds meaningful when solutions are rare but each draw is a
+        # long shot.
+        scale = 4 if modular else 32
+        self.lanes = int(min(8192, max(512, scale * expected_solutions(inst))))
+        self.step_cap = 24 * int(float(self.domain) ** 0.5) + 64
+        # interval lanes alternate between the two block offsets
+        self.round_base = np.zeros(self.lanes, dtype=np.uint64)
+        if not modular:
+            self.round_base[1::2] = self.domain
+
+    def step(self, z: np.ndarray, lane_mix: np.ndarray, base: np.ndarray) -> np.ndarray:
+        return _mix64(self.keys[z | base] ^ lane_mix) & self.dmask_full
 
     def cross_masks(self, pu: np.ndarray, pv: np.ndarray) -> list[int]:
         su = pu >> np.uint64(self.d)
@@ -117,15 +147,94 @@ class _WalkSpace:
         return [int(m) for m in full.tolist()]
 
 
-def _advance(space, z, active, lane_mix, off):
-    n_active = int(active.sum())
-    if n_active == 0:
-        return z
+def _advance(space, z, active, n_active, lane_mix, base):
+    """z with its n_active (> 0) active lanes stepped once."""
     if n_active * 4 < len(z):
         out = z.copy()
-        out[active] = space.step(z[active], lane_mix[active], off[active])
+        out[active] = space.step(z[active], lane_mix[active], base[active])
         return out
-    return np.where(active, space.step(z, lane_mix, off), z)
+    return np.where(active, space.step(z, lane_mix, base), z)
+
+
+def _walk_rounds(
+    inst: Instance, space: _WalkSpace, seed: int, first: int, count: int, counter: OpCounter
+) -> list[set[int]]:
+    """The solutions found by rounds first, ..., first + count - 1, one set
+    per round, walked as one vector of count * space.lanes lanes; round
+    i's lanes are seeded by derive(seed, _WALK_TAG, i). A lane's walk
+    depends only on its own seed and base, and once a lane stops it stays
+    stopped (the step-cap branches change nothing on such a lane), so the
+    finds and the charge to counter are those of walking each round alone.
+    """
+    k, lanes, step_cap = inst.k, space.lanes, space.step_cap
+    seeds = [derive(seed, _WALK_TAG, i) & (2**64 - 1) for i in range(first, first + count)]
+    lane_seed = np.repeat(np.array(seeds, dtype=np.uint64), lanes)
+    lane_mix = _mix64(np.tile(np.arange(lanes, dtype=np.uint64), count) ^ lane_seed)
+    base = np.tile(space.round_base, count)
+    z0 = _mix64(lane_mix ^ _GOLDEN) & space.dmask_full
+    n = len(z0)
+
+    # Brent phase: cycle length per lane.
+    tortoise = z0.copy()
+    hare = space.step(z0, lane_mix, base)
+    power = np.ones(n, dtype=np.int64)
+    lam = np.ones(n, dtype=np.int64)
+    alive = np.ones(n, dtype=bool)
+    steps = n
+    for _ in range(step_cap):
+        active = alive & (tortoise != hare)
+        n_active = int(np.count_nonzero(active))
+        if n_active == 0:
+            break
+        reset = active & (power == lam)
+        tortoise[reset] = hare[reset]
+        power[reset] <<= 1
+        lam[reset] = 0
+        hare = _advance(space, hare, active, n_active, lane_mix, base)
+        lam += active
+        steps += n_active
+    else:
+        alive &= tortoise == hare
+    counter.add(steps * k)
+
+    # Position hare lam steps ahead of the start, then walk to the meeting
+    # point keeping predecessors: those are the colliding pair.
+    tortoise = z0.copy()
+    hare = z0.copy()
+    rem = np.where(alive, lam, 0)
+    steps = 0
+    while True:
+        active = rem > 0
+        n_active = int(np.count_nonzero(active))
+        if n_active == 0:
+            break
+        hare = _advance(space, hare, active, n_active, lane_mix, base)
+        rem -= active
+        steps += n_active
+    has_pair = alive & (tortoise != hare)
+    pu = tortoise.copy()
+    pv = hare.copy()
+    for _ in range(step_cap):
+        active = alive & (tortoise != hare)
+        n_active = int(np.count_nonzero(active))
+        if n_active == 0:
+            break
+        pu[active] = tortoise[active]
+        pv[active] = hare[active]
+        tortoise = _advance(space, tortoise, active, n_active, lane_mix, base)
+        hare = _advance(space, hare, active, n_active, lane_mix, base)
+        steps += 2 * n_active
+    else:
+        has_pair &= tortoise == hare
+    counter.add(steps * k)
+
+    finds = []
+    for lo in range(0, n, lanes):
+        pair = has_pair[lo : lo + lanes]
+        masks = space.cross_masks(pu[lo : lo + lanes][pair], pv[lo : lo + lanes][pair])
+        counter.add(len(masks) * k)
+        finds.append({mask for mask in masks if inst.check(mask)})
+    return finds
 
 
 def solve_memoryless(inst: Instance, *, seed: int = 0) -> SolutionSet:
@@ -133,91 +242,24 @@ def solve_memoryless(inst: Instance, *, seed: int = 0) -> SolutionSet:
     derive(seed, _WALK_TAG, round). Each round walks `lanes` lanes, so
     repetition_budget(inst) walks cap solvers.seeded_rounds at
     ceil(budget / lanes) rounds, and MEMLESS_MAX_ROUNDS caps it too; the
-    stats report that budget as walk_budget.
+    stats report that budget as walk_budget. The rounds that seeded_rounds
+    asks for at once, which its stopping rule will run anyway, are walked
+    as one vector (_walk_rounds); the results are those of walking them one
+    round at a time.
     """
     if inst.k < MEMLESS_K_MIN:
         raise GuardError(f"memoryless solver needs k >= {MEMLESS_K_MIN}")
     check_weight_magnitude(inst.weights)
     counter = OpCounter()
     space = _WalkSpace(inst)
-    k = inst.k
-    expected = expected_solutions(inst)
     walks_cap = repetition_budget(inst)
-    # Interval block matching admits false positives (several blocks per
-    # window), so a fixed-point round needs proportionally more repetitions
-    # to carry the same evidence of completeness. The floor keeps rounds
-    # meaningful when solutions are rare but each draw is a long shot.
-    scale = 4 if space.modular else 32
-    lanes = int(min(8192, max(512, scale * expected)))
-    step_cap = 24 * int(float(space.domain) ** 0.5) + 64
-    # interval lanes alternate between the two block offsets
-    off = np.zeros(lanes, dtype=np.int64)
-    if not space.modular:
-        off[1::2] = space.half_block
-
-    def run_round(i: int) -> set[int]:
-        lane_seed = np.uint64(derive(seed, _WALK_TAG, i) & (2**64 - 1))
-        lane_mix = _mix64(np.arange(lanes, dtype=np.uint64) ^ lane_seed)
-        z0 = _mix64(lane_mix ^ _GOLDEN) % space.domain
-
-        # Brent phase: cycle length per lane.
-        tortoise = z0.copy()
-        hare = space.step(z0, lane_mix, off)
-        power = np.ones(lanes, dtype=np.int64)
-        lam = np.ones(lanes, dtype=np.int64)
-        alive = np.ones(lanes, dtype=bool)
-        steps = lanes
-        for _ in range(step_cap):
-            active = alive & (tortoise != hare)
-            if not bool(active.any()):
-                break
-            reset = active & (power == lam)
-            tortoise[reset] = hare[reset]
-            power[reset] <<= 1
-            lam[reset] = 0
-            hare = _advance(space, hare, active, lane_mix, off)
-            lam[active] += 1
-            steps += int(active.sum())
-        else:
-            alive &= tortoise == hare
-        counter.add(steps * k)
-
-        # Position hare lam steps ahead of the start, then walk to the meeting
-        # point keeping predecessors: those are the colliding pair.
-        tortoise = z0.copy()
-        hare = z0.copy()
-        rem = np.where(alive, lam, 0)
-        steps = 0
-        while bool((rem > 0).any()):
-            active = rem > 0
-            hare = _advance(space, hare, active, lane_mix, off)
-            rem[active] -= 1
-            steps += int(active.sum())
-        has_pair = alive & (tortoise != hare)
-        pu = tortoise.copy()
-        pv = hare.copy()
-        for _ in range(step_cap):
-            active = alive & (tortoise != hare)
-            if not bool(active.any()):
-                break
-            pu[active] = tortoise[active]
-            pv[active] = hare[active]
-            tortoise = _advance(space, tortoise, active, lane_mix, off)
-            hare = _advance(space, hare, active, lane_mix, off)
-            steps += 2 * int(active.sum())
-        else:
-            has_pair &= tortoise == hare
-        counter.add(steps * k)
-
-        masks = space.cross_masks(pu[has_pair], pv[has_pair])
-        counter.add(len(masks) * k)
-        return {mask for mask in masks if inst.check(mask)}
-
     found: set[int] = set()
-    max_rounds = min(MEMLESS_MAX_ROUNDS, ceil_div(walks_cap, lanes))
-    rounds, stable = seeded_rounds(found, run_round, max_rounds)
-    counter.bump_mem(8 * k)
+    max_rounds = min(MEMLESS_MAX_ROUNDS, ceil_div(walks_cap, space.lanes))
+    rounds, stable = seeded_rounds(
+        found, lambda first, count: _walk_rounds(inst, space, seed, first, count, counter), max_rounds
+    )
+    counter.bump_mem(8 * inst.k)
     return seeded_result(
-        found, counter, solver="memless", rounds=rounds, walks=rounds * lanes,
-        walk_budget=walks_cap, stable=stable, lanes=lanes,
+        found, counter, solver="memless", rounds=rounds, walks=rounds * space.lanes,
+        walk_budget=walks_cap, stable=stable, lanes=space.lanes,
     )

@@ -168,7 +168,9 @@ def solve_representation(inst: Instance, *, seed: int = 0) -> SolutionSet:
         return hits
 
     found = _near_trivial_hits(inst, counter)
-    rounds, stable = seeded_rounds(found, run_round, REP_MAX_ROUNDS)
+    rounds, stable = seeded_rounds(
+        found, lambda first, count: [run_round(i) for i in range(first, first + count)], REP_MAX_ROUNDS
+    )
     return seeded_result(
         found, counter, solver="rep", mode="ternary", rounds=rounds, stable=stable,
         depth=2, minus_fraction=DEFAULT_MINUS_FRACTION,

@@ -119,17 +119,26 @@ def _exact(masks: np.ndarray, ops: int, mem_peak: int, **stats) -> SolutionSet:
     return SolutionSet(masks, ops, mem_peak, exhausted=True, stats=stats)
 
 
-def seeded_rounds(found: set[int], run_round, max_rounds: int) -> tuple[int, bool]:
-    """The seeded solvers' stopping rule: add run_round(i)'s finds to found
-    for i = 0, 1, ... until QUIET_ROUNDS rounds in a row add nothing or
+def seeded_rounds(found: set[int], run_rounds, max_rounds: int) -> tuple[int, bool]:
+    """The seeded solvers' stopping rule: add round i's finds to found for
+    i = 0, 1, ... until QUIET_ROUNDS rounds in a row add nothing or
     max_rounds rounds have run. Returns (rounds, stable): the rounds run
-    and whether the quiet stop was reached."""
+    and whether the quiet stop was reached.
+
+    run_rounds(first, count) returns the finds of rounds first, ...,
+    first + count - 1 in order. count is the number of rounds the rule will
+    run anyway, min(QUIET_ROUNDS - quiet, max_rounds - rounds): neither
+    stop can come sooner, so no round runs that a one-at-a-time loop would
+    not, and the finds are folded in round order, which gives the same
+    found, rounds and stable."""
     quiet = rounds = 0
     while quiet < QUIET_ROUNDS and rounds < max_rounds:
-        before = len(found)
-        found |= run_round(rounds)
-        rounds += 1
-        quiet = quiet + 1 if len(found) == before else 0
+        count = min(QUIET_ROUNDS - quiet, max_rounds - rounds)
+        for finds in run_rounds(rounds, count):
+            before = len(found)
+            found |= finds
+            rounds += 1
+            quiet = quiet + 1 if len(found) == before else 0
     return rounds, quiet >= QUIET_ROUNDS
 
 

@@ -28,6 +28,7 @@ from shiftlab.subset_sum import (
 from shiftlab.phase_sim import ancilla_value
 from shiftlab.subset_sum.instances import interval_ancilla, masked_sum, modular_ancilla
 from shiftlab.subset_sum.lists import CONSISTENCY_BINARY, subset_sums
+from shiftlab.subset_sum.memoryless import _WalkSpace, _walk_rounds
 from shiftlab.subset_sum.representation import _combo_masks
 from shiftlab.subset_sum.solvers import (
     BRUTE_K_CAP,
@@ -653,25 +654,65 @@ def test_memless_memory_linear_in_k():
         assert got.mem_peak <= 8 * k
 
 
+@pytest.mark.parametrize("r", [63, 64, 70])
+def test_memless_modular_past_the_sum_width(r):
+    # keys compare residues mod 2^62 past r = 62; a target at or above 2^62
+    # has no solution, and the sums that match it mod 2^62 must be dropped
+    weights = tuple(range(1, 17))
+    for target in (6, (1 << 62) + 6, (1 << r) - 1):
+        inst = ModularInstance(weights, r, target)
+        got = solve_memoryless(inst, seed=1)
+        assert all(inst.check(m) for m in got.masks.tolist())
+        assert got.solutions <= solve_mitm(inst).solutions
+        if target >= 1 << 62:
+            assert got.solutions == frozenset()
+
+
+@pytest.mark.parametrize("flavor", ["modular", "interval"])
+def test_memless_rounds_walked_together_match_rounds_walked_alone(flavor):
+    """_walk_rounds over rounds [first, first + count) gives each round's
+    finds and the total charge of walking the rounds one at a time; with a
+    small step cap some lanes stop at the cap and the cap branches run."""
+    rng = stream("membatch-" + flavor)
+    first, count = 2, QUIET_ROUNDS
+    for k, r, step_cap in ((12, 11, None), (16, 8, None), (16, 8, 24), (16, 15, 3)):
+        inst = random_instance(flavor, k, r, rng)
+        space = _WalkSpace(inst)
+        if step_cap is not None:
+            uncapped = OpCounter()
+            _walk_rounds(inst, space, 7, first, count, uncapped)
+            space.step_cap = step_cap
+        together, alone = OpCounter(), OpCounter()
+        got = _walk_rounds(inst, space, 7, first, count, together)
+        want = [_walk_rounds(inst, space, 7, i, 1, alone)[0] for i in range(first, first + count)]
+        assert got == want and together.ops == alone.ops
+        if step_cap is not None:
+            assert together.ops < uncapped.ops  # some lanes stopped at the cap
+        if r == 8:
+            assert all(want)
+
+
 # -- seeded rounds -----------------------------------------------------------
 
 
 def _scripted(finds):
-    """run_round for seeded_rounds: round i finds finds[i], or nothing past
-    the script's end; calls records the round indices asked for."""
-    calls = []
+    """run_rounds for seeded_rounds: round i finds finds[i], or nothing past
+    the script's end; calls records the round indices asked for, asks each
+    request's (first, count)."""
+    calls, asks = [], []
 
-    def run_round(i):
-        calls.append(i)
-        return set(finds[i]) if i < len(finds) else set()
+    def run_rounds(first, count):
+        asks.append((first, count))
+        calls.extend(range(first, first + count))
+        return [set(finds[i]) if i < len(finds) else set() for i in range(first, first + count)]
 
-    return run_round, calls
+    return run_rounds, calls, asks
 
 
 def test_seeded_rounds_stop_after_quiet_rounds():
-    run_round, calls = _scripted([])
+    run_rounds, calls, _ = _scripted([])
     found = set()
-    assert seeded_rounds(found, run_round, 64) == (QUIET_ROUNDS, True)
+    assert seeded_rounds(found, run_rounds, 64) == (QUIET_ROUNDS, True)
     assert calls == list(range(QUIET_ROUNDS)) and found == set()
 
 
@@ -679,19 +720,39 @@ def test_seeded_rounds_new_find_resets_the_quiet_count():
     # round 1 finds 1 again, which is nothing new; round 3 finds 2
     quiet = [()] * (QUIET_ROUNDS - 1)
     finds = [(1,), (1,), *quiet[1:], (2, 1), *quiet]
-    run_round, calls = _scripted(finds)
+    run_rounds, calls, _ = _scripted(finds)
     found = {7}
-    rounds, stable = seeded_rounds(found, run_round, 64)
+    rounds, stable = seeded_rounds(found, run_rounds, 64)
     assert (rounds, stable) == (2 * QUIET_ROUNDS + 1, True)
     assert calls == list(range(rounds)) and found == {1, 2, 7}
 
 
 @pytest.mark.parametrize("max_rounds", [0, 1, QUIET_ROUNDS, 5])
 def test_seeded_rounds_stop_at_max_rounds(max_rounds):
-    run_round, calls = _scripted([(i,) for i in range(10)])
+    run_rounds, calls, _ = _scripted([(i,) for i in range(10)])
     found = set()
-    assert seeded_rounds(found, run_round, max_rounds) == (max_rounds, False)
+    assert seeded_rounds(found, run_rounds, max_rounds) == (max_rounds, False)
     assert calls == list(range(max_rounds)) and found == set(range(max_rounds))
+
+
+@pytest.mark.parametrize("max_rounds", [1, 2, 5, 8, 64])
+def test_seeded_rounds_never_asks_past_the_stop(max_rounds):
+    # finds that leave the quiet count at every value below QUIET_ROUNDS
+    # when a request ends, so requests of every size are asked for
+    quiet = [()] * (QUIET_ROUNDS - 1)
+    finds = [(1,), *quiet, (2,), (2,), (3,), *quiet[1:], (4,), (4, 5)]
+    run_rounds, calls, asks = _scripted(finds)
+    rounds, _ = seeded_rounds(set(), run_rounds, max_rounds)
+    assert calls == list(range(rounds))
+    seen, n_quiet = set(), 0
+    for first, count in asks:
+        assert count == min(QUIET_ROUNDS - n_quiet, max_rounds - first)
+        for i in range(first, first + count):
+            new = set(finds[i]) - seen if i < len(finds) else set()
+            n_quiet = 0 if new else n_quiet + 1
+            seen |= new
+    if max_rounds == 64:
+        assert {count for _, count in asks} == set(range(1, QUIET_ROUNDS + 1))
 
 
 @pytest.mark.parametrize("solver", [REP, MEMLESS])
