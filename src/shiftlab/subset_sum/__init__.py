@@ -17,7 +17,7 @@ from .instances import (
     SolutionSet,
     random_instance,
 )
-from .lists import IntervalConstraint, OpCounter, PartialSumList, WindowConstraint, merge_join
+from .lists import IntervalConstraint, OpCounter, PartialSumList, WindowConstraint
 from .solvers import solve_bruteforce, solve_mitm, solve_schroeppel_shamir
 from .representation import solve_representation
 from .memoryless import solve_memoryless
@@ -31,7 +31,6 @@ __all__ = [
     "PartialSumList",
     "SolutionSet",
     "WindowConstraint",
-    "merge_join",
     "random_instance",
     "solve",
     "solve_bruteforce",

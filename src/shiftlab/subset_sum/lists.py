@@ -6,9 +6,7 @@ minus empty. Lists are immutable once built, so each stores the key sorts
 that joins ask of it (by_key) and sorts by the same key at most once, however
 many weight classes or rounds reuse it. join_pairs finds every cross pair
 whose value sum satisfies the constraint; it is the one join in the
-package, and charge_join its one charge. merge_join builds a list from its
-pairs whose digit vectors are compatible (only the representation solver
-builds lists so); the exact solvers take their masks from join_pairs.
+package, and charge_join its one charge.
 
 subset_sums builds the table of all 2^m subset sums of a weight segment,
 or one table per row of a (B, m) weight array, from whole-array products:
@@ -208,12 +206,6 @@ def _key_ranges(
     return np.repeat(rows, counts), cols
 
 
-# Digit-compatibility modes for the packed ternary vectors: rep's final
-# assembly is the one BINARY join, every other join is DISJOINT.
-CONSISTENCY_DISJOINT = None       # supports guaranteed disjoint (plain splits)
-CONSISTENCY_BINARY = "binary"     # digit sums must land in {0,1} (final assembly)
-
-
 def join_pairs(
     a: PartialSumList, b: PartialSumList, constraint: Constraint
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -257,41 +249,3 @@ def charge_join(counter: OpCounter, la: int, lb: int, out: int) -> None:
     if la and lb:
         counter.bump_mem(la + lb + out)
 
-
-def merge_join(
-    a: PartialSumList,
-    b: PartialSumList,
-    constraint: Constraint,
-    consistency: str | None,
-    counter: OpCounter,
-) -> PartialSumList:
-    """All compatible cross pairs of a x b whose value sums satisfy the
-    constraint: join_pairs' pairs, their digit vectors checked in the given
-    consistency mode.
-
-    Charged as charge_join, whether or not a's sort was already stored.
-    """
-    la, lb = len(a), len(b)
-    if la == 0 or lb == 0:
-        charge_join(counter, la, lb, 0)
-        return PartialSumList(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-
-    a_idx, b_idx = join_pairs(a, b, constraint)
-    values = a.values[a_idx] + b.values[b_idx]
-    p1, m1 = a.plus[a_idx], a.minus[a_idx]
-    p2, m2 = b.plus[b_idx], b.minus[b_idx]
-    if consistency is CONSISTENCY_DISJOINT:
-        out = PartialSumList(values, p1 | p2, m1 | m2)
-    elif consistency == CONSISTENCY_BINARY:
-        valid = (
-            ((p1 & p2) == 0)
-            & ((m1 & m2) == 0)
-            & ((m1 & ~p2) == 0)
-            & ((m2 & ~p1) == 0)
-        )
-        plus = ((p1 | p2) & ~(m1 | m2))[valid]
-        out = PartialSumList(values[valid], plus, np.zeros_like(plus))
-    else:
-        raise ValueError(f"unknown consistency mode {consistency!r}")
-    charge_join(counter, la, lb, len(out))
-    return out

@@ -36,6 +36,7 @@ from ..seeds import derive
 from .instances import Instance, ModularInstance, SolutionSet
 from .lists import OpCounter, subset_sums
 from .solvers import (
+    _SUM_CAP,
     _SUM_SAFE_BITS,
     check_weight_magnitude,
     expected_solutions,
@@ -106,13 +107,18 @@ class _WalkSpace:
             target = inst.target & key_mask
             keys = [np.where(side0, (target - s_left) & key_mask, s_right & key_mask)]
         else:
-            lo, hi = inst.bounds()
+            # no sum reaches _SUM_CAP, so capping the bounds there (as
+            # full_constraint does) changes no match; with rho <= 62 too, shift
+            # and every key stay below 2^63 and the sums before >> rho below 2^64
+            lo, hi = (min(b, _SUM_CAP) for b in inst.bounds())
             width = hi - lo
-            rho = 1 if width <= 1 else ceil_log2(width) + 1
+            rho = 1 if width <= 1 else min(ceil_log2(width) + 1, _SUM_SAFE_BITS)
             top = k * max(inst.weights, default=0)
             shift = ((top >> rho) + 1) << rho
+            u_left, u_right = s_left.astype(np.uint64), s_right.astype(np.uint64)
             keys = [
-                np.where(side0, (shift + lo - s_left + off) >> rho, (shift + s_right + off) >> rho)
+                np.where(side0, np.uint64(shift + lo + off) - u_left, u_right + np.uint64(shift + off))
+                >> np.uint64(rho)
                 for off in (0, 1 << (rho - 1))
             ]
         self.keys = np.concatenate(keys).astype(np.uint64)

@@ -5,9 +5,10 @@ ones plus M extra +1/-1 cancelling pairs and x2 carries the rest; the many
 ways of choosing the split mean a random low-bit constraint on x1's partial
 sum keeps some representation of x alive with constant probability. Each
 round draws fresh constraints, builds the candidate lists per weight class and
-merges them with digit-consistency filtering; solvers.seeded_rounds decides
-when the rounds stop, with REP_MAX_ROUNDS as the round cap. The split is one
-level deep: x1 and x2 each come from one join of two position halves, and
+joins them through lists.join_pairs, keeping by its own digit check the pairs
+whose digit sums x1 + x2 lie in {0,1}; solvers.seeded_rounds decides when the
+rounds stop, with REP_MAX_ROUNDS as the round cap. The split is one level
+deep: x1 and x2 each come from one join of two position halves, and
 DEFAULT_MINUS_FRACTION * k sets M.
 
 Dense instances (many expected solutions) gain nothing from representations;
@@ -29,11 +30,12 @@ from ..kinds import REP, SOLVER_WIDTHS
 from ..seeds import derive
 from .instances import Instance, SolutionSet
 from .lists import (
-    CONSISTENCY_BINARY,
+    Constraint,
     OpCounter,
     PartialSumList,
     WindowConstraint,
-    merge_join,
+    charge_join,
+    join_pairs,
     subset_sums,
 )
 from .solvers import (
@@ -99,25 +101,41 @@ def _build_profile_list(
     constraint: WindowConstraint,
     counter: OpCounter,
 ) -> PartialSumList:
-    """All ternary vectors with p plus and m minus digits meeting the constraint."""
-    chunks_v, chunks_p, chunks_m = [], [], []
+    """All ternary vectors with p plus and m minus digits meeting the
+    constraint: each split's joined pairs, their disjoint digits unioned."""
+    empty = np.empty(0, dtype=np.int64)
+    values, plus, minus = [empty], [empty], [empty]
     for pl in range(max(0, p - right.n), min(p, left.n) + 1):
         for ml in range(max(0, m - (right.n - (p - pl))), min(m, left.n - pl) + 1):
             a = left.profile(pl, ml)
             b = right.profile(p - pl, m - ml)
             if len(a) == 0 or len(b) == 0:
                 continue
-            joined = merge_join(a, b, constraint, None, counter)
-            if len(joined):
-                chunks_v.append(joined.values)
-                chunks_p.append(joined.plus)
-                chunks_m.append(joined.minus)
-    if not chunks_v:
-        e = np.empty(0, dtype=np.int64)
-        return PartialSumList(e, e, e)
-    return PartialSumList(
-        np.concatenate(chunks_v), np.concatenate(chunks_p), np.concatenate(chunks_m)
-    )
+            a_idx, b_idx = join_pairs(a, b, constraint)
+            charge_join(counter, len(a), len(b), len(a_idx))
+            values.append(a.values[a_idx] + b.values[b_idx])
+            plus.append(a.plus[a_idx] | b.plus[b_idx])
+            minus.append(a.minus[a_idx] | b.minus[b_idx])
+    return PartialSumList(np.concatenate(values), np.concatenate(plus), np.concatenate(minus))
+
+
+def _assemble(
+    l1: PartialSumList, l2: PartialSumList, constraint: Constraint, counter: OpCounter
+) -> np.ndarray:
+    """Masks of the {0,1} vectors x1 + x2 of the pairs of l1 x l2 meeting the
+    constraint: no position +1 on both sides, every -1 cancelled by the other
+    side's +1. Charged as charge_join on the vectors kept (none if a side is empty)."""
+    la, lb = len(l1), len(l2)
+    if la == 0 or lb == 0:
+        charge_join(counter, la, lb, 0)
+        return np.empty(0, dtype=np.int64)
+    a_idx, b_idx = join_pairs(l1, l2, constraint)
+    p1, m1, p2, m2 = l1.plus[a_idx], l1.minus[a_idx], l2.plus[b_idx], l2.minus[b_idx]
+    # a vector never holds +1 and -1 at one position, so these also rule out a -2
+    valid = ((p1 & p2) == 0) & ((m1 & ~p2) == 0) & ((m2 & ~p1) == 0)
+    masks = ((p1 | p2) & ~(m1 | m2))[valid]
+    charge_join(counter, la, lb, len(masks))
+    return masks
 
 
 def _near_trivial_hits(inst: Instance, counter: OpCounter) -> set[int]:
@@ -162,9 +180,9 @@ def solve_representation(inst: Instance, *, seed: int = 0) -> SolutionSet:
             c1 = rnd.randrange(1 << t1)
             l1 = _build_profile_list(left, right, p1, m1, WindowConstraint(t1, c1), counter)
             l2 = _build_profile_list(left, right, p2, m2, window_for(inst, t1, c1), counter)
-            out = merge_join(l1, l2, final, CONSISTENCY_BINARY, counter)
-            hits.update(int(x) for x in out.plus.tolist())
-            counter.bump_mem(left.cells + right.cells + len(l1) + len(l2) + len(out))
+            masks = _assemble(l1, l2, final, counter)
+            hits.update(masks.tolist())
+            counter.bump_mem(left.cells + right.cells + len(l1) + len(l2) + len(masks))
         return hits
 
     found = _near_trivial_hits(inst, counter)

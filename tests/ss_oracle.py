@@ -7,8 +7,8 @@ per-guess counts. This oracle runs the merge itself: for each guess g of
 the low t bits of the left-half sum, the two left quarters are joined under
 the point constraint g and the two right quarters under the complementary
 window, and the two results are joined under the instance's constraint,
-three merge_join calls per guess. Its set, op count, memory peak and stats
-are what the solver must report.
+three joins per guess (join_lists). Its set, op count, memory peak and
+stats are what the solver must report.
 """
 
 from __future__ import annotations
@@ -17,7 +17,13 @@ import numpy as np
 
 from shiftlab.errors import GuardError
 from shiftlab.subset_sum.instances import Instance, SolutionSet
-from shiftlab.subset_sum.lists import OpCounter, WindowConstraint, merge_join
+from shiftlab.subset_sum.lists import (
+    OpCounter,
+    PartialSumList,
+    WindowConstraint,
+    charge_join,
+    join_pairs,
+)
 from shiftlab.subset_sum.solvers import (
     SS_K_MIN,
     _index_list,
@@ -26,6 +32,24 @@ from shiftlab.subset_sum.solvers import (
     guess_bits,
     window_for,
 )
+
+
+def join_lists(a, b, constraint, counter: OpCounter) -> PartialSumList:
+    """join_pairs' pairs of a x b as one list, each entry's digits the union
+    of its pair's (the splits put them on disjoint positions), charged by
+    charge_join; an empty input joins to an empty list."""
+    la, lb = len(a), len(b)
+    if la == 0 or lb == 0:
+        charge_join(counter, la, lb, 0)
+        empty = np.empty(0, dtype=np.int64)
+        return PartialSumList(empty, empty)
+    a_idx, b_idx = join_pairs(a, b, constraint)
+    charge_join(counter, la, lb, len(a_idx))
+    return PartialSumList(
+        a.values[a_idx] + b.values[b_idx],
+        a.plus[a_idx] | b.plus[b_idx],
+        a.minus[a_idx] | b.minus[b_idx],
+    )
 
 
 def ss_solutions(inst: Instance) -> SolutionSet:
@@ -52,10 +76,10 @@ def ss_solutions(inst: Instance) -> SolutionSet:
     final = full_constraint(inst)
     found: set[int] = set()
     for g in range(mod):
-        left = merge_join(quarters[0], quarters[1], WindowConstraint(t, g), None, counter)
-        right = merge_join(quarters[2], quarters[3], window_for(inst, t, g), None, counter)
+        left = join_lists(quarters[0], quarters[1], WindowConstraint(t, g), counter)
+        right = join_lists(quarters[2], quarters[3], window_for(inst, t, g), counter)
         counter.bump_mem(base_mem + len(left) + len(right))
-        out = merge_join(left, right, final, None, counter)
+        out = join_lists(left, right, final, counter)
         found.update(int(m) for m in out.plus.tolist())
     return SolutionSet(
         np.array(sorted(found), dtype=np.int64),

@@ -8,8 +8,9 @@ a change whose stated purpose is to change that output; such a change
 re-records it here and in docs/recorded_constants.md.
 
 Run as a script (`python tests/test_golden_outputs.py`) to print
-`args digest` for every case against this checkout's src/; that is how a
-new case is recorded before the code it pins changes.
+`args digest ok|DIFF` for every case against this checkout's src/, with
+exit code 1 if any case differs. A new case is recorded by adding it with
+any digest before the code it pins changes and copying the printed one.
 """
 
 import hashlib
@@ -66,6 +67,10 @@ GOLDEN = [
      "aa6045460dad461b1a1e0171b52e89a92e7d011bcb2400d3ea4e2b406fede3be"),
     ("subset-sum --k 13,17 --solver memless --flavor interval --instances 2 --seed 1",
      "78b18cdd903a1d3dc110645cb8fcbe059b232a5e08df25f4d83d5674c3c0a02d"),
+    # rep's final assembly under interval bounds; recorded before rep's
+    # joins moved from a list-building join to join_pairs
+    ("subset-sum --k 16,20 --solver rep --flavor interval --instances 3 --check --seed 1",
+     "cb2367e0e65a8c1df2aed5d41ca7e9e5c7c736ec0164b2861af4d527be082d7f"),
     # stage-0 waves of full label sums on both sides of the int32 bound:
     # at N = 2^28 the largest sum is 2^31 - 8, at 2^29 the rows are int64;
     # recorded before power-of-two waves moved from low-bit sums to full sums
@@ -98,5 +103,9 @@ def test_cli_stdout_digest(args, digest):
 
 
 if __name__ == "__main__":
-    for args, _ in GOLDEN:
-        print(args, cli_digest(args))
+    differ = 0
+    for args, digest in GOLDEN:
+        got = cli_digest(args)
+        differ += got != digest
+        print(args, got, "ok" if got == digest else "DIFF")
+    sys.exit(1 if differ else 0)

@@ -16,7 +16,6 @@ from shiftlab.subset_sum import (
     OpCounter,
     PartialSumList,
     WindowConstraint,
-    merge_join,
     random_instance,
     solve,
     solve_bruteforce,
@@ -27,9 +26,9 @@ from shiftlab.subset_sum import (
 )
 from shiftlab.phase_sim import ancilla_value
 from shiftlab.subset_sum.instances import interval_ancilla, masked_sum, modular_ancilla
-from shiftlab.subset_sum.lists import CONSISTENCY_BINARY, subset_sums
+from shiftlab.subset_sum.lists import charge_join, join_pairs, subset_sums
 from shiftlab.subset_sum.memoryless import _WalkSpace, _walk_rounds
-from shiftlab.subset_sum.representation import _combo_masks
+from shiftlab.subset_sum.representation import _assemble, _combo_masks
 from shiftlab.subset_sum.solvers import (
     BRUTE_K_CAP,
     QUIET_ROUNDS,
@@ -40,7 +39,7 @@ from shiftlab.subset_sum.solvers import (
 )
 
 from brute_oracle import brute_solutions, chunk_hits, reduce_table
-from ss_oracle import ss_solutions
+from ss_oracle import join_lists, ss_solutions
 from conftest import stream
 
 
@@ -135,31 +134,37 @@ def test_masked_sum_ignores_bits_beyond_the_weights():
             assert masked_sum(weights, mask) == _enumerate_loop(weights, mask), (k, mask)
 
 
-# -- merge_join --------------------------------------------------------------
+# -- list joins --------------------------------------------------------------
 
 
 def _plist(values):
     return PartialSumList(list(values), list(range(len(values))))
 
 
-def test_merge_join_small_case():
+def test_join_pairs_small_case():
     a = _plist([0, 1, 2])
     b = _plist([0, 1, 2])
+    a_idx, b_idx = join_pairs(a, b, WindowConstraint(2, 2))
+    assert sorted(zip(a_idx.tolist(), b_idx.tolist())) == [(0, 2), (1, 1), (2, 0)]
     counter = OpCounter()
-    out = merge_join(a, b, WindowConstraint(2, 2), None, counter)
-    got = sorted((int(v), 0) for v in out.values)
-    assert [v for v, _ in got] == [2, 2, 2]  # (0,2),(1,1),(2,0)
+    charge_join(counter, len(a), len(b), len(a_idx))
     # (3 + 3) * ceil(log2 3) + 3 ops; 3 + 3 + 3 cells
     assert (counter.ops, counter.mem_peak) == (15, 9)
 
 
-def test_merge_join_empty_input():
+def test_charge_join_empty_input():
     a = PartialSumList([], [])
     b = _plist([0, 1, 2])
+    assert [len(x) for x in join_pairs(b, a, WindowConstraint(2, 0))] == [0, 0]
     counter = OpCounter()
-    assert len(merge_join(a, b, WindowConstraint(2, 0), None, counter)) == 0
+    charge_join(counter, len(a), len(b), 0)
     # (0 + 3) * ceil(log2 2) ops and no memory
     assert (counter.ops, counter.mem_peak) == (3, 0)
+    # the joins that guard an empty side charge the same and return nothing
+    for join in (join_lists, _assemble):
+        counter = OpCounter()
+        assert len(join(a, b, WindowConstraint(2, 0), counter)) == 0
+        assert (counter.ops, counter.mem_peak) == (3, 0)
 
 
 def _digit_entries(rng, weights, positions, count, zero_weight):
@@ -184,24 +189,24 @@ def _digit_list(entries):
     )
 
 
-def _scan_join(ea, eb, cons, consistency):
-    """Quadratic reference for merge_join on digit vectors: add digit-wise,
+def _scan_join(ea, eb, cons, binary):
+    """Quadratic reference for the joins of digit vectors: add digit-wise,
     keep the pairs whose sums meet the constraint, by its definition, and
-    whose digit sums the mode allows."""
+    whose digit sums lie in {0, 1} (binary) or {-1, 0, 1}."""
 
     def meets(total):
         if isinstance(cons, WindowConstraint):
             return (total - cons.residue) % (1 << cons.t) < cons.count
         return cons.lo <= total < cons.hi
 
-    allowed = {None: (-1, 0, 1), CONSISTENCY_BINARY: (0, 1)}
+    allowed = (0, 1) if binary else (-1, 0, 1)
     out = []
     for x, dx in ea:
         for y, dy in eb:
             if not meets(x + y):
                 continue
             total = {i: dx.get(i, 0) + dy.get(i, 0) for i in set(dx) | set(dy)}
-            if any(d not in allowed[consistency] for d in total.values()):
+            if any(d not in allowed for d in total.values()):
                 continue
             plus = sum(1 << i for i, d in total.items() if d == 1)
             minus = sum(1 << i for i, d in total.items() if d == -1)
@@ -220,40 +225,48 @@ def _random_constraint(rng, t=None):
     return WindowConstraint(t, residue, min(count, 1 << t))
 
 
-def _check_join(a, b, ea, eb, cons, consistency):
+def _check_join(a, b, ea, eb, cons, binary):
+    """join_lists (join_pairs' pairs, digits unioned) or, for binary, rep's
+    final assembly (masks of the {0,1} sums) against the scan."""
     counter = OpCounter()
-    out = merge_join(a, b, cons, consistency, counter)
-    got = sorted(zip(out.values.tolist(), out.plus.tolist(), out.minus.tolist()))
-    assert got == _scan_join(ea, eb, cons, consistency), (cons, consistency)
-    assert out.values.tolist() == sorted(out.values.tolist())
-    # the charge merge_join documents: sort a, search per entry of b, write out
+    want = _scan_join(ea, eb, cons, binary)
+    if binary:
+        masks = _assemble(a, b, cons, counter)
+        got, want, out = sorted(masks.tolist()), sorted(p for _, p, _ in want), len(masks)
+    else:
+        joined = join_lists(a, b, cons, counter)
+        got = sorted(zip(joined.values.tolist(), joined.plus.tolist(), joined.minus.tolist()))
+        out = len(joined)
+        assert joined.values.tolist() == sorted(joined.values.tolist())
+    assert got == want, (cons, binary)
+    # charge_join: sort a, search per entry of b, write out
     la, lb = len(a), len(b)
     logn = max(1, math.ceil(math.log2(la)))
-    assert (counter.ops, counter.mem_peak) == ((la + lb) * logn + len(out), la + lb + len(out))
+    assert (counter.ops, counter.mem_peak) == ((la + lb) * logn + out, la + lb + out)
 
 
-def test_merge_join_against_quadratic_scan():
-    """Windows (plain and wrapping) and intervals under both consistency
-    modes, on rep-style lists with minus digits and negative values. Disjoint
-    joins take digit vectors on separate positions, as the solvers' splits do;
-    the binary mode draws both sides from the same positions."""
+def test_joins_against_quadratic_scan():
+    """Windows (plain and wrapping) and intervals, unioned and through rep's
+    {0,1} assembly, on rep-style lists with minus digits and negative values.
+    Unioned joins take digit vectors on separate positions, as the solvers'
+    splits do; the assembly draws both sides from the same positions."""
     rng = stream("join")
     n = 12
     weights = [rng.randrange(1, 64) for _ in range(n)]
     for trial in range(90):
-        consistency = (None, CONSISTENCY_BINARY)[trial % 2]
+        binary = trial % 2 == 1
         na, nb = rng.randrange(1, 31), rng.randrange(1, 31)
         zero_weight = rng.randrange(1, 5)
-        if consistency is None:
-            pa, pb = range(n // 2), range(n // 2, n)
-        else:
+        if binary:
             pa = pb = range(n)
+        else:
+            pa, pb = range(n // 2), range(n // 2, n)
         ea = _digit_entries(rng, weights, pa, na, zero_weight)
         eb = _digit_entries(rng, weights, pb, nb, zero_weight)
-        _check_join(_digit_list(ea), _digit_list(eb), ea, eb, _random_constraint(rng), consistency)
+        _check_join(_digit_list(ea), _digit_list(eb), ea, eb, _random_constraint(rng), binary)
 
 
-def test_merge_join_reuses_list_across_keys():
+def test_join_pairs_reuses_list_across_keys():
     """One list joined under t1, t2, then t1 again: each join, including the
     ones served from the list's stored sorts, matches the scan."""
     rng = stream("join_rekey")
@@ -263,7 +276,7 @@ def test_merge_join_reuses_list_across_keys():
     for t in (3, 6, 3, None, 6):
         eb = _digit_entries(rng, weights, range(6, 12), rng.randrange(1, 31), 2)
         cons = _random_constraint(rng, t) if t else IntervalConstraint(-50, 80)
-        _check_join(a, _digit_list(eb), ea, eb, cons, None)
+        _check_join(a, _digit_list(eb), ea, eb, cons, False)
     assert set(a._by_key) == {3, 6, None}
 
 
@@ -666,6 +679,22 @@ def test_memless_modular_past_the_sum_width(r):
         assert got.solutions <= solve_mitm(inst).solutions
         if target >= 1 << 62:
             assert got.solutions == frozenset()
+
+
+@pytest.mark.parametrize(
+    "B,r,target,every_sum",
+    [(17, 5, 1 << 70, False), (17, 5, 1 << 62, False), (1 << 70, 5, 0, True)],
+    ids=["past-every-sum", "target-2^62", "every-sum"],
+)
+def test_memless_interval_bounds_past_int64(B, r, target, every_sum):
+    # bounds past 2^62 compare with every sum as the cap 2^62 does; a window
+    # past every sum has no solution, and [0, 2^66) holds all 2^16 sums
+    inst = IntervalInstance(tuple(range(1, 17)), B, r, target)
+    got = solve_memoryless(inst, seed=1)
+    assert all(inst.check(m) for m in got.masks.tolist())
+    ref = solve_mitm(inst).solutions
+    assert got.solutions <= ref
+    assert len(ref) == (1 << 16 if every_sum else 0)
 
 
 @pytest.mark.parametrize("flavor", ["modular", "interval"])
