@@ -177,24 +177,27 @@ def emit(lines: list[dict], fmt: str, out: TextIO | None) -> None:
 
 def _output(path: str | None):
     """The output of a command, as a context manager: the file at path,
-    opened for writing at once, or None (stdout) without a path. Commands
+    opened at once for appending, or None (stdout) without a path. Commands
     open it before their first run, so a path that cannot be opened is a
-    usage error that costs no run."""
+    usage error that costs no run, and _write replaces what the file held,
+    so a run refused before its one write leaves the file as it was."""
     if not path:
         return contextlib.nullcontext()
     try:
-        return open(path, "w", encoding="utf-8", newline="")
+        return open(path, "a", encoding="utf-8", newline="")
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
 def _write(text: str, out: TextIO | None) -> None:
-    """Write text to the open file out (_output), or to stdout when out is
-    None; a file that cannot be written is a usage error."""
+    """Write text to the open file out (_output) in place of its contents,
+    or to stdout when out is None; an unwritable file is a usage error."""
     if out is None:
         sys.stdout.write(text)
         return
     try:
+        if out.seekable():  # a pipe or terminal has nothing to replace
+            out.truncate(0)
         out.write(text)
         out.flush()
     except OSError as exc:

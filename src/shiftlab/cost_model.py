@@ -210,10 +210,9 @@ REPORT_FOOTNOTE = (
 )
 
 
-def render_report(rows: list[TableRow] | None = None) -> str:
+def render_report() -> str:
     """Plain-text rendering of table_report, exponents rounded to 3 decimals."""
-    if rows is None:
-        rows = table_report()
+    rows = table_report()
     out = []
     for table in ("hidden-shift", "purely-quantum"):
         sub = [r for r in rows if r.table == table]

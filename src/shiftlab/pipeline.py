@@ -37,9 +37,9 @@ only the element handed back becomes a PhaseElement. One loop
 k <= 18 runs on the run kernel combine.brute_run, which only the engine
 calls, on a stage-0 wave's rows or on a later stage's one-row table; every
 other solver makes one combine.combine_labels call per invocation. An
-element's plan is its CostLedger rows (StageStats), built afresh per
-element: each call of the loop reads its stage's k, r and input bound from
-its row and charges that row once; the rows sum to the ledger's totals.
+element's plan is its rows (StageStats) of the recovery's one CostLedger,
+built afresh: each call of the loop reads its stage's k, r and input
+bound from its row and charges it once; the rows sum to the ledger's totals.
 
 Stage 0's inputs are the next k labels of the instance's label stream, which
 no other draw in the pipeline touches. So with brute force the engine
@@ -309,9 +309,11 @@ class StageStats:
 
 @dataclass
 class CostLedger:
-    """What producing elements cost. wall_seconds is the summed wall time of
-    the pipeline elements merged into the ledger; it excludes readout and
-    classical_verify."""
+    """What producing elements cost: a recovery's one ledger, charged in
+    place by each Pipeline.element. wall_seconds is the summed wall time of
+    the elements charged to it, without readout or classical_verify. On a
+    failed run, solver_ops and mem_peak_cells cover only the stage calls
+    that finished, and wall_seconds only the elements that finished."""
 
     q_queries: int = 0
     c_queries: int = 0
@@ -322,18 +324,6 @@ class CostLedger:
     raw_discarded: int = 0
     wall_seconds: float = 0.0
     per_stage: list[StageStats] = field(default_factory=list)
-
-    def merge(self, other: "CostLedger") -> None:
-        """Fold another ledger into this one (summing scalars, appending rows)."""
-        self.q_queries += other.q_queries
-        self.c_queries += other.c_queries
-        self.solver_ops += other.solver_ops
-        self.mem_peak_cells = max(self.mem_peak_cells, other.mem_peak_cells)
-        self.elements_generated += other.elements_generated
-        self.elements_wasted += other.elements_wasted
-        self.raw_discarded += other.raw_discarded
-        self.wall_seconds += other.wall_seconds
-        self.per_stage.extend(other.per_stage)
 
     def check_consistent(self) -> None:
         """Internal accounting identities; raises AccountingError on breakage
@@ -502,14 +492,15 @@ class Pipeline:
             self.wave = _Wave(k, table_dtype(k, mod.N - 1))
 
     def element(
-        self, *, level: int | None = None, scale: int = 1
-    ) -> tuple[PhaseElement, CostLedger]:
-        """run_pipeline's element and ledger. The plan, fresh ledger rows
-        from _plan_pow2 or plan_interval, is built before any label is
-        drawn, so its guards refuse first. The wave carries over when the
-        stream is at its next unused row and starts again at one row
-        otherwise; the ledger and the invocation count behind the solver
-        seed are the element's own."""
+        self, ledger: CostLedger, *, level: int | None = None, scale: int = 1
+    ) -> PhaseElement:
+        """run_pipeline's element, charged to ledger: the plan, fresh rows
+        from _plan_pow2 or plan_interval whose guards refuse first, is
+        appended to ledger's rows before any label is drawn, _raw and _run
+        charge ledger in place, and an element that returns adds its wall
+        time and checks ledger. The wave carries over when the stream is at
+        its next unused row and starts again at one row otherwise; the
+        invocation count behind the solver seed is the element's own."""
         inst = self.inst
         if self.pow2:
             top_level = inst.modulus.n - 1 if level is None else level
@@ -523,8 +514,8 @@ class Pipeline:
         wave = self.wave
         if wave is not None and inst.q_queries != wave.start + wave.row * wave.k:
             self.wave = _Wave(wave.k, wave.dtype)
-        self.ledger = CostLedger()
-        self.ledger.per_stage = self.plan = plan
+        ledger.per_stage += plan
+        self.ledger, self.plan = ledger, plan
         self._invocation = 0
         t0 = time.perf_counter()
         top = len(plan) - 1
@@ -536,17 +527,17 @@ class Pipeline:
                     break
             elif label == 1:
                 break
-            self.ledger.elements_wasted += 1  # a dropped output of the top stage
+            ledger.elements_wasted += 1  # a dropped output of the top stage
             if top >= 0:
                 plan[top].discarded += 1
             else:
-                self.ledger.raw_discarded += 1
+                ledger.raw_discarded += 1
         else:
             name = "pow2_top" if self.pow2 else "small_one"  # failed solve lines print these
             raise RetryExhaustedError(f"no {name} element after {tries} candidates")
-        self.ledger.wall_seconds = time.perf_counter() - t0
-        self.ledger.check_consistent()
-        return inst.derive_element(label, scale), self.ledger
+        ledger.wall_seconds += time.perf_counter() - t0
+        ledger.check_consistent()
+        return inst.derive_element(label, scale)
 
     def _raw(self, n: int) -> np.ndarray:
         """Draw n raw labels, one query each, and charge them in one step."""
@@ -656,7 +647,8 @@ def run_pipeline(
     level: int | None = None,
     scale: int = 1,
 ) -> tuple[PhaseElement, CostLedger]:
-    """Produce one element and the ledger of what it cost.
+    """Produce one element and a fresh ledger of what it cost: a Pipeline
+    asked for one element (Pipeline.element).
 
     N = 2^n: returns an element whose label has 2-adic valuation exactly
     `level` (default n-1), built from the schedule prefix covering `level`
@@ -674,4 +666,5 @@ def run_pipeline(
     (subset_sum.solve). Solver seeds, and rng unless given, derive from
     inst.seed ("solver" and "pipeline" paths).
     """
-    return Pipeline(inst, sched, rng).element(level=level, scale=scale)
+    ledger = CostLedger()
+    return Pipeline(inst, sched, rng).element(ledger, level=level, scale=scale), ledger

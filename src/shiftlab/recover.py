@@ -23,6 +23,7 @@ POW2_ATTEMPTS or ODD_ATTEMPTS attempts.
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 
@@ -109,21 +110,15 @@ def semiclassical_iqft(elems: list[PhaseElement], inst: HiddenShiftInstance) -> 
 def _recover(inst, sched, attempt, rng, attempts, ledger) -> int:
     """The attempt loop both readouts share: attempt(element) builds a
     candidate from elements of the recovery's one Pipeline (element(**where)
-    asks it for one and merges its ledger), classical_verify checks it, and
-    the verifier's queries are charged to the ledger. Returns the first
+    asks it for one, charged to ledger), classical_verify checks it, and
+    the verifier's queries are charged to ledger too. Returns the first
     verified candidate; `attempts` unverified ones raise RetryExhaustedError.
     """
     if rng is None:
         rng = random.Random(derive(inst.seed, label_path("recover")))
     if ledger is None:
         ledger = CostLedger()
-    pipeline = Pipeline(inst, sched, rng)
-
-    def element(**where) -> PhaseElement:
-        elem, led = pipeline.element(**where)
-        ledger.merge(led)
-        return elem
-
+    element = functools.partial(Pipeline(inst, sched, rng).element, ledger)
     for _ in range(attempts):
         cand = attempt(element)
         before = inst.c_queries

@@ -131,6 +131,22 @@ def test_unwritable_out_is_refused_before_any_run(monkeypatch, capsys, tmp_path,
     assert err.startswith(f"usage error: cannot write {out}: "), err
 
 
+@pytest.mark.parametrize("command", [
+    ["solve", "--n", "64", "--k", "8"],
+    ["subset-sum", "--k", "31", "--instances", "1"],
+    ["subset-sum", "--k", "3", "--solver", "ss", "--instances", "1"],
+    ["subset-sum", "--k", "6", "--solver", "rep", "--instances", "1"],
+], ids=["solve-n64", "brute-k31", "ss-k3", "rep-k6"])
+def test_refused_run_leaves_out_file_unchanged(capsys, tmp_path, command):
+    # each command is refused (exit 3) only once its --out file is open:
+    # the file keeps the bytes it held
+    out = tmp_path / "kept.jsonl"
+    out.write_bytes(b'{"kept": true}\n')
+    assert cli_module.main([*command, "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("guard violation: ")
+    assert out.read_bytes() == b'{"kept": true}\n'
+
+
 def test_solve_batch_survives_a_run_that_raises(monkeypatch, capsys):
     # the second of three runs raises, a shiftlab error (an accounting
     # check) or any other exception: it prints a failed line naming the

@@ -415,7 +415,7 @@ def test_ledger_rows_are_the_plan_fresh_per_element():
     # an element's plan is its ledger rows: a power-of-two row carries its
     # input valuation a, the r of the rows below it, and an interval row
     # its input bound b_in instead; each element gets rows of its own, so
-    # a recovery's merged ledger holds no row twice and still sums to its
+    # a recovery's one ledger holds no row twice and still sums to its
     # totals
     _, ledger = run_pipeline(new_instance(N=2**10, seed=5), schedule_uniform(10, 4))
     rows = ledger.per_stage
@@ -433,14 +433,20 @@ def test_ledger_rows_are_the_plan_fresh_per_element():
 
 
 def test_accounting_identities_hold_under_python_O():
+    # corrupted ledgers raise, and a short recovery's ledger checks
     code = (
-        "from shiftlab import AccountingError, CostLedger\n"
+        "from shiftlab import AccountingError, CostLedger, new_instance, recover_pow2,"
+        " schedule_uniform\n"
         "bad = CostLedger(q_queries=5, elements_generated=3), CostLedger(mem_peak_cells=1)\n"
         "for ledger in bad:\n"
         "    try:\n"
         "        ledger.check_consistent()\n"
         "    except AccountingError:\n"
         "        print('raised')\n"
+        "inst, ledger = new_instance(256, seed=1), CostLedger()\n"
+        "s = recover_pow2(inst, schedule_uniform(8, 4), ledger=ledger)\n"
+        "ledger.check_consistent()\n"
+        "print(s == inst.reveal_secret(), ledger.q_queries == inst.q_queries > 0)\n"
     )
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
@@ -448,7 +454,7 @@ def test_accounting_identities_hold_under_python_O():
         [sys.executable, "-O", "-c", code], capture_output=True, timeout=60, env=env
     )
     assert proc.returncode == 0, proc.stderr.decode()
-    assert proc.stdout.decode().split() == ["raised", "raised"]
+    assert proc.stdout.decode().split() == ["raised", "raised", "True", "True"]
 
 
 # ---------------------------------------------------------------------------

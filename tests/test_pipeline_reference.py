@@ -25,6 +25,7 @@ import shiftlab.combine as combine_module
 import shiftlab.pipeline as pipeline_module
 from shiftlab import (
     AccountingError,
+    CostLedger,
     RetryExhaustedError,
     Schedule,
     StageSpec,
@@ -75,11 +76,13 @@ def assert_same_sequence(N, seed, steps):
 
 
 def elements(inst, sched, reference=False):
-    """The element function of one Pipeline on inst, or with reference, of
+    """The element function of one Pipeline on inst, each element charged to
+    a fresh ledger and returned with it, or with reference, of
     reference_pipeline calls that share one rng seeded as the Pipeline's
     default."""
     if not reference:
-        return Pipeline(inst, sched).element
+        element = Pipeline(inst, sched).element
+        return lambda **kwargs: (element(ledger := CostLedger(), **kwargs), ledger)
     rng = random.Random(derive(inst.seed, label_path("pipeline")))
     return lambda **kwargs: reference_pipeline(inst, sched, rng, **kwargs)
 
@@ -291,7 +294,7 @@ def test_wave_paths_over_descending_levels_match_reference(waves, N, k, levels, 
         assert_same_elements(N, seed, sched, steps)
         assert waves.count(1) == 1
         pipeline = Pipeline(new_instance(N, seed=seed), sched)
-        pipeline.element(level=1)
+        pipeline.element(CostLedger(), level=1)
         assert pipeline.wave.table.dtype == dtype
 
 

@@ -1,6 +1,7 @@
 """Shift recovery: bitwise readout for N = 2^n, semiclassical IQFT for odd N."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from shiftlab import (
     CostLedger,
     GuardError,
+    RetryExhaustedError,
     direct_iqft_distribution,
     iqft_success_probability,
     new_instance,
@@ -19,6 +21,7 @@ from shiftlab import (
     semiclassical_iqft,
 )
 from shiftlab.kinds import INTERVAL
+from shiftlab.pipeline import Pipeline
 from shiftlab.recover import candidate_from_sample
 from shiftlab.seeds import derive
 
@@ -189,6 +192,7 @@ def test_recover_pow2_ledger_accounts_for_everything():
     assert ledger.per_stage and ledger.solver_ops == sum(
         row.solver_ops for row in ledger.per_stage
     )
+    ledger.check_consistent()
 
 
 def test_recover_pow2_levels_share_stage_zero_waves(waves):
@@ -241,6 +245,34 @@ def test_recover_odd_ledger_accounts_for_everything():
     assert s == inst.reveal_secret()
     assert ledger.q_queries == inst.q_queries
     assert ledger.c_queries == inst.c_queries > 0
+    ledger.check_consistent()
+
+
+@pytest.mark.parametrize("recover,N,sched,failing_call", [
+    (recover_pow2, 1 << 16, schedule_uniform(16, 8), 30),
+    (recover_odd, 10007, schedule_uniform(14, 8, routine=INTERVAL), 200),
+], ids=["pow2", "odd"])
+def test_failed_element_keeps_its_charges(monkeypatch, recover, N, sched, failing_call):
+    # a stage call that gives up partway through an element, with earlier
+    # elements charged: every query the run drew is in the caller's ledger,
+    # which still checks
+    real_run = Pipeline._run
+    calls = 0
+
+    def run(self, i, need):
+        nonlocal calls
+        calls += 1
+        if calls == failing_call:
+            raise RetryExhaustedError("stage call given up")
+        return real_run(self, i, need)
+
+    monkeypatch.setattr(Pipeline, "_run", run)
+    inst = new_instance(N, seed=5)
+    ledger = CostLedger()
+    with pytest.raises(RetryExhaustedError, match="given up"):
+        recover(inst, sched, rng=random.Random(1), ledger=ledger)
+    assert ledger.q_queries == inst.q_queries > 0
+    ledger.check_consistent()
 
 
 def test_recover_odd_deterministic_per_seed():
